@@ -28,6 +28,7 @@ from pulsecmp.beats import (
     average_beats,
     align_beat_events,
     event_train,
+    correct_polarity,
 )
 from pulsecmp.radar import (
     RadarCube,
@@ -37,7 +38,6 @@ from pulsecmp.radar import (
     extract_slow_time,
     phase_per_bin,
     select_best_bin,
-    correct_polarity,
     process_radar,
 )
 from pulsecmp.ppg import PpgRecording, process_ppg

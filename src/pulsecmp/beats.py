@@ -182,6 +182,58 @@ def detect_peaks(
     )
 
 
+def correct_polarity(
+    waveform: TimeSeries,
+    min_separation_s: float = 0.33,
+    prominence_rel: float = 0.3,
+) -> tuple[TimeSeries, bool]:
+    """Orient a pulse waveform so the systolic upstroke is positive-going.
+
+    Arterial pulses rise fast and decay slowly. The mean foot-to-peak
+    rise time is compared against the mean peak-to-foot decay time; when
+    the rise is strictly longer the waveform is negated.
+
+    Raises
+    ------
+    ValueError
+        "insufficient beats for polarity check" with fewer than three
+        detected beats.
+    """
+    train = detect_peaks(waveform, min_separation_s, prominence_rel)
+    sys_idx = train.systolic_indices
+    dia_idx = train.diastolic_indices
+    if sys_idx.size < 3:
+        raise ValueError("insufficient beats for polarity check")
+    rises = []
+    decays = []
+    for s in sys_idx:
+        before = dia_idx[dia_idx < s]
+        after = dia_idx[dia_idx > s]
+        if before.size:
+            rises.append(s - before[-1])
+        if after.size:
+            decays.append(after[0] - s)
+    if not rises or not decays:
+        raise ValueError("insufficient beats for polarity check")
+    inverted = float(np.mean(rises)) > float(np.mean(decays))
+    if inverted:
+        return waveform.with_samples(-waveform.samples), True
+    return waveform, False
+
+
+def correct_polarity_or_keep(
+    waveform: TimeSeries,
+    min_separation_s: float = 0.33,
+    prominence_rel: float = 0.3,
+) -> tuple[TimeSeries, bool]:
+    """:func:`correct_polarity`, or the waveform unchanged and not inverted
+    when the check cannot decide, so degenerate recordings flow on."""
+    try:
+        return correct_polarity(waveform, min_separation_s, prominence_rel)
+    except ValueError:
+        return waveform, False
+
+
 def extract_ibi(train: PeakTrain) -> IbiSeries:
     """Intervals between successive diastolic feet, in milliseconds.
 

@@ -10,6 +10,7 @@ Verbs: ``simulate`` (synthetic recording bundle plus truth sidecar),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import traceback
@@ -17,14 +18,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from pulsecmp.beats import detect_peaks, extract_ibi
+from pulsecmp.beats import IbiSeries, detect_peaks, extract_ibi
 from pulsecmp.config import PipelineConfig, load_config
 from pulsecmp.formats import (
     FormatError,
     REFERENCE_COLUMN,
     canonical_json,
     format_float,
-    read_ground_truth,
     read_ppg_csv,
     read_radar_cube,
     read_series_csv,
@@ -34,22 +34,20 @@ from pulsecmp.formats import (
     write_series_csv,
     write_text_atomic,
 )
-from pulsecmp.ppg import process_ppg
-from pulsecmp.radar import process_radar
 from pulsecmp.report import (
     AgreementReport,
     RecordingBundle,
+    condition_modality,
     model_from_config,
-    process_reference,
     run_compare,
     simulate_bundle,
 )
 from pulsecmp.selftest import run_selftest
-from pulsecmp.signal_core import BandpassSpec
 
-RADAR_FILE = "radar.radc"
-PPG_FILE = "ppg.csv"
-REFERENCE_FILE = "reference.csv"
+# File of each modality inside a bundle directory, in load order. The
+# cube loads first: parsing the CSVs before it raises the peak RSS of a
+# 60 s default bundle's compare by about 2.5 MB.
+BUNDLE_FILES = {"radar": "radar.radc", "ppg": "ppg.csv", "reference": "reference.csv"}
 TRUTH_FILE = "truth.json"
 
 
@@ -70,12 +68,12 @@ def _load_cli_config(args) -> PipelineConfig:
 def write_bundle_dir(bundle: RecordingBundle, config: PipelineConfig, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     if bundle.radar is not None:
-        write_radar_cube(bundle.radar, os.path.join(directory, RADAR_FILE))
+        write_radar_cube(bundle.radar, os.path.join(directory, BUNDLE_FILES["radar"]))
     if bundle.ppg is not None:
-        write_ppg_csv(bundle.ppg, os.path.join(directory, PPG_FILE))
+        write_ppg_csv(bundle.ppg, os.path.join(directory, BUNDLE_FILES["ppg"]))
     if bundle.reference is not None:
         write_series_csv(
-            os.path.join(directory, REFERENCE_FILE),
+            os.path.join(directory, BUNDLE_FILES["reference"]),
             {REFERENCE_COLUMN: bundle.reference.samples},
             bundle.reference.sample_rate_hz,
             bundle.reference.start_time_s,
@@ -91,25 +89,27 @@ def write_bundle_dir(bundle: RecordingBundle, config: PipelineConfig, directory:
         )
 
 
+def load_modality(name: str, path: str, column: str = REFERENCE_COLUMN):
+    """Read one modality's recording; ``column`` names the reference CSV column."""
+    if name == "radar":
+        return read_radar_cube(path)
+    if name == "ppg":
+        return read_ppg_csv(path)
+    return read_series_csv(path, column)
+
+
 def read_bundle_dir(directory: str, subject_id: str | None = None) -> RecordingBundle:
-    radar = ppg = reference = truth = None
-    radar_path = os.path.join(directory, RADAR_FILE)
-    if os.path.exists(radar_path):
-        radar = read_radar_cube(radar_path)
-    ppg_path = os.path.join(directory, PPG_FILE)
-    if os.path.exists(ppg_path):
-        ppg = read_ppg_csv(ppg_path)
-    ref_path = os.path.join(directory, REFERENCE_FILE)
-    if os.path.exists(ref_path):
-        reference = read_series_csv(ref_path, REFERENCE_COLUMN)
-    truth_path = os.path.join(directory, TRUTH_FILE)
-    if os.path.exists(truth_path):
-        truth, _ = read_ground_truth(truth_path)
+    """Load every modality file present in a bundle directory.
+
+    The truth sidecar is not read: comparison never uses it.
+    """
+    recordings = {}
+    for name, filename in BUNDLE_FILES.items():
+        path = os.path.join(directory, filename)
+        if os.path.exists(path):
+            recordings[name] = load_modality(name, path)
     return RecordingBundle(
-        radar=radar,
-        ppg=ppg,
-        reference=reference,
-        truth=truth,
+        **recordings,
         subject_id=subject_id or os.path.basename(os.path.normpath(directory)),
     )
 
@@ -121,6 +121,14 @@ def _write_table(path: str, header: list[str], rows: list[list[float]]) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
+def _write_ibi(path: str, ibi: IbiSeries) -> None:
+    _write_table(
+        path,
+        ["anchor_time_s", "interval_ms"],
+        [[t, v] for t, v in zip(ibi.anchor_times_s, ibi.intervals_ms)],
+    )
+
+
 def _write_report_files(report: AgreementReport, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     write_text_atomic(
@@ -128,14 +136,7 @@ def _write_report_files(report: AgreementReport, directory: str) -> None:
     )
     for name, modality in sorted(report.modalities.items()):
         if modality.ibi is not None and len(modality.ibi):
-            _write_table(
-                os.path.join(directory, f"ibi_{name}.csv"),
-                ["anchor_time_s", "interval_ms"],
-                [
-                    [t, v]
-                    for t, v in zip(modality.ibi.anchor_times_s, modality.ibi.intervals_ms)
-                ],
-            )
+            _write_ibi(os.path.join(directory, f"ibi_{name}.csv"), modality.ibi)
         if modality.average_beat is not None:
             beat = modality.average_beat
             positions = np.linspace(0.0, 1.0, beat.mean.size)
@@ -169,36 +170,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_process(args) -> int:
     config = _load_cli_config(args)
+    if args.channel:
+        config.ppg_channel = args.channel
     os.makedirs(args.out, exist_ok=True)
-    spec = BandpassSpec(config.filter_order, config.filter_low_hz, config.filter_high_hz)
     meta: dict = {"modality": args.modality, "input": os.path.basename(args.input)}
-    if args.modality == "radar":
-        cube = read_radar_cube(args.input)
-        result = process_radar(
-            cube,
-            spec,
-            max_bins=config.max_bins_or_none,
-            min_separation_s=config.beats_min_separation_s,
-            prominence_rel=config.beats_prominence_rel,
-        )
-        waveform = result.waveform
-        meta["selection"] = {
-            "antenna_index": result.selection.antenna_index,
-            "range_bin": result.selection.range_bin,
-            "peak_to_peak": result.selection.peak_to_peak,
-            "inverted": result.selection.inverted,
-        }
-    elif args.modality == "ppg":
-        rec = read_ppg_csv(args.input)
-        channel = args.channel or config.ppg_channel_or_none
-        waveform = process_ppg(
-            rec, channel, spec, config.beats_min_separation_s, config.beats_prominence_rel
-        )
-    elif args.modality == "reference":
-        series = read_series_csv(args.input, args.column or REFERENCE_COLUMN)
-        waveform = process_reference(series, config)
-    else:
-        raise ValueError(f"unknown modality {args.modality!r}")
+    raw = load_modality(args.modality, args.input, args.column or REFERENCE_COLUMN)
+    waveform, selection = condition_modality(args.modality, raw, config)
+    if selection is not None:
+        meta["selection"] = dataclasses.asdict(selection)
 
     train = detect_peaks(waveform, config.beats_min_separation_s, config.beats_prominence_rel)
     ibi = extract_ibi(train)
@@ -221,11 +200,7 @@ def cmd_process(args) -> int:
         ["is_diastolic", "index", "time_s", "value"],
         rows,
     )
-    _write_table(
-        os.path.join(args.out, "ibi.csv"),
-        ["anchor_time_s", "interval_ms"],
-        [[t, v] for t, v in zip(ibi.anchor_times_s, ibi.intervals_ms)],
-    )
+    _write_ibi(os.path.join(args.out, "ibi.csv"), ibi)
     meta["n_systolic"] = int(train.systolic_indices.size)
     meta["n_diastolic"] = int(train.diastolic_indices.size)
     meta["n_ibi"] = len(ibi)
@@ -268,17 +243,9 @@ def cmd_compare(args) -> int:
     if args.bundle:
         bundle = read_bundle_dir(args.bundle, subject_id=args.subject)
     else:
-        radar = read_radar_cube(args.radar) if args.radar else None
-        ppg = read_ppg_csv(args.ppg) if args.ppg else None
-        reference = (
-            read_series_csv(args.reference, REFERENCE_COLUMN) if args.reference else None
-        )
-        truth = read_ground_truth(args.truth)[0] if args.truth else None
+        paths = {name: getattr(args, name) for name in BUNDLE_FILES}
         bundle = RecordingBundle(
-            radar=radar,
-            ppg=ppg,
-            reference=reference,
-            truth=truth,
+            **{name: load_modality(name, path) for name, path in paths.items() if path},
             subject_id=args.subject or "subject",
         )
     report = run_compare(bundle, config)
@@ -333,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_proc.add_argument("modality", choices=["radar", "ppg", "reference"])
     p_proc.add_argument("input", help="input file (.radc or .csv)")
     p_proc.add_argument("-o", "--out", required=True, help="output directory")
-    p_proc.add_argument("--channel", help="PPG channel name")
+    p_proc.add_argument("--channel", help="PPG channel name (sets ppg.channel)")
     p_proc.add_argument("--column", help="reference CSV column name")
     common(p_proc)
     p_proc.set_defaults(func=cmd_process)
@@ -346,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--radar", help="radar cube file")
     p_cmp.add_argument("--ppg", help="PPG CSV file")
     p_cmp.add_argument("--reference", help="reference CSV file")
-    p_cmp.add_argument("--truth", help="ground-truth sidecar JSON")
     p_cmp.add_argument("--subject", help="subject identifier")
     common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)

@@ -1,7 +1,8 @@
 """Pipeline configuration: defaults, flat key=value files, overrides.
 
 Config files are plain text, one ``key = value`` per line with ``#``
-comments. Keys use dotted sections (``filter.low_hz``). The environment
+comments. Keys use dotted sections: field ``filter_low_hz`` is key
+``filter.low_hz``, its first underscore turned into a dot. The environment
 variable ``PULSECMP_CONFIG`` names a default config file picked up when
 no explicit path is given.
 """
@@ -9,7 +10,7 @@ no explicit path is given.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 ENV_CONFIG = "PULSECMP_CONFIG"
 
@@ -45,44 +46,13 @@ class PipelineConfig:
     synth_sbp_mmhg: float = 120.0
     synth_dbp_mmhg: float = 80.0
 
-    _KEYMAP = {
-        "filter.order": "filter_order",
-        "filter.low_hz": "filter_low_hz",
-        "filter.high_hz": "filter_high_hz",
-        "beats.min_separation_s": "beats_min_separation_s",
-        "beats.prominence_rel": "beats_prominence_rel",
-        "beats.norm_len": "beats_norm_len",
-        "align.max_lag_s": "align_max_lag_s",
-        "align.pair_tol_s": "align_pair_tol_s",
-        "radar.max_bins": "radar_max_bins",
-        "ppg.channel": "ppg_channel",
-        "synth.duration_s": "synth_duration_s",
-        "synth.fs_hz": "synth_fs_hz",
-        "synth.seed": "synth_seed",
-        "synth.snr_db": "synth_snr_db",
-        "synth.hr_bpm": "synth_hr_bpm",
-        "synth.ibi_sd_ms": "synth_ibi_sd_ms",
-        "synth.displacement_m": "synth_displacement_m",
-        "synth.antennas": "synth_antennas",
-        "synth.chirps": "synth_chirps",
-        "synth.samples": "synth_samples",
-        "synth.target_antenna": "synth_target_antenna",
-        "synth.target_bin": "synth_target_bin",
-        "synth.ppg_tau_s": "synth_ppg_tau_s",
-        "synth.ppg_noise_sd": "synth_ppg_noise_sd",
-        "synth.sbp_mmhg": "synth_sbp_mmhg",
-        "synth.dbp_mmhg": "synth_dbp_mmhg",
-    }
-
     def set_key(self, key: str, raw: str) -> None:
         """Assign one dotted key from its string representation."""
-        attr = self._KEYMAP.get(key)
+        attr = _KEYMAP.get(key)
         if attr is None:
             raise ValueError(f"unknown config key {key!r}")
         current = getattr(self, attr)
-        if isinstance(current, bool):
-            value = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
+        if isinstance(current, int):
             value = int(raw)
         elif isinstance(current, float):
             value = float(raw)
@@ -92,13 +62,7 @@ class PipelineConfig:
 
     def to_flat_dict(self) -> dict:
         """Dotted-key view of every parameter (for the report echo)."""
-        inverse = {attr: key for key, attr in self._KEYMAP.items()}
-        out = {}
-        for f in fields(self):
-            if f.name.startswith("_"):
-                continue
-            out[inverse[f.name]] = getattr(self, f.name)
-        return dict(sorted(out.items()))
+        return {key: getattr(self, attr) for key, attr in sorted(_KEYMAP.items())}
 
     @property
     def snr_db_or_none(self) -> float | None:
@@ -111,6 +75,10 @@ class PipelineConfig:
     @property
     def ppg_channel_or_none(self) -> str | None:
         return self.ppg_channel or None
+
+
+# Dotted key -> field name: field ``section_name`` is key ``section.name``.
+_KEYMAP = {f.name.replace("_", ".", 1): f.name for f in fields(PipelineConfig)}
 
 
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:

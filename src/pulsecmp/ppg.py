@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from pulsecmp.radar import correct_polarity
+from pulsecmp.beats import correct_polarity_or_keep
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass
 
 DEFAULT_CHANNEL = "green_0"
@@ -78,8 +78,4 @@ def process_ppg(
     if raw.duration_s < 10.0:
         raise ValueError("recording too short")
     filtered = butterworth_bandpass(raw, spec)
-    try:
-        oriented, _ = correct_polarity(filtered, min_separation_s, prominence_rel)
-    except ValueError:
-        oriented = filtered
-    return oriented
+    return correct_polarity_or_keep(filtered, min_separation_s, prominence_rel)[0]

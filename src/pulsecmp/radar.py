@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pulsecmp.beats import detect_peaks
+from pulsecmp.beats import correct_polarity_or_keep
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, bandpass_array
 
 SPEED_OF_LIGHT = 299792458.0
@@ -89,7 +89,6 @@ class RadarPulseResult:
 
     waveform: TimeSeries
     selection: BinSelection
-    per_bin_p2p: np.ndarray
 
 
 def chirp_mean_removal(cube: RadarCube) -> RadarCube:
@@ -166,8 +165,8 @@ def select_best_bin(
     Bin 0 and the Nyquist bin are excluded from the search: the DC bin
     is nulled by chirp mean removal and the Nyquist bin of a real IF
     signal is real-valued, so the arctangent phase of either carries no
-    displacement information. ``max_bins`` restricts the search to the
-    first K informative bins for near-field use.
+    displacement information. ``max_bins=K`` restricts the search to
+    bins 1 .. K-1 for near-field use: the excluded bin 0 counts toward K.
     """
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 3 or phases.shape[0] < 1 or phases.shape[1] < 1:
@@ -184,45 +183,6 @@ def select_best_bin(
         search[:, max_bins:] = -np.inf
     antenna, range_bin = np.unravel_index(int(np.argmax(search)), search.shape)
     return BinSelection(int(antenna), int(range_bin), float(p2p[antenna, range_bin]))
-
-
-def correct_polarity(
-    waveform: TimeSeries,
-    min_separation_s: float = 0.33,
-    prominence_rel: float = 0.3,
-) -> tuple[TimeSeries, bool]:
-    """Orient a pulse waveform so the systolic upstroke is positive-going.
-
-    Arterial pulses rise fast and decay slowly. The mean foot-to-peak
-    rise time is compared against the mean peak-to-foot decay time; when
-    the rise is strictly longer the waveform is negated.
-
-    Raises
-    ------
-    ValueError
-        "insufficient beats for polarity check" with fewer than three
-        detected beats.
-    """
-    train = detect_peaks(waveform, min_separation_s, prominence_rel)
-    sys_idx = train.systolic_indices
-    dia_idx = train.diastolic_indices
-    if sys_idx.size < 3:
-        raise ValueError("insufficient beats for polarity check")
-    rises = []
-    decays = []
-    for s in sys_idx:
-        before = dia_idx[dia_idx < s]
-        after = dia_idx[dia_idx > s]
-        if before.size:
-            rises.append(s - before[-1])
-        if after.size:
-            decays.append(after[0] - s)
-    if not rises or not decays:
-        raise ValueError("insufficient beats for polarity check")
-    inverted = float(np.mean(rises)) > float(np.mean(decays))
-    if inverted:
-        return waveform.with_samples(-waveform.samples), True
-    return waveform, False
 
 
 def process_radar(
@@ -249,13 +209,5 @@ def process_radar(
     waveform = TimeSeries(
         phases[selection.antenna_index, selection.range_bin], cube.frame_rate_hz
     )
-    try:
-        waveform, inverted = correct_polarity(waveform, min_separation_s, prominence_rel)
-    except ValueError:
-        inverted = False
-    selection = dataclasses.replace(selection, inverted=inverted)
-    n_frames = phases.shape[2]
-    margin = int(0.05 * n_frames)
-    core = phases[:, :, margin : n_frames - margin] if n_frames - 2 * margin >= 2 else phases
-    per_bin_p2p = core.max(axis=2) - core.min(axis=2)
-    return RadarPulseResult(waveform, selection, per_bin_p2p)
+    waveform, inverted = correct_polarity_or_keep(waveform, min_separation_s, prominence_rel)
+    return RadarPulseResult(waveform, dataclasses.replace(selection, inverted=inverted))

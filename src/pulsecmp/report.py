@@ -9,7 +9,7 @@ morphology agreement statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from pulsecmp.beats import (
     PeakTrain,
     align_beat_events,
     average_beats,
+    correct_polarity_or_keep,
     detect_peaks,
     extract_ibi,
     paired_consecutive,
@@ -39,7 +40,7 @@ from pulsecmp.metrics import (
     morphology_metrics,
 )
 from pulsecmp.ppg import PpgRecording, process_ppg
-from pulsecmp.radar import BinSelection, RadarCube, correct_polarity, process_radar
+from pulsecmp.radar import BinSelection, RadarCube, process_radar
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass
 from pulsecmp.synth import (
     CubeGeometry,
@@ -52,6 +53,9 @@ from pulsecmp.synth import (
 )
 
 MIN_BEATS = 2
+
+# Modality names in processing and report order.
+MODALITIES = ("reference", "radar", "ppg")
 
 
 @dataclass
@@ -69,14 +73,7 @@ class RecordingBundle:
             raise ValueError("bundle must contain at least one modality")
 
     def present_modalities(self) -> list[str]:
-        names = []
-        if self.reference is not None:
-            names.append("reference")
-        if self.radar is not None:
-            names.append("radar")
-        if self.ppg is not None:
-            names.append("ppg")
-        return names
+        return [name for name in MODALITIES if getattr(self, name) is not None]
 
 
 @dataclass
@@ -149,12 +146,7 @@ class AgreementReport:
                     "auc_sd": m.morphology.auc_sd,
                 }
             if m.selection is not None:
-                entry["selection"] = {
-                    "antenna_index": m.selection.antenna_index,
-                    "range_bin": m.selection.range_bin,
-                    "peak_to_peak": m.selection.peak_to_peak,
-                    "inverted": m.selection.inverted,
-                }
+                entry["selection"] = asdict(m.selection)
             if m.bp is not None:
                 entry["bp"] = {"sbp": m.bp.sbp, "dbp": m.bp.dbp, "map": m.bp.map}
             doc["modalities"][name] = entry
@@ -244,13 +236,41 @@ def process_reference(
     """Reference pressure chain: shared band-pass plus polarity rule."""
     cfg = config if config is not None else PipelineConfig()
     filtered = butterworth_bandpass(reference, _bandpass_spec(cfg))
-    try:
-        oriented, _ = correct_polarity(
-            filtered, cfg.beats_min_separation_s, cfg.beats_prominence_rel
+    return correct_polarity_or_keep(
+        filtered, cfg.beats_min_separation_s, cfg.beats_prominence_rel
+    )[0]
+
+
+def condition_modality(
+    name: str, raw, config: PipelineConfig
+) -> tuple[TimeSeries, BinSelection | None]:
+    """Run one modality's conditioning chain on its raw recording.
+
+    ``name`` is one of :data:`MODALITIES` and ``raw`` the bundle field
+    of that name: a ``TimeSeries`` for the reference, a ``RadarCube``
+    for radar, a ``PpgRecording`` for PPG. Returns the oriented
+    waveform and, for radar only, the chosen (antenna, range bin).
+    """
+    spec = _bandpass_spec(config)
+    if name == "radar":
+        result = process_radar(
+            raw,
+            spec,
+            max_bins=config.max_bins_or_none,
+            min_separation_s=config.beats_min_separation_s,
+            prominence_rel=config.beats_prominence_rel,
         )
-    except ValueError:
-        oriented = filtered
-    return oriented
+        return result.waveform, result.selection
+    if name == "ppg":
+        waveform = process_ppg(
+            raw,
+            config.ppg_channel_or_none,
+            spec,
+            config.beats_min_separation_s,
+            config.beats_prominence_rel,
+        )
+        return waveform, None
+    return process_reference(raw, config), None
 
 
 def _summarize_modality(
@@ -363,33 +383,17 @@ def run_compare(bundle: RecordingBundle, config: PipelineConfig | None = None) -
     present = bundle.present_modalities()
     if len(present) < 2:
         raise ValueError("need two modalities")
-    spec = _bandpass_spec(config)
     modalities: dict[str, ModalitySummary] = {}
-    if bundle.reference is not None:
-        oriented = process_reference(bundle.reference, config)
-        modalities["reference"] = _summarize_modality(
-            "reference", oriented, config, raw_for_bp=bundle.reference
+    for name in present:
+        raw = getattr(bundle, name)
+        waveform, selection = condition_modality(name, raw, config)
+        modalities[name] = _summarize_modality(
+            name,
+            waveform,
+            config,
+            selection=selection,
+            raw_for_bp=raw if name == "reference" else None,
         )
-    if bundle.radar is not None:
-        result = process_radar(
-            bundle.radar,
-            spec,
-            max_bins=config.max_bins_or_none,
-            min_separation_s=config.beats_min_separation_s,
-            prominence_rel=config.beats_prominence_rel,
-        )
-        modalities["radar"] = _summarize_modality(
-            "radar", result.waveform, config, selection=result.selection
-        )
-    if bundle.ppg is not None:
-        waveform = process_ppg(
-            bundle.ppg,
-            config.ppg_channel_or_none,
-            spec,
-            config.beats_min_separation_s,
-            config.beats_prominence_rel,
-        )
-        modalities["ppg"] = _summarize_modality("ppg", waveform, config)
 
     baseline = "reference" if "reference" in modalities else "radar"
     pairs: dict[str, PairSummary] = {}

@@ -125,6 +125,38 @@ class TestCompare:
         assert result.returncode == 1
         assert "need two modalities" in result.stderr
 
+    def test_truth_sidecar_is_not_read(self, bundle_dir, tmp_path):
+        reports = []
+        for variant in ("intact", "missing", "corrupt"):
+            subject = tmp_path / variant
+            subject.mkdir()
+            for name in ("radar.radc", "ppg.csv", "reference.csv"):
+                (subject / name).write_bytes((bundle_dir / name).read_bytes())
+            if variant == "intact":
+                (subject / "truth.json").write_bytes((bundle_dir / "truth.json").read_bytes())
+            elif variant == "corrupt":
+                (subject / "truth.json").write_text("{not json")
+            out = tmp_path / f"out_{variant}"
+            assert main(["compare", "--bundle", str(subject), "-o", str(out),
+                         "--subject", "s"]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_process_matches_compare(self, bundle_dir, tmp_path):
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", "--bundle", str(bundle_dir), "-o", str(cmp_out)]) == 0
+        report = json.loads((cmp_out / "report.json").read_text())
+        for modality, filename in (
+            ("radar", "radar.radc"), ("ppg", "ppg.csv"), ("reference", "reference.csv")
+        ):
+            out = tmp_path / modality
+            assert main(["process", modality, str(bundle_dir / filename), "-o", str(out)]) == 0
+            assert (out / "ibi.csv").read_bytes() == (
+                cmp_out / f"ibi_{modality}.csv"
+            ).read_bytes()
+        meta = json.loads((tmp_path / "radar" / "meta.json").read_text())
+        assert meta["selection"] == report["modalities"]["radar"]["selection"]
+
     def test_jobs_fanout(self, tmp_path):
         root = tmp_path / "subjects"
         for name in ("s1", "s2"):
@@ -157,8 +189,10 @@ class TestConfigPlumbing:
         assert doc["config"]["align.pair_tol_s"] == 0.2
 
     def test_unknown_key_is_input_error(self, bundle_dir, tmp_path):
-        result = run_cli([
-            "compare", "--bundle", str(bundle_dir), "-o", str(tmp_path / "u"),
-            "--set", "bogus.key=1",
-        ])
-        assert result.returncode == 1
+        for key in ("bogus.key", "filter_order", "synth_ppg.tau_s", "filter.order.x"):
+            result = run_cli([
+                "compare", "--bundle", str(bundle_dir), "-o", str(tmp_path / "u"),
+                "--set", f"{key}=1",
+            ])
+            assert result.returncode == 1, key
+            assert "unknown config key" in result.stderr

@@ -221,8 +221,11 @@ class TestConfig:
         assert cfg.ppg_channel == "green_1"
 
     def test_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown config key"):
-            parse_config_text("nope.key = 1")
+        # near misses of real keys too: the field name itself, the wrong
+        # underscore turned into a dot, and a trailing extra section
+        for key in ("nope.key", "filter_order", "synth_ppg.tau_s", "filter.order.x"):
+            with pytest.raises(ValueError, match="unknown config key"):
+                parse_config_text(f"{key} = 1")
 
     def test_bad_line(self):
         with pytest.raises(ValueError, match="expected"):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pulsecmp.beats import align_beat_events, detect_peaks, event_train
+from pulsecmp.beats import align_beat_events, correct_polarity, detect_peaks, event_train
 from pulsecmp.ppg import PpgRecording, default_channel, process_ppg
-from pulsecmp.radar import correct_polarity
 from pulsecmp.signal_core import TimeSeries, butterworth_bandpass
 from pulsecmp.synth import PulseModel, generate_waveform, synth_ppg
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pulsecmp.beats import detect_peaks, extract_ibi
+from pulsecmp.beats import correct_polarity, detect_peaks, extract_ibi
 from pulsecmp.radar import (
     RadarCube,
     chirp_mean_removal,
-    correct_polarity,
     extract_slow_time,
     phase_per_bin,
     process_radar,
@@ -163,8 +162,12 @@ class TestSelectBestBin:
         result = process_radar(cube)
         assert (result.selection.antenna_index, result.selection.range_bin) == (1, 7)
         # brute-force check: the chosen cell has the largest p2p among
-        # informative bins
-        p2p = result.per_bin_p2p.copy()
+        # informative bins, measured on the central 90 % of the composed
+        # chain's phases
+        phases = phase_per_bin(extract_slow_time(chirp_mean_removal(cube)), FS)
+        margin = int(0.05 * phases.shape[2])
+        core = phases[:, :, margin : phases.shape[2] - margin]
+        p2p = core.max(axis=2) - core.min(axis=2)
         p2p[:, 0] = -np.inf
         p2p[:, -1] = -np.inf
         a, k = np.unravel_index(np.argmax(p2p), p2p.shape)
