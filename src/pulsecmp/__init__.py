@@ -10,11 +10,8 @@ generator used as the verification oracle.
 
 from pulsecmp.signal_core import (
     TimeSeries,
-    ComplexSeries,
     BandpassSpec,
-    unwrap_phase,
     butterworth_bandpass,
-    range_fft,
     resample_linear,
 )
 from pulsecmp.beats import (
@@ -34,8 +31,6 @@ from pulsecmp.radar import (
     RadarCube,
     BinSelection,
     RadarPulseResult,
-    chirp_mean_removal,
-    extract_slow_time,
     phase_per_bin,
     select_best_bin,
     process_radar,
@@ -70,11 +65,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TimeSeries",
-    "ComplexSeries",
     "BandpassSpec",
-    "unwrap_phase",
     "butterworth_bandpass",
-    "range_fft",
     "resample_linear",
     "PeakTrain",
     "IbiSeries",
@@ -89,8 +81,6 @@ __all__ = [
     "RadarCube",
     "BinSelection",
     "RadarPulseResult",
-    "chirp_mean_removal",
-    "extract_slow_time",
     "phase_per_bin",
     "select_best_bin",
     "correct_polarity",

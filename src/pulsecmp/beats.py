@@ -48,11 +48,12 @@ class PeakTrain:
             self._check_interleaving()
 
     def _check_interleaving(self):
-        d = self.diastolic_indices
-        for a, b in zip(d[:-1], d[1:]):
-            between = np.sum((self.systolic_indices > a) & (self.systolic_indices < b))
-            if between != 1:
-                raise ValueError("systolic and diastolic peaks must interleave")
+        # systolic indices strictly between consecutive feet, for every
+        # pair of feet at once (both arrays are strictly increasing)
+        s, d = self.systolic_indices, self.diastolic_indices
+        between = np.searchsorted(s, d[1:], "left") - np.searchsorted(s, d[:-1], "right")
+        if np.any(between != 1):
+            raise ValueError("systolic and diastolic peaks must interleave")
 
     @property
     def n_beats(self) -> int:

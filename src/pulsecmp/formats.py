@@ -15,15 +15,19 @@ Radar cube container (all fields little-endian):
     metadata         UTF-8 JSON object of string pairs
     payload          f32 array, C order [frame][antenna][chirp][sample]
 
-Payload values are stored as 32-bit floats and promoted to 64-bit on
-load. CSV series carry a ``time_s`` column plus one column per channel;
-sampling must be uniform to within 1 % jitter of the median step.
+Payload values are stored as 32-bit floats. The reader maps the payload
+read-only as a float32 array instead of copying it, and the radar chain
+reduces it block by block over frames, so memory grows with the
+slow-time tensor rather than with the cube. CSV series carry a
+``time_s`` column plus one column per channel; sampling must be uniform
+to within 1 % jitter of the median step.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 import tempfile
@@ -51,13 +55,15 @@ class FormatError(ValueError):
         super().__init__(f"{code}: {detail}" if detail else code)
 
 
-def write_bytes_atomic(path: str, payload: bytes) -> None:
-    """Write via a temp file and rename, so readers never see partial files."""
+def write_bytes_atomic(path: str, *chunks) -> None:
+    """Write the chunks (bytes-like) via a temp file and rename, so
+    readers never see partial files."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException:
@@ -84,46 +90,71 @@ def write_radar_cube(cube: RadarCube, path: str) -> None:
         cube.carrier_hz,
         len(metadata),
     )
-    payload = np.ascontiguousarray(cube.data, dtype="<f4").tobytes()
-    write_bytes_atomic(path, header + metadata + payload)
+    payload = np.ascontiguousarray(cube.data, dtype="<f4")
+    write_bytes_atomic(path, header, metadata, memoryview(payload).cast("B"))
+
+
+def _page_release(mapping: mmap.mmap, offset: int, frame_bytes: int):
+    """Callback dropping the mapped pages of consumed frames from RSS.
+
+    The mapping is read-only and file-backed, so a dropped page that is
+    touched again is read back from the file unchanged.
+    """
+    if not hasattr(mmap, "MADV_DONTNEED"):
+        return None
+
+    def release(start: int, stop: int) -> None:
+        lo = (offset + start * frame_bytes) // mmap.PAGESIZE * mmap.PAGESIZE
+        hi = (offset + stop * frame_bytes) // mmap.PAGESIZE * mmap.PAGESIZE
+        if hi > lo:
+            mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+
+    return release
 
 
 def read_radar_cube(path: str) -> RadarCube:
+    """Map a ``.radc`` file read-only as a float32 cube without copying.
+
+    The mapping lives as long as the returned cube's ``data``. Writers
+    replace files by atomic rename, so a mapped file never changes under
+    the reader.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise FormatError("truncated payload", "file shorter than header")
-    magic, version, frames, antennas, chirps, samples, frame_rate, fast_rate, carrier, meta_len = (
-        _HEADER.unpack_from(blob)
-    )
-    if magic != MAGIC:
-        raise FormatError("bad magic", f"got {magic!r}")
-    if version != VERSION:
-        raise FormatError("unsupported version", str(version))
-    dims = (frames, antennas, chirps, samples)
-    if min(dims) < 1 or math.prod(dims) > MAX_CUBE_ELEMENTS:
-        raise FormatError("dimension overflow", f"dims {dims}")
-    offset = _HEADER.size
-    if len(blob) < offset + meta_len:
-        raise FormatError("truncated payload", "metadata cut short")
-    try:
-        metadata = json.loads(blob[offset : offset + meta_len].decode("utf-8")) if meta_len else {}
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError("bad metadata", str(exc)) from exc
-    offset += meta_len
-    expected = math.prod(dims) * 4
-    if len(blob) - offset != expected:
-        raise FormatError(
-            "truncated payload",
-            f"expected {expected} payload bytes, found {len(blob) - offset}",
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise FormatError("truncated payload", "file shorter than header")
+        magic, version, frames, antennas, chirps, samples, frame_rate, fast_rate, carrier, meta_len = (
+            _HEADER.unpack(fh.read(_HEADER.size))
         )
-    data = np.frombuffer(blob, dtype="<f4", count=math.prod(dims), offset=offset)
+        if magic != MAGIC:
+            raise FormatError("bad magic", f"got {magic!r}")
+        if version != VERSION:
+            raise FormatError("unsupported version", str(version))
+        dims = (frames, antennas, chirps, samples)
+        if min(dims) < 1 or math.prod(dims) > MAX_CUBE_ELEMENTS:
+            raise FormatError("dimension overflow", f"dims {dims}")
+        offset = _HEADER.size + meta_len
+        if size < offset:
+            raise FormatError("truncated payload", "metadata cut short")
+        try:
+            metadata = json.loads(fh.read(meta_len).decode("utf-8")) if meta_len else {}
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError("bad metadata", str(exc)) from exc
+        expected = math.prod(dims) * 4
+        if size - offset != expected:
+            raise FormatError(
+                "truncated payload",
+                f"expected {expected} payload bytes, found {size - offset}",
+            )
+        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    data = np.frombuffer(mapping, dtype="<f4", count=math.prod(dims), offset=offset)
     return RadarCube(
-        data=data.reshape(dims).astype(np.float64),
+        data=data.reshape(dims),
         frame_rate_hz=frame_rate,
         fast_time_rate_hz=fast_rate,
         carrier_hz=carrier,
         metadata=metadata,
+        release_frames=_page_release(mapping, offset, expected // frames),
     )
 
 

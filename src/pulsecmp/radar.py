@@ -10,6 +10,8 @@ displacement: ``phase = 4 * pi * displacement / wavelength``.
 from __future__ import annotations
 
 import dataclasses
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,19 +21,33 @@ from pulsecmp.signal_core import BandpassSpec, TimeSeries, bandpass_array
 
 SPEED_OF_LIGHT = 299792458.0
 
+# Cube values reduced per frame block: bounds the float64 working set of
+# the slow-time reduction (and of synthesis) whatever the record length.
+BLOCK_SAMPLES = 1 << 20
+
 
 @dataclass
 class RadarCube:
-    """Raw IF samples indexed [frame][antenna][chirp][sample]."""
+    """Raw IF samples indexed [frame][antenna][chirp][sample].
+
+    ``data`` is stored as float32, the precision of the ``.radc``
+    payload, and may be a read-only view of a mapped file.
+    ``release_frames``, when set, is called with ``(start, stop)`` once
+    the slow-time reduction has consumed those frames, so a file-backed
+    cube can hand their pages back to the kernel.
+    """
 
     data: np.ndarray
     frame_rate_hz: float = 200.0
     fast_time_rate_hz: float = 2.0e6
     carrier_hz: float = 60.0e9
     metadata: dict = field(default_factory=dict)
+    release_frames: Callable[[int, int], None] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = np.asarray(self.data, dtype=np.float32)
         if self.data.ndim != 4:
             raise ValueError("cube must be 4-dimensional")
         if min(self.data.shape) < 1:
@@ -91,28 +107,30 @@ class RadarPulseResult:
     selection: BinSelection
 
 
-def chirp_mean_removal(cube: RadarCube) -> RadarCube:
-    """Subtract each chirp's sample mean, removing per-chirp DC bias."""
-    data = cube.data - cube.data.mean(axis=3, keepdims=True)
-    return dataclasses.replace(cube, data=data)
-
-
-def extract_slow_time(cube: RadarCube) -> np.ndarray:
-    """Range FFT per chirp, coherently averaged over chirps per frame.
-
-    Returns a complex tensor indexed [frame][antenna][range_bin] with
-    the one-sided bins 0 .. n_samples // 2. Averaging the complex bin
-    values across chirps in a frame maximizes SNR for a static-range
-    target while collapsing the cube to frame rate.
-    """
-    spectra = np.fft.rfft(cube.data, axis=3)
-    return spectra.mean(axis=2)
+def frame_blocks(shape: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` frame ranges of about ``BLOCK_SAMPLES`` cube values."""
+    n_frames = shape[0]
+    step = max(1, BLOCK_SAMPLES // math.prod(shape[1:]))
+    for start in range(0, n_frames, step):
+        yield start, min(start + step, n_frames)
 
 
 def _slow_time_fused(cube: RadarCube) -> np.ndarray:
     # Chirp averaging commutes with the mean removal and the FFT (all
-    # linear), so average first and transform once per frame.
-    avg = cube.data.mean(axis=2)
+    # linear), so average first and transform once per frame. Averaging
+    # float32 chirps in float64 gives the same values as averaging a
+    # float64 copy, and it cannot overflow, so a non-finite block mean
+    # means a non-finite sample.
+    data = cube.data
+    avg = np.empty((data.shape[0], data.shape[1], data.shape[3]))
+    for start, stop in frame_blocks(data.shape):
+        block = avg[start:stop]
+        np.mean(data[start:stop], axis=2, dtype=np.float64, out=block)
+        if not np.isfinite(block).all():
+            frame = start + int(np.nonzero(~np.isfinite(block))[0][0])
+            raise ValueError(f"radar: non-finite sample in frame {frame}")
+        if cube.release_frames is not None:
+            cube.release_frames(start, stop)
     avg -= avg.mean(axis=2, keepdims=True)
     return np.fft.rfft(avg, axis=2)
 
@@ -127,7 +145,7 @@ def phase_per_bin(
     Parameters
     ----------
     slow_time : complex ndarray
-        Tensor [frame][antenna][bin] from :func:`extract_slow_time`.
+        Complex tensor [frame][antenna][bin] of chirp-averaged range bins.
     frame_rate_hz : float
         Slow-time sampling rate.
     spec : BandpassSpec, optional
@@ -194,12 +212,19 @@ def process_radar(
 ) -> RadarPulseResult:
     """Full chain from raw cube to polarity-corrected pulse waveform.
 
-    Composes chirp mean removal, slow-time extraction, per-bin phase
-    filtering, bin selection, and polarity correction (the first three
-    run as one fused linear reduction, which is algebraically identical
-    to composing the standalone operations). When too few beats exist
-    to decide orientation, the waveform is returned unoriented rather
-    than failing, so degenerate recordings still flow downstream.
+    Per-chirp mean removal, the range FFT and chirp averaging run as
+    one fused linear reduction over frame blocks, algebraically
+    identical to composing them per chirp; per-bin phase filtering, bin
+    selection and polarity correction follow. No full-size copy of the
+    cube is made. When too few beats exist to decide orientation, the
+    waveform is returned unoriented rather than failing, so degenerate
+    recordings still flow downstream.
+
+    Raises
+    ------
+    ValueError
+        "recording too short" under 10 s, or "radar: non-finite sample
+        in frame N" naming the first frame holding a NaN or infinity.
     """
     if cube.duration_s < 10.0:
         raise ValueError("recording too short")

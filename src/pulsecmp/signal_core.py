@@ -1,10 +1,10 @@
 """Core signal types and shared DSP primitives.
 
-Everything downstream (radar phase extraction, PPG conditioning, beat
-analysis) is built on the four operations here: temporal phase
-unwrapping, zero-phase Butterworth band-pass filtering, the one-sided
-range FFT, and linear resampling. All arithmetic is 64-bit floating
-point; operations are pure functions and never mutate their inputs.
+Everything downstream (radar phase filtering, PPG conditioning, beat
+analysis) is built on the operations here: zero-phase Butterworth
+band-pass filtering and linear resampling. All arithmetic is 64-bit
+floating point; operations are pure functions and never mutate their
+inputs.
 """
 
 from __future__ import annotations
@@ -64,34 +64,6 @@ class TimeSeries:
         return TimeSeries(samples, self.sample_rate_hz, self.start_time_s)
 
 
-@dataclass
-class ComplexSeries:
-    """Uniformly sampled complex signal (same indexing rule as TimeSeries)."""
-
-    values: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 1:
-            raise ValueError("values must be one-dimensional")
-        if self.values.size < 1:
-            raise ValueError("empty input")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
-        self.sample_rate_hz = float(self.sample_rate_hz)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def phase(self) -> TimeSeries:
-        """Wrapped arctangent phase of each value, in (-pi, pi]."""
-        return TimeSeries(np.angle(self.values), self.sample_rate_hz)
-
-    def magnitude(self) -> TimeSeries:
-        return TimeSeries(np.abs(self.values), self.sample_rate_hz)
-
-
 @dataclass(frozen=True)
 class BandpassSpec:
     """Butterworth band-pass design parameters.
@@ -115,24 +87,6 @@ class BandpassSpec:
         """Raise if the band does not fit below Nyquist for this rate."""
         if self.high_cut_hz >= sample_rate_hz / 2.0:
             raise ValueError("invalid cutoff")
-
-
-def unwrap_phase(wrapped: TimeSeries) -> TimeSeries:
-    """Temporally unwrap a phase signal given in radians.
-
-    Jumps between consecutive samples larger than pi in magnitude are
-    corrected by the multiple of 2*pi that brings them into [-pi, pi].
-    The first sample is left unchanged, so every output sample differs
-    from its input by an integer multiple of 2*pi.
-
-    Raises
-    ------
-    ValueError
-        If the series is empty (guarded by the TimeSeries constructor).
-    """
-    if not isinstance(wrapped, TimeSeries):
-        raise TypeError("expected a TimeSeries")
-    return wrapped.with_samples(np.unwrap(wrapped.samples))
 
 
 def _bandpass_sos(spec: BandpassSpec, sample_rate_hz: float) -> np.ndarray:
@@ -216,23 +170,6 @@ def bandpass_array(
     if flat.any():
         out = np.where(np.broadcast_to(flat, out.shape), 0.0, out)
     return out
-
-
-def range_fft(chirp_samples: np.ndarray) -> np.ndarray:
-    """One-sided DFT of one chirp's samples (rectangular window).
-
-    Returns bins ``0 .. N // 2`` with no zero padding, so bin ``k``
-    corresponds to beat frequency ``k * fs_fast / N``.
-
-    Raises
-    ------
-    ValueError
-        If fewer than two samples are supplied.
-    """
-    x = np.asarray(chirp_samples, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need at least two samples")
-    return np.fft.rfft(x)
 
 
 def resample_linear(x: TimeSeries, target_len: int) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from pulsecmp.beats import IBI_MAX_MS, IBI_MIN_MS
 from pulsecmp.ppg import PpgRecording
-from pulsecmp.radar import RadarCube
+from pulsecmp.radar import RadarCube, frame_blocks
 from pulsecmp.signal_core import TimeSeries
 
 DEFAULT_DISPLACEMENT_M = 100e-6
@@ -150,12 +150,13 @@ def generate_waveform(
     y = np.zeros(n)
     systolic_times = []
     for t0, t1 in zip(feet[:-1], feet[1:]):
-        mask = (t >= t0) & (t < t1)
-        if not mask.any():
+        # t is sorted, so the samples in [t0, t1) form one slice
+        beat = slice(*np.searchsorted(t, (t0, t1)))
+        if beat.start == beat.stop:
             continue
-        u = (t[mask] - t0) / (t1 - t0)
+        u = (t[beat] - t0) / (t1 - t0)
         for a, c, w in zip(model.amps, model.centers, model.widths):
-            y[mask] += a * np.exp(-(((u - c) / w) ** 2))
+            y[beat] += a * np.exp(-(((u - c) / w) ** 2))
         t_sys = t0 + model.systolic_center * (t1 - t0)
         if t_sys < n / fs_hz:
             systolic_times.append(t_sys)
@@ -188,7 +189,8 @@ def synth_radar_cube(
     and peak-to-peak selection is meaningless). White noise on all
     samples is scaled so the ratio of the target's phase peak-to-peak
     to the induced phase-noise peak-to-peak matches ``snr_db``;
-    ``None`` disables noise.
+    ``None`` disables noise. The cube is float32, the precision of the
+    ``.radc`` payload.
 
     Raises
     ------
@@ -217,17 +219,27 @@ def synth_radar_cube(
     clutter = np.einsum("ak,akn->an", amps, np.cos(angles))
 
     tone = np.cos(2.0 * np.pi * geometry.target_range_bin * n[None, :] / n_samp + phi[:, None])
-    cube = np.empty((n_frames, n_ant, n_chirp, n_samp), dtype=np.float64)
-    cube[:] = clutter[None, :, None, :]
-    cube[:, geometry.target_antenna, :, :] += tone[:, None, :]
-
+    sigma_if = None
     if snr_db is not None and math.isfinite(snr_db):
         phase_p2p = float(phi.max() - phi.min())
         sigma_phase = phase_p2p / (NOISE_P2P_SIGMA * 10.0 ** (snr_db / 20.0))
         # A unit tone maps to bin magnitude N/2; averaging C chirps
         # leaves per-component bin noise sigma_if * sqrt(N / (2 C)).
         sigma_if = sigma_phase * (n_samp / 2.0) / math.sqrt(n_samp / (2.0 * n_chirp))
-        cube += sigma_if * rng.standard_normal(cube.shape, dtype=np.float32).astype(np.float64)
+
+    # Each frame block is summed in float64 and rounded to float32 once.
+    # Successive noise draws continue one PCG64 stream, so the cube does
+    # not depend on the block size.
+    cube = np.empty((n_frames, n_ant, n_chirp, n_samp), dtype=np.float32)
+    for start, stop in frame_blocks(cube.shape):
+        block = np.empty((stop - start, n_ant, n_chirp, n_samp))
+        block[:] = clutter[None, :, None, :]
+        block[:, geometry.target_antenna, :, :] += tone[start:stop, None, :]
+        if sigma_if is not None:
+            block += sigma_if * rng.standard_normal(block.shape, dtype=np.float32).astype(
+                np.float64
+            )
+        cube[start:stop] = block
 
     metadata = {
         "source": "synthetic",

@@ -10,6 +10,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from pulsecmp.beats import IBI_MAX_MS, IBI_MIN_MS
+from pulsecmp.signal_core import TimeSeries
+
 
 def wrap_phase(x):
     """Wrap angles into (-pi, pi]."""
@@ -87,3 +90,76 @@ def three_bump_wave(u, amps=(1.0, 0.25, 0.15), centers=(0.18, 0.34, 0.55),
     for a, c, w in zip(amps, centers, widths):
         y = y + a * np.exp(-(((u - c) / w) ** 2))
     return y
+
+
+# Unfused radar chain: the reference the fused block-wise reduction in
+# pulsecmp.radar is checked against. Every function takes cube data
+# ([frame][antenna][chirp][sample]) as a float64 array, so float32 cubes
+# are promoted before any arithmetic.
+
+
+def chirp_mean_removal(data):
+    """Subtract each chirp's sample mean, removing per-chirp DC bias."""
+    data = np.asarray(data, dtype=np.float64)
+    return data - data.mean(axis=3, keepdims=True)
+
+
+def extract_slow_time(data):
+    """Range FFT per chirp, coherently averaged over chirps per frame.
+
+    Returns the complex tensor [frame][antenna][range_bin] with the
+    one-sided bins 0 .. n_samples // 2.
+    """
+    spectra = np.fft.rfft(np.asarray(data, dtype=np.float64), axis=3)
+    return spectra.mean(axis=2)
+
+
+def range_fft(chirp_samples):
+    """One-sided DFT of one chirp's samples (rectangular window)."""
+    x = np.asarray(chirp_samples, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError("need at least two samples")
+    return np.fft.rfft(x)
+
+
+def unwrap_phase(wrapped):
+    """Temporal unwrapping of a phase TimeSeries, first sample kept."""
+    return wrapped.with_samples(np.unwrap(wrapped.samples))
+
+
+class ComplexSeries:
+    """Uniformly sampled complex signal with its wrapped phase."""
+
+    def __init__(self, values, sample_rate_hz):
+        self.values = np.asarray(values, dtype=np.complex128)
+        self.sample_rate_hz = float(sample_rate_hz)
+
+    def phase(self):
+        return TimeSeries(np.angle(self.values), self.sample_rate_hz)
+
+
+def waveform_by_mask(model, duration_s, fs_hz, seed):
+    """Samples and systolic instants of ``synth.generate_waveform``,
+    built with one full-length boolean mask per beat (quadratic)."""
+    rng = np.random.default_rng(seed)
+    mean_ms = 60000.0 / model.hr_mean_bpm
+    feet = [0.0]
+    while feet[-1] < duration_s:
+        ibi = rng.normal(mean_ms, model.ibi_sd_ms)
+        ibi = min(max(ibi, np.nextafter(IBI_MIN_MS, IBI_MAX_MS)), np.nextafter(IBI_MAX_MS, IBI_MIN_MS))
+        feet.append(feet[-1] + ibi / 1000.0)
+    n = int(round(duration_s * fs_hz))
+    t = np.arange(n) / fs_hz
+    y = np.zeros(n)
+    systolic = []
+    for t0, t1 in zip(feet[:-1], feet[1:]):
+        mask = (t >= t0) & (t < t1)
+        if not mask.any():
+            continue
+        u = (t[mask] - t0) / (t1 - t0)
+        for a, c, w in zip(model.amps, model.centers, model.widths):
+            y[mask] += a * np.exp(-(((u - c) / w) ** 2))
+        t_sys = t0 + model.systolic_center * (t1 - t0)
+        if t_sys < n / fs_hz:
+            systolic.append(t_sys)
+    return y, np.array(systolic)

@@ -34,6 +34,20 @@ class TestPeakTrain:
         with pytest.raises(ValueError, match="interleave"):
             PeakTrain(np.array([5, 9]), np.array([0, 20]), FS)
 
+    @pytest.mark.parametrize(
+        "systolic, diastolic, ok",
+        [([5, 15, 25], [0, 10, 20, 30], True), ([10], [0, 10, 20], False),
+         ([5, 25], [0, 10, 20, 30], False), ([-5, 5, 35], [0, 10], True),
+         ([5], [0, 5, 10], False), ([12], [0, 10], False)],
+    )
+    def test_interleaving_cases(self, systolic, diastolic, ok):
+        # a systolic index equal to a foot lies strictly between no pair
+        if ok:
+            PeakTrain(np.array(systolic), np.array(diastolic), FS)
+        else:
+            with pytest.raises(ValueError, match="interleave"):
+                PeakTrain(np.array(systolic), np.array(diastolic), FS)
+
     def test_strictly_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             PeakTrain(np.array([5, 5]), np.array([0, 10]), FS)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from pulsecmp.cli import main
+from pulsecmp.formats import read_radar_cube, write_radar_cube
+from pulsecmp.radar import RadarCube
 
 
 def run_cli(args, **kwargs):
@@ -124,6 +126,23 @@ class TestCompare:
         ])
         assert result.returncode == 1
         assert "need two modalities" in result.stderr
+
+    def test_non_finite_radar_sample_is_input_error(self, bundle_dir, tmp_path):
+        subject = tmp_path / "nan"
+        subject.mkdir()
+        for name in ("ppg.csv", "reference.csv"):
+            (subject / name).write_bytes((bundle_dir / name).read_bytes())
+        cube = read_radar_cube(str(bundle_dir / "radar.radc"))
+        data = cube.data.copy()
+        data[700, 1, 2, 3] = np.nan
+        write_radar_cube(
+            RadarCube(data, cube.frame_rate_hz, cube.fast_time_rate_hz, cube.carrier_hz,
+                      cube.metadata),
+            str(subject / "radar.radc"),
+        )
+        result = run_cli(["compare", "--bundle", str(subject), "-o", str(tmp_path / "out")])
+        assert result.returncode == 1
+        assert "error: radar: non-finite sample in frame 700" in result.stderr
 
     def test_truth_sidecar_is_not_read(self, bundle_dir, tmp_path):
         reports = []

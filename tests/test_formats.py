@@ -22,9 +22,9 @@ from pulsecmp.formats import (
     write_series_csv,
 )
 from pulsecmp.ppg import PpgRecording
-from pulsecmp.radar import RadarCube
+from pulsecmp.radar import RadarCube, process_radar
 from pulsecmp.signal_core import TimeSeries
-from pulsecmp.synth import PulseModel, generate_waveform
+from pulsecmp.synth import CubeGeometry, PulseModel, generate_waveform, synth_radar_cube
 
 
 class TestRadarCubeFormat:
@@ -46,6 +46,21 @@ class TestRadarCubeFormat:
         assert back.frame_rate_hz == cube.frame_rate_hz
         assert back.fast_time_rate_hz == cube.fast_time_rate_hz
         assert back.carrier_hz == cube.carrier_hz
+
+    def test_process_radar_same_in_memory_and_from_disk(self, tmp_path):
+        waveform, _ = generate_waveform(PulseModel(), 20.0, 200.0, seed=21)
+        displacement = waveform.with_samples(waveform.samples * 1e-4)
+        cube = synth_radar_cube(displacement, CubeGeometry(), snr_db=20.0, seed=21)
+        path = str(tmp_path / "cube.radc")
+        write_radar_cube(cube, path)
+        back = read_radar_cube(path)
+        assert back.release_frames is not None
+        in_memory = process_radar(cube)
+        from_disk = process_radar(back)
+        assert np.array_equal(from_disk.waveform.samples, in_memory.waveform.samples)
+        assert from_disk.selection == in_memory.selection
+        # pages released during the reduction read back unchanged
+        assert np.array_equal(back.data, cube.data)
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.radc")

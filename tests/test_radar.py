@@ -5,26 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pulsecmp.beats import correct_polarity, detect_peaks, extract_ibi
-from pulsecmp.radar import (
-    RadarCube,
-    chirp_mean_removal,
-    extract_slow_time,
-    phase_per_bin,
-    process_radar,
-    select_best_bin,
-)
+from pulsecmp import radar
+from pulsecmp.radar import RadarCube, phase_per_bin, process_radar, select_best_bin
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import CubeGeometry, PulseModel, generate_waveform, synth_radar_cube
 
-from oracles import tone_amplitude, zero_phase_gain
+from oracles import chirp_mean_removal, extract_slow_time, tone_amplitude, zero_phase_gain
 
 FS = 200.0
 WAVELENGTH = 299792458.0 / 60e9
 SMALL_GEOM = CubeGeometry(antennas=1, chirps=4, samples=64, target_antenna=0, target_range_bin=7)
-
-
-def small_cube(data):
-    return RadarCube(np.asarray(data, dtype=float))
 
 
 class TestRadarCube:
@@ -40,50 +30,51 @@ class TestRadarCube:
         cube = RadarCube(np.zeros((1, 1, 1, 4)))
         assert_allclose(cube.wavelength_m, WAVELENGTH, rtol=1e-12)
 
+    def test_float32_storage(self):
+        cube = RadarCube(np.full((1, 1, 1, 4), 0.1))
+        assert cube.data.dtype == np.float32
+        assert np.all(cube.data == np.float32(0.1))
+
 
 class TestChirpMeanRemoval:
     def test_constant_chirp(self):
-        cube = small_cube(np.ones((1, 1, 1, 4)))
-        out = chirp_mean_removal(cube)
-        assert_allclose(out.data, 0.0)
+        out = chirp_mean_removal(np.ones((1, 1, 1, 4)))
+        assert_allclose(out, 0.0)
 
     def test_two_sample_chirp(self):
-        cube = small_cube(np.array([0.0, 2.0]).reshape(1, 1, 1, 2))
-        out = chirp_mean_removal(cube)
-        assert_allclose(out.data.ravel(), [-1.0, 1.0])
+        out = chirp_mean_removal(np.array([0.0, 2.0]).reshape(1, 1, 1, 2))
+        assert_allclose(out.ravel(), [-1.0, 1.0])
 
     def test_random_cube_zero_means(self):
         rng = np.random.default_rng(0)
-        cube = small_cube(rng.standard_normal((6, 2, 3, 16)))
-        out = chirp_mean_removal(cube)
-        means = out.data.mean(axis=3)
+        data = rng.standard_normal((6, 2, 3, 16))
+        out = chirp_mean_removal(data)
+        means = out.mean(axis=3)
         assert np.abs(means).max() < 1e-12
-        assert out.data.shape == cube.data.shape
+        assert out.shape == data.shape
         # input untouched
-        assert not np.allclose(cube.data.mean(axis=3), 0.0)
+        assert not np.allclose(data.mean(axis=3), 0.0)
 
 
 class TestExtractSlowTime:
     def test_single_chirp_equals_fft(self):
         rng = np.random.default_rng(1)
-        cube = small_cube(rng.standard_normal((5, 2, 1, 16)))
-        slow = extract_slow_time(cube)
-        direct = np.fft.rfft(cube.data[:, :, 0, :], axis=2)
+        data = rng.standard_normal((5, 2, 1, 16))
+        slow = extract_slow_time(data)
+        direct = np.fft.rfft(data[:, :, 0, :], axis=2)
         assert_allclose(slow, direct, atol=1e-12)
 
     def test_identical_chirps_equal_one(self):
         rng = np.random.default_rng(2)
         one = rng.standard_normal((5, 2, 1, 16))
         two = np.repeat(one, 2, axis=2)
-        assert_allclose(
-            extract_slow_time(small_cube(two)), extract_slow_time(small_cube(one)), atol=1e-12
-        )
+        assert_allclose(extract_slow_time(two), extract_slow_time(one), atol=1e-12)
 
     def test_coherent_averaging_reduces_noise(self):
         rng = np.random.default_rng(3)
         frames = 3000
-        noisy_1 = small_cube(rng.standard_normal((frames, 1, 1, 32)))
-        noisy_16 = small_cube(rng.standard_normal((frames, 1, 16, 32)))
+        noisy_1 = rng.standard_normal((frames, 1, 1, 32))
+        noisy_16 = rng.standard_normal((frames, 1, 16, 32))
         var_1 = np.var(extract_slow_time(noisy_1)[:, 0, 5])
         var_16 = np.var(extract_slow_time(noisy_16)[:, 0, 5])
         assert_allclose(var_1 / var_16, 16.0, rtol=0.25)
@@ -164,7 +155,7 @@ class TestSelectBestBin:
         # brute-force check: the chosen cell has the largest p2p among
         # informative bins, measured on the central 90 % of the composed
         # chain's phases
-        phases = phase_per_bin(extract_slow_time(chirp_mean_removal(cube)), FS)
+        phases = phase_per_bin(extract_slow_time(chirp_mean_removal(cube.data)), FS)
         margin = int(0.05 * phases.shape[2])
         core = phases[:, :, margin : phases.shape[2] - margin]
         p2p = core.max(axis=2) - core.min(axis=2)
@@ -210,7 +201,7 @@ class TestCorrectPolarity:
 
 class TestProcessRadar:
     def test_too_short(self):
-        cube = small_cube(np.random.default_rng(0).standard_normal((100, 1, 1, 8)))
+        cube = RadarCube(np.random.default_rng(0).standard_normal((100, 1, 1, 8)))
         with pytest.raises(ValueError, match="recording too short"):
             process_radar(cube)
 
@@ -272,8 +263,8 @@ class TestProcessRadar:
             scale = float(rng.uniform(0.01, 100.0))
             scaled = RadarCube(cube.data * scale, cube.frame_rate_hz,
                                cube.fast_time_rate_hz, cube.carrier_hz)
-            slow_a = extract_slow_time(chirp_mean_removal(cube))
-            slow_b = extract_slow_time(chirp_mean_removal(scaled))
+            slow_a = extract_slow_time(chirp_mean_removal(cube.data))
+            slow_b = extract_slow_time(chirp_mean_removal(scaled.data))
             pa = phase_per_bin(slow_a, cube.frame_rate_hz)
             pb = phase_per_bin(slow_b, cube.frame_rate_hz)
             sel_a = select_best_bin(pa)
@@ -287,8 +278,8 @@ class TestProcessRadar:
         reversed_cube = RadarCube(
             cube.data[::-1].copy(), cube.frame_rate_hz, cube.fast_time_rate_hz, cube.carrier_hz
         )
-        fwd = phase_per_bin(extract_slow_time(chirp_mean_removal(cube)), FS)
-        rev = phase_per_bin(extract_slow_time(chirp_mean_removal(reversed_cube)), FS)
+        fwd = phase_per_bin(extract_slow_time(chirp_mean_removal(cube.data)), FS)
+        rev = phase_per_bin(extract_slow_time(chirp_mean_removal(reversed_cube.data)), FS)
         n = fwd.shape[2]
         margin = int(0.05 * n)
         core = slice(margin, n - margin)
@@ -302,9 +293,38 @@ class TestProcessRadar:
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, seed=8)
         displacement = waveform.with_samples(waveform.samples * 1e-4)
         cube = synth_radar_cube(displacement, SMALL_GEOM, snr_db=30.0, seed=8)
-        composed = phase_per_bin(extract_slow_time(chirp_mean_removal(cube)), FS)
+        composed = phase_per_bin(extract_slow_time(chirp_mean_removal(cube.data)), FS)
         result = process_radar(cube)
         sel = result.selection
         direct = composed[sel.antenna_index, sel.range_bin]
         sign = -1.0 if sel.inverted else 1.0
         assert_allclose(result.waveform.samples, sign * direct, atol=1e-9)
+
+    def test_non_finite_sample_names_first_frame(self):
+        rng = np.random.default_rng(12)
+        data = rng.standard_normal((int(12 * FS), 3, 16, 64), dtype=np.float32)
+        assert radar.BLOCK_SAMPLES // (3 * 16 * 64) < 1500  # not in the first block
+        data[2000, 2, 5, 9] = np.inf
+        data[1500, 0, 3, 1] = np.nan
+        with pytest.raises(ValueError, match="radar: non-finite sample in frame 1500$"):
+            process_radar(RadarCube(data))
+
+    def test_release_frames_follows_the_reduction(self, monkeypatch):
+        monkeypatch.setattr(radar, "BLOCK_SAMPLES", 1000)
+        released = []
+        data = np.random.default_rng(14).standard_normal((int(12 * FS), 1, 4, 64))
+        process_radar(RadarCube(data, release_frames=lambda a, b: released.append((a, b))))
+        starts, stops = zip(*released)
+        assert starts[0] == 0 and stops[-1] == data.shape[0]
+        assert starts[1:] == stops[:-1]
+        assert max(b - a for a, b in released) == 1000 // (4 * 64)
+
+    def test_block_size_does_not_change_result(self, monkeypatch):
+        waveform, _ = generate_waveform(PulseModel(), 12.0, FS, seed=13)
+        displacement = waveform.with_samples(waveform.samples * 1e-4)
+        cube = synth_radar_cube(displacement, SMALL_GEOM, snr_db=20.0, seed=13)
+        whole = process_radar(cube)
+        monkeypatch.setattr(radar, "BLOCK_SAMPLES", 1000)
+        blocked = process_radar(cube)
+        assert np.array_equal(blocked.waveform.samples, whole.waveform.samples)
+        assert blocked.selection == whole.selection

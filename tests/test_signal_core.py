@@ -6,17 +6,17 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from pulsecmp.signal_core import (
-    BandpassSpec,
-    ComplexSeries,
-    TimeSeries,
-    butterworth_bandpass,
-    range_fft,
-    resample_linear,
-    unwrap_phase,
-)
+from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass, resample_linear
 
-from oracles import brute_dft_onesided, tone_amplitude, wrap_phase, zero_phase_gain
+from oracles import (
+    ComplexSeries,
+    brute_dft_onesided,
+    range_fft,
+    tone_amplitude,
+    unwrap_phase,
+    wrap_phase,
+    zero_phase_gain,
+)
 
 FS = 200.0
 

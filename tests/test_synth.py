@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pulsecmp import radar
 from pulsecmp.beats import detect_peaks, segment_beats
 from pulsecmp.config import PipelineConfig
 from pulsecmp.metrics import auc_normalized, count_inflections, map_from_bp
@@ -20,7 +21,13 @@ from pulsecmp.synth import (
     synth_reference,
 )
 
-from oracles import count_extrema_dense, three_bump_wave, tone_amplitude, zero_phase_gain
+from oracles import (
+    count_extrema_dense,
+    three_bump_wave,
+    tone_amplitude,
+    waveform_by_mask,
+    zero_phase_gain,
+)
 
 FS = 200.0
 WAVELENGTH = 299792458.0 / 60e9
@@ -79,6 +86,18 @@ class TestGenerateWaveform:
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(ta.beat_times_s, tb.beat_times_s)
 
+    @pytest.mark.parametrize(
+        "seed, duration_s, fs_hz, hr_bpm",
+        [(1, 60.0, 200.0, 62.0), (7, 10.0, 50.0, 62.0), (23, 37.3, 125.0, 140.0),
+         (99, 120.0, 200.0, 45.0)],
+    )
+    def test_matches_mask_oracle(self, seed, duration_s, fs_hz, hr_bpm):
+        model = PulseModel(hr_mean_bpm=hr_bpm)
+        waveform, truth = generate_waveform(model, duration_s, fs_hz, seed)
+        samples, systolic = waveform_by_mask(model, duration_s, fs_hz, seed)
+        assert np.array_equal(waveform.samples, samples)
+        assert np.array_equal(truth.systolic_times_s, systolic)
+
     def test_truth_counts_systolic_instants(self):
         _, truth = generate_waveform(PulseModel(ibi_sd_ms=0.0, hr_mean_bpm=60.0), 20.0, FS, 0)
         assert truth.systolic_times_s.size == truth.beat_times_s.size
@@ -120,6 +139,16 @@ class TestSynthRadarCube:
         c1 = synth_radar_cube(displacement, geom, 20.0, 3)
         c2 = synth_radar_cube(displacement, geom, 20.0, 3)
         assert np.array_equal(c1.data, c2.data)
+
+    def test_block_size_does_not_change_cube(self, monkeypatch):
+        waveform, _ = generate_waveform(PulseModel(), 12.0, FS, 4)
+        displacement = waveform.with_samples(waveform.samples * 1e-4)
+        geom = CubeGeometry(antennas=2, chirps=3, samples=16)
+        whole = synth_radar_cube(displacement, geom, 20.0, 4)
+        monkeypatch.setattr(radar, "BLOCK_SAMPLES", 500)
+        blocked = synth_radar_cube(displacement, geom, 20.0, 4)
+        assert whole.data.dtype == np.float32
+        assert np.array_equal(blocked.data, whole.data)
 
     def test_infinite_snr_means_no_noise(self):
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, 3)
