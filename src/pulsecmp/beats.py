@@ -63,9 +63,6 @@ class PeakTrain:
     def diastolic_times(self) -> np.ndarray:
         return self.start_time_s + self.diastolic_indices / self.sample_rate_hz
 
-    def systolic_times(self) -> np.ndarray:
-        return self.start_time_s + self.systolic_indices / self.sample_rate_hz
-
 
 def event_train(times_s: np.ndarray, sample_rate_hz: float) -> PeakTrain:
     """Diastolic-only PeakTrain from event times, for alignment purposes."""

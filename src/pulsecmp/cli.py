@@ -24,7 +24,6 @@ from pulsecmp.formats import (
     FormatError,
     REFERENCE_COLUMN,
     canonical_json,
-    format_float,
     read_ppg_csv,
     read_radar_cube,
     read_series_csv,
@@ -32,6 +31,7 @@ from pulsecmp.formats import (
     write_ppg_csv,
     write_radar_cube,
     write_series_csv,
+    write_table,
     write_text_atomic,
 )
 from pulsecmp.report import (
@@ -114,19 +114,8 @@ def read_bundle_dir(directory: str, subject_id: str | None = None) -> RecordingB
     )
 
 
-def _write_table(path: str, header: list[str], rows: list[list[float]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
 def _write_ibi(path: str, ibi: IbiSeries) -> None:
-    _write_table(
-        path,
-        ["anchor_time_s", "interval_ms"],
-        [[t, v] for t, v in zip(ibi.anchor_times_s, ibi.intervals_ms)],
-    )
+    write_table(path, {"anchor_time_s": ibi.anchor_times_s, "interval_ms": ibi.intervals_ms})
 
 
 def _write_report_files(report: AgreementReport, directory: str) -> None:
@@ -140,17 +129,16 @@ def _write_report_files(report: AgreementReport, directory: str) -> None:
         if modality.average_beat is not None:
             beat = modality.average_beat
             positions = np.linspace(0.0, 1.0, beat.mean.size)
-            _write_table(
+            write_table(
                 os.path.join(directory, f"avg_beat_{name}.csv"),
-                ["position", "mean", "sd"],
-                [[p, m, s] for p, m, s in zip(positions, beat.mean, beat.sd)],
+                {"position": positions, "mean": beat.mean, "sd": beat.sd},
             )
     for name, pair in sorted(report.pairs.items()):
         if pair.bland_altman is not None:
-            _write_table(
+            points = pair.bland_altman.points
+            write_table(
                 os.path.join(directory, f"ba_points_{name}.csv"),
-                ["mean_ms", "diff_ms"],
-                [[m, d] for m, d in pair.bland_altman.points],
+                {"mean_ms": [m for m, _ in points], "diff_ms": [d for _, d in points]},
             )
 
 
@@ -187,18 +175,18 @@ def cmd_process(args) -> int:
         waveform.sample_rate_hz,
         waveform.start_time_s,
     )
-    rows = [
-        [0.0, float(i), waveform.start_time_s + i / waveform.sample_rate_hz, waveform.samples[i]]
-        for i in train.systolic_indices
-    ] + [
-        [1.0, float(i), waveform.start_time_s + i / waveform.sample_rate_hz, waveform.samples[i]]
-        for i in train.diastolic_indices
-    ]
-    rows.sort(key=lambda r: r[1])
-    _write_table(
+    # systolic peaks then feet, in index order (a tie keeps the peak first)
+    indices = np.concatenate([train.systolic_indices, train.diastolic_indices])
+    order = np.argsort(indices, kind="stable")
+    indices = indices[order]
+    write_table(
         os.path.join(args.out, "peaks.csv"),
-        ["is_diastolic", "index", "time_s", "value"],
-        rows,
+        {
+            "is_diastolic": order >= train.systolic_indices.size,
+            "index": indices,
+            "time_s": waveform.start_time_s + indices / waveform.sample_rate_hz,
+            "value": waveform.samples[indices],
+        },
     )
     _write_ibi(os.path.join(args.out, "ibi.csv"), ibi)
     meta["n_systolic"] = int(train.systolic_indices.size)

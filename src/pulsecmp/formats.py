@@ -18,9 +18,14 @@ Radar cube container (all fields little-endian):
 Payload values are stored as 32-bit floats. The reader maps the payload
 read-only as a float32 array instead of copying it, and the radar chain
 reduces it block by block over frames, so memory grows with the
-slow-time tensor rather than with the cube. CSV series carry a
-``time_s`` column plus one column per channel; sampling must be uniform
-to within 1 % jitter of the median step.
+slow-time tensor rather than with the cube.
+
+Every CSV is written by ``write_table`` (header row of column names,
+17-significant-digit values) and read by ``_parse_time_table``, which
+skips blank lines and rejects bad headers and rows, fewer than two
+rows and non-finite samples with a ``FormatError``. Time-series CSVs
+start with a ``time_s`` column; sampling must be uniform to within 1 %
+jitter of the median step.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ import mmap
 import os
 import struct
 import tempfile
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -46,6 +53,10 @@ MAX_CUBE_ELEMENTS = 2**34  # 16 Gi float32 values (64 GiB); beyond is corrupt
 
 REFERENCE_COLUMN = "pressure_mmHg"
 
+# Rows formatted per chunk by write_table: formatting a whole table at
+# once holds its text in memory, which grows with the recording.
+TABLE_BLOCK_ROWS = 4096
+
 
 class FormatError(ValueError):
     """File-format violation with a short machine-readable code."""
@@ -55,9 +66,9 @@ class FormatError(ValueError):
         super().__init__(f"{code}: {detail}" if detail else code)
 
 
-def write_bytes_atomic(path: str, *chunks) -> None:
-    """Write the chunks (bytes-like) via a temp file and rename, so
-    readers never see partial files."""
+def write_bytes_atomic(path: str, chunks) -> None:
+    """Write an iterable of bytes-like chunks via a temp file and
+    rename, so readers never see partial files."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -73,7 +84,7 @@ def write_bytes_atomic(path: str, *chunks) -> None:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    write_bytes_atomic(path, text.encode("utf-8"))
+    write_bytes_atomic(path, [text.encode("utf-8")])
 
 
 def write_radar_cube(cube: RadarCube, path: str) -> None:
@@ -91,7 +102,7 @@ def write_radar_cube(cube: RadarCube, path: str) -> None:
         len(metadata),
     )
     payload = np.ascontiguousarray(cube.data, dtype="<f4")
-    write_bytes_atomic(path, header, metadata, memoryview(payload).cast("B"))
+    write_bytes_atomic(path, [header, metadata, memoryview(payload).cast("B")])
 
 
 def _page_release(mapping: mmap.mmap, offset: int, frame_bytes: int):
@@ -210,21 +221,26 @@ def _parse_time_table(path: str) -> tuple[list[str], np.ndarray]:
         names = [c.strip() for c in header.split(",")]
         if names[0] != "time_s":
             raise FormatError("bad header", "first column must be time_s")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(names):
-                raise FormatError("bad row", f"line {lineno}: wrong column count")
+        # a whitespace-only line handed to loadtxt would be a bad row
+        lines = (line for line in fh if line.strip())
+        with warnings.catch_warnings():
+            # an empty body is reported below as "too short"
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
-                rows.append([float(p) for p in parts])
+                table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
             except ValueError as exc:
-                raise FormatError("bad row", f"line {lineno}: {exc}") from exc
-    if len(rows) < 2:
+                raise FormatError("bad row", str(exc)) from exc
+    if table.size and table.shape[1] != len(names):
+        raise FormatError("bad row", f"{table.shape[1]} columns under {len(names)} names")
+    if table.shape[0] < 2:
         raise FormatError("too short", "need at least two rows")
-    return names, np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        raise FormatError(
+            "non-finite", f"data row {row + 1}, column {names[col]}: {table[row, col]}"
+        )
+    return names, table
 
 
 def _uniform_rate(times: np.ndarray) -> float:
@@ -237,46 +253,54 @@ def _uniform_rate(times: np.ndarray) -> float:
     return 1.0 / median
 
 
+def _read_channels(path: str) -> dict[str, TimeSeries]:
+    """Every non-time column of a time-series CSV, by column name."""
+    names, table = _parse_time_table(path)
+    rate = _uniform_rate(table[:, 0])
+    start = float(table[0, 0])
+    return {name: TimeSeries(table[:, i], rate, start) for i, name in enumerate(names) if i}
+
+
 def read_series_csv(path: str, column: str) -> TimeSeries:
     """Read one named column of a time-series CSV as a TimeSeries."""
-    names, table = _parse_time_table(path)
-    if column not in names[1:]:
-        raise FormatError(
-            "missing column", f"{column!r} not in columns: {', '.join(names[1:])}"
-        )
-    rate = _uniform_rate(table[:, 0])
-    values = table[:, names.index(column)]
-    return TimeSeries(values, rate, start_time_s=float(table[0, 0]))
+    channels = _read_channels(path)
+    if column not in channels:
+        raise FormatError("missing column", f"{column!r} not in columns: {', '.join(channels)}")
+    return channels[column]
+
+
+def write_table(path: str, columns: dict[str, np.ndarray]) -> None:
+    """Write equal-length columns as a CSV: a header row, then values
+    with 17 significant digits (round-trip exact), streamed
+    ``TABLE_BLOCK_ROWS`` rows at a time. Unequal lengths or a non-finite
+    value raise ``ValueError`` before any file is created."""
+    arrays = [np.asarray(values, dtype=np.float64) for values in columns.values()]
+    if len({arr.shape for arr in arrays}) != 1:
+        raise ValueError("all columns must have equal length")
+    if not all(np.isfinite(arr).all() for arr in arrays):
+        raise ValueError("non-finite value in output")
+    row = ",".join(["%.17g"] * len(arrays)) + "\n"
+
+    def chunks():
+        yield (",".join(columns) + "\n").encode("utf-8")
+        for start in range(0, arrays[0].size, TABLE_BLOCK_ROWS):
+            block = np.column_stack([arr[start:start + TABLE_BLOCK_ROWS] for arr in arrays])
+            yield ((row * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
+
+    write_bytes_atomic(path, chunks())
 
 
 def write_series_csv(path: str, columns: dict[str, np.ndarray], sample_rate_hz: float,
                      start_time_s: float = 0.0) -> None:
     """Write named channels sharing one uniform time base."""
-    arrays = {name: np.asarray(vals, dtype=np.float64) for name, vals in columns.items()}
-    lengths = {arr.size for arr in arrays.values()}
-    if len(lengths) != 1:
-        raise ValueError("all columns must have equal length")
-    n = lengths.pop()
+    n = max((np.size(values) for values in columns.values()), default=0)
     times = start_time_s + np.arange(n) / sample_rate_hz
-    names = list(arrays)
-    lines = ["time_s," + ",".join(names)]
-    for i in range(n):
-        row = [format_float(times[i])] + [format_float(arrays[name][i]) for name in names]
-        lines.append(",".join(row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_table(path, {"time_s": times, **columns})
 
 
 def read_ppg_csv(path: str) -> PpgRecording:
     """Read every non-time column of a CSV as one PPG channel."""
-    names, table = _parse_time_table(path)
-    rate = _uniform_rate(table[:, 0])
-    start = float(table[0, 0])
-    channels = {
-        name: TimeSeries(table[:, idx], rate, start)
-        for idx, name in enumerate(names)
-        if idx > 0
-    }
-    return PpgRecording(channels=channels)
+    return PpgRecording(channels=_read_channels(path))
 
 
 def write_ppg_csv(rec: PpgRecording, path: str) -> None:
@@ -305,19 +329,7 @@ def write_ground_truth(
         "displacement_amp_m": displacement_amp_m,
         "target_antenna": int(truth.target_antenna),
         "target_range_bin": int(truth.target_range_bin),
-        "model": {
-            "hr_mean_bpm": model.hr_mean_bpm,
-            "ibi_sd_ms": model.ibi_sd_ms,
-            "systolic_amp": model.systolic_amp,
-            "augmentation_amp": model.augmentation_amp,
-            "dicrotic_amp": model.dicrotic_amp,
-            "systolic_center": model.systolic_center,
-            "augmentation_center": model.augmentation_center,
-            "dicrotic_center": model.dicrotic_center,
-            "systolic_width": model.systolic_width,
-            "augmentation_width": model.augmentation_width,
-            "dicrotic_width": model.dicrotic_width,
-        },
+        "model": asdict(model),
         "beat_times_s": truth.beat_times_s,
         "systolic_times_s": truth.systolic_times_s,
         "displacement_peak_m": truth.displacement_peak_m,

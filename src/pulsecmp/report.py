@@ -139,16 +139,11 @@ class AgreementReport:
                 "n_ibi": len(m.ibi) if m.ibi is not None else 0,
             }
             if m.morphology is not None:
-                entry["morphology"] = {
-                    "inflection_count_mean": m.morphology.inflection_count_mean,
-                    "inflection_count_sd": m.morphology.inflection_count_sd,
-                    "auc_mean": m.morphology.auc_mean,
-                    "auc_sd": m.morphology.auc_sd,
-                }
+                entry["morphology"] = asdict(m.morphology)
             if m.selection is not None:
                 entry["selection"] = asdict(m.selection)
             if m.bp is not None:
-                entry["bp"] = {"sbp": m.bp.sbp, "dbp": m.bp.dbp, "map": m.bp.map}
+                entry["bp"] = asdict(m.bp)
             doc["modalities"][name] = entry
         for name in sorted(self.pairs):
             p = self.pairs[name]

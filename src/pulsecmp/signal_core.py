@@ -132,29 +132,17 @@ def butterworth_bandpass(x: TimeSeries, spec: BandpassSpec | None = None) -> Tim
         "invalid cutoff" if the band does not fit below Nyquist, or
         "input too short" when fewer than ``3 * order`` samples.
     """
-    if spec is None:
-        spec = BandpassSpec()
-    spec.validate_for(x.sample_rate_hz)
-    n = len(x)
-    if n < 3 * spec.order:
-        raise ValueError("input too short")
-    if x.samples.max() == x.samples.min():
-        # the band-pass has an exact zero at DC; snap the rounding fuzz
-        return x.with_samples(np.zeros(n))
-    sos = _bandpass_sos(spec, x.sample_rate_hz)
-    padlen = _bandpass_padlen(spec, x.sample_rate_hz, n)
-    y = sosfiltfilt(sos, x.samples, padtype="even", padlen=padlen)
-    return x.with_samples(y)
+    return x.with_samples(bandpass_array(x.samples, x.sample_rate_hz, spec))
 
 
 def bandpass_array(
     values: np.ndarray, sample_rate_hz: float, spec: BandpassSpec | None = None, axis: int = -1
 ) -> np.ndarray:
-    """Vectorized form of :func:`butterworth_bandpass` for stacked signals.
+    """Array form of :func:`butterworth_bandpass` for stacked signals.
 
-    Filters along ``axis`` with the identical design and padding rules,
-    so filtering a stack row-by-row and filtering it in one call agree
-    exactly.
+    Filters along ``axis`` with the one design and padding rule, so
+    filtering a stack row-by-row and filtering it in one call agree
+    exactly. A flat signal maps to exact zeros.
     """
     if spec is None:
         spec = BandpassSpec()
@@ -168,6 +156,7 @@ def bandpass_array(
     out = sosfiltfilt(sos, values, axis=axis, padtype="even", padlen=padlen)
     flat = values.max(axis=axis, keepdims=True) == values.min(axis=axis, keepdims=True)
     if flat.any():
+        # the band-pass has an exact zero at DC; snap the rounding fuzz
         out = np.where(np.broadcast_to(flat, out.shape), 0.0, out)
     return out
 

@@ -27,8 +27,6 @@ from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import RadarCube, frame_blocks
 from pulsecmp.signal_core import TimeSeries
 
-DEFAULT_DISPLACEMENT_M = 100e-6
-
 # Peak-to-peak extent of zero-mean Gaussian noise, as a multiple of its
 # standard deviation (+/- 3 sigma covers 99.7 % of samples).
 NOISE_P2P_SIGMA = 6.0

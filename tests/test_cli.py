@@ -144,6 +144,19 @@ class TestCompare:
         assert result.returncode == 1
         assert "error: radar: non-finite sample in frame 700" in result.stderr
 
+    def test_non_finite_csv_sample_is_input_error(self, bundle_dir, tmp_path):
+        subject = tmp_path / "nan"
+        subject.mkdir()
+        for name in ("radar.radc", "reference.csv"):
+            (subject / name).write_bytes((bundle_dir / name).read_bytes())
+        lines = (bundle_dir / "ppg.csv").read_text().splitlines(keepends=True)
+        lines[500] = lines[500].split(",")[0] + ",nan\n"
+        (subject / "ppg.csv").write_text("".join(lines))
+        result = run_cli(["compare", "--bundle", str(subject), "-o", str(tmp_path / "out")])
+        assert result.returncode == 1
+        assert "non-finite" in result.stderr
+        assert "green_0" in result.stderr
+
     def test_truth_sidecar_is_not_read(self, bundle_dir, tmp_path):
         reports = []
         for variant in ("intact", "missing", "corrupt"):

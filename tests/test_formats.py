@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from pulsecmp.config import ENV_CONFIG, PipelineConfig, load_config, parse_config_text
+from pulsecmp import formats
 from pulsecmp.formats import (
     FormatError,
     canonical_json,
@@ -20,6 +21,7 @@ from pulsecmp.formats import (
     write_ppg_csv,
     write_radar_cube,
     write_series_csv,
+    write_table,
 )
 from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import RadarCube, process_radar
@@ -173,6 +175,82 @@ class TestSeriesCsv:
         assert set(back.channels) == {"green_0", "green_1"}
         for name in rec.channels:
             assert np.array_equal(back.channels[name].samples, rec.channels[name].samples)
+
+
+def _write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+    return str(path)
+
+
+class TestCsvCodec:
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("", "bad header"),
+            ("t,v\n0,1\n0.005,2\n", "bad header"),
+            ("time_s,v\n0,1\n0.005,2,3\n0.010,3\n", "bad row"),
+            ("time_s,v\n0,1,9\n0.005,2,9\n0.010,3,9\n", "bad row"),
+            ("time_s,v\n0,1\n0.005,x\n0.010,3\n", "bad row"),
+            ("time_s,v\n0,1\n0.005,1_0\n", "bad row"),
+            ("time_s,v\n", "too short"),
+            ("time_s,v\n0,1\n", "too short"),
+            ("time_s,v\n0,1\n0.005,nan\n0.010,3\n", "non-finite"),
+            ("time_s,v\n0,1\n0.005,inf\n0.010,3\n", "non-finite"),
+            ("time_s,v\n0,1\n0.005,-inf\n0.010,3\n", "non-finite"),
+        ],
+    )
+    def test_error_codes(self, tmp_path, text, code):
+        path = _write(tmp_path / "s.csv", text)
+        with pytest.raises(FormatError) as err:
+            read_series_csv(path, "v")
+        assert err.value.code == code
+
+    def test_non_finite_names_row_and_column(self, tmp_path):
+        path = _write(tmp_path / "p.csv", "time_s,green_0,green_1\n0,1,2\n0.005,3,inf\n0.010,5,6\n")
+        with pytest.raises(FormatError, match="data row 2, column green_1"):
+            read_ppg_csv(path)
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        plain = _write(tmp_path / "plain.csv", "time_s,v\n0,1\n0.005,2\n0.010,3\n")
+        spaced = _write(
+            tmp_path / "spaced.csv", "time_s,v\n\n0,1\n   \n0.005,2\n\t\n0.010,3\n\n"
+        )
+        a, b = read_series_csv(plain, "v"), read_series_csv(spaced, "v")
+        assert np.array_equal(a.samples, b.samples)
+        assert a.sample_rate_hz == b.sample_rate_hz
+        assert a.start_time_s == b.start_time_s
+
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    def test_series_round_trip_is_bit_exact(self, values):
+        import tempfile
+
+        values = np.array(values + [0.0, -0.0, 5e-324, -2.2250738585072014e-308])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rt.csv")
+            write_series_csv(path, {"v": values}, 200.0)
+            back = read_series_csv(path, "v").samples
+        assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+    def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        columns = {"a": rng.standard_normal(50), "b": rng.standard_normal(50) * 1e-300}
+        write_table(str(tmp_path / "one.csv"), columns)
+        monkeypatch.setattr(formats, "TABLE_BLOCK_ROWS", 7)
+        write_table(str(tmp_path / "blocks.csv"), columns)
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_non_finite_leaves_no_file(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="non-finite value in output"):
+            write_table(str(tmp_path / "t.csv"), {"a": [1.0, 2.0], "b": [3.0, bad]})
+        assert os.listdir(tmp_path) == []
 
 
 class TestGroundTruthSidecar:
