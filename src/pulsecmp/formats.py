@@ -17,15 +17,15 @@ Radar cube container (all fields little-endian):
 
 Payload values are stored as 32-bit floats. The reader maps the payload
 read-only as a float32 array instead of copying it, and the radar chain
-reduces it block by block over frames, so memory grows with the
-slow-time tensor rather than with the cube.
+reduces it block by block over frames, so its memory is one float64
+phase per (antenna, bin, frame) plus one frame block, not the cube.
 
 Every CSV is written by ``write_table`` (header row of column names,
 17-significant-digit values) and read by ``_parse_time_table``, which
-skips blank lines and rejects bad headers and rows, fewer than two
-rows and non-finite samples with a ``FormatError``. Time-series CSVs
-start with a ``time_s`` column; sampling must be uniform to within 1 %
-jitter of the median step.
+skips blank lines and rejects bad headers (a repeated column name
+included) and rows, fewer than two rows and non-finite samples with a
+``FormatError``. Time-series CSVs start with a ``time_s`` column;
+sampling must be uniform to within 1 % jitter of the median step.
 """
 
 from __future__ import annotations
@@ -221,6 +221,9 @@ def _parse_time_table(path: str) -> tuple[list[str], np.ndarray]:
         names = [c.strip() for c in header.split(",")]
         if names[0] != "time_s":
             raise FormatError("bad header", "first column must be time_s")
+        duplicate = next((n for i, n in enumerate(names) if n in names[:i]), None)
+        if duplicate is not None:
+            raise FormatError("bad header", f"duplicate column {duplicate}")
         # a whitespace-only line handed to loadtxt would be a bad row
         lines = (line for line in fh if line.strip())
         with warnings.catch_warnings():

@@ -5,6 +5,10 @@ averaging to frame rate, per-bin phase extraction (arctangent, temporal
 unwrapping, band-pass), peak-to-peak bin/antenna selection, and polarity
 correction. The output phase waveform is proportional to radial tissue
 displacement: ``phase = 4 * pi * displacement / wavelength``.
+
+Memory is one float64 phase per (antenna, bin, frame) plus one frame
+block: the cube is reduced to wrapped phase block by block over frames,
+and each cell's row is then unwrapped and band-passed in place.
 """
 
 from __future__ import annotations
@@ -116,23 +120,33 @@ def frame_blocks(shape: tuple[int, ...]) -> Iterator[tuple[int, int]]:
 
 
 def _slow_time_fused(cube: RadarCube) -> np.ndarray:
+    """Wrapped phase [antenna][bin][frame] of the chirp-averaged range FFT."""
     # Chirp averaging commutes with the mean removal and the FFT (all
     # linear), so average first and transform once per frame. Averaging
     # float32 chirps in float64 gives the same values as averaging a
     # float64 copy, and it cannot overflow, so a non-finite block mean
-    # means a non-finite sample.
+    # means a non-finite sample. Each frame block is taken to its phase
+    # at once, so no complex slow-time tensor is ever held.
     data = cube.data
-    avg = np.empty((data.shape[0], data.shape[1], data.shape[3]))
+    phase = np.empty((data.shape[1], data.shape[3] // 2 + 1, data.shape[0]))
     for start, stop in frame_blocks(data.shape):
-        block = avg[start:stop]
-        np.mean(data[start:stop], axis=2, dtype=np.float64, out=block)
-        if not np.isfinite(block).all():
-            frame = start + int(np.nonzero(~np.isfinite(block))[0][0])
+        avg = np.mean(data[start:stop], axis=2, dtype=np.float64)
+        if not np.isfinite(avg).all():
+            frame = start + int(np.nonzero(~np.isfinite(avg))[0][0])
             raise ValueError(f"radar: non-finite sample in frame {frame}")
         if cube.release_frames is not None:
             cube.release_frames(start, stop)
-    avg -= avg.mean(axis=2, keepdims=True)
-    return np.fft.rfft(avg, axis=2)
+        avg -= avg.mean(axis=2, keepdims=True)
+        phase[:, :, start:stop] = np.angle(np.fft.rfft(avg, axis=2)).transpose(1, 2, 0)
+    return phase
+
+
+def _filter_cells(phase: np.ndarray, frame_rate_hz: float, spec: BandpassSpec | None) -> None:
+    # One (antenna, bin) row at a time, in place: unwrapping and the
+    # band-pass act on each row alone, so this equals filtering the
+    # whole stack while holding only one row's temporaries.
+    for row in phase.reshape(-1, phase.shape[-1]):
+        row[:] = bandpass_array(np.unwrap(row), frame_rate_hz, spec)
 
 
 def phase_per_bin(
@@ -156,17 +170,15 @@ def phase_per_bin(
     ndarray
         Real tensor [antenna][bin][frame].
     """
-    if spec is None:
-        spec = BandpassSpec()
     slow_time = np.asarray(slow_time)
     if slow_time.ndim != 3:
         raise ValueError("slow_time must be [frame][antenna][bin]")
     n_frames = slow_time.shape[0]
     if n_frames < 3.0 * frame_rate_hz:
         raise ValueError("recording too short")
-    phase = np.unwrap(np.angle(slow_time), axis=0)
-    filtered = bandpass_array(phase, frame_rate_hz, spec, axis=0)
-    return np.ascontiguousarray(np.moveaxis(filtered, 0, 2))
+    phase = np.ascontiguousarray(np.angle(slow_time).transpose(1, 2, 0))
+    _filter_cells(phase, frame_rate_hz, spec)
+    return phase
 
 
 def select_best_bin(
@@ -214,11 +226,15 @@ def process_radar(
 
     Per-chirp mean removal, the range FFT and chirp averaging run as
     one fused linear reduction over frame blocks, algebraically
-    identical to composing them per chirp; per-bin phase filtering, bin
-    selection and polarity correction follow. No full-size copy of the
-    cube is made. When too few beats exist to decide orientation, the
-    waveform is returned unoriented rather than failing, so degenerate
-    recordings still flow downstream.
+    identical to composing them per chirp, and each block goes straight
+    to its wrapped phase. Each (antenna, bin) row is then unwrapped and
+    band-passed in place, as ``phase_per_bin`` does; bin selection and
+    polarity correction follow. Memory is one float64 phase per
+    (antenna, bin, frame) plus one frame block; no full-size copy of
+    the cube or of its complex slow-time tensor is made. When too few
+    beats exist to decide orientation, the waveform is returned
+    unoriented rather than failing, so degenerate recordings still flow
+    downstream.
 
     Raises
     ------
@@ -228,11 +244,12 @@ def process_radar(
     """
     if cube.duration_s < 10.0:
         raise ValueError("recording too short")
-    slow_time = _slow_time_fused(cube)
-    phases = phase_per_bin(slow_time, cube.frame_rate_hz, spec)
+    phases = _slow_time_fused(cube)
+    _filter_cells(phases, cube.frame_rate_hz, spec)
     selection = select_best_bin(phases, max_bins=max_bins)
+    # a copy of the chosen row, so the phase tensor is freed on return
     waveform = TimeSeries(
-        phases[selection.antenna_index, selection.range_bin], cube.frame_rate_hz
+        phases[selection.antenna_index, selection.range_bin].copy(), cube.frame_rate_hz
     )
     waveform, inverted = correct_polarity_or_keep(waveform, min_separation_s, prominence_rel)
     return RadarPulseResult(waveform, dataclasses.replace(selection, inverted=inverted))

@@ -9,6 +9,7 @@ inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,14 +90,20 @@ class BandpassSpec:
             raise ValueError("invalid cutoff")
 
 
+@functools.lru_cache(maxsize=32)
 def _bandpass_sos(spec: BandpassSpec, sample_rate_hz: float) -> np.ndarray:
-    return butter(
+    # Memoized: the radar chain filters one (antenna, bin) cell per
+    # call and would otherwise redesign the same filter for each. The
+    # cached array is shared, so it is read-only.
+    sos = butter(
         spec.order,
         [spec.low_cut_hz, spec.high_cut_hz],
         btype="bandpass",
         fs=sample_rate_hz,
         output="sos",
     )
+    sos.flags.writeable = False
+    return sos
 
 
 def _bandpass_padlen(spec: BandpassSpec, sample_rate_hz: float, n: int) -> int:
@@ -136,25 +143,26 @@ def butterworth_bandpass(x: TimeSeries, spec: BandpassSpec | None = None) -> Tim
 
 
 def bandpass_array(
-    values: np.ndarray, sample_rate_hz: float, spec: BandpassSpec | None = None, axis: int = -1
+    values: np.ndarray, sample_rate_hz: float, spec: BandpassSpec | None = None
 ) -> np.ndarray:
-    """Array form of :func:`butterworth_bandpass` for stacked signals.
+    """Array form of :func:`butterworth_bandpass`.
 
-    Filters along ``axis`` with the one design and padding rule, so
-    filtering a stack row-by-row and filtering it in one call agree
-    exactly. A flat signal maps to exact zeros.
+    Filters along the last axis with the one design and padding rule.
+    A flat signal maps to exact zeros.
     """
     if spec is None:
         spec = BandpassSpec()
     spec.validate_for(sample_rate_hz)
     values = np.asarray(values, dtype=np.float64)
-    n = values.shape[axis]
+    n = values.shape[-1]
     if n < 3 * spec.order:
         raise ValueError("input too short")
-    sos = _bandpass_sos(spec, sample_rate_hz)
+    # scipy's sosfilt kernel needs a writable buffer, though it does
+    # not write the design
+    sos = _bandpass_sos(spec, sample_rate_hz).copy()
     padlen = _bandpass_padlen(spec, sample_rate_hz, n)
-    out = sosfiltfilt(sos, values, axis=axis, padtype="even", padlen=padlen)
-    flat = values.max(axis=axis, keepdims=True) == values.min(axis=axis, keepdims=True)
+    out = sosfiltfilt(sos, values, padtype="even", padlen=padlen)
+    flat = values.max(axis=-1, keepdims=True) == values.min(axis=-1, keepdims=True)
     if flat.any():
         # the band-pass has an exact zero at DC; snap the rounding fuzz
         out = np.where(np.broadcast_to(flat, out.shape), 0.0, out)

@@ -189,6 +189,8 @@ class TestCsvCodec:
         [
             ("", "bad header"),
             ("t,v\n0,1\n0.005,2\n", "bad header"),
+            ("time_s,v,v\n0,1,1\n0.005,2,2\n", "bad header"),
+            ("time_s,v,time_s\n0,1,0\n0.005,2,0.005\n", "bad header"),
             ("time_s,v\n0,1\n0.005,2,3\n0.010,3\n", "bad row"),
             ("time_s,v\n0,1,9\n0.005,2,9\n0.010,3,9\n", "bad row"),
             ("time_s,v\n0,1\n0.005,x\n0.010,3\n", "bad row"),
@@ -205,6 +207,11 @@ class TestCsvCodec:
         with pytest.raises(FormatError) as err:
             read_series_csv(path, "v")
         assert err.value.code == code
+
+    def test_duplicate_column_named(self, tmp_path):
+        path = _write(tmp_path / "d.csv", "time_s,green_0,green_0\n0,1,2\n0.005,3,4\n0.010,5,6\n")
+        with pytest.raises(FormatError, match="^bad header: duplicate column green_0$"):
+            read_ppg_csv(path)
 
     def test_non_finite_names_row_and_column(self, tmp_path):
         path = _write(tmp_path / "p.csv", "time_s,green_0,green_1\n0,1,2\n0.005,3,inf\n0.010,5,6\n")

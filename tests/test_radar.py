@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,20 @@ class TestPhasePerBin:
     def test_too_short(self):
         with pytest.raises(ValueError, match="recording too short"):
             phase_per_bin(np.ones((100, 1, 1), dtype=complex), FS)
+
+    def test_stack_equals_single_cells(self):
+        rng = np.random.default_rng(15)
+        frames = int(5 * FS)
+        t = np.arange(frames) / FS
+        drift = np.cumsum(rng.standard_normal((frames, 2, 3)), axis=0)
+        tone = 2.0 * np.sin(2 * np.pi * 1.2 * t)[:, None, None]
+        slow = np.exp(1j * (drift + tone)) * rng.uniform(0.5, 2.0, (frames, 2, 3))
+        slow[:, 1, 2] = 0.3 + 0.4j  # one flat cell
+        stacked = phase_per_bin(slow, FS)
+        for a in range(2):
+            for b in range(3):
+                single = phase_per_bin(slow[:, a : a + 1, b : b + 1], FS)
+                assert np.array_equal(stacked[a, b], single[0, 0])
 
 
 class TestSelectBestBin:
@@ -318,6 +333,19 @@ class TestProcessRadar:
         assert starts[0] == 0 and stops[-1] == data.shape[0]
         assert starts[1:] == stops[:-1]
         assert max(b - a for a, b in released) == 1000 // (4 * 64)
+
+    def test_traced_peak_is_one_phase_tensor(self):
+        waveform, _ = generate_waveform(PulseModel(), 20.0, FS, seed=16)
+        displacement = waveform.with_samples(waveform.samples * 1e-4)
+        cube = synth_radar_cube(displacement, CubeGeometry(), snr_db=20.0, seed=16)
+        tensor = cube.n_antennas * (cube.n_samples // 2 + 1) * cube.n_frames * 8
+        tracemalloc.start()
+        try:
+            process_radar(cube)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * tensor + radar.BLOCK_SAMPLES * 8
 
     def test_block_size_does_not_change_result(self, monkeypatch):
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, seed=13)

@@ -6,7 +6,13 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass, resample_linear
+from pulsecmp.signal_core import (
+    BandpassSpec,
+    TimeSeries,
+    _bandpass_sos,
+    butterworth_bandpass,
+    resample_linear,
+)
 
 from oracles import (
     ComplexSeries,
@@ -115,6 +121,13 @@ class TestButterworthBandpass:
             BandpassSpec(4, 8.0, 0.5)
         with pytest.raises(ValueError):
             BandpassSpec(0, 0.5, 8.0)
+
+    def test_design_is_cached_read_only(self):
+        sos = _bandpass_sos(BandpassSpec(), FS)
+        assert _bandpass_sos(BandpassSpec(), FS) is sos
+        assert not sos.flags.writeable
+        with pytest.raises(ValueError):
+            sos[0, 0] = 0.0
 
     def test_output_metadata_preserved(self):
         x = TimeSeries(np.random.default_rng(1).standard_normal(4000), FS, start_time_s=2.0)
