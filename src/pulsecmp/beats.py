@@ -251,9 +251,14 @@ def extract_ibi(train: PeakTrain) -> IbiSeries:
 def segment_beats_indexed(
     x: TimeSeries, train: PeakTrain, norm_len: int = 200
 ) -> list[tuple[int, BeatSegment]]:
-    """Like :func:`segment_beats` but pairs each segment with the index
-    of its leading diastolic foot in ``train``, so segments can be
-    matched across modalities after event alignment."""
+    """Cut the waveform into beats between consecutive diastolic feet.
+
+    Each beat is resampled to ``norm_len`` points and min-max scaled to
+    [0, 1]. Degenerate flat segments (peak-to-peak below 1e-12) are
+    discarded. Each segment is paired with the index of its leading
+    diastolic foot in ``train``, so segments can be matched across
+    modalities after event alignment.
+    """
     d = train.diastolic_indices
     if d.size < 2:
         raise ValueError("need at least two diastolic peaks")
@@ -271,16 +276,6 @@ def segment_beats_indexed(
         normalized = (resampled - resampled.min()) / span
         segments.append((k, BeatSegment(raw, normalized)))
     return segments
-
-
-def segment_beats(x: TimeSeries, train: PeakTrain, norm_len: int = 200) -> list[BeatSegment]:
-    """Cut the waveform into beats between consecutive diastolic feet.
-
-    Each beat is resampled to ``norm_len`` points and min-max scaled to
-    [0, 1]. Degenerate flat segments (peak-to-peak below 1e-12) are
-    discarded.
-    """
-    return [seg for _, seg in segment_beats_indexed(x, train, norm_len)]
 
 
 def average_beats(segments: list[BeatSegment]) -> AverageBeat:

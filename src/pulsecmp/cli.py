@@ -35,6 +35,7 @@ from pulsecmp.formats import (
     write_text_atomic,
 )
 from pulsecmp.report import (
+    MODALITIES,
     AgreementReport,
     RecordingBundle,
     condition_modality,
@@ -44,10 +45,6 @@ from pulsecmp.report import (
 )
 from pulsecmp.selftest import run_selftest
 
-# File of each modality inside a bundle directory, in load order. The
-# cube loads first: parsing the CSVs before it raises the peak RSS of a
-# 60 s default bundle's compare by about 2.5 MB.
-BUNDLE_FILES = {"radar": "radar.radc", "ppg": "ppg.csv", "reference": "reference.csv"}
 TRUTH_FILE = "truth.json"
 
 
@@ -67,17 +64,8 @@ def _load_cli_config(args) -> PipelineConfig:
 
 def write_bundle_dir(bundle: RecordingBundle, config: PipelineConfig, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    if bundle.radar is not None:
-        write_radar_cube(bundle.radar, os.path.join(directory, BUNDLE_FILES["radar"]))
-    if bundle.ppg is not None:
-        write_ppg_csv(bundle.ppg, os.path.join(directory, BUNDLE_FILES["ppg"]))
-    if bundle.reference is not None:
-        write_series_csv(
-            os.path.join(directory, BUNDLE_FILES["reference"]),
-            {REFERENCE_COLUMN: bundle.reference.samples},
-            bundle.reference.sample_rate_hz,
-            bundle.reference.start_time_s,
-        )
+    for name in bundle.present_modalities():
+        save_modality(name, getattr(bundle, name), os.path.join(directory, MODALITIES[name]))
     if bundle.truth is not None:
         write_ground_truth(
             bundle.truth,
@@ -98,13 +86,28 @@ def load_modality(name: str, path: str, column: str = REFERENCE_COLUMN):
     return read_series_csv(path, column)
 
 
+def save_modality(name: str, recording, path: str) -> None:
+    """Write one modality's recording so that :func:`load_modality` reads it back."""
+    if name == "radar":
+        write_radar_cube(recording, path)
+    elif name == "ppg":
+        write_ppg_csv(recording, path)
+    else:
+        write_series_csv(
+            path,
+            {REFERENCE_COLUMN: recording.samples},
+            recording.sample_rate_hz,
+            recording.start_time_s,
+        )
+
+
 def read_bundle_dir(directory: str, subject_id: str | None = None) -> RecordingBundle:
     """Load every modality file present in a bundle directory.
 
     The truth sidecar is not read: comparison never uses it.
     """
     recordings = {}
-    for name, filename in BUNDLE_FILES.items():
+    for name, filename in MODALITIES.items():
         path = os.path.join(directory, filename)
         if os.path.exists(path):
             recordings[name] = load_modality(name, path)
@@ -214,7 +217,8 @@ def cmd_compare(args) -> int:
         )
         if not subjects:
             raise ValueError(f"no subject directories under {args.bundle_root}")
-        jobs = max(1, args.jobs)
+        # the fork context starts all max_workers processes at once
+        jobs = max(1, min(args.jobs, len(subjects)))
         tasks = [
             (os.path.join(args.bundle_root, s), os.path.join(args.out, s), config)
             for s in subjects
@@ -231,7 +235,7 @@ def cmd_compare(args) -> int:
     if args.bundle:
         bundle = read_bundle_dir(args.bundle, subject_id=args.subject)
     else:
-        paths = {name: getattr(args, name) for name in BUNDLE_FILES}
+        paths = {name: getattr(args, name) for name in MODALITIES}
         bundle = RecordingBundle(
             **{name: load_modality(name, path) for name, path in paths.items() if path},
             subject_id=args.subject or "subject",
@@ -285,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_proc = sub.add_parser("process", help="process one modality to CSV outputs")
-    p_proc.add_argument("modality", choices=["radar", "ppg", "reference"])
+    p_proc.add_argument("modality", choices=list(MODALITIES))
     p_proc.add_argument("input", help="input file (.radc or .csv)")
     p_proc.add_argument("-o", "--out", required=True, help="output directory")
     p_proc.add_argument("--channel", help="PPG channel name (sets ppg.channel)")
@@ -298,9 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--bundle", help="bundle directory from simulate")
     p_cmp.add_argument("--bundle-root", help="directory of per-subject bundle directories")
     p_cmp.add_argument("--jobs", type=int, default=1, help="parallel subjects for --bundle-root")
-    p_cmp.add_argument("--radar", help="radar cube file")
-    p_cmp.add_argument("--ppg", help="PPG CSV file")
-    p_cmp.add_argument("--reference", help="reference CSV file")
+    for name, filename in MODALITIES.items():
+        # "radar cube file", "PPG CSV file", "reference CSV file"
+        label = name.upper() if len(name) <= 3 else name
+        kind = "cube" if filename.endswith(".radc") else "CSV"
+        p_cmp.add_argument(f"--{name}", help=f"{label} {kind} file")
     p_cmp.add_argument("--subject", help="subject identifier")
     common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
@@ -316,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ValueError, FileNotFoundError, NotADirectoryError) as exc:
+    except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

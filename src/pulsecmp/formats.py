@@ -44,7 +44,7 @@ import numpy as np
 from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import RadarCube
 from pulsecmp.signal_core import TimeSeries
-from pulsecmp.synth import PulseModel, SynthGroundTruth, generate_waveform
+from pulsecmp.synth import PulseModel, SynthGroundTruth
 
 MAGIC = b"RADC"
 VERSION = 1
@@ -151,6 +151,8 @@ def read_radar_cube(path: str) -> RadarCube:
             metadata = json.loads(fh.read(meta_len).decode("utf-8")) if meta_len else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError("bad metadata", str(exc)) from exc
+        if not isinstance(metadata, dict):
+            raise FormatError("bad metadata", f"not a JSON object: {type(metadata).__name__}")
         expected = math.prod(dims) * 4
         if size - offset != expected:
             raise FormatError(
@@ -159,14 +161,18 @@ def read_radar_cube(path: str) -> RadarCube:
             )
         mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     data = np.frombuffer(mapping, dtype="<f4", count=math.prod(dims), offset=offset)
-    return RadarCube(
-        data=data.reshape(dims),
-        frame_rate_hz=frame_rate,
-        fast_time_rate_hz=fast_rate,
-        carrier_hz=carrier,
-        metadata=metadata,
-        release_frames=_page_release(mapping, offset, expected // frames),
-    )
+    try:
+        return RadarCube(
+            data=data.reshape(dims),
+            frame_rate_hz=frame_rate,
+            fast_time_rate_hz=fast_rate,
+            carrier_hz=carrier,
+            metadata=metadata,
+            release_frames=_page_release(mapping, offset, expected // frames),
+        )
+    except ValueError as exc:
+        # the dimensions are checked above, so the cube rejected a header value
+        raise FormatError("bad header", str(exc)) from exc
 
 
 def format_float(x: float) -> str:
@@ -338,23 +344,3 @@ def write_ground_truth(
         "displacement_peak_m": truth.displacement_peak_m,
     }
     write_text_atomic(path, canonical_json(doc) + "\n")
-
-
-def read_ground_truth(path: str) -> tuple[SynthGroundTruth, PulseModel]:
-    """Rebuild the ground truth from a sidecar (deterministic regeneration)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    model = PulseModel(**doc["model"])
-    waveform, truth = generate_waveform(model, doc["duration_s"], doc["fs_hz"], doc["seed"])
-    amp = float(doc["displacement_amp_m"])
-    displacement = waveform.with_samples(waveform.samples * amp)
-    truth.displacement = displacement
-    truth.displacement_peak_m = float(np.abs(displacement.samples).max())
-    truth.target_antenna = int(doc["target_antenna"])
-    truth.target_range_bin = int(doc["target_range_bin"])
-    stored = np.asarray(doc["beat_times_s"], dtype=np.float64)
-    if stored.size != truth.beat_times_s.size or not np.allclose(
-        stored, truth.beat_times_s, atol=1e-9
-    ):
-        raise FormatError("truth mismatch", "sidecar beat times do not regenerate")
-    return truth, model

@@ -8,7 +8,7 @@ convention (systolic upstroke positive-going).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pulsecmp.beats import correct_polarity_or_keep
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass
@@ -21,7 +21,6 @@ class PpgRecording:
     """Multi-channel PPG record; channels share one sample rate."""
 
     channels: dict[str, TimeSeries]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.channels:
@@ -29,10 +28,6 @@ class PpgRecording:
         rates = {ts.sample_rate_hz for ts in self.channels.values()}
         if len(rates) != 1:
             raise ValueError("all channels must share one sample rate")
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return next(iter(self.channels.values())).sample_rate_hz
 
     def channel_names(self) -> list[str]:
         return sorted(self.channels)

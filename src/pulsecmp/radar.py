@@ -79,10 +79,6 @@ class RadarCube:
         return self.data.shape[3]
 
     @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
-
-    @property
     def duration_s(self) -> float:
         return self.n_frames / self.frame_rate_hz
 
@@ -149,38 +145,6 @@ def _filter_cells(phase: np.ndarray, frame_rate_hz: float, spec: BandpassSpec | 
         row[:] = bandpass_array(np.unwrap(row), frame_rate_hz, spec)
 
 
-def phase_per_bin(
-    slow_time: np.ndarray,
-    frame_rate_hz: float,
-    spec: BandpassSpec | None = None,
-) -> np.ndarray:
-    """Unwrapped, band-pass-filtered phase of every (antenna, bin) cell.
-
-    Parameters
-    ----------
-    slow_time : complex ndarray
-        Complex tensor [frame][antenna][bin] of chirp-averaged range bins.
-    frame_rate_hz : float
-        Slow-time sampling rate.
-    spec : BandpassSpec, optional
-        Filter design, the shared default when omitted.
-
-    Returns
-    -------
-    ndarray
-        Real tensor [antenna][bin][frame].
-    """
-    slow_time = np.asarray(slow_time)
-    if slow_time.ndim != 3:
-        raise ValueError("slow_time must be [frame][antenna][bin]")
-    n_frames = slow_time.shape[0]
-    if n_frames < 3.0 * frame_rate_hz:
-        raise ValueError("recording too short")
-    phase = np.ascontiguousarray(np.angle(slow_time).transpose(1, 2, 0))
-    _filter_cells(phase, frame_rate_hz, spec)
-    return phase
-
-
 def select_best_bin(
     phases: np.ndarray,
     max_bins: int | None = None,
@@ -228,8 +192,8 @@ def process_radar(
     one fused linear reduction over frame blocks, algebraically
     identical to composing them per chirp, and each block goes straight
     to its wrapped phase. Each (antenna, bin) row is then unwrapped and
-    band-passed in place, as ``phase_per_bin`` does; bin selection and
-    polarity correction follow. Memory is one float64 phase per
+    band-passed in place, one row at a time; bin selection and polarity
+    correction follow. Memory is one float64 phase per
     (antenna, bin, frame) plus one frame block; no full-size copy of
     the cube or of its complex slow-time tensor is made. When too few
     beats exist to decide orientation, the waveform is returned

@@ -26,7 +26,7 @@ from pulsecmp.metrics import (
     map_from_bp,
     paired_t_test,
 )
-from pulsecmp.radar import process_radar
+from pulsecmp.radar import SPEED_OF_LIGHT, process_radar
 from pulsecmp.report import run_compare, simulate_bundle
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass
 from pulsecmp.synth import CubeGeometry, synth_radar_cube
@@ -188,7 +188,7 @@ def check_filter_contract() -> CheckResult:
 def check_phase_scale() -> CheckResult:
     t0 = time.time()
     fs = 200.0
-    wavelength = 299792458.0 / 60e9
+    wavelength = SPEED_OF_LIGHT / 60e9
     geometry = CubeGeometry(antennas=1, chirps=4, samples=64, target_antenna=0)
     t = np.arange(int(30 * fs)) / fs
     gain = analytic_zero_phase_gain(1.0, fs, BandpassSpec())
@@ -327,7 +327,7 @@ def check_roundtrip() -> CheckResult:
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
         cube = RadarCube(
-            rng.standard_normal((4, 2, 3, 8)).astype(np.float32).astype(np.float64),
+            rng.standard_normal((4, 2, 3, 8)).astype(np.float32),
             metadata={"k": "v"},
         )
         path = os.path.join(tmp, "cube.radc")

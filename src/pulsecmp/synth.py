@@ -24,7 +24,7 @@ import numpy as np
 
 from pulsecmp.beats import IBI_MAX_MS, IBI_MIN_MS
 from pulsecmp.ppg import PpgRecording
-from pulsecmp.radar import RadarCube, frame_blocks
+from pulsecmp.radar import SPEED_OF_LIGHT, RadarCube, frame_blocks
 from pulsecmp.signal_core import TimeSeries
 
 # Peak-to-peak extent of zero-mean Gaussian noise, as a multiple of its
@@ -196,7 +196,7 @@ def synth_radar_cube(
         "phase ambiguity" when the displacement peak reaches a quarter
         wavelength.
     """
-    wavelength = 299792458.0 / carrier_hz
+    wavelength = SPEED_OF_LIGHT / carrier_hz
     d = displacement.samples
     if np.abs(d).max() >= wavelength / 4.0:
         raise ValueError("phase ambiguity")
@@ -281,7 +281,7 @@ def synth_ppg(
     if noise_sd > 0:
         out = out + noise_sd * np.random.default_rng(seed).standard_normal(out.size)
     channel = TimeSeries(out, fs, waveform.start_time_s)
-    return PpgRecording(channels={"green_0": channel}, metadata={"source": "synthetic"})
+    return PpgRecording(channels={"green_0": channel})
 
 
 def synth_reference(

@@ -2,16 +2,21 @@
 
 Everything here is derived from first principles (closed forms, brute
 force, quadrature) without touching the implementation paths under
-test.
+test, except the test-only views at the end: thin wrappers over
+production code that only tests call.
 """
 
+import json
 import math
 
 import numpy as np
 from scipy.integrate import quad
 
-from pulsecmp.beats import IBI_MAX_MS, IBI_MIN_MS
+from pulsecmp.beats import IBI_MAX_MS, IBI_MIN_MS, segment_beats_indexed
+from pulsecmp.formats import FormatError
+from pulsecmp.radar import _filter_cells
 from pulsecmp.signal_core import TimeSeries
+from pulsecmp.synth import PulseModel, generate_waveform
 
 
 def wrap_phase(x):
@@ -163,3 +168,55 @@ def waveform_by_mask(model, duration_s, fs_hz, seed):
         if t_sys < n / fs_hz:
             systolic.append(t_sys)
     return y, np.array(systolic)
+
+
+# Test-only views of production code. Each calls what the pipeline
+# itself runs (`_filter_cells`, `segment_beats_indexed`,
+# `generate_waveform`), so tests written against it exercise that code.
+
+
+def phase_per_bin(slow_time, frame_rate_hz, spec=None):
+    """Unwrapped, band-pass-filtered phase of every (antenna, bin) cell.
+
+    ``slow_time`` is the complex tensor [frame][antenna][bin] of
+    chirp-averaged range bins; the result is the real tensor
+    [antenna][bin][frame], filtered by the radar chain's own
+    ``_filter_cells`` (``spec`` defaults to the shared band-pass).
+    """
+    slow_time = np.asarray(slow_time)
+    if slow_time.ndim != 3:
+        raise ValueError("slow_time must be [frame][antenna][bin]")
+    if slow_time.shape[0] < 3.0 * frame_rate_hz:
+        raise ValueError("recording too short")
+    phase = np.ascontiguousarray(np.angle(slow_time).transpose(1, 2, 0))
+    _filter_cells(phase, frame_rate_hz, spec)
+    return phase
+
+
+def segment_beats(x, train, norm_len=200):
+    """The segments of ``beats.segment_beats_indexed`` without their indices."""
+    return [seg for _, seg in segment_beats_indexed(x, train, norm_len)]
+
+
+def read_ground_truth(path):
+    """Rebuild the ground truth from a ``truth.json`` sidecar.
+
+    The waveform is regenerated from the stored seed and model, so a
+    sidecar whose beat times do not regenerate raises
+    ``FormatError("truth mismatch")``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    model = PulseModel(**doc["model"])
+    waveform, truth = generate_waveform(model, doc["duration_s"], doc["fs_hz"], doc["seed"])
+    displacement = waveform.with_samples(waveform.samples * float(doc["displacement_amp_m"]))
+    truth.displacement = displacement
+    truth.displacement_peak_m = float(np.abs(displacement.samples).max())
+    truth.target_antenna = int(doc["target_antenna"])
+    truth.target_range_bin = int(doc["target_range_bin"])
+    stored = np.asarray(doc["beat_times_s"], dtype=np.float64)
+    if stored.size != truth.beat_times_s.size or not np.allclose(
+        stored, truth.beat_times_s, atol=1e-9
+    ):
+        raise FormatError("truth mismatch", "sidecar beat times do not regenerate")
+    return truth, model

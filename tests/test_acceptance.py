@@ -33,7 +33,7 @@ from pulsecmp.selftest import (
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass
 from pulsecmp.synth import CubeGeometry, synth_radar_cube
 
-from oracles import tone_amplitude, zero_phase_gain
+from oracles import read_ground_truth, tone_amplitude, zero_phase_gain
 
 FS = 200.0
 WAVELENGTH = 299792458.0 / 60e9
@@ -53,7 +53,7 @@ def test_criterion_1_end_to_end_radar_recovery(tmp_path):
     import json
 
     from pulsecmp.cli import main as cli_main
-    from pulsecmp.formats import read_ground_truth, read_radar_cube
+    from pulsecmp.formats import read_radar_cube
 
     start = time.perf_counter()
     cos_means = []

@@ -12,13 +12,12 @@ from pulsecmp.beats import (
     event_train,
     extract_ibi,
     paired_consecutive,
-    segment_beats,
     segment_beats_indexed,
 )
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import PulseModel, generate_waveform
 
-from oracles import three_bump_wave
+from oracles import segment_beats, three_bump_wave
 
 FS = 200.0
 

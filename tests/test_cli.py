@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from pulsecmp import cli
 from pulsecmp.cli import main
 from pulsecmp.formats import read_radar_cube, write_radar_cube
 from pulsecmp.radar import RadarCube
@@ -127,6 +128,16 @@ class TestCompare:
         assert result.returncode == 1
         assert "need two modalities" in result.stderr
 
+    def test_directory_input_is_input_error(self, tmp_path, capsys):
+        folder = tmp_path / "d"
+        folder.mkdir()
+        code = main(["compare", "--ppg", str(folder), "--reference", str(folder),
+                     "-o", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_non_finite_radar_sample_is_input_error(self, bundle_dir, tmp_path):
         subject = tmp_path / "nan"
         subject.mkdir()
@@ -198,6 +209,30 @@ class TestCompare:
         for name in ("s1", "s2"):
             doc = json.loads((out / name / "report.json").read_text())
             assert doc["subject_id"] == name
+
+    def test_jobs_clamped_to_subjects(self, tmp_path, monkeypatch):
+        workers = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return []
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        root = tmp_path / "subjects"
+        for name in ("s1", "s2"):
+            (root / name).mkdir(parents=True)
+        out = str(tmp_path / "reports")
+        assert main(["compare", "--bundle-root", str(root), "--jobs", "64", "-o", out]) == 0
+        assert workers == [2]
 
 
 class TestConfigPlumbing:

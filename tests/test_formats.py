@@ -13,7 +13,6 @@ from pulsecmp.formats import (
     FormatError,
     canonical_json,
     format_float,
-    read_ground_truth,
     read_ppg_csv,
     read_radar_cube,
     read_series_csv,
@@ -27,6 +26,8 @@ from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import RadarCube, process_radar
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import CubeGeometry, PulseModel, generate_waveform, synth_radar_cube
+
+from oracles import read_ground_truth
 
 
 class TestRadarCubeFormat:
@@ -71,6 +72,27 @@ class TestRadarCubeFormat:
         with pytest.raises(FormatError, match="bad magic") as err:
             read_radar_cube(path)
         assert err.value.code == "bad magic"
+
+    @pytest.mark.parametrize(
+        "antennas, frame_rate, metadata, code, message",
+        [
+            (9, 200.0, b"", "bad header", "too many antennas"),
+            (1, 0.0, b"", "bad header", "frame_rate_hz must be positive"),
+            (1, float("nan"), b"", "bad header", "frame_rate_hz must be positive"),
+            (1, 200.0, b"[1,2]", "bad metadata", "not a JSON object"),
+        ],
+        ids=["nine-antennas", "zero-rate", "nan-rate", "metadata-list"],
+    )
+    def test_bad_header_values(self, tmp_path, antennas, frame_rate, metadata, code, message):
+        header = struct.pack(
+            "<4sIIIIIdddI", b"RADC", 1, 1, antennas, 1, 2, frame_rate, 1e6, 60e9, len(metadata)
+        )
+        path = str(tmp_path / "bad.radc")
+        with open(path, "wb") as fh:
+            fh.write(header + metadata + np.zeros(2 * antennas, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match=message) as err:
+            read_radar_cube(path)
+        assert err.value.code == code
 
     def test_truncated_payload(self, tmp_path):
         header = struct.pack(

@@ -7,11 +7,17 @@ from numpy.testing import assert_allclose
 
 from pulsecmp.beats import correct_polarity, detect_peaks, extract_ibi
 from pulsecmp import radar
-from pulsecmp.radar import RadarCube, phase_per_bin, process_radar, select_best_bin
+from pulsecmp.radar import RadarCube, process_radar, select_best_bin
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import CubeGeometry, PulseModel, generate_waveform, synth_radar_cube
 
-from oracles import chirp_mean_removal, extract_slow_time, tone_amplitude, zero_phase_gain
+from oracles import (
+    chirp_mean_removal,
+    extract_slow_time,
+    phase_per_bin,
+    tone_amplitude,
+    zero_phase_gain,
+)
 
 FS = 200.0
 WAVELENGTH = 299792458.0 / 60e9
@@ -26,10 +32,6 @@ class TestRadarCube:
             RadarCube(np.zeros((1, 9, 1, 4)))
         with pytest.raises(ValueError):
             RadarCube(np.zeros((1, 1, 1, 4)), frame_rate_hz=0.0)
-
-    def test_wavelength(self):
-        cube = RadarCube(np.zeros((1, 1, 1, 4)))
-        assert_allclose(cube.wavelength_m, WAVELENGTH, rtol=1e-12)
 
     def test_float32_storage(self):
         cube = RadarCube(np.full((1, 1, 1, 4), 0.1))

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pulsecmp import radar
-from pulsecmp.beats import detect_peaks, segment_beats
+from pulsecmp.beats import detect_peaks
 from pulsecmp.config import PipelineConfig
 from pulsecmp.metrics import auc_normalized, count_inflections, map_from_bp
 from pulsecmp.ppg import process_ppg
@@ -23,6 +23,7 @@ from pulsecmp.synth import (
 
 from oracles import (
     count_extrema_dense,
+    segment_beats,
     three_bump_wave,
     tone_amplitude,
     waveform_by_mask,
