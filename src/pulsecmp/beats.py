@@ -180,28 +180,19 @@ def detect_peaks(
     )
 
 
-def correct_polarity(
-    waveform: TimeSeries,
-    min_separation_s: float = 0.33,
-    prominence_rel: float = 0.3,
-) -> tuple[TimeSeries, bool]:
-    """Orient a pulse waveform so the systolic upstroke is positive-going.
+def polarity_inverted(train: PeakTrain) -> bool | None:
+    """Whether a beat train's waveform is upside down; ``None`` when undecidable.
 
     Arterial pulses rise fast and decay slowly. The mean foot-to-peak
-    rise time is compared against the mean peak-to-foot decay time; when
-    the rise is strictly longer the waveform is negated.
-
-    Raises
-    ------
-    ValueError
-        "insufficient beats for polarity check" with fewer than three
-        detected beats.
+    rise time is compared against the mean peak-to-foot decay time; a
+    strictly longer rise means the waveform is inverted. Fewer than
+    three systolic peaks, or no rise or no decay to measure, leave the
+    question open.
     """
-    train = detect_peaks(waveform, min_separation_s, prominence_rel)
     sys_idx = train.systolic_indices
     dia_idx = train.diastolic_indices
     if sys_idx.size < 3:
-        raise ValueError("insufficient beats for polarity check")
+        return None
     rises = []
     decays = []
     for s in sys_idx:
@@ -212,24 +203,34 @@ def correct_polarity(
         if after.size:
             decays.append(after[0] - s)
     if not rises or not decays:
-        raise ValueError("insufficient beats for polarity check")
-    inverted = float(np.mean(rises)) > float(np.mean(decays))
-    if inverted:
-        return waveform.with_samples(-waveform.samples), True
-    return waveform, False
+        return None
+    return float(np.mean(rises)) > float(np.mean(decays))
 
 
-def correct_polarity_or_keep(
+def orient_and_detect(
     waveform: TimeSeries,
     min_separation_s: float = 0.33,
     prominence_rel: float = 0.3,
-) -> tuple[TimeSeries, bool]:
-    """:func:`correct_polarity`, or the waveform unchanged and not inverted
-    when the check cannot decide, so degenerate recordings flow on."""
-    try:
-        return correct_polarity(waveform, min_separation_s, prominence_rel)
-    except ValueError:
-        return waveform, False
+) -> tuple[TimeSeries, PeakTrain, bool]:
+    """Orient a band-passed pulse waveform upstroke-up and detect its beats.
+
+    This is the last step of every modality's chain. Beats are detected
+    once; when :func:`polarity_inverted` says the waveform is upside
+    down it is negated and detected again, and when the rule cannot
+    decide the waveform is kept as it is, so degenerate recordings
+    still flow downstream. Returns the oriented waveform, its beat
+    train and whether it was negated.
+
+    Raises
+    ------
+    ValueError
+        "recording too short" from :func:`detect_peaks`.
+    """
+    train = detect_peaks(waveform, min_separation_s, prominence_rel)
+    if not polarity_inverted(train):
+        return waveform, train, False
+    flipped = waveform.with_samples(-waveform.samples)
+    return flipped, detect_peaks(flipped, min_separation_s, prominence_rel), True
 
 
 def extract_ibi(train: PeakTrain) -> IbiSeries:

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from pulsecmp.beats import IbiSeries, detect_peaks, extract_ibi
+from pulsecmp.beats import IbiSeries, extract_ibi
 from pulsecmp.config import PipelineConfig, load_config
 from pulsecmp.formats import (
     FormatError,
@@ -166,11 +166,9 @@ def cmd_process(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     meta: dict = {"modality": args.modality, "input": os.path.basename(args.input)}
     raw = load_modality(args.modality, args.input, args.column or REFERENCE_COLUMN)
-    waveform, selection = condition_modality(args.modality, raw, config)
+    waveform, train, selection = condition_modality(args.modality, raw, config)
     if selection is not None:
         meta["selection"] = dataclasses.asdict(selection)
-
-    train = detect_peaks(waveform, config.beats_min_separation_s, config.beats_prominence_rel)
     ibi = extract_ibi(train)
     write_series_csv(
         os.path.join(args.out, "waveform.csv"),
@@ -200,11 +198,13 @@ def cmd_process(args) -> int:
     return 0
 
 
-def _compare_single(bundle_dir: str, out_dir: str, config: PipelineConfig) -> str:
-    bundle = read_bundle_dir(bundle_dir)
-    report = run_compare(bundle, config)
-    _write_report_files(report, out_dir)
-    return bundle.subject_id
+def _compare_subject(bundle_dir: str, out_dir: str, config: PipelineConfig) -> str | None:
+    """Compare one subject of a batch; the input-error message if it fails."""
+    try:
+        _write_report_files(run_compare(read_bundle_dir(bundle_dir), config), out_dir)
+    except (FormatError, ValueError, OSError) as exc:
+        return str(exc)
+    return None
 
 
 def cmd_compare(args) -> int:
@@ -223,14 +223,17 @@ def cmd_compare(args) -> int:
             (os.path.join(args.bundle_root, s), os.path.join(args.out, s), config)
             for s in subjects
         ]
+        # each subject runs on its own: a bad one fails alone
         if jobs == 1:
-            for t in tasks:
-                _compare_single(*t)
+            errors = [_compare_subject(*t) for t in tasks]
         else:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(_compare_single, *zip(*tasks)))
-        print(f"compared {len(subjects)} subjects into {args.out}")
-        return 0
+                errors = list(pool.map(_compare_subject, *zip(*tasks)))
+        failed = [(s, e) for s, e in zip(subjects, errors) if e is not None]
+        for subject, message in failed:
+            print(f"error: {subject}: {message}", file=sys.stderr)
+        print(f"compared {len(subjects) - len(failed)} of {len(subjects)} subjects into {args.out}")
+        return 1 if failed else 0
 
     if args.bundle:
         bundle = read_bundle_dir(args.bundle, subject_id=args.subject)

@@ -15,6 +15,11 @@ import numpy as np
 
 from pulsecmp.beats import BeatSegment
 
+# count_inflections: moving-average width (samples) and the slope floor,
+# as a fraction of the beat's range, below which a difference is flat.
+INFLECTION_SMOOTH_WIN = 5
+INFLECTION_EPS = 1e-3
+
 
 @dataclass
 class BlandAltman:
@@ -110,30 +115,27 @@ def bland_altman(a: np.ndarray, b: np.ndarray) -> BlandAltman:
     return BlandAltman(bias, sd, bias - 2.0 * sd, bias + 2.0 * sd, points)
 
 
-def count_inflections(beat: np.ndarray, smooth_win: int = 5, eps: float = 1e-3) -> int:
+def count_inflections(beat: np.ndarray) -> int:
     """Count derivative sign changes (interior extrema) of a beat.
 
     The beat is smoothed with a centered moving average of width
-    ``smooth_win``; first differences smaller than ``eps`` times the
-    beat's amplitude range are snapped to zero, runs of zeros collapse
-    into a single crossing, and the two endpoints are excluded. A
-    constant beat counts zero.
+    ``INFLECTION_SMOOTH_WIN``; first differences smaller than
+    ``INFLECTION_EPS`` times the beat's amplitude range are snapped to
+    zero, runs of zeros collapse into a single crossing, and the two
+    endpoints are excluded. A constant beat counts zero.
     """
     beat = np.asarray(beat, dtype=np.float64)
     if beat.size < 7:
         raise ValueError("beat too short")
-    w = max(1, int(smooth_win))
+    w = INFLECTION_SMOOTH_WIN
     pad = w // 2
-    if pad:
-        padded = np.concatenate([beat[pad:0:-1], beat, beat[-2 : -2 - pad : -1]])
-    else:
-        padded = beat
+    padded = np.concatenate([beat[pad:0:-1], beat, beat[-2 : -2 - pad : -1]])
     smooth = np.convolve(padded, np.ones(w) / w, mode="valid")
     d = np.diff(smooth)
     span = beat.max() - beat.min()
     if span <= 0:
         return 0
-    d = np.where(np.abs(d) < eps * span, 0.0, d)
+    d = np.where(np.abs(d) < INFLECTION_EPS * span, 0.0, d)
     signs = np.sign(d)
     signs = signs[signs != 0]
     if signs.size < 2:

@@ -1,16 +1,15 @@
 """PPG channel selection and conditioning.
 
 The selected channel goes through the identical band-pass design used
-for the radar phase signal, then through the shared polarity rule, so
-all modalities arrive at beat analysis with the same orientation
-convention (systolic upstroke positive-going).
+for the radar phase signal, and the chain stops there: orientation
+(systolic upstroke positive-going) and beat detection are one shared
+last step for every modality (``beats.orient_and_detect``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pulsecmp.beats import correct_polarity_or_keep
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass
 
 DEFAULT_CHANNEL = "green_0"
@@ -44,10 +43,8 @@ def process_ppg(
     rec: PpgRecording,
     channel: str | None = None,
     spec: BandpassSpec | None = None,
-    min_separation_s: float = 0.33,
-    prominence_rel: float = 0.3,
 ) -> TimeSeries:
-    """Band-pass and orient one PPG channel.
+    """Band-pass one PPG channel; orientation is left to the shared step.
 
     Parameters
     ----------
@@ -72,5 +69,4 @@ def process_ppg(
     raw = rec.channels[name]
     if raw.duration_s < 10.0:
         raise ValueError("recording too short")
-    filtered = butterworth_bandpass(raw, spec)
-    return correct_polarity_or_keep(filtered, min_separation_s, prominence_rel)[0]
+    return butterworth_bandpass(raw, spec)

@@ -2,9 +2,11 @@
 
 Processing chain: per-chirp mean removal, range FFT, coherent chirp
 averaging to frame rate, per-bin phase extraction (arctangent, temporal
-unwrapping, band-pass), peak-to-peak bin/antenna selection, and polarity
-correction. The output phase waveform is proportional to radial tissue
-displacement: ``phase = 4 * pi * displacement / wavelength``.
+unwrapping, band-pass) and peak-to-peak bin/antenna selection. The chain
+stops at the band-passed phase of the selected cell, which is
+proportional to radial tissue displacement: ``phase = 4 * pi *
+displacement / wavelength``. Orientation and beat detection are one
+shared last step for every modality (``beats.orient_and_detect``).
 
 Memory is one float64 phase per (antenna, bin, frame) plus one frame
 block: the cube is reduced to wrapped phase block by block over frames,
@@ -13,14 +15,12 @@ and each cell's row is then unwrapped and band-passed in place.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from pulsecmp.beats import correct_polarity_or_keep
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, bandpass_array
 
 SPEED_OF_LIGHT = 299792458.0
@@ -28,6 +28,9 @@ SPEED_OF_LIGHT = 299792458.0
 # Cube values reduced per frame block: bounds the float64 working set of
 # the slow-time reduction (and of synthesis) whatever the record length.
 BLOCK_SAMPLES = 1 << 20
+
+# Share of frames at each edge left out of the bin-selection peak-to-peak.
+EDGE_FRACTION = 0.05
 
 
 @dataclass
@@ -101,7 +104,7 @@ class BinSelection:
 
 @dataclass
 class RadarPulseResult:
-    """Polarity-corrected pulse waveform plus the selection that produced it."""
+    """Band-passed phase of the selected cell plus the selection itself."""
 
     waveform: TimeSeries
     selection: BinSelection
@@ -145,66 +148,67 @@ def _filter_cells(phase: np.ndarray, frame_rate_hz: float, spec: BandpassSpec | 
         row[:] = bandpass_array(np.unwrap(row), frame_rate_hz, spec)
 
 
-def select_best_bin(
-    phases: np.ndarray,
-    max_bins: int | None = None,
-    edge_fraction: float = 0.05,
-) -> BinSelection:
+def select_best_bin(phases: np.ndarray, max_bins: int | None = None) -> BinSelection:
     """Pick the (antenna, bin) with the largest pulsation amplitude.
 
-    Peak-to-peak is measured on the central 90 % of samples so residual
-    filter transients at the record edges cannot inflate it. Ties break
-    toward the lower antenna index, then the lower bin index.
+    Peak-to-peak is measured without the ``EDGE_FRACTION`` of samples at
+    each end, so residual filter transients at the record edges cannot
+    inflate it. Ties break toward the lower antenna index, then the
+    lower bin index.
 
     Bin 0 and the Nyquist bin are excluded from the search: the DC bin
     is nulled by chirp mean removal and the Nyquist bin of a real IF
     signal is real-valued, so the arctangent phase of either carries no
     displacement information. ``max_bins=K`` restricts the search to
     bins 1 .. K-1 for near-field use: the excluded bin 0 counts toward K.
+
+    Raises
+    ------
+    ValueError
+        When no informative bin is left to search, as with ``max_bins=1``
+        or a cube of one fast-time sample.
     """
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 3 or phases.shape[0] < 1 or phases.shape[1] < 1:
         raise ValueError("phases must be [antenna][bin][frame]")
-    n_frames = phases.shape[2]
-    margin = int(edge_fraction * n_frames)
+    n_bins, n_frames = phases.shape[1:]
+    stop = n_bins - 1 if n_bins > 2 else n_bins
+    if max_bins is not None:
+        stop = min(stop, max_bins)
+    if stop <= 1:
+        raise ValueError("radar: no informative range bin to search")
+    margin = int(EDGE_FRACTION * n_frames)
     core = phases[:, :, margin : n_frames - margin] if n_frames - 2 * margin >= 2 else phases
     p2p = core.max(axis=2) - core.min(axis=2)
-    search = p2p.copy()
-    search[:, 0] = -np.inf
-    if search.shape[1] > 2:
-        search[:, -1] = -np.inf
-    if max_bins is not None:
-        search[:, max_bins:] = -np.inf
-    antenna, range_bin = np.unravel_index(int(np.argmax(search)), search.shape)
+    # bins 1 .. stop-1; argmax scans antenna-major, as the tie rule asks
+    search = p2p[:, 1:stop]
+    antenna, offset = np.unravel_index(int(np.argmax(search)), search.shape)
+    range_bin = offset + 1
     return BinSelection(int(antenna), int(range_bin), float(p2p[antenna, range_bin]))
 
 
 def process_radar(
-    cube: RadarCube,
-    spec: BandpassSpec | None = None,
-    max_bins: int | None = None,
-    min_separation_s: float = 0.33,
-    prominence_rel: float = 0.3,
+    cube: RadarCube, spec: BandpassSpec | None = None, max_bins: int | None = None
 ) -> RadarPulseResult:
-    """Full chain from raw cube to polarity-corrected pulse waveform.
+    """Radar chain from raw cube to the band-passed phase of the best cell.
 
     Per-chirp mean removal, the range FFT and chirp averaging run as
     one fused linear reduction over frame blocks, algebraically
     identical to composing them per chirp, and each block goes straight
     to its wrapped phase. Each (antenna, bin) row is then unwrapped and
-    band-passed in place, one row at a time; bin selection and polarity
-    correction follow. Memory is one float64 phase per
-    (antenna, bin, frame) plus one frame block; no full-size copy of
-    the cube or of its complex slow-time tensor is made. When too few
-    beats exist to decide orientation, the waveform is returned
-    unoriented rather than failing, so degenerate recordings still flow
-    downstream.
+    band-passed in place, one row at a time, and bin selection follows.
+    Memory is one float64 phase per (antenna, bin, frame) plus one
+    frame block; no full-size copy of the cube or of its complex
+    slow-time tensor is made. The waveform is not oriented: that, and
+    beat detection, are the shared last step of every modality
+    (``beats.orient_and_detect``), which sets ``selection.inverted``.
 
     Raises
     ------
     ValueError
-        "recording too short" under 10 s, or "radar: non-finite sample
-        in frame N" naming the first frame holding a NaN or infinity.
+        "recording too short" under 10 s, "radar: non-finite sample in
+        frame N" naming the first frame holding a NaN or infinity, or
+        "radar: no informative range bin to search".
     """
     if cube.duration_s < 10.0:
         raise ValueError("recording too short")
@@ -215,5 +219,4 @@ def process_radar(
     waveform = TimeSeries(
         phases[selection.antenna_index, selection.range_bin].copy(), cube.frame_rate_hz
     )
-    waveform, inverted = correct_polarity_or_keep(waveform, min_separation_s, prominence_rel)
-    return RadarPulseResult(waveform, dataclasses.replace(selection, inverted=inverted))
+    return RadarPulseResult(waveform, selection)

@@ -4,7 +4,9 @@
 ground-truth waveform; ``run_compare`` processes whichever modalities a
 bundle carries, aligns beats pairwise against the reference (or against
 radar when no reference is present), and assembles interval and
-morphology agreement statistics.
+morphology agreement statistics. Each modality's chain ends at the
+shared band-pass; orienting the waveform and detecting its beats is one
+shared last step (``beats.orient_and_detect``) whose train is reused.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from pulsecmp.beats import (
     PeakTrain,
     align_beat_events,
     average_beats,
-    correct_polarity_or_keep,
-    detect_peaks,
     extract_ibi,
+    orient_and_detect,
     paired_consecutive,
     segment_beats_indexed,
     IBI_MAX_MS,
@@ -227,59 +228,43 @@ def _bandpass_spec(config: PipelineConfig) -> BandpassSpec:
     return BandpassSpec(config.filter_order, config.filter_low_hz, config.filter_high_hz)
 
 
-def process_reference(
-    reference: TimeSeries, config: PipelineConfig | None = None
-) -> TimeSeries:
-    """Reference pressure chain: shared band-pass plus polarity rule."""
-    cfg = config if config is not None else PipelineConfig()
-    filtered = butterworth_bandpass(reference, _bandpass_spec(cfg))
-    return correct_polarity_or_keep(
-        filtered, cfg.beats_min_separation_s, cfg.beats_prominence_rel
-    )[0]
-
-
 def condition_modality(
     name: str, raw, config: PipelineConfig
-) -> tuple[TimeSeries, BinSelection | None]:
+) -> tuple[TimeSeries, PeakTrain, BinSelection | None]:
     """Run one modality's conditioning chain on its raw recording.
 
     ``name`` is a key of :data:`MODALITIES` and ``raw`` the bundle field
     of that name: a ``TimeSeries`` for the reference, a ``RadarCube``
-    for radar, a ``PpgRecording`` for PPG. Returns the oriented
-    waveform and, for radar only, the chosen (antenna, range bin).
+    for radar, a ``PpgRecording`` for PPG. The band-passed waveform is
+    then oriented and its beats detected by the shared last step.
+    Returns the oriented waveform, its beat train and, for radar only,
+    the chosen (antenna, range bin) with its ``inverted`` flag.
     """
     spec = _bandpass_spec(config)
+    selection = None
     if name == "radar":
-        result = process_radar(
-            raw,
-            spec,
-            max_bins=config.max_bins_or_none,
-            min_separation_s=config.beats_min_separation_s,
-            prominence_rel=config.beats_prominence_rel,
-        )
-        return result.waveform, result.selection
-    if name == "ppg":
-        waveform = process_ppg(
-            raw,
-            config.ppg_channel_or_none,
-            spec,
-            config.beats_min_separation_s,
-            config.beats_prominence_rel,
-        )
-        return waveform, None
-    return process_reference(raw, config), None
+        result = process_radar(raw, spec, max_bins=config.max_bins_or_none)
+        waveform, selection = result.waveform, result.selection
+    elif name == "ppg":
+        waveform = process_ppg(raw, config.ppg_channel_or_none, spec)
+    else:
+        waveform = butterworth_bandpass(raw, spec)
+    waveform, train, inverted = orient_and_detect(
+        waveform, config.beats_min_separation_s, config.beats_prominence_rel
+    )
+    if selection is not None:
+        selection.inverted = inverted
+    return waveform, train, selection
 
 
 def _summarize_modality(
     name: str,
     waveform: TimeSeries,
+    train: PeakTrain,
     config: PipelineConfig,
     selection: BinSelection | None = None,
     raw_for_bp: TimeSeries | None = None,
 ) -> ModalitySummary:
-    train = detect_peaks(
-        waveform, config.beats_min_separation_s, config.beats_prominence_rel
-    )
     if train.diastolic_indices.size < MIN_BEATS:
         return ModalitySummary(
             name, "insufficient beats", waveform=waveform, train=train, selection=selection
@@ -383,10 +368,11 @@ def run_compare(bundle: RecordingBundle, config: PipelineConfig | None = None) -
     modalities: dict[str, ModalitySummary] = {}
     for name in present:
         raw = getattr(bundle, name)
-        waveform, selection = condition_modality(name, raw, config)
+        waveform, train, selection = condition_modality(name, raw, config)
         modalities[name] = _summarize_modality(
             name,
             waveform,
+            train,
             config,
             selection=selection,
             raw_for_bp=raw if name == "reference" else None,

@@ -27,15 +27,18 @@ from pulsecmp.metrics import (
     paired_t_test,
 )
 from pulsecmp.radar import SPEED_OF_LIGHT, process_radar
-from pulsecmp.report import run_compare, simulate_bundle
+from pulsecmp.report import condition_modality, run_compare, simulate_bundle
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass
-from pulsecmp.synth import CubeGeometry, synth_radar_cube
+from pulsecmp.synth import CARRIER_HZ, CubeGeometry, synth_radar_cube
 
 # Fixed verification suite. Seed 8 is excluded: its final beat's
 # systolic instant falls 13 ms before the record end, where a filtered
 # local maximum cannot exist, so exact beat-count equality is
 # unattainable for that draw.
 RECOVERY_SEEDS = (1, 2, 3, 4, 5, 6, 7, 9, 10, 11)
+
+# Largest truth-to-detection lag searched when judging IBI fidelity.
+IBI_MAX_LAG_S = 5.0
 
 
 @dataclass
@@ -105,21 +108,16 @@ def waveform_beat_cosines(
     return np.asarray(cosines)
 
 
-def ibi_errors_vs_truth(
-    detected,
-    truth_times_s: np.ndarray,
-    max_lag_s: float = 5.0,
-    trim_edges: bool = True,
-) -> np.ndarray:
+def ibi_errors_vs_truth(detected, truth_times_s: np.ndarray) -> np.ndarray:
     """Interval-by-interval error (ms) of detected feet against truth feet.
 
-    ``trim_edges`` drops the first and last matched interval: records cut
+    The first and last matched intervals are dropped: records cut
     mid-beat and the causal PPG kernel warms up from zero state, so the
     edge beats measure boundary artifacts rather than steady-state
     interval fidelity.
     """
     truth_train = event_train(truth_times_s, detected.sample_rate_hz)
-    lag, pairs = align_beat_events(truth_train, detected, max_lag_s)
+    lag, pairs = align_beat_events(truth_train, detected, IBI_MAX_LAG_S)
     dt = detected.diastolic_times()
     errors = []
     for (i1, i2), (j1, j2) in paired_consecutive(pairs):
@@ -127,7 +125,7 @@ def ibi_errors_vs_truth(
         det_ibi = (dt[j2] - dt[j1]) * 1000.0
         errors.append(det_ibi - truth_ibi)
     out = np.asarray(errors)
-    if trim_edges and out.size > 2:
+    if out.size > 2:
         out = out[1:-1]
     return out
 
@@ -188,7 +186,7 @@ def check_filter_contract() -> CheckResult:
 def check_phase_scale() -> CheckResult:
     t0 = time.time()
     fs = 200.0
-    wavelength = SPEED_OF_LIGHT / 60e9
+    wavelength = SPEED_OF_LIGHT / CARRIER_HZ
     geometry = CubeGeometry(antennas=1, chirps=4, samples=64, target_antenna=0)
     t = np.arange(int(30 * fs)) / fs
     gain = analytic_zero_phase_gain(1.0, fs, BandpassSpec())
@@ -221,15 +219,14 @@ def check_radar_recovery(seeds=RECOVERY_SEEDS, duration_s: float = 60.0) -> Chec
     for seed in seeds:
         config = PipelineConfig(synth_seed=seed, synth_duration_s=duration_s)
         bundle = simulate_bundle(config)
-        result = process_radar(bundle.radar)
+        # the chain the compare and process verbs run, orientation included
+        waveform, _, selection = condition_modality("radar", bundle.radar, config)
         want = (bundle.truth.target_antenna, bundle.truth.target_range_bin)
-        got = (result.selection.antenna_index, result.selection.range_bin)
+        got = (selection.antenna_index, selection.range_bin)
         if got != want:
             problems.append(f"seed {seed}: selected {got}, truth {want}")
             continue
-        cos = waveform_beat_cosines(
-            result.waveform, bundle.truth.displacement, bundle.truth.beat_times_s
-        )
+        cos = waveform_beat_cosines(waveform, bundle.truth.displacement, bundle.truth.beat_times_s)
         cos_means.append(cos.mean())
     mean_cos = float(np.mean(cos_means)) if cos_means else 0.0
     if mean_cos < 0.99:

@@ -31,6 +31,14 @@ from pulsecmp.signal_core import TimeSeries
 # standard deviation (+/- 3 sigma covers 99.7 % of samples).
 NOISE_P2P_SIGMA = 6.0
 
+# Radar carrier, the target's static range offset and the uniform
+# amplitude range of the clutter tones; PPG DC offset and drift rate.
+CARRIER_HZ = 60.0e9
+RANGE_OFFSET_M = 0.003
+CLUTTER_AMP_RANGE = (0.2, 1.0)
+PPG_OFFSET_COUNTS = 10000.0
+PPG_DRIFT_HZ = 0.05
+
 
 @dataclass(frozen=True)
 class PulseModel:
@@ -104,9 +112,6 @@ class CubeGeometry:
     samples: int = 64
     target_antenna: int = 1
     target_range_bin: int = 7
-    range_offset_m: float = 0.003
-    clutter_amp_low: float = 0.2
-    clutter_amp_high: float = 1.0
 
     def __post_init__(self):
         if not (1 <= self.antennas <= 8):
@@ -175,7 +180,6 @@ def synth_radar_cube(
     geometry: CubeGeometry = CubeGeometry(),
     snr_db: float | None = None,
     seed: int = 0,
-    carrier_hz: float = 60.0e9,
 ) -> RadarCube:
     """Synthesize a raw IF cube for a target moving by ``displacement``.
 
@@ -196,7 +200,7 @@ def synth_radar_cube(
         "phase ambiguity" when the displacement peak reaches a quarter
         wavelength.
     """
-    wavelength = SPEED_OF_LIGHT / carrier_hz
+    wavelength = SPEED_OF_LIGHT / CARRIER_HZ
     d = displacement.samples
     if np.abs(d).max() >= wavelength / 4.0:
         raise ValueError("phase ambiguity")
@@ -204,10 +208,10 @@ def synth_radar_cube(
     n_frames = len(d)
     n_ant, n_chirp, n_samp = geometry.antennas, geometry.chirps, geometry.samples
     n_bins = n_samp // 2 + 1
-    phi = 4.0 * np.pi * (geometry.range_offset_m + d) / wavelength
+    phi = 4.0 * np.pi * (RANGE_OFFSET_M + d) / wavelength
     n = np.arange(n_samp)
 
-    amps = rng.uniform(geometry.clutter_amp_low, geometry.clutter_amp_high, size=(n_ant, n_bins))
+    amps = rng.uniform(*CLUTTER_AMP_RANGE, size=(n_ant, n_bins))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_ant, n_bins))
     amps[:, 0] = 0.0  # DC carries no range information
     phases[:, -1] = 0.0  # a Nyquist tone with random phase can vanish
@@ -247,7 +251,7 @@ def synth_radar_cube(
     return RadarCube(
         data=cube,
         frame_rate_hz=displacement.sample_rate_hz,
-        carrier_hz=carrier_hz,
+        carrier_hz=CARRIER_HZ,
         metadata=metadata,
     )
 
@@ -257,8 +261,6 @@ def synth_ppg(
     decay_tau_s: float = 0.25,
     noise_sd: float = 0.0,
     seed: int = 0,
-    offset_counts: float = 10000.0,
-    drift_hz: float = 0.05,
     drift_amp_counts: float = 100.0,
 ) -> PpgRecording:
     """Reflective-PPG model: slow decay, offset, drift, and noise.
@@ -277,7 +279,7 @@ def synth_ppg(
     kernel /= kernel.sum()
     smeared = np.convolve(waveform.samples, kernel)[: len(waveform)]
     t = waveform.times()
-    out = smeared + offset_counts + drift_amp_counts * np.sin(2.0 * np.pi * drift_hz * t)
+    out = smeared + PPG_OFFSET_COUNTS + drift_amp_counts * np.sin(2.0 * np.pi * PPG_DRIFT_HZ * t)
     if noise_sd > 0:
         out = out + noise_sd * np.random.default_rng(seed).standard_normal(out.size)
     channel = TimeSeries(out, fs, waveform.start_time_s)

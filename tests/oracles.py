@@ -12,7 +12,13 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from pulsecmp.beats import IBI_MAX_MS, IBI_MIN_MS, segment_beats_indexed
+from pulsecmp.beats import (
+    IBI_MAX_MS,
+    IBI_MIN_MS,
+    detect_peaks,
+    polarity_inverted,
+    segment_beats_indexed,
+)
 from pulsecmp.formats import FormatError
 from pulsecmp.radar import _filter_cells
 from pulsecmp.signal_core import TimeSeries
@@ -172,7 +178,8 @@ def waveform_by_mask(model, duration_s, fs_hz, seed):
 
 # Test-only views of production code. Each calls what the pipeline
 # itself runs (`_filter_cells`, `segment_beats_indexed`,
-# `generate_waveform`), so tests written against it exercise that code.
+# `polarity_inverted`, `generate_waveform`), so tests written against it
+# exercise that code.
 
 
 def phase_per_bin(slow_time, frame_rate_hz, spec=None):
@@ -191,6 +198,22 @@ def phase_per_bin(slow_time, frame_rate_hz, spec=None):
     phase = np.ascontiguousarray(np.angle(slow_time).transpose(1, 2, 0))
     _filter_cells(phase, frame_rate_hz, spec)
     return phase
+
+
+def correct_polarity(waveform, min_separation_s=0.33, prominence_rel=0.3):
+    """Orient a pulse waveform so the systolic upstroke is positive-going.
+
+    The production polarity rule (``beats.polarity_inverted``) on the
+    waveform's detected beats, returning ``(waveform, inverted)``; where
+    ``beats.orient_and_detect`` keeps an undecidable waveform, this
+    raises ValueError "insufficient beats for polarity check".
+    """
+    inverted = polarity_inverted(detect_peaks(waveform, min_separation_s, prominence_rel))
+    if inverted is None:
+        raise ValueError("insufficient beats for polarity check")
+    if inverted:
+        return waveform.with_samples(-waveform.samples), True
+    return waveform, False
 
 
 def segment_beats(x, train, norm_len=200):

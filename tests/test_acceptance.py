@@ -24,7 +24,7 @@ from pulsecmp.metrics import (
     paired_t_test,
 )
 from pulsecmp.radar import RadarCube, process_radar
-from pulsecmp.report import run_compare, simulate_bundle
+from pulsecmp.report import condition_modality, run_compare, simulate_bundle
 from pulsecmp.selftest import (
     RECOVERY_SEEDS,
     ibi_errors_vs_truth,
@@ -72,16 +72,18 @@ def test_criterion_1_end_to_end_radar_recovery(tmp_path):
             truth_obj, _ = read_ground_truth(str(bundle_dir / "truth.json"))
             meta = json.loads((out_dir / "meta.json").read_text())
             selected = (meta["selection"]["antenna_index"], meta["selection"]["range_bin"])
-            result = process_radar(read_radar_cube(str(bundle_dir / "radar.radc")))
+            waveform, _, _ = condition_modality(
+                "radar", read_radar_cube(str(bundle_dir / "radar.radc")), config
+            )
         else:
             bundle = simulate_bundle(config)
             truth_obj = bundle.truth
-            result = process_radar(bundle.radar)
-            selected = (result.selection.antenna_index, result.selection.range_bin)
+            waveform, _, selection = condition_modality("radar", bundle.radar, config)
+            selected = (selection.antenna_index, selection.range_bin)
         truth = (truth_obj.target_antenna, truth_obj.target_range_bin)
         assert selected == truth, f"seed {seed}: selected {selected}, truth {truth}"
         cosines = waveform_beat_cosines(
-            result.waveform, truth_obj.displacement, truth_obj.beat_times_s
+            waveform, truth_obj.displacement, truth_obj.beat_times_s
         )
         cos_means.append(float(cosines.mean()))
     elapsed = time.perf_counter() - start

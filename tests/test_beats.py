@@ -11,6 +11,7 @@ from pulsecmp.beats import (
     detect_peaks,
     event_train,
     extract_ibi,
+    orient_and_detect,
     paired_consecutive,
     segment_beats_indexed,
 )
@@ -110,6 +111,37 @@ class TestDetectPeaks:
         scaled = detect_peaks(waveform.with_samples(a * waveform.samples + b))
         assert np.array_equal(base.systolic_indices, scaled.systolic_indices)
         assert np.array_equal(base.diastolic_indices, scaled.diastolic_indices)
+
+
+class TestOrientAndDetect:
+    def test_upright_kept_with_its_train(self):
+        waveform, _ = pulse_train_series()
+        out, train, inverted = orient_and_detect(waveform)
+        assert not inverted
+        assert out is waveform
+        expected = detect_peaks(waveform)
+        assert np.array_equal(train.systolic_indices, expected.systolic_indices)
+        assert np.array_equal(train.diastolic_indices, expected.diastolic_indices)
+
+    def test_inverted_negated_and_detected_again(self):
+        waveform, _ = pulse_train_series()
+        out, train, inverted = orient_and_detect(waveform.with_samples(-waveform.samples))
+        assert inverted
+        assert np.array_equal(out.samples, waveform.samples)
+        expected = detect_peaks(waveform)
+        assert np.array_equal(train.systolic_indices, expected.systolic_indices)
+        assert np.array_equal(train.diastolic_indices, expected.diastolic_indices)
+
+    def test_undecidable_kept(self):
+        flat = TimeSeries(np.zeros(int(10 * FS)), FS)
+        out, train, inverted = orient_and_detect(flat)
+        assert not inverted
+        assert out is flat
+        assert train.systolic_indices.size == 0
+
+    def test_too_short_propagates(self):
+        with pytest.raises(ValueError, match="recording too short"):
+            orient_and_detect(TimeSeries(np.zeros(100), FS))
 
 
 class TestExtractIbi:

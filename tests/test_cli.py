@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -70,6 +71,11 @@ class TestProcess:
         assert main(["process", "ppg", str(bundle_dir / "ppg.csv"), "-o", str(out)]) == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["n_systolic"] > 5
+
+    def test_ppg_detects_peaks_once(self, bundle_dir, tmp_path, detect_peaks_calls):
+        out = tmp_path / "ppg_once"
+        assert main(["process", "ppg", str(bundle_dir / "ppg.csv"), "-o", str(out)]) == 0
+        assert len(detect_peaks_calls) == 1
 
     def test_reference(self, bundle_dir, tmp_path):
         out = tmp_path / "ref_out"
@@ -199,6 +205,37 @@ class TestCompare:
             ).read_bytes()
         meta = json.loads((tmp_path / "radar" / "meta.json").read_text())
         assert meta["selection"] == report["modalities"]["radar"]["selection"]
+
+    def test_max_bins_one_is_input_error(self, bundle_dir, tmp_path, capsys):
+        # bin 0 is the only bin under max_bins=1, and it carries no phase
+        out = tmp_path / "mb1"
+        code = main(["compare", "--bundle", str(bundle_dir), "-o", str(out),
+                     "--set", "radar.max_bins=1"])
+        assert code == 1
+        assert "no informative range bin" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_bad_subject_fails_alone(self, bundle_dir, tmp_path, capsys):
+        root = tmp_path / "subjects"
+        shutil.copytree(bundle_dir, root / "b_good")
+        shutil.copytree(bundle_dir, root / "a_bad")
+        (root / "a_bad" / "ppg.csv").write_bytes(b"\x00\x01 not a csv\n")
+        solo = tmp_path / "solo"
+        assert main(["compare", "--bundle", str(root / "b_good"), "-o", str(solo)]) == 0
+        capsys.readouterr()
+        errs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"reports{jobs}"
+            code = main(["compare", "--bundle-root", str(root), "--jobs", jobs, "-o", str(out)])
+            assert code == 1
+            assert (out / "b_good" / "report.json").read_bytes() == (
+                solo / "report.json"
+            ).read_bytes()
+            assert not (out / "a_bad" / "report.json").exists()
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error: a_bad: ")
+        assert errs[0].count("\n") == 1
 
     def test_jobs_fanout(self, tmp_path):
         root = tmp_path / "subjects"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pulsecmp.beats import correct_polarity, detect_peaks, extract_ibi
+from pulsecmp.beats import detect_peaks, extract_ibi
 from pulsecmp import radar
 from pulsecmp.radar import RadarCube, process_radar, select_best_bin
 from pulsecmp.signal_core import TimeSeries
@@ -13,6 +13,7 @@ from pulsecmp.synth import CubeGeometry, PulseModel, generate_waveform, synth_ra
 
 from oracles import (
     chirp_mean_removal,
+    correct_polarity,
     extract_slow_time,
     phase_per_bin,
     tone_amplitude,
@@ -161,6 +162,19 @@ class TestSelectBestBin:
         phases[0, 2] = np.sin(np.linspace(0, 20 * np.pi, 1000))
         sel = select_best_bin(phases, max_bins=4)
         assert sel.range_bin == 2
+
+    def test_no_informative_bin_rejected(self):
+        # max_bins=1 leaves only the DC bin, which argmax used to return
+        phases = np.zeros((2, 8, 1000))
+        phases[:, 0] = np.sin(np.linspace(0, 20 * np.pi, 1000))
+        with pytest.raises(ValueError, match="no informative range bin"):
+            select_best_bin(phases, max_bins=1)
+
+    def test_one_fast_time_sample_cube_rejected(self):
+        # one sample per chirp gives one range bin: the DC bin
+        cube = RadarCube(np.random.default_rng(0).standard_normal((int(12 * FS), 1, 2, 1)))
+        with pytest.raises(ValueError, match="no informative range bin"):
+            process_radar(cube)
 
     def test_synthetic_selection_at_snr20(self):
         model = PulseModel()

@@ -1,3 +1,7 @@
+import ast
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,12 +11,13 @@ from pulsecmp.formats import canonical_json
 from pulsecmp.ppg import PpgRecording
 from pulsecmp.report import (
     RecordingBundle,
-    process_reference,
+    condition_modality,
+    geometry_from_config,
     run_compare,
     simulate_bundle,
 )
 from pulsecmp.signal_core import TimeSeries
-from pulsecmp.synth import PulseModel, generate_waveform, synth_reference
+from pulsecmp.synth import PulseModel, generate_waveform, synth_radar_cube, synth_reference
 
 FS = 200.0
 
@@ -125,9 +130,64 @@ class TestProcessReference:
     def test_orients_and_filters(self):
         waveform, truth = generate_waveform(PulseModel(), 20.0, FS, 6)
         ref = synth_reference(waveform, 120, 80, truth.beat_times_s)
-        out = process_reference(ref)
+        out, _, _ = condition_modality("reference", ref, PipelineConfig())
         # baseline (the 100 mmHg offset) removed, pulsation preserved
         assert np.abs(out.samples).max() < np.ptp(ref.samples)
         assert np.ptp(out.samples) > 0.5 * np.ptp(ref.samples)
-        flipped = process_reference(ref.with_samples(-ref.samples))
+        flipped, _, _ = condition_modality(
+            "reference", ref.with_samples(-ref.samples), PipelineConfig()
+        )
         assert_allclose(out.samples, flipped.samples, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def default_bundle():
+    """The default seed-1 bundle: 60 s, all three modalities."""
+    config = PipelineConfig()
+    return config, simulate_bundle(config)
+
+
+class TestSharedLastStep:
+    def test_detect_peaks_once_per_modality(self, default_bundle, detect_peaks_calls):
+        config, bundle = default_bundle
+        report = run_compare(bundle, config)
+        assert len(detect_peaks_calls) == 3
+        assert not report.modalities["radar"].selection.inverted
+
+    def test_negated_ppg_gives_identical_report(self, default_bundle):
+        config, bundle = default_bundle
+        negated = PpgRecording(
+            channels={
+                name: ts.with_samples(-ts.samples) for name, ts in bundle.ppg.channels.items()
+            }
+        )
+        flipped = RecordingBundle(
+            radar=bundle.radar, ppg=negated, reference=bundle.reference,
+            subject_id=bundle.subject_id,
+        )
+        assert canonical_json(run_compare(flipped, config).to_dict()) == canonical_json(
+            run_compare(bundle, config).to_dict()
+        )
+
+    def test_negated_displacement_reports_inverted_radar(self, default_bundle, detect_peaks_calls):
+        config, bundle = default_bundle
+        displacement = bundle.truth.displacement
+        cube = synth_radar_cube(
+            displacement.with_samples(-displacement.samples),
+            geometry_from_config(config),
+            snr_db=config.snr_db_or_none,
+            seed=config.synth_seed,
+        )
+        _, _, selection = condition_modality("radar", cube, config)
+        assert selection.inverted
+        # an inverted waveform costs the second detection
+        assert len(detect_peaks_calls) == 2
+
+    @pytest.mark.parametrize("module", ["radar", "ppg"])
+    def test_modality_chains_import_neither_beats_nor_report(self, module):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"pulsecmp.{module}")))
+        imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        imported |= {
+            alias.name for n in ast.walk(tree) if isinstance(n, ast.Import) for alias in n.names
+        }
+        assert not imported & {"pulsecmp.beats", "pulsecmp.report"}
