@@ -3,7 +3,8 @@
 "Diastolic peak" throughout means the waveform foot: the minimum between
 consecutive systolic maxima, which marks the start of the upstroke. Feet
 are the timing anchors for inter-beat intervals and for cross-modality
-event matching.
+event matching. A modality's beats are one table (leading-foot indices
+and a ``[beat][norm_len]`` array of normalized shapes), indexed by pairs.
 """
 
 from __future__ import annotations
@@ -83,31 +84,11 @@ class IbiSeries:
         self.anchor_times_s = np.asarray(self.anchor_times_s, dtype=np.float64)
         if self.intervals_ms.size != self.anchor_times_s.size:
             raise ValueError("intervals and anchors must have equal length")
-        if self.intervals_ms.size and not (
-            np.all(self.intervals_ms > IBI_MIN_MS) and np.all(self.intervals_ms < IBI_MAX_MS)
-        ):
+        if not np.all(in_ibi_gate(self.intervals_ms)):
             raise ValueError("intervals outside the plausibility gate")
 
     def __len__(self) -> int:
         return self.intervals_ms.size
-
-
-@dataclass
-class BeatSegment:
-    """One cardiac cycle between consecutive diastolic feet.
-
-    ``raw`` is the unmodified waveform slice; ``normalized`` is the same
-    beat resampled to a fixed length with amplitude min-max scaled to
-    [0, 1] and the time axis mapped to [0, 1].
-    """
-
-    raw: TimeSeries
-    normalized: np.ndarray
-
-    def __post_init__(self):
-        self.normalized = np.asarray(self.normalized, dtype=np.float64)
-        if abs(self.normalized.min()) > 1e-9 or abs(self.normalized.max() - 1.0) > 1e-9:
-            raise ValueError("normalized beat must span [0, 1]")
 
 
 @dataclass
@@ -211,7 +192,7 @@ def orient_and_detect(
     waveform: TimeSeries,
     min_separation_s: float = 0.33,
     prominence_rel: float = 0.3,
-) -> tuple[TimeSeries, PeakTrain, bool]:
+) -> tuple[TimeSeries, PeakTrain, bool | None]:
     """Orient a band-passed pulse waveform upstroke-up and detect its beats.
 
     This is the last step of every modality's chain. Beats are detected
@@ -219,7 +200,8 @@ def orient_and_detect(
     down it is negated and detected again, and when the rule cannot
     decide the waveform is kept as it is, so degenerate recordings
     still flow downstream. Returns the oriented waveform, its beat
-    train and whether it was negated.
+    train and the polarity decision: whether it was negated, or
+    ``None`` when the rule could not decide.
 
     Raises
     ------
@@ -227,10 +209,21 @@ def orient_and_detect(
         "recording too short" from :func:`detect_peaks`.
     """
     train = detect_peaks(waveform, min_separation_s, prominence_rel)
-    if not polarity_inverted(train):
-        return waveform, train, False
+    inverted = polarity_inverted(train)
+    if not inverted:
+        return waveform, train, inverted
     flipped = waveform.with_samples(-waveform.samples)
     return flipped, detect_peaks(flipped, min_separation_s, prominence_rel), True
+
+
+def in_ibi_gate(intervals_ms: np.ndarray) -> np.ndarray:
+    """Mask of the intervals inside the (250, 3000) ms plausibility gate."""
+    return (intervals_ms > IBI_MIN_MS) & (intervals_ms < IBI_MAX_MS)
+
+
+def foot_intervals_ms(train: PeakTrain) -> np.ndarray:
+    """Interval from each diastolic foot to the next, in milliseconds, ungated."""
+    return np.diff(train.diastolic_indices) / train.sample_rate_hz * 1000.0
 
 
 def extract_ibi(train: PeakTrain) -> IbiSeries:
@@ -240,51 +233,41 @@ def extract_ibi(train: PeakTrain) -> IbiSeries:
     together with their anchors. Fewer than two feet yield an empty
     series.
     """
-    d = train.diastolic_indices
-    if d.size < 2:
-        return IbiSeries(np.array([]), np.array([]))
-    intervals = np.diff(d) / train.sample_rate_hz * 1000.0
-    anchors = train.start_time_s + d[:-1] / train.sample_rate_hz
-    keep = (intervals > IBI_MIN_MS) & (intervals < IBI_MAX_MS)
+    intervals = foot_intervals_ms(train)
+    anchors = train.start_time_s + train.diastolic_indices[:-1] / train.sample_rate_hz
+    keep = in_ibi_gate(intervals)
     return IbiSeries(intervals[keep], anchors[keep])
 
 
 def segment_beats_indexed(
     x: TimeSeries, train: PeakTrain, norm_len: int = 200
-) -> list[tuple[int, BeatSegment]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Cut the waveform into beats between consecutive diastolic feet.
 
     Each beat is resampled to ``norm_len`` points and min-max scaled to
-    [0, 1]. Degenerate flat segments (peak-to-peak below 1e-12) are
-    discarded. Each segment is paired with the index of its leading
-    diastolic foot in ``train``, so segments can be matched across
-    modalities after event alignment.
+    span exactly [0, 1]; flat beats (peak-to-peak below 1e-12) are
+    discarded. Returns the kept beats as one table: the increasing
+    index in ``train`` of each beat's leading diastolic foot, for
+    matching beats across modalities after event alignment, and the
+    ``[beat][norm_len]`` array of their normalized shapes.
     """
     d = train.diastolic_indices
-    if d.size < 2:
-        raise ValueError("need at least two diastolic peaks")
-    segments = []
+    feet, shapes = [], []
     for k, (a, b) in enumerate(zip(d[:-1], d[1:])):
-        raw = TimeSeries(
-            x.samples[a : b + 1],
-            x.sample_rate_hz,
-            x.start_time_s + a / x.sample_rate_hz,
-        )
-        resampled = resample_linear(raw, norm_len)
+        resampled = resample_linear(TimeSeries(x.samples[a : b + 1], x.sample_rate_hz), norm_len)
         span = resampled.max() - resampled.min()
         if span < 1e-12:
             continue
-        normalized = (resampled - resampled.min()) / span
-        segments.append((k, BeatSegment(raw, normalized)))
-    return segments
+        feet.append(k)
+        shapes.append((resampled - resampled.min()) / span)
+    return np.array(feet, dtype=np.int64), np.array(shapes).reshape(len(feet), norm_len)
 
 
-def average_beats(segments: list[BeatSegment]) -> AverageBeat:
-    """Pointwise mean and population standard deviation across beats."""
-    if not segments:
+def average_beats(shapes: np.ndarray) -> AverageBeat:
+    """Pointwise mean and population standard deviation of ``[beat][sample]`` shapes."""
+    if len(shapes) == 0:
         raise ValueError("no beats to average")
-    stack = np.stack([s.normalized for s in segments])
-    return AverageBeat(stack.mean(axis=0), stack.std(axis=0), len(segments))
+    return AverageBeat(shapes.mean(axis=0), shapes.std(axis=0), len(shapes))
 
 
 def align_beat_events(
@@ -346,17 +329,14 @@ def align_beat_events(
     return lag_s, pairs
 
 
-def paired_consecutive(
-    pairs: list[tuple[int, int]]
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Pairs of matches that are consecutive in both trains.
+def paired_consecutive(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Leading indices of the matches whose next events also matched.
 
-    Each returned item is ((i, i+1), (j, j+1)): a beat bounded by two
+    Returns the arrays ``i`` and ``j`` of every match ``(i, j)`` for
+    which ``(i + 1, j + 1)`` is the next match: a beat bounded by two
     matched feet in each train, usable for interval-by-interval or
     beat-by-beat comparison.
     """
-    out = []
-    for (i1, j1), (i2, j2) in zip(pairs[:-1], pairs[1:]):
-        if i2 == i1 + 1 and j2 == j1 + 1:
-            out.append(((i1, i2), (j1, j2)))
-    return out
+    matched = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    lead = matched[:-1][np.all(np.diff(matched, axis=0) == 1, axis=1)]
+    return lead[:, 0], lead[:, 1]

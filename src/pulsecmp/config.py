@@ -1,14 +1,15 @@
 """Pipeline configuration: defaults, flat key=value files, overrides.
 
 Config files are plain text, one ``key = value`` per line with ``#``
-comments. Keys use dotted sections: field ``filter_low_hz`` is key
-``filter.low_hz``, its first underscore turned into a dot. The environment
-variable ``PULSECMP_CONFIG`` names a default config file picked up when
-no explicit path is given.
+comments; a float value must be finite. Keys use dotted sections: field
+``filter_low_hz`` is key ``filter.low_hz``, its first underscore turned
+into a dot. The environment variable ``PULSECMP_CONFIG`` names a default
+config file picked up when no explicit path is given.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -56,6 +57,8 @@ class PipelineConfig:
             value = int(raw)
         elif isinstance(current, float):
             value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"config key {key!r} must be finite, got {raw.strip()!r}")
         else:
             value = raw.strip()
         setattr(self, attr, value)

@@ -3,7 +3,8 @@
 Bland-Altman bias and limits of agreement quantify interval-level
 agreement; extrema counts, area under the curve, and cosine similarity
 quantify waveform-shape agreement; a paired two-sided t-test supplies
-significance for mean differences.
+significance for mean differences. A modality's beats are one
+:class:`BeatTable`, each beat measured once; pairs read its rows.
 """
 
 from __future__ import annotations
@@ -13,12 +14,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pulsecmp.beats import BeatSegment
-
 # count_inflections: moving-average width (samples) and the slope floor,
 # as a fraction of the beat's range, below which a difference is flat.
 INFLECTION_SMOOTH_WIN = 5
 INFLECTION_EPS = 1e-3
+
+
+@dataclass
+class BeatTable:
+    """One modality's kept beats, one row each, every beat measured once.
+
+    ``feet`` holds the index of each beat's leading diastolic foot in
+    its beat train, ``shapes`` the ``[beat][norm_len]`` normalized
+    beats, and ``extrema`` and ``auc`` each row's
+    :func:`count_inflections` and :func:`auc_normalized`.
+    """
+
+    feet: np.ndarray
+    shapes: np.ndarray
+    extrema: np.ndarray
+    auc: np.ndarray
+
+    def __len__(self) -> int:
+        return self.feet.size
+
+    def rows(self, index: np.ndarray) -> BeatTable:
+        """The table of the rows at ``index``, in that order."""
+        return BeatTable(self.feet[index], self.shapes[index], self.extrema[index], self.auc[index])
 
 
 @dataclass
@@ -261,49 +283,46 @@ def _paired_p(diffs: np.ndarray) -> float:
     return paired_t_test(diffs)[1]
 
 
-def compare_modalities(
-    ref_beats: list[BeatSegment], test_beats: list[BeatSegment]
-) -> PairwiseComparison:
-    """Shape comparison over paired, normalized beats.
+def measure_beats(feet: np.ndarray, shapes: np.ndarray) -> BeatTable:
+    """The beat table of ``shapes``: each row's extrema count and AUC, once."""
+    extrema = np.array([count_inflections(row) for row in shapes], dtype=float)
+    auc = np.array([auc_normalized(row) for row in shapes])
+    return BeatTable(feet, shapes, extrema, auc)
+
+
+def compare_modalities(ref: BeatTable, test: BeatTable) -> PairwiseComparison:
+    """Shape comparison over paired beats, row ``k`` of each table a pair.
 
     Per pair: extrema counts, AUC, and cosine similarity on the
     normalized beats. Mean differences follow the conventions noted on
     :class:`PairwiseComparison`; p-values come from the paired t-test
     (see ``_paired_p`` for the degenerate-spread conventions).
     """
-    if len(ref_beats) != len(test_beats):
-        raise ValueError("beat lists must be paired")
-    if len(ref_beats) < 2:
+    if len(ref) != len(test):
+        raise ValueError("beat tables must be paired")
+    if len(ref) < 2:
         raise ValueError("need at least two beat pairs")
-    infl_ref = np.array([count_inflections(b.normalized) for b in ref_beats], dtype=float)
-    infl_test = np.array([count_inflections(b.normalized) for b in test_beats], dtype=float)
-    auc_ref = np.array([auc_normalized(b.normalized) for b in ref_beats])
-    auc_test = np.array([auc_normalized(b.normalized) for b in test_beats])
-    cos = np.array(
-        [cosine_similarity(r.normalized, t.normalized) for r, t in zip(ref_beats, test_beats)]
-    )
-    p_infl = _paired_p(infl_ref - infl_test)
-    p_auc = _paired_p(auc_test - auc_ref)
+    diff_infl = ref.extrema - test.extrema
+    diff_auc = test.auc - ref.auc
+    cos = np.array([cosine_similarity(r, t) for r, t in zip(ref.shapes, test.shapes)])
     return PairwiseComparison(
-        mean_diff_inflections=float(np.mean(infl_ref - infl_test)),
-        p_inflections=p_infl,
-        mean_diff_auc=float(np.mean(auc_test - auc_ref)),
-        p_auc=p_auc,
+        mean_diff_inflections=float(np.mean(diff_infl)),
+        p_inflections=_paired_p(diff_infl),
+        mean_diff_auc=float(np.mean(diff_auc)),
+        p_auc=_paired_p(diff_auc),
         cosine_mean=float(cos.mean()),
-        cosine_sd=float(cos.std(ddof=1)) if cos.size > 1 else 0.0,
+        cosine_sd=float(cos.std(ddof=1)),
     )
 
 
-def morphology_metrics(beats: list[BeatSegment]) -> MorphologyMetrics:
+def morphology_metrics(beats: BeatTable) -> MorphologyMetrics:
     """Mean and sample SD of extrema count and AUC over a modality's beats."""
-    if not beats:
+    if len(beats) == 0:
         raise ValueError("no beats")
-    infl = np.array([count_inflections(b.normalized) for b in beats], dtype=float)
-    auc = np.array([auc_normalized(b.normalized) for b in beats])
-    ddof = 1 if infl.size > 1 else 0
+    ddof = 1 if len(beats) > 1 else 0
     return MorphologyMetrics(
-        inflection_count_mean=float(infl.mean()),
-        inflection_count_sd=float(infl.std(ddof=ddof)),
-        auc_mean=float(auc.mean()),
-        auc_sd=float(auc.std(ddof=ddof)),
+        inflection_count_mean=float(beats.extrema.mean()),
+        inflection_count_sd=float(beats.extrema.std(ddof=ddof)),
+        auc_mean=float(beats.auc.mean()),
+        auc_sd=float(beats.auc.std(ddof=ddof)),
     )

@@ -88,12 +88,17 @@ class RadarCube:
 
 @dataclass
 class BinSelection:
-    """The (antenna, range bin) combination chosen for analysis."""
+    """The (antenna, range bin) combination chosen for analysis.
+
+    ``inverted`` is the polarity decision of the shared orientation
+    step: whether the waveform was negated, or ``None`` when the
+    polarity rule could not decide and the waveform was kept.
+    """
 
     antenna_index: int
     range_bin: int
     peak_to_peak: float
-    inverted: bool = False
+    inverted: bool | None = False
 
     def __post_init__(self):
         if self.antenna_index < 0 or self.range_bin < 0:
@@ -208,10 +213,13 @@ def process_radar(
     ValueError
         "recording too short" under 10 s, "radar: non-finite sample in
         frame N" naming the first frame holding a NaN or infinity, or
-        "radar: no informative range bin to search".
+        "radar: no informative range bin to search" (before any
+        reduction when chirps have fewer than 3 samples).
     """
     if cube.duration_s < 10.0:
         raise ValueError("recording too short")
+    if cube.n_samples < 3:
+        raise ValueError("radar: no informative range bin to search")
     phases = _slow_time_fused(cube)
     _filter_cells(phases, cube.frame_rate_hz, spec)
     selection = select_best_bin(phases, max_bins=max_bins)

@@ -7,30 +7,32 @@ radar when no reference is present), and assembles interval and
 morphology agreement statistics. Each modality's chain ends at the
 shared band-pass; orienting the waveform and detecting its beats is one
 shared last step (``beats.orient_and_detect``) whose train is reused.
+Each modality's beats are segmented and measured once into one
+``metrics.BeatTable``, and a pair's beats are rows picked by index.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from pulsecmp.beats import (
     AverageBeat,
-    BeatSegment,
     IbiSeries,
     PeakTrain,
     align_beat_events,
     average_beats,
     extract_ibi,
+    foot_intervals_ms,
+    in_ibi_gate,
     orient_and_detect,
     paired_consecutive,
     segment_beats_indexed,
-    IBI_MAX_MS,
-    IBI_MIN_MS,
 )
 from pulsecmp.config import PipelineConfig
 from pulsecmp.metrics import (
+    BeatTable,
     BlandAltman,
     BpSummary,
     MorphologyMetrics,
@@ -38,6 +40,7 @@ from pulsecmp.metrics import (
     bland_altman,
     compare_modalities,
     map_from_bp,
+    measure_beats,
     morphology_metrics,
 )
 from pulsecmp.ppg import PpgRecording, process_ppg
@@ -88,7 +91,7 @@ class ModalitySummary:
     waveform: TimeSeries | None = None
     train: PeakTrain | None = None
     ibi: IbiSeries | None = None
-    segments: list[tuple[int, BeatSegment]] = field(default_factory=list)
+    beats: BeatTable | None = None
     morphology: MorphologyMetrics | None = None
     average_beat: AverageBeat | None = None
     selection: BinSelection | None = None
@@ -96,7 +99,7 @@ class ModalitySummary:
 
     @property
     def n_beats(self) -> int:
-        return len(self.segments)
+        return len(self.beats) if self.beats is not None else 0
 
 
 @dataclass
@@ -238,7 +241,8 @@ def condition_modality(
     for radar, a ``PpgRecording`` for PPG. The band-passed waveform is
     then oriented and its beats detected by the shared last step.
     Returns the oriented waveform, its beat train and, for radar only,
-    the chosen (antenna, range bin) with its ``inverted`` flag.
+    the chosen (antenna, range bin) with its ``inverted`` polarity
+    decision (``None`` when the polarity rule could not decide).
     """
     spec = _bandpass_spec(config)
     selection = None
@@ -265,29 +269,17 @@ def _summarize_modality(
     selection: BinSelection | None = None,
     raw_for_bp: TimeSeries | None = None,
 ) -> ModalitySummary:
-    if train.diastolic_indices.size < MIN_BEATS:
-        return ModalitySummary(
-            name, "insufficient beats", waveform=waveform, train=train, selection=selection
-        )
-    ibi = extract_ibi(train)
-    segments = segment_beats_indexed(waveform, train, config.beats_norm_len)
-    if len(segments) < MIN_BEATS:
-        return ModalitySummary(
-            name, "insufficient beats", waveform=waveform, train=train,
-            ibi=ibi, selection=selection,
-        )
-    seg_list = [seg for _, seg in segments]
     summary = ModalitySummary(
-        name,
-        "ok",
-        waveform=waveform,
-        train=train,
-        ibi=ibi,
-        segments=segments,
-        morphology=morphology_metrics(seg_list),
-        average_beat=average_beats(seg_list),
-        selection=selection,
+        name, "insufficient beats", waveform=waveform, train=train,
+        ibi=extract_ibi(train), selection=selection,
     )
+    feet, shapes = segment_beats_indexed(waveform, train, config.beats_norm_len)
+    if feet.size < MIN_BEATS:
+        return summary
+    summary.status = "ok"
+    summary.beats = measure_beats(feet, shapes)
+    summary.morphology = morphology_metrics(summary.beats)
+    summary.average_beat = average_beats(shapes)
     if raw_for_bp is not None and train.systolic_indices.size:
         sbp = float(np.mean(raw_for_bp.samples[train.systolic_indices]))
         dbp = float(np.mean(raw_for_bp.samples[train.diastolic_indices]))
@@ -297,33 +289,23 @@ def _summarize_modality(
 
 
 def _paired_ibis(
-    base: ModalitySummary, test: ModalitySummary, pairs: list[tuple[int, int]]
+    base: ModalitySummary, test: ModalitySummary, i: np.ndarray, j: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    db = base.train.diastolic_indices
-    dt = test.train.diastolic_indices
-    fb = base.train.sample_rate_hz
-    ft = test.train.sample_rate_hz
-    base_vals, test_vals = [], []
-    for (i1, i2), (j1, j2) in paired_consecutive(pairs):
-        ibi_b = (db[i2] - db[i1]) / fb * 1000.0
-        ibi_t = (dt[j2] - dt[j1]) / ft * 1000.0
-        if IBI_MIN_MS < ibi_b < IBI_MAX_MS and IBI_MIN_MS < ibi_t < IBI_MAX_MS:
-            base_vals.append(ibi_b)
-            test_vals.append(ibi_t)
-    return np.asarray(base_vals), np.asarray(test_vals)
+    base_ms = foot_intervals_ms(base.train)[i]
+    test_ms = foot_intervals_ms(test.train)[j]
+    keep = in_ibi_gate(base_ms) & in_ibi_gate(test_ms)
+    return base_ms[keep], test_ms[keep]
 
 
-def _paired_segments(
-    base: ModalitySummary, test: ModalitySummary, pairs: list[tuple[int, int]]
-) -> tuple[list[BeatSegment], list[BeatSegment]]:
-    base_by_interval = dict(base.segments)
-    test_by_interval = dict(test.segments)
-    ref_beats, test_beats = [], []
-    for (i1, _), (j1, _) in paired_consecutive(pairs):
-        if i1 in base_by_interval and j1 in test_by_interval:
-            ref_beats.append(base_by_interval[i1])
-            test_beats.append(test_by_interval[j1])
-    return ref_beats, test_beats
+def _paired_beats(
+    base: ModalitySummary, test: ModalitySummary, i: np.ndarray, j: np.ndarray
+) -> tuple[BeatTable, BeatTable]:
+    # the rows led by feet i and j; a flat beat leaves a gap in a table's
+    # increasing feet, and a pair that misses either row is dropped
+    base_rows = np.minimum(np.searchsorted(base.beats.feet, i), len(base.beats) - 1)
+    test_rows = np.minimum(np.searchsorted(test.beats.feet, j), len(test.beats) - 1)
+    kept = (base.beats.feet[base_rows] == i) & (test.beats.feet[test_rows] == j)
+    return base.beats.rows(base_rows[kept]), test.beats.rows(test_rows[kept])
 
 
 def _compare_pair(
@@ -335,8 +317,10 @@ def _compare_pair(
     lag_s, pairs = align_beat_events(
         base.train, test.train, config.align_max_lag_s, config.align_pair_tol_s
     )
-    base_ibis, test_ibis = _paired_ibis(base, test, pairs)
-    ref_beats, test_beats = _paired_segments(base, test, pairs)
+    # beats bounded by two matched feet in both trains, by leading index
+    i, j = paired_consecutive(pairs)
+    base_ibis, test_ibis = _paired_ibis(base, test, i, j)
+    ref_beats, test_beats = _paired_beats(base, test, i, j)
     summary = PairSummary(
         name,
         "ok",

@@ -117,14 +117,9 @@ def ibi_errors_vs_truth(detected, truth_times_s: np.ndarray) -> np.ndarray:
     interval fidelity.
     """
     truth_train = event_train(truth_times_s, detected.sample_rate_hz)
-    lag, pairs = align_beat_events(truth_train, detected, IBI_MAX_LAG_S)
-    dt = detected.diastolic_times()
-    errors = []
-    for (i1, i2), (j1, j2) in paired_consecutive(pairs):
-        truth_ibi = (truth_times_s[i2] - truth_times_s[i1]) * 1000.0
-        det_ibi = (dt[j2] - dt[j1]) * 1000.0
-        errors.append(det_ibi - truth_ibi)
-    out = np.asarray(errors)
+    _, pairs = align_beat_events(truth_train, detected, IBI_MAX_LAG_S)
+    i, j = paired_consecutive(pairs)
+    out = np.diff(detected.diastolic_times())[j] * 1000.0 - np.diff(truth_times_s)[i] * 1000.0
     if out.size > 2:
         out = out[1:-1]
     return out

@@ -137,6 +137,8 @@ def generate_waveform(
     boundaries. The truth records every foot inside the record plus the
     systolic instants that land inside it.
     """
+    if not math.isfinite(duration_s):
+        raise ValueError("duration must be finite")
     if duration_s < 10.0:
         raise ValueError("duration must be at least 10 s")
     if fs_hz < 50.0:

@@ -17,19 +17,27 @@ settings.load_profile("ci")
 
 
 @pytest.fixture
-def detect_peaks_calls(monkeypatch):
-    """Record every call of ``beats.detect_peaks``, whatever name it was imported as."""
+def call_log(monkeypatch):
+    """Record the calls of ``pulsecmp`` functions, whatever names they were imported as.
+
+    ``call_log(fn)`` replaces ``fn`` under every name that holds it in a
+    loaded ``pulsecmp`` module and returns the list that each later call
+    appends its positional arguments to.
+    """
     import pulsecmp.cli  # noqa: F401  (loads every pipeline module)
-    from pulsecmp import beats
 
-    calls = []
-    real = beats.detect_peaks
+    def watch(real):
+        calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("pulsecmp") and vars(module).get("detect_peaks") is real:
-            monkeypatch.setattr(module, "detect_peaks", counted)
-    return calls
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pulsecmp"):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    return watch

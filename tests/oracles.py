@@ -17,7 +17,6 @@ from pulsecmp.beats import (
     IBI_MIN_MS,
     detect_peaks,
     polarity_inverted,
-    segment_beats_indexed,
 )
 from pulsecmp.formats import FormatError
 from pulsecmp.radar import _filter_cells
@@ -177,9 +176,8 @@ def waveform_by_mask(model, duration_s, fs_hz, seed):
 
 
 # Test-only views of production code. Each calls what the pipeline
-# itself runs (`_filter_cells`, `segment_beats_indexed`,
-# `polarity_inverted`, `generate_waveform`), so tests written against it
-# exercise that code.
+# itself runs (`_filter_cells`, `polarity_inverted`,
+# `generate_waveform`), so tests written against it exercise that code.
 
 
 def phase_per_bin(slow_time, frame_rate_hz, spec=None):
@@ -214,11 +212,6 @@ def correct_polarity(waveform, min_separation_s=0.33, prominence_rel=0.3):
     if inverted:
         return waveform.with_samples(-waveform.samples), True
     return waveform, False
-
-
-def segment_beats(x, train, norm_len=200):
-    """The segments of ``beats.segment_beats_indexed`` without their indices."""
-    return [seg for _, seg in segment_beats_indexed(x, train, norm_len)]
 
 
 def read_ground_truth(path):

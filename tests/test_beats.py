@@ -4,13 +4,15 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from pulsecmp.beats import (
-    BeatSegment,
+    IbiSeries,
     PeakTrain,
     align_beat_events,
     average_beats,
     detect_peaks,
     event_train,
     extract_ibi,
+    foot_intervals_ms,
+    in_ibi_gate,
     orient_and_detect,
     paired_consecutive,
     segment_beats_indexed,
@@ -18,7 +20,7 @@ from pulsecmp.beats import (
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import PulseModel, generate_waveform
 
-from oracles import segment_beats, three_bump_wave
+from oracles import three_bump_wave
 
 FS = 200.0
 
@@ -117,7 +119,7 @@ class TestOrientAndDetect:
     def test_upright_kept_with_its_train(self):
         waveform, _ = pulse_train_series()
         out, train, inverted = orient_and_detect(waveform)
-        assert not inverted
+        assert inverted is False
         assert out is waveform
         expected = detect_peaks(waveform)
         assert np.array_equal(train.systolic_indices, expected.systolic_indices)
@@ -135,7 +137,7 @@ class TestOrientAndDetect:
     def test_undecidable_kept(self):
         flat = TimeSeries(np.zeros(int(10 * FS)), FS)
         out, train, inverted = orient_and_detect(flat)
-        assert not inverted
+        assert inverted is None
         assert out is flat
         assert train.systolic_indices.size == 0
 
@@ -155,6 +157,15 @@ class TestExtractIbi:
         train = PeakTrain(np.array([20]), np.array([0, 40]), FS)
         ibi = extract_ibi(train)
         assert len(ibi) == 0
+
+    def test_gate_bounds_are_exclusive(self):
+        intervals = np.array([250.0, np.nextafter(250.0, 300.0), 2999.0, 3000.0])
+        assert in_ibi_gate(intervals).tolist() == [False, True, True, False]
+        with pytest.raises(ValueError, match="plausibility gate"):
+            IbiSeries(np.array([3000.0]), np.array([0.0]))
+        train = PeakTrain(np.array([20, 300]), np.array([0, 50, 650]), FS)
+        assert_allclose(foot_intervals_ms(train), [250.0, 3000.0])
+        assert len(extract_ibi(train)) == 0
 
     def test_fewer_than_two_feet(self):
         train = PeakTrain(np.array([], dtype=int), np.array([10]), FS)
@@ -182,9 +193,9 @@ class TestSegmentBeats:
     def test_single_pulse_peak_position(self):
         waveform, truth = pulse_train_series(duration_s=12.0, hr_bpm=60.0)
         train = detect_peaks(waveform)
-        segments = segment_beats(waveform, train)
-        assert segments
-        peak_pos = np.argmax(segments[0].normalized) / (len(segments[0].normalized) - 1)
+        _, shapes = segment_beats_indexed(waveform, train)
+        assert len(shapes)
+        peak_pos = np.argmax(shapes[0]) / (shapes.shape[1] - 1)
         assert abs(peak_pos - 0.18) < 0.05
 
     def test_identity_case(self):
@@ -197,9 +208,9 @@ class TestSegmentBeats:
         train = PeakTrain(
             np.array([99]), np.array([0, 199]), FS
         )
-        segments = segment_beats(series, train, norm_len=200)
-        assert len(segments) == 1
-        assert_allclose(segments[0].normalized, series.samples[:200], atol=1e-12)
+        feet, shapes = segment_beats_indexed(series, train, norm_len=200)
+        assert feet.tolist() == [0]
+        assert_allclose(shapes[0], series.samples[:200], atol=1e-12)
 
     def test_flat_segment_discarded(self):
         x = np.zeros(1000)
@@ -208,58 +219,56 @@ class TestSegmentBeats:
         series = TimeSeries(x, FS)
         train = PeakTrain(np.array([300]), np.array([100, 600]), FS)
         flat_train = PeakTrain(np.array([], dtype=int), np.array([700, 900]), FS)
-        assert len(segment_beats(series, train)) == 1
-        assert len(segment_beats(series, flat_train)) == 0
+        assert len(segment_beats_indexed(series, train)[0]) == 1
+        feet, shapes = segment_beats_indexed(series, flat_train)
+        assert feet.size == 0
+        assert shapes.shape == (0, 200)
 
     def test_indexed_mapping(self):
         waveform, _ = pulse_train_series(duration_s=20.0, seed=2, ibi_sd_ms=30.0)
         train = detect_peaks(waveform)
-        indexed = segment_beats_indexed(waveform, train)
-        ks = [k for k, _ in indexed]
-        assert ks == sorted(ks)
-        assert all(0 <= k < train.diastolic_indices.size - 1 for k in ks)
+        feet, shapes = segment_beats_indexed(waveform, train)
+        assert feet.dtype == np.int64
+        assert np.all(np.diff(feet) > 0)
+        assert np.all((0 <= feet) & (feet < train.diastolic_indices.size - 1))
+        assert shapes.shape == (feet.size, 200)
 
     def test_normalization_invariants(self):
         waveform, _ = pulse_train_series(duration_s=20.0, seed=9, ibi_sd_ms=30.0)
         train = detect_peaks(waveform)
-        for seg in segment_beats(waveform, train, norm_len=150):
-            assert seg.normalized.size == 150
-            assert abs(seg.normalized.min()) <= 1e-9
-            assert abs(seg.normalized.max() - 1.0) <= 1e-9
+        _, shapes = segment_beats_indexed(waveform, train, norm_len=150)
+        assert shapes.shape[1] == 150
+        # every row spans exactly [0, 1]
+        assert np.all(shapes.min(axis=1) == 0.0)
+        assert np.all(shapes.max(axis=1) == 1.0)
 
 
 class TestAverageBeats:
     def test_single_segment(self):
         waveform, _ = pulse_train_series(duration_s=12.0)
         train = detect_peaks(waveform)
-        seg = segment_beats(waveform, train)[0]
-        avg = average_beats([seg])
-        assert_allclose(avg.mean, seg.normalized)
+        _, shapes = segment_beats_indexed(waveform, train)
+        avg = average_beats(shapes[:1])
+        assert_allclose(avg.mean, shapes[0])
         assert_allclose(avg.sd, 0.0)
         assert avg.n_beats == 1
 
     def test_mirrored_pair(self):
         v = np.linspace(0.0, 1.0, 200)
-        raw = TimeSeries(v, FS)
-        segs = [BeatSegment(raw, v), BeatSegment(raw, 1.0 - v)]
-        avg = average_beats(segs)
+        avg = average_beats(np.stack([v, 1.0 - v]))
         assert_allclose(avg.mean, 0.5, atol=1e-12)
 
     def test_noisy_copies(self):
         rng = np.random.default_rng(42)
         shape = three_bump_wave(np.linspace(0, 1, 200))
         template = (shape - shape.min()) / (shape.max() - shape.min())
-        raw = TimeSeries(template, FS)
         sigma = 0.05
         stack = []
-        segs = []
         for _ in range(50):
             noisy = template + sigma * rng.standard_normal(200)
-            normalized = (noisy - noisy.min()) / (noisy.max() - noisy.min())
-            stack.append(normalized)
-            segs.append(BeatSegment(raw, normalized))
+            stack.append((noisy - noisy.min()) / (noisy.max() - noisy.min()))
         stack = np.array(stack)
-        avg = average_beats(segs)
+        avg = average_beats(stack)
         # exact against an independent numpy reduction of the same stack
         assert_allclose(avg.mean, stack.mean(axis=0), atol=1e-12)
         assert_allclose(avg.sd, stack.std(axis=0), atol=1e-12)
@@ -273,13 +282,13 @@ class TestAverageBeats:
     def test_identical_beats_zero_sd(self):
         waveform, _ = pulse_train_series(duration_s=30.0, hr_bpm=60.0)
         train = detect_peaks(waveform)
-        segs = segment_beats(waveform, train)
-        avg = average_beats(segs)
+        _, shapes = segment_beats_indexed(waveform, train)
+        avg = average_beats(shapes)
         assert np.median(avg.sd) < 0.01
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            average_beats([])
+            average_beats(np.empty((0, 200)))
 
 
 class TestAlignBeatEvents:
@@ -319,11 +328,12 @@ class TestAlignBeatEvents:
 
     def test_paired_consecutive(self):
         pairs = [(0, 0), (1, 1), (3, 2), (4, 3), (5, 4)]
-        cons = paired_consecutive(pairs)
-        assert ((0, 1), (0, 1)) in cons
-        assert ((3, 4), (2, 3)) in cons
-        assert ((4, 5), (3, 4)) in cons
-        assert len(cons) == 3
+        i, j = paired_consecutive(pairs)
+        assert i.tolist() == [0, 3, 4]
+        assert j.tolist() == [0, 2, 3]
+        for pairs in ([], [(2, 5)]):
+            i, j = paired_consecutive(pairs)
+            assert i.size == j.size == 0
 
     @given(seed=st.integers(0, 500))
     def test_self_alignment_identity(self, seed):

@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from pulsecmp import cli
+from pulsecmp import beats, cli
 from pulsecmp.cli import main
 from pulsecmp.formats import read_radar_cube, write_radar_cube
 from pulsecmp.radar import RadarCube
+from pulsecmp.signal_core import TimeSeries
+from pulsecmp.synth import CubeGeometry, synth_radar_cube
 
 
 def run_cli(args, **kwargs):
@@ -72,7 +74,8 @@ class TestProcess:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["n_systolic"] > 5
 
-    def test_ppg_detects_peaks_once(self, bundle_dir, tmp_path, detect_peaks_calls):
+    def test_ppg_detects_peaks_once(self, bundle_dir, tmp_path, call_log):
+        detect_peaks_calls = call_log(beats.detect_peaks)
         out = tmp_path / "ppg_once"
         assert main(["process", "ppg", str(bundle_dir / "ppg.csv"), "-o", str(out)]) == 0
         assert len(detect_peaks_calls) == 1
@@ -215,6 +218,34 @@ class TestCompare:
         assert "no informative range bin" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_two_sample_chirps_are_input_error(self, bundle_dir, tmp_path, capsys):
+        # two samples give bins 0 and 1, and bin 1 is the Nyquist bin
+        subject = tmp_path / "two"
+        subject.mkdir()
+        (subject / "reference.csv").write_bytes((bundle_dir / "reference.csv").read_bytes())
+        data = np.random.default_rng(0).standard_normal((2400, 1, 2, 2))
+        write_radar_cube(RadarCube(data), str(subject / "radar.radc"))
+        out = tmp_path / "out"
+        assert main(["compare", "--bundle", str(subject), "-o", str(out)]) == 1
+        assert "error: radar: no informative range bin" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_undecided_polarity_is_null(self, bundle_dir, tmp_path):
+        # a motionless target has no systolic peak to judge polarity by
+        subject = tmp_path / "still"
+        subject.mkdir()
+        (subject / "reference.csv").write_bytes((bundle_dir / "reference.csv").read_bytes())
+        still = TimeSeries(np.zeros(2400), 200.0)
+        cube = synth_radar_cube(still, CubeGeometry(chirps=4, samples=32), snr_db=None, seed=3)
+        write_radar_cube(cube, str(subject / "radar.radc"))
+        assert main(["compare", "--bundle", str(subject), "-o", str(tmp_path / "cmp")]) == 0
+        report = json.loads((tmp_path / "cmp" / "report.json").read_text())
+        assert report["modalities"]["radar"]["selection"]["inverted"] is None
+        assert main(["process", "radar", str(subject / "radar.radc"),
+                     "-o", str(tmp_path / "proc")]) == 0
+        meta = json.loads((tmp_path / "proc" / "meta.json").read_text())
+        assert meta["selection"] == report["modalities"]["radar"]["selection"]
+
     def test_bad_subject_fails_alone(self, bundle_dir, tmp_path, capsys):
         root = tmp_path / "subjects"
         shutil.copytree(bundle_dir, root / "b_good")
@@ -291,6 +322,24 @@ class TestConfigPlumbing:
         ]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["align.pair_tol_s"] == 0.2
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", " Infinity"])
+    def test_non_finite_value_is_input_error(self, bundle_dir, tmp_path, capsys, value):
+        out = tmp_path / "nf"
+        code = main(["compare", "--bundle", str(bundle_dir), "-o", str(out),
+                     "--set", f"align.max_lag_s={value}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: config key 'align.max_lag_s' must be finite")
+        assert not out.exists()
+
+    def test_non_finite_duration_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "inf"
+        assert main(["simulate", "-o", str(out), "--duration", "inf"]) == 1
+        assert capsys.readouterr().err == "error: duration must be finite\n"
+        assert main(["simulate", "-o", str(out), "--set", "synth.duration_s=nan"]) == 1
+        assert "'synth.duration_s' must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_is_input_error(self, bundle_dir, tmp_path):
         for key in ("bogus.key", "filter_order", "synth_ppg.tau_s", "filter.order.x"):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from pulsecmp.beats import BeatSegment
 from pulsecmp.metrics import (
     auc_normalized,
     bland_altman,
@@ -14,18 +13,18 @@ from pulsecmp.metrics import (
     cosine_similarity,
     count_inflections,
     map_from_bp,
+    measure_beats,
     morphology_metrics,
     paired_t_test,
     regularized_incomplete_beta,
 )
-from pulsecmp.signal_core import TimeSeries
 
 from oracles import count_extrema_dense, t_two_sided_p_quadrature, three_bump_wave
 
 
-def make_segment(normalized):
-    normalized = np.asarray(normalized, dtype=float)
-    return BeatSegment(TimeSeries(normalized, 200.0), normalized)
+def make_table(rows):
+    shapes = np.array(rows, dtype=float)
+    return measure_beats(np.arange(len(shapes)), shapes)
 
 
 class TestMapFromBp:
@@ -248,7 +247,7 @@ class TestCompareModalities:
         u = np.linspace(0, 1, 200)
         shape = three_bump_wave(u)
         normalized = (shape - shape.min()) / (shape.max() - shape.min())
-        beats = [make_segment(normalized) for _ in range(5)]
+        beats = make_table([normalized] * 5)
         cmp = compare_modalities(beats, beats)
         assert cmp.mean_diff_inflections == 0.0
         assert cmp.mean_diff_auc == 0.0
@@ -266,9 +265,9 @@ class TestCompareModalities:
         for _ in range(10):
             jittered = ref + 0.002 * rng.standard_normal(200)
             smeared = np.convolve(jittered, kernel)[:200]
-            ref_beats.append(make_segment((jittered - jittered.min()) / np.ptp(jittered)))
-            ppg_beats.append(make_segment((smeared - smeared.min()) / np.ptp(smeared)))
-        cmp = compare_modalities(ref_beats, ppg_beats)
+            ref_beats.append((jittered - jittered.min()) / np.ptp(jittered))
+            ppg_beats.append((smeared - smeared.min()) / np.ptp(smeared))
+        cmp = compare_modalities(make_table(ref_beats), make_table(ppg_beats))
         assert cmp.mean_diff_auc > 0.0  # slow decay raises the test AUC
         assert cmp.cosine_mean < 1.0
 
@@ -280,9 +279,9 @@ class TestCompareModalities:
         ref_beats, radar_beats = [], []
         for _ in range(10):
             noisy = ref + 0.01 * rng.standard_normal(200)
-            ref_beats.append(make_segment(ref))
-            radar_beats.append(make_segment((noisy - noisy.min()) / np.ptp(noisy)))
-        cmp = compare_modalities(ref_beats, radar_beats)
+            ref_beats.append(ref)
+            radar_beats.append((noisy - noisy.min()) / np.ptp(noisy))
+        cmp = compare_modalities(make_table(ref_beats), make_table(radar_beats))
         assert cmp.cosine_mean >= 0.95
         assert abs(cmp.mean_diff_auc) <= 0.05
 
@@ -290,7 +289,25 @@ class TestCompareModalities:
         u = np.linspace(0, 1, 200)
         shape = three_bump_wave(u)
         normalized = (shape - shape.min()) / (shape.max() - shape.min())
-        metrics = morphology_metrics([make_segment(normalized)] * 4)
+        metrics = morphology_metrics(make_table([normalized] * 4))
         assert metrics.inflection_count_mean == 5.0
         assert metrics.inflection_count_sd == 0.0
         assert 0.0 <= metrics.auc_mean <= 1.0
+
+    def test_table_measures_each_row_once(self):
+        rng = np.random.default_rng(3)
+        rows = rng.uniform(0.0, 1.0, (6, 50))
+        table = make_table(rows)
+        assert table.extrema.tolist() == [count_inflections(r) for r in rows]
+        assert table.auc.tolist() == [auc_normalized(r) for r in rows]
+        picked = table.rows(np.array([4, 1]))
+        assert picked.feet.tolist() == [4, 1]
+        assert np.array_equal(picked.shapes, rows[[4, 1]])
+        assert picked.auc.tolist() == [table.auc[4], table.auc[1]]
+
+    def test_unpaired_tables_rejected(self):
+        rows = np.tile(np.linspace(0.0, 1.0, 20), (3, 1))
+        with pytest.raises(ValueError, match="paired"):
+            compare_modalities(make_table(rows), make_table(rows[:2]))
+        with pytest.raises(ValueError, match="two beat pairs"):
+            compare_modalities(make_table(rows[:1]), make_table(rows[:1]))

@@ -176,6 +176,19 @@ class TestSelectBestBin:
         with pytest.raises(ValueError, match="no informative range bin"):
             process_radar(cube)
 
+    def test_two_sample_chirps_rejected_before_reduction(self):
+        # bins 0 and 1 of a 2-sample chirp are DC and Nyquist; the NaN
+        # would stop the reduction, so the rejection comes first
+        data = np.random.default_rng(0).standard_normal((int(12 * FS), 1, 2, 2))
+        data[5, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="no informative range bin"):
+            process_radar(RadarCube(data))
+
+    def test_three_sample_chirps_keep_bin_one(self):
+        # an odd chirp length has no Nyquist bin: bin 1 is informative
+        data = np.random.default_rng(0).standard_normal((int(12 * FS), 1, 2, 3))
+        assert process_radar(RadarCube(data)).selection.range_bin == 1
+
     def test_synthetic_selection_at_snr20(self):
         model = PulseModel()
         waveform, truth = generate_waveform(model, 20.0, FS, seed=11)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pulsecmp import beats, metrics
 from pulsecmp.config import PipelineConfig
 from pulsecmp.formats import canonical_json
 from pulsecmp.ppg import PpgRecording
@@ -122,7 +123,7 @@ class TestRunCompare:
         doc = report.to_dict()
         for name, summary in report.modalities.items():
             entry = doc["modalities"][name]
-            assert entry["n_beats"] == len(summary.segments)
+            assert entry["n_beats"] == len(summary.beats)
             assert entry["n_diastolic"] == summary.train.diastolic_indices.size
 
 
@@ -148,11 +149,12 @@ def default_bundle():
 
 
 class TestSharedLastStep:
-    def test_detect_peaks_once_per_modality(self, default_bundle, detect_peaks_calls):
+    def test_detect_peaks_once_per_modality(self, default_bundle, call_log):
+        detect_peaks_calls = call_log(beats.detect_peaks)
         config, bundle = default_bundle
         report = run_compare(bundle, config)
         assert len(detect_peaks_calls) == 3
-        assert not report.modalities["radar"].selection.inverted
+        assert report.modalities["radar"].selection.inverted is False
 
     def test_negated_ppg_gives_identical_report(self, default_bundle):
         config, bundle = default_bundle
@@ -169,7 +171,8 @@ class TestSharedLastStep:
             run_compare(bundle, config).to_dict()
         )
 
-    def test_negated_displacement_reports_inverted_radar(self, default_bundle, detect_peaks_calls):
+    def test_negated_displacement_reports_inverted_radar(self, default_bundle, call_log):
+        detect_peaks_calls = call_log(beats.detect_peaks)
         config, bundle = default_bundle
         displacement = bundle.truth.displacement
         cube = synth_radar_cube(
@@ -183,6 +186,15 @@ class TestSharedLastStep:
         # an inverted waveform costs the second detection
         assert len(detect_peaks_calls) == 2
 
+    def test_motionless_radar_polarity_undecided(self, default_bundle):
+        # no pulse, no systolic peak: the polarity rule cannot decide
+        config, _ = default_bundle
+        still = TimeSeries(np.zeros(int(12 * FS)), FS)
+        cube = synth_radar_cube(still, geometry_from_config(config), snr_db=None, seed=1)
+        _, train, selection = condition_modality("radar", cube, config)
+        assert train.systolic_indices.size < 3
+        assert selection.inverted is None
+
     @pytest.mark.parametrize("module", ["radar", "ppg"])
     def test_modality_chains_import_neither_beats_nor_report(self, module):
         tree = ast.parse(inspect.getsource(importlib.import_module(f"pulsecmp.{module}")))
@@ -191,3 +203,43 @@ class TestSharedLastStep:
             alias.name for n in ast.walk(tree) if isinstance(n, ast.Import) for alias in n.names
         }
         assert not imported & {"pulsecmp.beats", "pulsecmp.report"}
+
+
+class TestBeatTable:
+    def test_each_beat_measured_once(self, default_bundle, call_log):
+        config, bundle = default_bundle
+        extrema_calls = call_log(metrics.count_inflections)
+        auc_calls = call_log(metrics.auc_normalized)
+        report = run_compare(bundle, config)
+        n_beats = sum(summary.n_beats for summary in report.modalities.values())
+        assert n_beats == 183
+        # one extrema count and one AUC per segmented beat, paired or not
+        assert len(extrema_calls) == n_beats
+        assert len(auc_calls) == n_beats
+
+    def test_rows_span_exactly_unit_interval(self, default_bundle):
+        config, bundle = default_bundle
+        report = run_compare(bundle, config)
+        for summary in report.modalities.values():
+            table = summary.beats
+            assert table.shapes.shape == (summary.n_beats, config.beats_norm_len)
+            assert np.all(table.shapes.min(axis=1) == 0.0)
+            assert np.all(table.shapes.max(axis=1) == 1.0)
+            assert np.all(np.diff(table.feet) > 0)
+            assert table.feet[-1] < summary.train.n_beats
+
+    def test_paired_rows_match_the_aligned_feet(self, default_bundle):
+        config, bundle = default_bundle
+        report = run_compare(bundle, config)
+        base = report.modalities["reference"]
+        for name in ("radar", "ppg"):
+            pair = report.pairs[f"{name}_vs_reference"]
+            _, event_pairs = beats.align_beat_events(
+                base.train, report.modalities[name].train,
+                config.align_max_lag_s, config.align_pair_tol_s,
+            )
+            i, j = beats.paired_consecutive(event_pairs)
+            # a paired beat is a consecutive match kept in both tables
+            kept = np.isin(i, base.beats.feet) & np.isin(j, report.modalities[name].beats.feet)
+            assert pair.n_paired_beats == int(kept.sum()) >= 2
+            assert pair.n_event_pairs == len(event_pairs)

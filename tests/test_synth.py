@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pulsecmp import radar
-from pulsecmp.beats import detect_peaks
+from pulsecmp.beats import detect_peaks, segment_beats_indexed
 from pulsecmp.config import PipelineConfig
 from pulsecmp.metrics import auc_normalized, count_inflections, map_from_bp
 from pulsecmp.ppg import process_ppg
@@ -23,7 +23,6 @@ from pulsecmp.synth import (
 
 from oracles import (
     count_extrema_dense,
-    segment_beats,
     three_bump_wave,
     tone_amplitude,
     waveform_by_mask,
@@ -58,15 +57,15 @@ class TestGenerateWaveform:
         model = PulseModel(augmentation_amp=0.0, dicrotic_amp=0.0, ibi_sd_ms=0.0)
         waveform, truth = generate_waveform(model, 20.0, FS, 0)
         train = detect_peaks(waveform)
-        for seg in segment_beats(waveform, train):
-            assert count_inflections(seg.normalized) == 1
+        for shape in segment_beats_indexed(waveform, train)[1]:
+            assert count_inflections(shape) == 1
 
     def test_default_model_five_extrema(self):
         assert count_extrema_dense(three_bump_wave) == 5
         model = PulseModel(ibi_sd_ms=0.0)
         waveform, truth = generate_waveform(model, 20.0, FS, 0)
         train = detect_peaks(waveform)
-        counts = [count_inflections(s.normalized) for s in segment_beats(waveform, train)]
+        counts = [count_inflections(s) for s in segment_beats_indexed(waveform, train)[1]]
         assert counts and all(c == 5 for c in counts)
 
     def test_zero_jitter_exactly_periodic(self):
@@ -189,11 +188,11 @@ class TestSynthPpg:
         ppg_wave = process_ppg(rec)
         ppg_train = detect_peaks(ppg_wave)
         ppg_auc = np.mean(
-            [auc_normalized(s.normalized) for s in segment_beats(ppg_wave, ppg_train)]
+            [auc_normalized(s) for s in segment_beats_indexed(ppg_wave, ppg_train)[1]]
         )
         truth_train = detect_peaks(waveform)
         truth_auc = np.mean(
-            [auc_normalized(s.normalized) for s in segment_beats(waveform, truth_train)]
+            [auc_normalized(s) for s in segment_beats_indexed(waveform, truth_train)[1]]
         )
         assert ppg_auc > truth_auc
 
