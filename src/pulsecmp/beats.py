@@ -5,6 +5,16 @@ consecutive systolic maxima, which marks the start of the upstroke. Feet
 are the timing anchors for inter-beat intervals and for cross-modality
 event matching. A modality's beats are one table (leading-foot indices
 and a ``[beat][norm_len]`` array of normalized shapes), indexed by pairs.
+
+The primitives are numpy alone and give the same integers as the scipy
+calls they stand for: the systolic peak finder is
+``scipy.signal.find_peaks`` with ``distance`` and ``prominence``
+(plateau midpoints, greedy suppression in height order, prominence from
+range maxima and minima over the local maxima); the rolling
+peak-to-peak that scales its threshold is ``maximum_filter1d`` minus
+``minimum_filter1d`` with ``mode="nearest"``, by doubling spans; and
+event alignment counts event pairs at each lag exactly, which is the
+impulse-train cross-correlation without FFT rounding.
 """
 
 from __future__ import annotations
@@ -12,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
-from scipy.signal import correlate, find_peaks
 
 from pulsecmp.signal_core import TimeSeries, resample_linear
 
@@ -110,13 +118,120 @@ class AverageBeat:
             raise ValueError("n_beats must be at least 1")
 
 
+def _running_extreme(x: np.ndarray, window: int, op: np.ufunc) -> np.ndarray:
+    """Running ``op`` (``np.maximum`` or ``np.minimum``) over centred windows.
+
+    Window ``i`` spans samples ``i - window // 2`` to ``i - window // 2 +
+    window - 1``, the edge samples repeated beyond the record. Spans
+    double by one vectorized pass each up to the largest power of two
+    within the window, and two overlapping spans cover it, so the cost
+    is ``log2(window)`` passes over the record, exact for any window.
+    """
+    left = window // 2
+    out = np.concatenate((np.full(left, x[0]), x, np.full(window - 1 - left, x[-1])))
+    span = 1
+    while 2 * span <= window:
+        out = op(out[:-span], out[span:])
+        span *= 2
+    return op(out[: x.size], out[window - span : window - span + x.size])
+
+
 def _rolling_p2p_median(x: np.ndarray, window: int) -> float:
     if x.size >= window and window > 1:
-        p2p = maximum_filter1d(x, size=window, mode="nearest") - minimum_filter1d(
-            x, size=window, mode="nearest"
-        )
+        p2p = _running_extreme(x, window, np.maximum) - _running_extreme(x, window, np.minimum)
         return float(np.median(p2p))
     return float(x.max() - x.min())
+
+
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Midpoint (rounded down) of every plateau entered by a strict rise
+    and left by a strict fall; a plateau touching either end is none."""
+    step = np.diff(x)
+    changes = np.flatnonzero(step)
+    rises = step[changes] > 0
+    peak = rises[:-1] & ~rises[1:]
+    return (changes[:-1][peak] + 1 + changes[1:][peak]) // 2
+
+
+def _distance_keep(peaks: np.ndarray, heights: np.ndarray, distance: int) -> np.ndarray:
+    """Mask of the peaks kept by greedy suppression within ``distance``.
+
+    Peaks are visited from the highest down, in reversed ``np.argsort``
+    order, so equal heights are visited in scipy's order; each one
+    still kept removes every peak less than ``distance`` samples away.
+    A peak with no neighbour that close takes no part.
+    """
+    keep = np.ones(peaks.size, dtype=bool)
+    lo = np.searchsorted(peaks, peaks - distance, "right")
+    hi = np.searchsorted(peaks, peaks + distance, "left")
+    own = np.arange(peaks.size)
+    crowded = (lo < own) | (hi > own + 1)
+    order = np.argsort(heights)[::-1]
+    for j in order[crowded[order]].tolist():
+        if keep[j]:
+            keep[lo[j] : j] = False
+            keep[j + 1 : hi[j]] = False
+    return keep
+
+
+def _sparse_table(values: np.ndarray, op: np.ufunc) -> list[np.ndarray]:
+    # level k holds op over values[i : i + 2**k] at index i
+    levels = [values]
+    while 2 * (width := 1 << (len(levels) - 1)) <= values.size:
+        levels.append(op(levels[-1][:-width], levels[-1][width:]))
+    return levels
+
+
+def _prominences(x: np.ndarray, maxima: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Prominence of the local maxima ``maxima[which]``.
+
+    The height above the higher of the two lowest points reached on
+    each side before ground strictly higher than the peak (or the end
+    of the record). That ground is always reached at a local maximum,
+    so each side is the run of neighbouring maxima no higher than the
+    peak, found by binary lifting over range maxima, and its lowest
+    point the least valley along that run, from range minima of the
+    valleys between consecutive maxima.
+    """
+    heights = x[maxima]
+    # valley[i] is the minimum between maxima i - 1 and i (valley[0]
+    # and valley[-1] reach the record's ends)
+    valleys = np.minimum.reduceat(x, np.concatenate(([0], maxima)))
+    highest = _sparse_table(heights, np.maximum)
+    lowest = _sparse_table(valleys, np.minimum)
+    top = heights[which]
+    start, left_min = which.copy(), valleys[which]
+    stop, right_min = which + 1, valleys[which + 1]
+    for k in range(len(highest) - 1, -1, -1):
+        width = 1 << k
+        # extend the left run over maxima start - width .. start - 1
+        ok = start >= width
+        at = np.where(ok, start - width, 0)
+        ok &= highest[k][at] <= top
+        left_min = np.where(ok, np.minimum(left_min, lowest[k][at]), left_min)
+        start = np.where(ok, at, start)
+        # extend the right run over maxima stop .. stop + width - 1
+        ok = stop + width <= maxima.size
+        at = np.where(ok, stop, 0)
+        ok &= highest[k][at] <= top
+        right_min = np.where(ok, np.minimum(right_min, lowest[k][at + 1]), right_min)
+        stop = np.where(ok, stop + width, stop)
+    return top - np.maximum(left_min, right_min)
+
+
+def _find_peaks(x: np.ndarray, distance: int, prominence: float) -> np.ndarray:
+    """Indices of the local maxima kept by distance, then prominence.
+
+    The same integers as ``scipy.signal.find_peaks(x, distance=distance,
+    prominence=prominence)``: plateau midpoints, height-ordered
+    suppression of peaks closer than ``distance`` samples, then a
+    prominence of at least ``prominence``.
+    """
+    maxima = _local_maxima(x)
+    if not maxima.size:
+        return maxima
+    which = np.flatnonzero(_distance_keep(maxima, x[maxima], distance))
+    return maxima[which[_prominences(x, maxima, which) >= prominence]]
 
 
 def detect_peaks(
@@ -144,7 +259,7 @@ def detect_peaks(
     window = int(round(2.0 * fs))
     threshold = prominence_rel * _rolling_p2p_median(sig, window)
     distance = max(1, int(round(min_separation_s * fs)))
-    systolic, _ = find_peaks(sig, distance=distance, prominence=threshold)
+    systolic = _find_peaks(sig, distance, threshold)
     diastolic: list[int] = []
     if systolic.size:
         if systolic[0] > 0:
@@ -174,16 +289,13 @@ def polarity_inverted(train: PeakTrain) -> bool | None:
     dia_idx = train.diastolic_indices
     if sys_idx.size < 3:
         return None
-    rises = []
-    decays = []
-    for s in sys_idx:
-        before = dia_idx[dia_idx < s]
-        after = dia_idx[dia_idx > s]
-        if before.size:
-            rises.append(s - before[-1])
-        if after.size:
-            decays.append(after[0] - s)
-    if not rises or not decays:
+    # the last foot strictly before and the first strictly after each peak
+    before = np.searchsorted(dia_idx, sys_idx, "left") - 1
+    after = np.searchsorted(dia_idx, sys_idx, "right")
+    has_before, has_after = before >= 0, after < dia_idx.size
+    rises = sys_idx[has_before] - dia_idx[before[has_before]]
+    decays = dia_idx[after[has_after]] - sys_idx[has_after]
+    if not rises.size or not decays.size:
         return None
     return float(np.mean(rises)) > float(np.mean(decays))
 
@@ -278,9 +390,11 @@ def align_beat_events(
 ) -> tuple[float, list[tuple[int, int]]]:
     """Match diastolic events of two trains recorded simultaneously.
 
-    Both event sets are rendered as binary impulse series on a fixed
-    200 Hz grid and cross-correlated over lags within ``max_lag_s``; the
-    argmax lag is the amount by which ``b`` trails ``a``. After shifting
+    Both event sets are rounded onto a fixed 200 Hz grid, and every
+    pair of grid events within ``max_lag_s`` of each other is counted
+    at its lag: the exact cross-correlation of the two binary impulse
+    series. The most frequent lag, the earliest on a tie, is the amount
+    by which ``b`` trails ``a``. After shifting
     ``b`` by the lag, events are matched greedily nearest-neighbor with
     residual offsets at most ``pair_tol_s``, each event used once.
 
@@ -297,15 +411,19 @@ def align_beat_events(
     fs = EVENT_GRID_HZ
     t_lo = min(ta.min(), tb.min())
     n = int(round((max(ta.max(), tb.max()) - t_lo) * fs)) + 1
-    ia = np.zeros(n)
-    ib = np.zeros(n)
-    ia[np.clip(np.round((ta - t_lo) * fs).astype(int), 0, n - 1)] = 1.0
-    ib[np.clip(np.round((tb - t_lo) * fs).astype(int), 0, n - 1)] = 1.0
-    cc = correlate(ib, ia, mode="full", method="fft")
-    lags = np.arange(-(n - 1), n)
-    max_lag = int(round(max_lag_s * fs))
-    mask = (lags >= -max_lag) & (lags <= max_lag)
-    lag_s = float(lags[mask][np.argmax(cc[mask])] / fs)
+    ga = np.unique(np.clip(np.round((ta - t_lo) * fs).astype(int), 0, n - 1))
+    gb = np.unique(np.clip(np.round((tb - t_lo) * fs).astype(int), 0, n - 1))
+    reach = min(int(round(max_lag_s * fs)), n - 1)
+    if reach < 0:
+        raise ValueError("max_lag_s must not be negative")
+    # every (a, b) event pair at most ``reach`` grid steps apart
+    lo = np.searchsorted(gb, ga - reach, "left")
+    per_a = np.searchsorted(gb, ga + reach, "right") - lo
+    first = np.repeat(lo - np.cumsum(per_a) + per_a, per_a)
+    b_index = first + np.arange(per_a.sum())
+    lags = gb[b_index] - np.repeat(ga, per_a)
+    counts = np.bincount(lags + reach, minlength=2 * reach + 1)
+    lag_s = float((int(np.argmax(counts)) - reach) / fs)
 
     shifted = tb - lag_s
     candidates = []

@@ -147,12 +147,14 @@ def _write_report_files(report: AgreementReport, directory: str) -> None:
 
 def cmd_simulate(args) -> int:
     config = _load_cli_config(args)
+    # through the key check, as --set would be (a non-finite --duration
+    # is left to synthesis, which names the duration)
     if args.seed is not None:
-        config.synth_seed = args.seed
+        config.set_key("synth.seed", str(args.seed))
     if args.duration is not None:
         config.synth_duration_s = args.duration
     if args.snr_db is not None:
-        config.synth_snr_db = args.snr_db
+        config.set_key("synth.snr_db", str(args.snr_db))
     bundle = simulate_bundle(config, subject_id=args.subject)
     write_bundle_dir(bundle, config, args.out)
     print(f"wrote bundle for {bundle.subject_id!r} to {args.out}")

@@ -84,11 +84,10 @@ class RecordingBundle:
 
 @dataclass
 class ModalitySummary:
-    """Processed waveform and per-modality statistics."""
+    """One modality's beat train and per-modality statistics."""
 
     name: str
     status: str
-    waveform: TimeSeries | None = None
     train: PeakTrain | None = None
     ibi: IbiSeries | None = None
     beats: BeatTable | None = None
@@ -270,8 +269,7 @@ def _summarize_modality(
     raw_for_bp: TimeSeries | None = None,
 ) -> ModalitySummary:
     summary = ModalitySummary(
-        name, "insufficient beats", waveform=waveform, train=train,
-        ibi=extract_ibi(train), selection=selection,
+        name, "insufficient beats", train=train, ibi=extract_ibi(train), selection=selection
     )
     feet, shapes = segment_beats_indexed(waveform, train, config.beats_norm_len)
     if feet.size < MIN_BEATS:

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate
 
 from pulsecmp.beats import align_beat_events, event_train, paired_consecutive
 from pulsecmp.config import PipelineConfig
@@ -89,7 +88,11 @@ def waveform_beat_cosines(
     fs = wave.sample_rate_hz
     w = wave.samples - wave.samples.mean()
     x = target.samples - target.samples.mean()
-    cc = correlate(w, x, mode="full", method="fft")
+    # full cross-correlation by FFT: lag k >= 0 lands at index k and
+    # lag -k at index size - k of the circular result
+    size = w.size + x.size - 1
+    circular = np.fft.irfft(np.fft.rfft(w, size) * np.conj(np.fft.rfft(x, size)), size)
+    cc = np.concatenate((circular[w.size :], circular[: w.size]))
     lags = np.arange(-(x.size - 1), w.size)
     window = (lags >= -int(5 * fs)) & (lags <= int(5 * fs))
     lag = int(lags[window][np.argmax(cc[window])])

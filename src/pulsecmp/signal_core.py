@@ -5,6 +5,15 @@ analysis) is built on the operations here: zero-phase Butterworth
 band-pass filtering and linear resampling. All arithmetic is 64-bit
 floating point; operations are pure functions and never mutate their
 inputs.
+
+The band-pass is numpy alone. The design is scipy's ``butter(...,
+output="sos")``: analog prototype, band-pass transform, bilinear map,
+nearest pole-zero pairing into second-order sections. The zero-phase
+filter is scipy's ``sosfiltfilt(..., padtype="even")`` computed as a
+block recursion (Burrus, IEEE Trans. Audio Electroacoust. 20(4), 1972):
+the cascade's states, started in the steady state of the first sample
+(Gustafsson, IEEE Trans. Signal Process. 44(4), 1996), are carried from
+block to block by matrix products, so no Python loop runs per sample.
 """
 
 from __future__ import annotations
@@ -14,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
 
 
 @dataclass
@@ -90,20 +98,188 @@ class BandpassSpec:
             raise ValueError("invalid cutoff")
 
 
+# Samples per block, and blocks per chunk, of the block-recursive
+# filter: block outputs and the states within a chunk are matrix
+# products, and only the chunks' start states are carried in a loop.
+FILTER_BLOCK = 32
+FILTER_CHUNK = 16
+
+
 @functools.lru_cache(maxsize=32)
 def _bandpass_sos(spec: BandpassSpec, sample_rate_hz: float) -> np.ndarray:
-    # Memoized: the radar chain filters one (antenna, bin) cell per
-    # call and would otherwise redesign the same filter for each. The
-    # cached array is shared, so it is read-only.
-    sos = butter(
-        spec.order,
-        [spec.low_cut_hz, spec.high_cut_hz],
-        btype="bandpass",
-        fs=sample_rate_hz,
-        output="sos",
-    )
+    """Digital Butterworth band-pass as second-order sections, read-only.
+
+    The analog prototype's poles are moved to the prewarped band by the
+    low-pass to band-pass transform and to the z-plane by the bilinear
+    map. Sections are built last to first, each from the remaining pole
+    closest to the unit circle and the two zeros nearest it, so the
+    most resonant section filters last; the gain goes into the first.
+    Memoized, so the cached array is shared and read-only.
+    """
+    order = spec.order
+    band = np.array([spec.low_cut_hz, spec.high_cut_hz]) / (sample_rate_hz / 2.0)
+    warped = 4.0 * np.tan(np.pi * band / 2.0)
+    bw = warped[1] - warped[0]
+    wo = math.sqrt(warped[0] * warped[1])
+    proto = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=np.float64) / (2 * order))
+    half = proto * bw / 2
+    root = np.sqrt(half**2 - wo**2)
+    analog = np.concatenate((half + root, half - root))
+    poles = (4.0 + analog) / (4.0 - analog)
+    gain = bw**order * np.real(4.0**order / np.prod(4.0 - analog))
+    # the analog zeros sit at s = 0 (mapped to z = 1) and at infinity
+    # (mapped to z = -1)
+    zeros = [-1.0] * order + [1.0] * order
+    real = np.abs(poles.imag) <= 100 * np.finfo(np.float64).eps * np.abs(poles)
+    upper = poles[~real & (poles.imag > 0)]
+    # one pole of each conjugate pair, then the real poles (odd orders)
+    pending = list(upper[np.argsort(upper.real)]) + list(np.sort(poles[real].real))
+    sos = np.zeros((order, 6))
+    for si in range(order - 1, -1, -1):
+        p1 = pending.pop(_closest_to_unit_circle(pending))
+        if p1.imag > 0:
+            den = [1.0, -2.0 * p1.real, p1.real * p1.real + p1.imag * p1.imag]
+        else:
+            p2 = pending.pop(_closest_to_unit_circle(pending, real_only=True))
+            den = [1.0, -(p1 + p2), p1 * p2]
+        z1 = zeros.pop(int(np.argmin(np.abs(np.subtract(zeros, p1)))))
+        z2 = zeros.pop(int(np.argmin(np.abs(np.subtract(zeros, p1)))))
+        sos[si] = [1.0, -(z1 + z2), z1 * z2, *den]
+    sos[0, :3] *= gain
     sos.flags.writeable = False
     return sos
+
+
+def _closest_to_unit_circle(poles: list, real_only: bool = False) -> int:
+    # index of the most resonant pole, or of the most resonant real one
+    distance = [abs(1.0 - abs(p)) if not (real_only and p.imag) else np.inf for p in poles]
+    return int(np.argmin(distance))
+
+
+@dataclass(frozen=True)
+class _BlockFilter:
+    """One band-pass design in block form (Burrus's block realization).
+
+    The sections' transposed direct-form states, stacked, are one state
+    row ``z`` of the cascade. A block ``x`` of ``FILTER_BLOCK`` samples
+    starting in state ``z`` yields the outputs ``[x, z] @ output``, and
+    ``x @ to_state`` is what its input adds to its end state. For a
+    chunk of ``FILTER_CHUNK`` blocks, ``within`` maps those terms, side
+    by side, to the end states of all its blocks from a zero start, and
+    ``carry`` maps the chunk's start state to what it adds to each of
+    them. ``zi`` is the state the cascade settles in under a unit step
+    (Gustafsson's initial condition, as in ``sosfilt_zi``).
+    """
+
+    zi: np.ndarray
+    output: np.ndarray
+    to_state: np.ndarray
+    within: np.ndarray
+    carry: np.ndarray
+
+
+def _cascade_state_space(sos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    # z' = z @ a + x * b and y = z @ c + x * d for the stacked states
+    # (z0, z1) of each section, where a section with input u computes
+    # y = b0 u + z0, z0' = b1 u - a1 y + z1 and z1' = b2 u - a2 y.
+    size = 2 * sos.shape[0]
+    a = np.zeros((size, size))
+    b = np.zeros(size)
+    u_state, u_input = np.zeros(size), 1.0  # section input as a form in (z, x)
+    for k, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        y_state, y_input = b0 * u_state, b0 * u_input
+        y_state[2 * k] += 1.0
+        a[:, 2 * k] = b1 * u_state - a1 * y_state
+        a[2 * k + 1, 2 * k] += 1.0
+        b[2 * k] = b1 * u_input - a1 * y_input
+        a[:, 2 * k + 1] = b2 * u_state - a2 * y_state
+        b[2 * k + 1] = b2 * u_input - a2 * y_input
+        u_state, u_input = y_state, y_input
+    return a, b, u_state, u_input
+
+
+def _steady_state(sos: np.ndarray) -> np.ndarray:
+    # each section's lfilter_zi, scaled by the DC gain of the sections
+    # before it
+    zi = np.empty((sos.shape[0], 2))
+    scale = 1.0
+    for k, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        i_minus_a = np.array([[1.0 + a1, -1.0], [a2, 1.0]])
+        zi[k] = scale * np.linalg.solve(i_minus_a, [b1 - a1 * b0, b2 - a2 * b0])
+        scale *= (b0 + b1 + b2) / (1.0 + a1 + a2)
+    return zi.ravel()
+
+
+@functools.lru_cache(maxsize=32)
+def _bandpass_filter(spec: BandpassSpec, sample_rate_hz: float) -> _BlockFilter:
+    # Memoized: the radar chain filters one (antenna, bin) cell per
+    # call and would otherwise redesign the same filter for each. The
+    # cached arrays are shared, so they are read-only.
+    sos = _bandpass_sos(spec, sample_rate_hz)
+    a, b, c, d = _cascade_state_space(sos)
+    n = FILTER_BLOCK
+    from_state = np.empty((a.shape[0], n))  # column i: c after i steps
+    to_state = np.empty((n, a.shape[0]))  # row j: b carried to the block end
+    col, row = c, b
+    for i in range(n):
+        from_state[:, i] = col
+        to_state[n - 1 - i] = row
+        col, row = a @ col, row @ a
+    response = np.concatenate(([d], b @ from_state[:, :-1]))
+    lag = np.arange(n)[None, :] - np.arange(n)[:, None]
+    impulse = np.where(lag >= 0, response[np.clip(lag, 0, None)], 0.0)
+    # powers[i] is the state carried over i blocks, one sample at a time
+    powers = [np.eye(a.shape[0])]
+    step = powers[0]
+    for i in range(1, FILTER_CHUNK * n + 1):
+        step = step @ a
+        if i % n == 0:
+            powers.append(step)
+    zero = np.zeros_like(a)
+    within = np.block(
+        [[powers[i - j] if i >= j else zero for i in range(FILTER_CHUNK)] for j in range(FILTER_CHUNK)]
+    )
+    carry = np.hstack(powers[1:])
+    output = np.vstack((impulse, from_state))
+    design = _BlockFilter(_steady_state(sos), output, to_state, within, carry)
+    for arr in vars(design).values():
+        arr.flags.writeable = False
+    return design
+
+
+def _block_pass(f: _BlockFilter, x: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """Filter ``x`` forward from state ``z0``, with one Python step per chunk."""
+    n, states = FILTER_BLOCK, z0.size
+    # row k: block k's samples (zero-padded to whole chunks), then the
+    # state it starts in, so one product with ``output`` filters it
+    rows = np.zeros((-(-x.size // (n * FILTER_CHUNK)) * FILTER_CHUNK, n + states))
+    whole = x.size // n
+    rows[:whole, :n] = x[: whole * n].reshape(whole, n)
+    rows[whole : whole + 1, : x.size - whole * n] = x[whole * n :]  # empty if none left
+    # every block's end state as if its chunk started at rest, then the
+    # chunk start states carried in, first to last
+    ends = (rows[:, :n] @ f.to_state).reshape(-1, FILTER_CHUNK * states) @ f.within
+    z = z0
+    for chunk in ends:
+        chunk += z @ f.carry
+        z = chunk[-states:]
+    rows[0, n:] = z0
+    rows[1:, n:] = ends.reshape(-1, states)[:-1]
+    return (rows @ f.output).ravel()[: x.size]
+
+
+def _filtfilt_row(f: _BlockFilter, x: np.ndarray, padlen: int) -> np.ndarray:
+    # even extension, a forward pass from the steady state of the first
+    # sample, a backward pass from that of the last output, then the
+    # padding cut off again (scipy's sosfiltfilt with padtype="even").
+    # The band-pass is zero at DC, so shifting the row by its first
+    # sample changes nothing but the rounding, which then scales with
+    # the pulsation instead of the offset, and a flat row gives zeros.
+    ext = np.concatenate((x[padlen:0:-1], x, x[-2 : -(padlen + 2) : -1]))
+    ext -= x[0]
+    y = _block_pass(f, ext, f.zi * ext[0])
+    y = _block_pass(f, y[::-1], f.zi * y[-1])[::-1]
+    return y[padlen : padlen + x.size]
 
 
 def _bandpass_padlen(spec: BandpassSpec, sample_rate_hz: float, n: int) -> int:
@@ -157,15 +333,12 @@ def bandpass_array(
     n = values.shape[-1]
     if n < 3 * spec.order:
         raise ValueError("input too short")
-    # scipy's sosfilt kernel needs a writable buffer, though it does
-    # not write the design
-    sos = _bandpass_sos(spec, sample_rate_hz).copy()
+    f = _bandpass_filter(spec, sample_rate_hz)
     padlen = _bandpass_padlen(spec, sample_rate_hz, n)
-    out = sosfiltfilt(sos, values, padtype="even", padlen=padlen)
-    flat = values.max(axis=-1, keepdims=True) == values.min(axis=-1, keepdims=True)
-    if flat.any():
-        # the band-pass has an exact zero at DC; snap the rounding fuzz
-        out = np.where(np.broadcast_to(flat, out.shape), 0.0, out)
+    out = np.empty_like(values)
+    # row by row, so a row's values never depend on what shares the call
+    for index in np.ndindex(values.shape[:-1]):
+        out[index] = _filtfilt_row(f, values[index], padlen)
     return out
 
 

@@ -175,6 +175,44 @@ def waveform_by_mask(model, duration_s, fs_hz, seed):
     return y, np.array(systolic)
 
 
+def polarity_inverted_by_masks(train):
+    """``beats.polarity_inverted`` with one pair of boolean masks per
+    systolic peak (quadratic in beat count)."""
+    sys_idx = train.systolic_indices
+    dia_idx = train.diastolic_indices
+    if sys_idx.size < 3:
+        return None
+    rises = []
+    decays = []
+    for s in sys_idx:
+        before = dia_idx[dia_idx < s]
+        after = dia_idx[dia_idx > s]
+        if before.size:
+            rises.append(s - before[-1])
+        if after.size:
+            decays.append(after[0] - s)
+    if not rises or not decays:
+        return None
+    return float(np.mean(rises)) > float(np.mean(decays))
+
+
+def impulse_correlation_lag(ta, tb, max_lag_s, fs_hz):
+    """Lag of ``b`` behind ``a`` maximizing the direct correlation of the
+    two events' binary impulse series on an ``fs_hz`` grid; the
+    earliest lag wins a tie."""
+    t_lo = min(ta.min(), tb.min())
+    n = int(round((max(ta.max(), tb.max()) - t_lo) * fs_hz)) + 1
+    ia = np.zeros(n)
+    ib = np.zeros(n)
+    ia[np.clip(np.round((ta - t_lo) * fs_hz).astype(int), 0, n - 1)] = 1.0
+    ib[np.clip(np.round((tb - t_lo) * fs_hz).astype(int), 0, n - 1)] = 1.0
+    cc = np.correlate(ib, ia, mode="full")
+    lags = np.arange(-(n - 1), n)
+    max_lag = int(round(max_lag_s * fs_hz))
+    mask = (lags >= -max_lag) & (lags <= max_lag)
+    return float(lags[mask][np.argmax(cc[mask])] / fs_hz)
+
+
 # Test-only views of production code. Each calls what the pipeline
 # itself runs (`_filter_cells`, `polarity_inverted`,
 # `generate_waveform`), so tests written against it exercise that code.

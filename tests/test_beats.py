@@ -1,11 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
+from scipy.signal import find_peaks
 
 from pulsecmp.beats import (
     IbiSeries,
     PeakTrain,
+    _find_peaks,
+    _running_extreme,
     align_beat_events,
     average_beats,
     detect_peaks,
@@ -15,12 +21,13 @@ from pulsecmp.beats import (
     in_ibi_gate,
     orient_and_detect,
     paired_consecutive,
+    polarity_inverted,
     segment_beats_indexed,
 )
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import PulseModel, generate_waveform
 
-from oracles import three_bump_wave
+from oracles import impulse_correlation_lag, polarity_inverted_by_masks, three_bump_wave
 
 FS = 200.0
 
@@ -343,3 +350,87 @@ class TestAlignBeatEvents:
         lag, pairs = align_beat_events(train, train)
         assert lag == 0.0
         assert pairs == [(i, i) for i in range(times.size)]
+
+
+# Samples with many ties (small integers), ties and plateaus at the
+# edges, or none at all (continuous values)
+signals = st.one_of(
+    st.lists(st.integers(0, 4), max_size=300).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False), max_size=300
+    ).map(np.array),
+)
+
+
+class TestPeakFinderAgainstScipy:
+    @given(x=signals, distance=st.integers(1, 40), prominence=st.floats(-1.0, 5.0))
+    def test_same_integers_as_find_peaks(self, x, distance, prominence):
+        x = np.asarray(x, dtype=np.float64)
+        expected, _ = find_peaks(x, distance=distance, prominence=prominence)
+        assert np.array_equal(_find_peaks(x, distance, prominence), expected)
+
+    @given(seed=st.integers(0, 10_000))
+    def test_same_integers_on_filtered_noise(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.convolve(rng.standard_normal(3000), np.hanning(25), "same")
+        threshold = float(rng.uniform(0.0, 2.0))
+        expected, _ = find_peaks(x, distance=66, prominence=threshold)
+        assert np.array_equal(_find_peaks(x, 66, threshold), expected)
+
+    def test_plateau_midpoint_and_edges(self):
+        x = np.array([3.0, 3.0, 1.0, 2.0, 2.0, 2.0, 2.0, 0.0, 5.0, 5.0])
+        # the edge plateaus are not maxima; the inner one rounds down
+        assert _find_peaks(x, 1, 0.0).tolist() == [4]
+
+    @given(x=signals.filter(lambda v: v.size > 0), window=st.integers(1, 60))
+    def test_running_extremes_match_ndimage(self, x, window):
+        x = np.asarray(x, dtype=np.float64)
+        for op, reference in ((np.maximum, maximum_filter1d), (np.minimum, minimum_filter1d)):
+            expected = reference(x, size=window, mode="nearest")
+            assert np.array_equal(_running_extreme(x, window, op), expected)
+
+
+class TestLinearPolarity:
+    @given(
+        systolic=st.lists(st.integers(0, 400), max_size=40, unique=True),
+        diastolic=st.lists(st.integers(0, 400), max_size=40, unique=True),
+    )
+    def test_matches_mask_oracle(self, systolic, diastolic):
+        # any two increasing index sets, so feet equal to systolic
+        # indices and feet missing on either side are covered
+        train = SimpleNamespace(
+            systolic_indices=np.array(sorted(systolic), dtype=np.int64),
+            diastolic_indices=np.array(sorted(diastolic), dtype=np.int64),
+        )
+        assert polarity_inverted(train) == polarity_inverted_by_masks(train)
+
+    @given(seed=st.integers(0, 10_000), beats=st.integers(0, 30))
+    def test_matches_mask_oracle_on_interleaved_trains(self, seed, beats):
+        rng = np.random.default_rng(seed)
+        feet = np.cumsum(rng.integers(4, 60, beats + 1))
+        peaks = feet[:-1] + rng.integers(1, 4, beats) * np.diff(feet) // 4
+        train = PeakTrain(peaks, feet, FS)
+        assert polarity_inverted(train) == polarity_inverted_by_masks(train)
+
+
+class TestExactEventCorrelation:
+    @given(
+        seed=st.integers(0, 10_000),
+        n_a=st.integers(1, 40),
+        n_b=st.integers(1, 40),
+        max_lag_s=st.sampled_from([0.0, 0.05, 1.0, 5.0, 100.0]),
+    )
+    def test_lag_matches_direct_correlation(self, seed, n_a, n_b, max_lag_s):
+        # coarse times, so grid collisions and tied lag counts are common
+        rng = np.random.default_rng(seed)
+        ta = np.unique(rng.integers(0, 400, n_a)) / 20.0
+        tb = np.unique(rng.integers(0, 400, n_b)) / 20.0
+        lag, _ = align_beat_events(event_train(ta, FS), event_train(tb, FS), max_lag_s=max_lag_s)
+        a = event_train(ta, FS).diastolic_times()
+        b = event_train(tb, FS).diastolic_times()
+        assert lag == impulse_correlation_lag(a, b, max_lag_s, FS)
+
+    def test_negative_max_lag_rejected(self):
+        a = event_train(np.array([1.0, 2.0]), FS)
+        with pytest.raises(ValueError, match="max_lag_s"):
+            align_beat_events(a, a, max_lag_s=-1.0)

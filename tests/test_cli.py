@@ -341,6 +341,15 @@ class TestConfigPlumbing:
         assert "'synth.duration_s' must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_snr_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "nan"
+        assert main(["simulate", "-o", str(out), "--set", "synth.snr_db=nan"]) == 1
+        via_set = capsys.readouterr().err
+        assert main(["simulate", "-o", str(out), "--duration", "12", "--snr-db", "nan"]) == 1
+        assert capsys.readouterr().err == via_set
+        assert via_set.startswith("error: config key 'synth.snr_db' must be finite")
+        assert not out.exists()
+
     def test_unknown_key_is_input_error(self, bundle_dir, tmp_path):
         for key in ("bogus.key", "filter_order", "synth_ppg.tau_s", "filter.order.x"):
             result = run_cli([
@@ -349,3 +358,31 @@ class TestConfigPlumbing:
             ])
             assert result.returncode == 1, key
             assert "unknown config key" in result.stderr
+
+
+class TestNumpyOnlyRuntime:
+    """The installed runtime needs numpy alone; scipy is a test oracle."""
+
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, pulsecmp.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_simulate_compare_selftest_with_scipy_blocked(self, tmp_path):
+        bundle, report = str(tmp_path / "bundle"), str(tmp_path / "report")
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "from pulsecmp import cli\n"
+            f"codes = [cli.main(['simulate', '-o', {bundle!r}, *{SIM_ARGS!r}]),\n"
+            f"         cli.main(['compare', '--bundle', {bundle!r}, '-o', {report!r}]),\n"
+            "         cli.main(['selftest'])]\n"
+            "sys.exit(0 if codes == [0, 0, 0] else f'exit codes {codes}')"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads((tmp_path / "report" / "report.json").read_text())["pairs"]

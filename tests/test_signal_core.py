@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from scipy.signal import butter, sosfiltfilt
 
 from pulsecmp.signal_core import (
     BandpassSpec,
     TimeSeries,
+    _bandpass_padlen,
     _bandpass_sos,
+    bandpass_array,
     butterworth_bandpass,
     resample_linear,
 )
@@ -157,6 +160,32 @@ class TestButterworthBandpass:
         yc = np.where(np.diff(np.signbit(y[mid])))[0]
         assert xc.size == yc.size
         assert np.abs(xc - yc).max() <= 1
+
+
+class TestNumpyFilterAgainstScipy:
+    @pytest.mark.parametrize("order", range(1, 9))
+    @pytest.mark.parametrize(
+        "band, fs", [((0.5, 8.0), 200.0), ((0.5, 8.0), 17.0), ((1.0, 2.0), 50.0), ((0.7, 40.0), 100.0)]
+    )
+    def test_design_matches_butter(self, order, band, fs):
+        # odd orders over a wide band carry a pair of real poles
+        expected = butter(order, band, btype="bandpass", fs=fs, output="sos")
+        assert_allclose(_bandpass_sos(BandpassSpec(order, *band), fs), expected, rtol=1e-12, atol=1e-15)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(24, 4000),
+        order=st.integers(1, 6),
+        offset=st.floats(-1e4, 1e4),
+    )
+    def test_matches_sosfiltfilt(self, seed, n, order, offset):
+        spec = BandpassSpec(order, 0.5, 8.0)
+        x = offset + np.cumsum(np.random.default_rng(seed).standard_normal(n))
+        sos = butter(order, [0.5, 8.0], btype="bandpass", fs=FS, output="sos")
+        padlen = _bandpass_padlen(spec, FS, n)
+        expected = sosfiltfilt(sos, x, padtype="even", padlen=padlen)
+        # both round at about eps times the input's size
+        assert np.abs(bandpass_array(x, FS, spec) - expected).max() <= 1e-12 * np.abs(x).max()
 
 
 class TestRangeFft:
