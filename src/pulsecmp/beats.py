@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pulsecmp.signal_core import TimeSeries, resample_linear
+from pulsecmp.signal_core import TimeSeries
 
 IBI_MIN_MS = 250.0
 IBI_MAX_MS = 3000.0
@@ -363,10 +363,13 @@ def segment_beats_indexed(
     matching beats across modalities after event alignment, and the
     ``[beat][norm_len]`` array of their normalized shapes.
     """
+    if norm_len < 2:
+        raise ValueError("norm_len must be at least 2")
     d = train.diastolic_indices
+    grid = np.linspace(0.0, 1.0, int(norm_len))
     feet, shapes = [], []
     for k, (a, b) in enumerate(zip(d[:-1], d[1:])):
-        resampled = resample_linear(TimeSeries(x.samples[a : b + 1], x.sample_rate_hz), norm_len)
+        resampled = np.interp(grid, np.linspace(0.0, 1.0, b - a + 1), x.samples[a : b + 1])
         span = resampled.max() - resampled.min()
         if span < 1e-12:
             continue

@@ -1,10 +1,10 @@
 """Pipeline configuration: defaults, flat key=value files, overrides.
 
 Config files are plain text, one ``key = value`` per line with ``#``
-comments; a float value must be finite. Keys use dotted sections: field
-``filter_low_hz`` is key ``filter.low_hz``, its first underscore turned
-into a dot. The environment variable ``PULSECMP_CONFIG`` names a default
-config file picked up when no explicit path is given.
+comments. A float value must be finite, from a file, an override or the
+constructor. Field ``filter_low_hz`` is key ``filter.low_hz``, its first
+underscore turned into a dot. The environment variable
+``PULSECMP_CONFIG`` names a default config file used without a path.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ class PipelineConfig:
     synth_sbp_mmhg: float = 120.0
     synth_dbp_mmhg: float = 80.0
 
+    def __post_init__(self):
+        for key, attr in _KEYMAP.items():
+            _require_finite(key, getattr(self, attr))
+
     def set_key(self, key: str, raw: str) -> None:
         """Assign one dotted key from its string representation."""
         attr = _KEYMAP.get(key)
@@ -57,8 +61,7 @@ class PipelineConfig:
             value = int(raw)
         elif isinstance(current, float):
             value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError(f"config key {key!r} must be finite, got {raw.strip()!r}")
+            _require_finite(key, value)
         else:
             value = raw.strip()
         setattr(self, attr, value)
@@ -82,6 +85,11 @@ class PipelineConfig:
 
 # Dotted key -> field name: field ``section_name`` is key ``section.name``.
 _KEYMAP = {f.name.replace("_", ".", 1): f.name for f in fields(PipelineConfig)}
+
+
+def _require_finite(key: str, value) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be finite, got {value!r}")
 
 
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:

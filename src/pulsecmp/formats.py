@@ -25,7 +25,8 @@ Every CSV is written by ``write_table`` (header row of column names,
 skips blank lines and rejects bad headers (a repeated column name
 included) and rows, fewer than two rows and non-finite samples with a
 ``FormatError``. Time-series CSVs start with a ``time_s`` column;
-sampling must be uniform to within 1 % jitter of the median step.
+sampling must be uniform to within 1 % jitter of the median step, and
+what ``write_series_csv`` wrote reads back at the rate it was written.
 """
 
 from __future__ import annotations
@@ -253,12 +254,27 @@ def _parse_time_table(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def _uniform_rate(times: np.ndarray) -> float:
+    """``rate`` for a column that is exactly ``t0 + np.arange(n) / rate``
+    (what ``write_series_csv`` writes), the shortest decimal rounding of
+    the span estimate that regenerates it; else ``1 / median(dt)``."""
     dt = np.diff(times)
     if np.any(dt <= 0):
         raise FormatError("non-monotonic", "time column must strictly increase")
     median = float(np.median(dt))
     if np.max(np.abs(dt - median)) > 0.01 * median:
         raise FormatError("non-uniform sampling", "time step jitter exceeds 1%")
+    n, t0 = times.size, times[0]
+    estimate = (n - 1) / (times[-1] - t0)
+    for digits in range(1, 18):
+        rate = float(f"{estimate:.{digits}g}")
+        # the last sample first: it rules out almost every wrong candidate
+        if t0 + (n - 1) / rate == times[-1]:
+            # the writer's column, built in one array: fresh ones fault in pages
+            column = np.arange(n, dtype=np.float64)
+            column /= rate
+            column += t0
+            if np.array_equal(column, times):
+                return rate
     return 1.0 / median
 
 

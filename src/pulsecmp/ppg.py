@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass
+from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass, require_min_record
 
 DEFAULT_CHANNEL = "green_0"
 
@@ -59,7 +59,7 @@ def process_ppg(
     ------
     ValueError
         When the channel is missing (the message lists available
-        channels) or the recording is shorter than 10 s.
+        channels) or the recording is shorter than ``MIN_RECORD_S``.
     """
     name = channel if channel is not None else default_channel(rec)
     if name not in rec.channels:
@@ -67,6 +67,5 @@ def process_ppg(
             f"channel {name!r} not found; available: {', '.join(rec.channel_names())}"
         )
     raw = rec.channels[name]
-    if raw.duration_s < 10.0:
-        raise ValueError("recording too short")
+    require_min_record(raw.duration_s)
     return butterworth_bandpass(raw, spec)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pulsecmp.signal_core import BandpassSpec, TimeSeries, bandpass_array
+from pulsecmp.signal_core import BandpassSpec, TimeSeries, bandpass_array, require_min_record
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -211,13 +211,12 @@ def process_radar(
     Raises
     ------
     ValueError
-        "recording too short" under 10 s, "radar: non-finite sample in
-        frame N" naming the first frame holding a NaN or infinity, or
+        "recording too short" under ``MIN_RECORD_S``, "radar: non-finite
+        sample in frame N" naming the first frame holding a NaN or infinity, or
         "radar: no informative range bin to search" (before any
         reduction when chirps have fewer than 3 samples).
     """
-    if cube.duration_s < 10.0:
-        raise ValueError("recording too short")
+    require_min_record(cube.duration_s)
     if cube.n_samples < 3:
         raise ValueError("radar: no informative range bin to search")
     phases = _slow_time_fused(cube)

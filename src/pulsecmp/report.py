@@ -45,7 +45,7 @@ from pulsecmp.metrics import (
 )
 from pulsecmp.ppg import PpgRecording, process_ppg
 from pulsecmp.radar import BinSelection, RadarCube, process_radar
-from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass
+from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass, require_min_record
 from pulsecmp.synth import (
     CubeGeometry,
     PulseModel,
@@ -241,7 +241,8 @@ def condition_modality(
     then oriented and its beats detected by the shared last step.
     Returns the oriented waveform, its beat train and, for radar only,
     the chosen (antenna, range bin) with its ``inverted`` polarity
-    decision (``None`` when the polarity rule could not decide).
+    decision (``None`` when undecided). Any record under ``MIN_RECORD_S``
+    is "recording too short".
     """
     spec = _bandpass_spec(config)
     selection = None
@@ -251,6 +252,7 @@ def condition_modality(
     elif name == "ppg":
         waveform = process_ppg(raw, config.ppg_channel_or_none, spec)
     else:
+        require_min_record(raw.duration_s)
         waveform = butterworth_bandpass(raw, spec)
     waveform, train, inverted = orient_and_detect(
         waveform, config.beats_min_separation_s, config.beats_prominence_rel

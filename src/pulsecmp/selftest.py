@@ -48,6 +48,11 @@ class CheckResult:
     elapsed_s: float = 0.0
 
 
+def _verdict(name: str, problems: list[str], summary: str) -> CheckResult:
+    """A pass carrying ``summary`` when no problem was found, else a fail listing them."""
+    return CheckResult(name, not problems, "; ".join(problems) or summary)
+
+
 def analytic_zero_phase_gain(f_hz: float, fs_hz: float, spec: BandpassSpec) -> float:
     """Closed-form magnitude of the forward-backward Butterworth band-pass.
 
@@ -129,7 +134,6 @@ def ibi_errors_vs_truth(detected, truth_times_s: np.ndarray) -> np.ndarray:
 
 
 def check_metric_oracles() -> CheckResult:
-    t0 = time.time()
     problems = []
     ba = bland_altman(np.array([1000.0, 1010.0, 990.0]), np.array([1005.0, 1000.0, 995.0]))
     if abs(ba.bias) > 1e-9 or abs(ba.sd - math.sqrt(75.0)) > 1e-9:
@@ -145,15 +149,10 @@ def check_metric_oracles() -> CheckResult:
     t, p = paired_t_test(np.array([2.0, 4.0, 6.0, 8.0]))
     if abs(t - 5.0 / (math.sqrt(20.0 / 3.0) / 2.0)) > 1e-9 or abs(p - 0.0305) > 1e-3:
         problems.append(f"paired_t_test t={t} p={p}")
-    ok = not problems
-    return CheckResult(
-        "metric-oracles", ok, "; ".join(problems) if problems else "5 hand-computed oracles match",
-        time.time() - t0,
-    )
+    return _verdict("metric-oracles", problems, "5 hand-computed oracles match")
 
 
 def check_filter_contract() -> CheckResult:
-    t0 = time.time()
     fs = 200.0
     spec = BandpassSpec()
     t = np.arange(int(60 * fs)) / fs
@@ -174,15 +173,10 @@ def check_filter_contract() -> CheckResult:
     dc = np.abs(butterworth_bandpass(const, spec).samples).max() / 5.0
     if dc > 1e-6:
         problems.append(f"DC leakage {dc:.2e}")
-    ok = not problems
-    return CheckResult(
-        "filter-contract", ok, "; ".join(problems) if problems else "gains match analytic design",
-        time.time() - t0,
-    )
+    return _verdict("filter-contract", problems, "gains match analytic design")
 
 
 def check_phase_scale() -> CheckResult:
-    t0 = time.time()
     fs = 200.0
     wavelength = SPEED_OF_LIGHT / CARRIER_HZ
     geometry = CubeGeometry(antennas=1, chirps=4, samples=64, target_antenna=0)
@@ -201,17 +195,13 @@ def check_phase_scale() -> CheckResult:
     ratios = np.array(amps_rad[1:]) / np.array([math.pi / 4, math.pi / 8, math.pi / 16])
     if np.ptp(ratios) / ratios.mean() > 0.02:
         problems.append(f"linearity spread {np.ptp(ratios)/ratios.mean():.3%}")
-    ok = not problems
-    return CheckResult(
-        "phase-scale", ok,
-        "; ".join(problems) if problems else
+    return _verdict(
+        "phase-scale", problems,
         f"lambda/8 -> {amps_rad[0]:.4f} rad (target {math.pi/2:.4f}), sweep linear",
-        time.time() - t0,
     )
 
 
 def check_radar_recovery(seeds=RECOVERY_SEEDS, duration_s: float = 60.0) -> CheckResult:
-    t0 = time.time()
     problems = []
     cos_means = []
     for seed in seeds:
@@ -229,32 +219,21 @@ def check_radar_recovery(seeds=RECOVERY_SEEDS, duration_s: float = 60.0) -> Chec
     mean_cos = float(np.mean(cos_means)) if cos_means else 0.0
     if mean_cos < 0.99:
         problems.append(f"mean per-beat cosine {mean_cos:.5f} < 0.99")
-    ok = not problems
-    return CheckResult(
-        "radar-recovery", ok,
-        "; ".join(problems) if problems else
+    return _verdict(
+        "radar-recovery", problems,
         f"{len(seeds)} seeds: selection exact, mean per-beat cosine {mean_cos:.5f}",
-        time.time() - t0,
-    )
-
-
-def _ibi_bundle_config(seed: int, duration_s: float) -> PipelineConfig:
-    # 40 dB keeps visible noise on the radar path while the diastolic
-    # feet stay locked; below ~35 dB the foot search starts hopping
-    # between ripple troughs in the flat diastolic runoff.
-    return PipelineConfig(
-        synth_seed=seed,
-        synth_duration_s=duration_s,
-        synth_snr_db=40.0,
-        synth_ppg_noise_sd=0.0,
     )
 
 
 def check_ibi_fidelity(seeds=(2, 5, 7), duration_s: float = 120.0) -> CheckResult:
-    t0 = time.time()
     problems = []
     for seed in seeds:
-        config = _ibi_bundle_config(seed, duration_s)
+        # 40 dB keeps visible noise on the radar path while the diastolic
+        # feet stay locked; below ~35 dB the foot search starts hopping
+        # between ripple troughs in the flat diastolic runoff.
+        config = PipelineConfig(
+            synth_seed=seed, synth_duration_s=duration_s, synth_snr_db=40.0, synth_ppg_noise_sd=0.0
+        )
         bundle = simulate_bundle(config)
         report = run_compare(bundle, config)
         truth_times = bundle.truth.beat_times_s
@@ -266,17 +245,13 @@ def check_ibi_fidelity(seeds=(2, 5, 7), duration_s: float = 120.0) -> CheckResul
         ba = report.pairs["radar_vs_reference"].bland_altman
         if abs(ba.bias) > 2.0 or ba.sd > 8.0:
             problems.append(f"seed {seed} radar-vs-reference bias {ba.bias:.2f} sd {ba.sd:.2f}")
-    ok = not problems
-    return CheckResult(
-        "ibi-fidelity", ok,
-        "; ".join(problems) if problems else
+    return _verdict(
+        "ibi-fidelity", problems,
         f"{len(seeds)} bundles: |IBI error| within one sample, agreement within limits",
-        time.time() - t0,
     )
 
 
 def check_morphology_ordering(seed: int = 1, duration_s: float = 60.0) -> CheckResult:
-    t0 = time.time()
     config = PipelineConfig(synth_seed=seed, synth_duration_s=duration_s)
     bundle = simulate_bundle(config)
     report = run_compare(bundle, config)
@@ -293,72 +268,71 @@ def check_morphology_ordering(seed: int = 1, duration_s: float = 60.0) -> CheckR
     cos_ppg = report.pairs["ppg_vs_reference"].comparison.cosine_mean
     if not cos_radar > cos_ppg:
         problems.append(f"cosine ordering radar {cos_radar:.4f} !> ppg {cos_ppg:.4f}")
-    ok = not problems
-    return CheckResult(
-        "morphology-ordering", ok,
-        "; ".join(problems) if problems else
+    return _verdict(
+        "morphology-ordering", problems,
         f"AUC ppg>ref, extrema radar>=ppg, cosine radar ({cos_radar:.4f}) > ppg ({cos_ppg:.4f})",
-        time.time() - t0,
     )
 
 
-def check_roundtrip() -> CheckResult:
-    import os
+def _recordings(bundle) -> dict[str, tuple[np.ndarray, float, float]]:
+    """Every array a bundle records, with its rate and start time, by name."""
+    out = {}
+    for name in bundle.present_modalities():
+        raw = getattr(bundle, name)
+        if name == "radar":
+            out[name] = (raw.data, raw.frame_rate_hz, 0.0)
+        elif name == "ppg":
+            for channel, ts in raw.channels.items():
+                out[f"ppg {channel}"] = (ts.samples, ts.sample_rate_hz, ts.start_time_s)
+        else:
+            out[name] = (raw.samples, raw.sample_rate_hz, raw.start_time_s)
+    return out
+
+
+def check_bundle_roundtrip(seed: int = 3, duration_s: float = 12.0) -> CheckResult:
+    """A simulated bundle read back through the bundle paths of ``simulate``
+    and ``compare`` holds the same recordings and gives the same report."""
     import tempfile
 
-    from pulsecmp.formats import (
-        read_ppg_csv,
-        read_radar_cube,
-        read_series_csv,
-        write_ppg_csv,
-        write_radar_cube,
-        write_series_csv,
-    )
-    from pulsecmp.ppg import PpgRecording
-    from pulsecmp.radar import RadarCube
+    from pulsecmp.cli import read_bundle_dir, write_bundle_dir
+    from pulsecmp.formats import canonical_json
 
-    t0 = time.time()
-    rng = np.random.default_rng(0)
-    problems = []
+    config = PipelineConfig(synth_seed=seed, synth_duration_s=duration_s)
+    bundle = simulate_bundle(config)
     with tempfile.TemporaryDirectory() as tmp:
-        cube = RadarCube(
-            rng.standard_normal((4, 2, 3, 8)).astype(np.float32),
-            metadata={"k": "v"},
-        )
-        path = os.path.join(tmp, "cube.radc")
-        write_radar_cube(cube, path)
-        back = read_radar_cube(path)
-        if not np.array_equal(back.data, cube.data) or back.metadata != cube.metadata:
-            problems.append("radar cube round trip not bit-exact")
-        values = np.round(rng.standard_normal(50), 6)
-        csv_path = os.path.join(tmp, "series.csv")
-        write_series_csv(csv_path, {"pressure_mmHg": values}, 200.0)
-        series = read_series_csv(csv_path, "pressure_mmHg")
-        if not np.array_equal(series.samples, values) or abs(
-            series.sample_rate_hz / 200.0 - 1.0
-        ) > 1e-9:
-            problems.append("series CSV round trip mismatch")
-        rec = PpgRecording(channels={"green_0": TimeSeries(values, 200.0)})
-        ppg_path = os.path.join(tmp, "ppg.csv")
-        write_ppg_csv(rec, ppg_path)
-        if not np.allclose(read_ppg_csv(ppg_path).channels["green_0"].samples, values, atol=0):
-            problems.append("PPG CSV round trip mismatch")
-    ok = not problems
-    return CheckResult(
-        "format-roundtrip", ok, "; ".join(problems) if problems else "all formats round trip",
-        time.time() - t0,
+        write_bundle_dir(bundle, config, tmp)
+        back = read_bundle_dir(tmp, subject_id=bundle.subject_id)
+        want, got = _recordings(bundle), _recordings(back)
+        problems = []
+        for key, (samples, *timing) in want.items():
+            back_samples, *back_timing = got.get(key, (None, None, None))
+            if not np.array_equal(back_samples, samples):
+                problems.append(f"{key} samples differ")
+            if back_timing != timing:
+                problems.append(f"{key} (rate Hz, start s) {back_timing} != written {timing}")
+        report = canonical_json(run_compare(bundle, config).to_dict())
+        if canonical_json(run_compare(back, config).to_dict()) != report:
+            problems.append("report bytes differ from the in-memory bundle's")
+    return _verdict(
+        "bundle-roundtrip", problems,
+        f"{len(want)} recordings: samples, rates, start times and report bytes identical",
     )
 
 
 def run_selftest(quick: bool = True) -> list[CheckResult]:
-    """Run every check; quick mode trims record lengths and seed counts."""
+    """Run every check, timing each; quick mode trims record lengths and seed counts."""
     checks = [
-        check_metric_oracles(),
-        check_filter_contract(),
-        check_roundtrip(),
-        check_phase_scale(),
-        check_radar_recovery(seeds=(1, 2, 3) if quick else RECOVERY_SEEDS),
-        check_ibi_fidelity(seeds=(2,) if quick else (2, 5, 7)),
-        check_morphology_ordering(),
+        check_metric_oracles,
+        check_filter_contract,
+        check_bundle_roundtrip,
+        check_phase_scale,
+        lambda: check_radar_recovery(seeds=(1, 2, 3) if quick else RECOVERY_SEEDS),
+        lambda: check_ibi_fidelity(seeds=(2,) if quick else (2, 5, 7)),
+        check_morphology_ordering,
     ]
-    return checks
+    results = []
+    for check in checks:
+        start = time.time()
+        results.append(check())
+        results[-1].elapsed_s = time.time() - start
+    return results

@@ -1,10 +1,10 @@
 """Core signal types and shared DSP primitives.
 
 Everything downstream (radar phase filtering, PPG conditioning, beat
-analysis) is built on the operations here: zero-phase Butterworth
-band-pass filtering and linear resampling. All arithmetic is 64-bit
-floating point; operations are pure functions and never mutate their
-inputs.
+analysis) is built on the operations here: the shared record-length
+minimum and zero-phase Butterworth band-pass filtering. All arithmetic
+is 64-bit floating point; operations are pure functions and never
+mutate their inputs.
 
 The band-pass is numpy alone. The design is scipy's ``butter(...,
 output="sos")``: analog prototype, band-pass transform, bilinear map,
@@ -96,6 +96,16 @@ class BandpassSpec:
         """Raise if the band does not fit below Nyquist for this rate."""
         if self.high_cut_hz >= sample_rate_hz / 2.0:
             raise ValueError("invalid cutoff")
+
+
+# Shortest record, in seconds, that any modality's chain accepts.
+MIN_RECORD_S = 10.0
+
+
+def require_min_record(duration_s: float) -> None:
+    """Raise "recording too short" for a record under ``MIN_RECORD_S``."""
+    if duration_s < MIN_RECORD_S:
+        raise ValueError("recording too short")
 
 
 # Samples per block, and blocks per chunk, of the block-recursive
@@ -340,18 +350,3 @@ def bandpass_array(
     for index in np.ndindex(values.shape[:-1]):
         out[index] = _filtfilt_row(f, values[index], padlen)
     return out
-
-
-def resample_linear(x: TimeSeries, target_len: int) -> np.ndarray:
-    """Linearly interpolate onto ``target_len`` points spanning the series.
-
-    The output grid covers the first through last sample times
-    inclusively, so both endpoints are preserved exactly.
-    """
-    if len(x) < 2:
-        raise ValueError("need at least two samples")
-    if target_len < 2:
-        raise ValueError("target_len must be at least 2")
-    src = np.linspace(0.0, 1.0, len(x))
-    dst = np.linspace(0.0, 1.0, int(target_len))
-    return np.interp(dst, src, x.samples)

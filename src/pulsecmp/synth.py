@@ -25,7 +25,7 @@ import numpy as np
 from pulsecmp.beats import IBI_MAX_MS, IBI_MIN_MS
 from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import SPEED_OF_LIGHT, RadarCube, frame_blocks
-from pulsecmp.signal_core import TimeSeries
+from pulsecmp.signal_core import MIN_RECORD_S, TimeSeries
 
 # Peak-to-peak extent of zero-mean Gaussian noise, as a multiple of its
 # standard deviation (+/- 3 sigma covers 99.7 % of samples).
@@ -139,8 +139,8 @@ def generate_waveform(
     """
     if not math.isfinite(duration_s):
         raise ValueError("duration must be finite")
-    if duration_s < 10.0:
-        raise ValueError("duration must be at least 10 s")
+    if duration_s < MIN_RECORD_S:
+        raise ValueError(f"duration must be at least {MIN_RECORD_S:g} s")
     if fs_hz < 50.0:
         raise ValueError("sample rate must be at least 50 Hz")
     rng = np.random.default_rng(seed)
@@ -200,8 +200,10 @@ def synth_radar_cube(
     ------
     ValueError
         "phase ambiguity" when the displacement peak reaches a quarter
-        wavelength.
+        wavelength; "snr_db must be finite" for a NaN or infinite SNR.
     """
+    if snr_db is not None and not math.isfinite(snr_db):
+        raise ValueError("snr_db must be finite")
     wavelength = SPEED_OF_LIGHT / CARRIER_HZ
     d = displacement.samples
     if np.abs(d).max() >= wavelength / 4.0:
@@ -224,7 +226,7 @@ def synth_radar_cube(
 
     tone = np.cos(2.0 * np.pi * geometry.target_range_bin * n[None, :] / n_samp + phi[:, None])
     sigma_if = None
-    if snr_db is not None and math.isfinite(snr_db):
+    if snr_db is not None:
         phase_p2p = float(phi.max() - phi.min())
         sigma_phase = phase_p2p / (NOISE_P2P_SIGMA * 10.0 ** (snr_db / 20.0))
         # A unit tone maps to bin magnitude N/2; averaging C chirps

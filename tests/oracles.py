@@ -213,6 +213,22 @@ def impulse_correlation_lag(ta, tb, max_lag_s, fs_hz):
     return float(lags[mask][np.argmax(cc[mask])] / fs_hz)
 
 
+def resample_linear(x, target_len):
+    """Linearly interpolate a TimeSeries onto ``target_len`` points spanning it.
+
+    The output grid covers the first through last sample times
+    inclusively, so both endpoints are preserved exactly: the resampling
+    ``beats.segment_beats_indexed`` applies to each beat.
+    """
+    if len(x) < 2:
+        raise ValueError("need at least two samples")
+    if target_len < 2:
+        raise ValueError("target_len must be at least 2")
+    src = np.linspace(0.0, 1.0, len(x))
+    dst = np.linspace(0.0, 1.0, int(target_len))
+    return np.interp(dst, src, x.samples)
+
+
 # Test-only views of production code. Each calls what the pipeline
 # itself runs (`_filter_cells`, `polarity_inverted`,
 # `generate_waveform`), so tests written against it exercise that code.

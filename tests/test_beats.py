@@ -27,7 +27,12 @@ from pulsecmp.beats import (
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import PulseModel, generate_waveform
 
-from oracles import impulse_correlation_lag, polarity_inverted_by_masks, three_bump_wave
+from oracles import (
+    impulse_correlation_lag,
+    polarity_inverted_by_masks,
+    resample_linear,
+    three_bump_wave,
+)
 
 FS = 200.0
 
@@ -248,6 +253,24 @@ class TestSegmentBeats:
         # every row spans exactly [0, 1]
         assert np.all(shapes.min(axis=1) == 0.0)
         assert np.all(shapes.max(axis=1) == 1.0)
+
+    @pytest.mark.parametrize("norm_len", [97, 200])
+    def test_rows_equal_oracle_resampling_bit_for_bit(self, norm_len):
+        waveform, _ = pulse_train_series(duration_s=30.0, seed=4, ibi_sd_ms=30.0)
+        train = detect_peaks(waveform)
+        feet, shapes = segment_beats_indexed(waveform, train, norm_len)
+        d = train.diastolic_indices
+        assert feet.size == d.size - 1
+        for foot, row in zip(feet, shapes):
+            beat = TimeSeries(waveform.samples[d[foot] : d[foot + 1] + 1], FS)
+            expected = resample_linear(beat, norm_len)
+            expected = (expected - expected.min()) / (expected.max() - expected.min())
+            assert np.array_equal(row, expected)
+
+    def test_norm_len_below_two_rejected(self):
+        waveform, _ = pulse_train_series(duration_s=12.0)
+        with pytest.raises(ValueError, match="norm_len must be at least 2"):
+            segment_beats_indexed(waveform, detect_peaks(waveform), norm_len=1)
 
 
 class TestAverageBeats:

@@ -3,16 +3,25 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
 from pulsecmp import beats, cli
 from pulsecmp.cli import main
-from pulsecmp.formats import read_radar_cube, write_radar_cube
+from pulsecmp.config import PipelineConfig
+from pulsecmp.formats import canonical_json, read_radar_cube, write_radar_cube
 from pulsecmp.radar import RadarCube
-from pulsecmp.signal_core import TimeSeries
-from pulsecmp.synth import CubeGeometry, synth_radar_cube
+from pulsecmp.report import RecordingBundle, model_from_config, run_compare, simulate_bundle
+from pulsecmp.signal_core import TimeSeries, _bandpass_filter
+from pulsecmp.synth import (
+    CubeGeometry,
+    generate_waveform,
+    synth_ppg,
+    synth_radar_cube,
+    synth_reference,
+)
 
 
 def run_cli(args, **kwargs):
@@ -128,6 +137,18 @@ class TestCompare:
         doc = json.loads((out / "report.json").read_text())
         assert doc["subject_id"] == "s9"
         assert set(doc["modalities"]) == {"ppg", "reference"}
+
+    def test_short_reference_is_input_error(self, bundle_dir, tmp_path, capsys):
+        reference = cli.load_modality("reference", str(bundle_dir / "reference.csv"))
+        short = reference.with_samples(reference.samples[: int(6 * reference.sample_rate_hz)])
+        cli.save_modality("reference", short, str(tmp_path / "reference.csv"))
+        code = main([
+            "compare", "--ppg", str(bundle_dir / "ppg.csv"),
+            "--reference", str(tmp_path / "reference.csv"), "-o", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: recording too short\n"
+        assert not (tmp_path / "out").exists()
 
     def test_single_modality_is_input_error(self, bundle_dir, tmp_path):
         result = run_cli([
@@ -301,6 +322,41 @@ class TestCompare:
         out = str(tmp_path / "reports")
         assert main(["compare", "--bundle-root", str(root), "--jobs", "64", "-o", out]) == 0
         assert workers == [2]
+
+
+class TestOneReportInMemoryAndFromDisk:
+    """A bundle gives the same report whether it was processed in memory
+    or written by ``simulate``'s writer and read back by ``compare``'s reader."""
+
+    @staticmethod
+    def assert_same_report(bundle, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            cli.write_bundle_dir(bundle, config, tmp)
+            back = cli.read_bundle_dir(tmp, subject_id=bundle.subject_id)
+            from_disk = canonical_json(run_compare(back, config).to_dict())
+        assert from_disk == canonical_json(run_compare(bundle, config).to_dict())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_default_bundle(self, seed):
+        config = PipelineConfig(synth_seed=seed)
+        self.assert_same_report(simulate_bundle(config), config)
+
+    def test_long_ppg_and_reference_bundle(self):
+        config = PipelineConfig(synth_seed=41, synth_duration_s=1200.0)
+        waveform, truth = generate_waveform(
+            model_from_config(config), config.synth_duration_s, config.synth_fs_hz, 41
+        )
+        ppg = synth_ppg(waveform, config.synth_ppg_tau_s, config.synth_ppg_noise_sd, 41)
+        reference = synth_reference(
+            waveform, config.synth_sbp_mmhg, config.synth_dbp_mmhg, truth.beat_times_s
+        )
+        self.assert_same_report(RecordingBundle(ppg=ppg, reference=reference), config)
+
+    def test_one_bandpass_design_from_disk(self, bundle_dir):
+        bundle = cli.read_bundle_dir(str(bundle_dir))
+        _bandpass_filter.cache_clear()
+        run_compare(bundle)
+        assert _bandpass_filter.cache_info().misses == 1
 
 
 class TestConfigPlumbing:

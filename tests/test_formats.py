@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 
@@ -149,8 +150,36 @@ class TestSeriesCsv:
         with open(path, "w") as fh:
             fh.write("time_s,pressure_mmHg\n0,80\n0.005,90\n0.010,100\n")
         series = read_series_csv(path, "pressure_mmHg")
-        assert_allclose(series.sample_rate_hz, 200.0)
+        assert series.sample_rate_hz == 200.0
         assert_allclose(series.samples, [80.0, 90.0, 100.0])
+
+    @pytest.mark.parametrize("times", ["0.000,0.005,0.01,0.015", "1.5,1.505,1.51"])
+    def test_hand_written_decimal_times_read_exact_rate(self, tmp_path, times):
+        path = _write(
+            tmp_path / "s.csv", "time_s,v\n" + "".join(f"{t},1\n" for t in times.split(","))
+        )
+        assert read_series_csv(path, "v").sample_rate_hz == 200.0
+
+    def test_irregular_times_keep_the_median_step(self, tmp_path):
+        times = np.array([0.0, 0.00499, 0.00999, 0.01498, 0.01997])
+        path = _write(tmp_path / "s.csv", "time_s,v\n" + "".join(f"{t},1\n" for t in times))
+        assert read_series_csv(path, "v").sample_rate_hz == 1.0 / np.median(np.diff(times))
+
+    @given(
+        mantissa=st.integers(1, 999_999_999),
+        exponent=st.integers(-6, 0),
+        n=st.integers(2, 500),
+    )
+    def test_written_rate_reads_back_exactly(self, mantissa, exponent, n):
+        import tempfile
+
+        rate = float(f"{mantissa}e{exponent}")  # at most 9 significant digits
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rt.csv")
+            write_series_csv(path, {"v": np.ones(n)}, rate)
+            series = read_series_csv(path, "v")
+        assert series.sample_rate_hz == rate
+        assert series.start_time_s == 0.0
 
     def test_non_monotonic(self, tmp_path):
         path = str(tmp_path / "s.csv")
@@ -360,6 +389,13 @@ class TestConfig:
         assert load_config().filter_high_hz == 6.5
         monkeypatch.delenv(ENV_CONFIG)
         assert load_config().filter_high_hz == 8.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_constructor_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="^config key 'synth.snr_db' must be finite"):
+            PipelineConfig(synth_snr_db=value)
+        with pytest.raises(ValueError, match="^config key 'filter.order' must be finite"):
+            PipelineConfig(filter_order=value)
 
     def test_flat_dict_round_trip(self):
         cfg = PipelineConfig()

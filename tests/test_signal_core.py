@@ -14,13 +14,13 @@ from pulsecmp.signal_core import (
     _bandpass_sos,
     bandpass_array,
     butterworth_bandpass,
-    resample_linear,
 )
 
 from oracles import (
     ComplexSeries,
     brute_dft_onesided,
     range_fft,
+    resample_linear,
     tone_amplitude,
     unwrap_phase,
     wrap_phase,

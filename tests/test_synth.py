@@ -150,13 +150,18 @@ class TestSynthRadarCube:
         assert whole.data.dtype == np.float32
         assert np.array_equal(blocked.data, whole.data)
 
-    def test_infinite_snr_means_no_noise(self):
+    def test_non_finite_snr_is_rejected(self):
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, 3)
         displacement = waveform.with_samples(waveform.samples * 1e-4)
         geom = CubeGeometry(antennas=2, chirps=2, samples=32)
+        for snr_db in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^snr_db must be finite$"):
+                synth_radar_cube(displacement, geom, snr_db, 3)
+        # None still means no noise: antenna 0 carries static clutter only
         clean = synth_radar_cube(displacement, geom, None, 3)
-        inf = synth_radar_cube(displacement, geom, math.inf, 3)
-        assert np.array_equal(clean.data, inf.data)
+        noisy = synth_radar_cube(displacement, geom, 20.0, 3)
+        assert np.ptp(clean.data[:, 0], axis=0).max() == 0.0
+        assert np.ptp(noisy.data[:, 0], axis=0).max() > 0.0
 
     def test_phase_linearity(self):
         t = np.arange(int(20 * FS)) / FS
