@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pulsecmp.signal_core import TimeSeries
+from pulsecmp.signal_core import TimeSeries, median
 
 IBI_MIN_MS = 250.0
 IBI_MAX_MS = 3000.0
@@ -139,7 +139,7 @@ def _running_extreme(x: np.ndarray, window: int, op: np.ufunc) -> np.ndarray:
 def _rolling_p2p_median(x: np.ndarray, window: int) -> float:
     if x.size >= window and window > 1:
         p2p = _running_extreme(x, window, np.maximum) - _running_extreme(x, window, np.minimum)
-        return float(np.median(p2p))
+        return median(p2p)
     return float(x.max() - x.min())
 
 
@@ -414,11 +414,15 @@ def align_beat_events(
     fs = EVENT_GRID_HZ
     t_lo = min(ta.min(), tb.min())
     n = int(round((max(ta.max(), tb.max()) - t_lo) * fs)) + 1
-    ga = np.unique(np.clip(np.round((ta - t_lo) * fs).astype(int), 0, n - 1))
-    gb = np.unique(np.clip(np.round((tb - t_lo) * fs).astype(int), 0, n - 1))
+    # each train's feet increase, so its distinct grid events are where
+    # the rounded steps change (np.unique would import numpy.ma)
+    grid = [np.clip(np.round((t - t_lo) * fs).astype(int), 0, n - 1) for t in (ta, tb)]
+    ga, gb = (g[np.concatenate(([True], g[1:] != g[:-1]))] for g in grid)
     reach = min(int(round(max_lag_s * fs)), n - 1)
     if reach < 0:
         raise ValueError("max_lag_s must not be negative")
+    if pair_tol_s < 0:
+        raise ValueError("pair_tol_s must not be negative")
     # every (a, b) event pair at most ``reach`` grid steps apart
     lo = np.searchsorted(gb, ga - reach, "left")
     per_a = np.searchsorted(gb, ga + reach, "right") - lo

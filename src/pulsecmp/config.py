@@ -75,10 +75,6 @@ class PipelineConfig:
         return None if self.synth_snr_db < 0 else self.synth_snr_db
 
     @property
-    def max_bins_or_none(self) -> int | None:
-        return None if self.radar_max_bins <= 0 else self.radar_max_bins
-
-    @property
     def ppg_channel_or_none(self) -> str | None:
         return self.ppg_channel or None
 

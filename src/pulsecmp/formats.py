@@ -44,7 +44,7 @@ import numpy as np
 
 from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import RadarCube
-from pulsecmp.signal_core import TimeSeries
+from pulsecmp.signal_core import TimeSeries, median
 from pulsecmp.synth import PulseModel, SynthGroundTruth
 
 MAGIC = b"RADC"
@@ -260,8 +260,8 @@ def _uniform_rate(times: np.ndarray) -> float:
     dt = np.diff(times)
     if np.any(dt <= 0):
         raise FormatError("non-monotonic", "time column must strictly increase")
-    median = float(np.median(dt))
-    if np.max(np.abs(dt - median)) > 0.01 * median:
+    step = median(dt)
+    if np.max(np.abs(dt - step)) > 0.01 * step:
         raise FormatError("non-uniform sampling", "time step jitter exceeds 1%")
     n, t0 = times.size, times[0]
     estimate = (n - 1) / (times[-1] - t0)
@@ -275,7 +275,7 @@ def _uniform_rate(times: np.ndarray) -> float:
             column += t0
             if np.array_equal(column, times):
                 return rate
-    return 1.0 / median
+    return 1.0 / step
 
 
 def _read_channels(path: str) -> dict[str, TimeSeries]:

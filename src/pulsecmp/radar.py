@@ -8,9 +8,10 @@ proportional to radial tissue displacement: ``phase = 4 * pi *
 displacement / wavelength``. Orientation and beat detection are one
 shared last step for every modality (``beats.orient_and_detect``).
 
-Memory is one float64 phase per (antenna, bin, frame) plus one frame
-block: the cube is reduced to wrapped phase block by block over frames,
-and each cell's row is then unwrapped and band-passed in place.
+Only the range bins of one rule, ``searchable_bins``, are reduced,
+filtered and searched. Memory is their float64 phase per (antenna, bin,
+frame) plus one frame block: the cube is reduced to wrapped phase block
+by block over frames, and each row is then unwrapped and band-passed.
 """
 
 from __future__ import annotations
@@ -123,7 +124,25 @@ def frame_blocks(shape: tuple[int, ...]) -> Iterator[tuple[int, int]]:
         yield start, min(start + step, n_frames)
 
 
-def _slow_time_fused(cube: RadarCube) -> np.ndarray:
+def searchable_bins(n_samples: int, max_bins: int = 0) -> range:
+    """Range bins the chain may select for chirps of ``n_samples`` samples.
+
+    Bins 1 .. ceil(N/2) - 1: bin 0 is nulled by chirp mean removal, and
+    the Nyquist bin N/2 of an even N is real-valued; neither phase
+    carries displacement. ``max_bins=K > 0`` keeps bins 1 .. K-1 for
+    near-field use (bin 0 counts toward K); 0 or less sets no cap. No
+    bin left, as with ``max_bins=1`` or chirps of under 3 samples, raises
+    "radar: no informative range bin to search".
+    """
+    stop = (n_samples + 1) // 2
+    if max_bins > 0:
+        stop = min(stop, max_bins)
+    if stop <= 1:
+        raise ValueError("radar: no informative range bin to search")
+    return range(1, stop)
+
+
+def _slow_time_fused(cube: RadarCube, bins: range) -> np.ndarray:
     """Wrapped phase [antenna][bin][frame] of the chirp-averaged range FFT."""
     # Chirp averaging commutes with the mean removal and the FFT (all
     # linear), so average first and transform once per frame. Averaging
@@ -132,7 +151,7 @@ def _slow_time_fused(cube: RadarCube) -> np.ndarray:
     # means a non-finite sample. Each frame block is taken to its phase
     # at once, so no complex slow-time tensor is ever held.
     data = cube.data
-    phase = np.empty((data.shape[1], data.shape[3] // 2 + 1, data.shape[0]))
+    phase = np.empty((data.shape[1], len(bins), data.shape[0]))
     for start, stop in frame_blocks(data.shape):
         avg = np.mean(data[start:stop], axis=2, dtype=np.float64)
         if not np.isfinite(avg).all():
@@ -141,7 +160,8 @@ def _slow_time_fused(cube: RadarCube) -> np.ndarray:
         if cube.release_frames is not None:
             cube.release_frames(start, stop)
         avg -= avg.mean(axis=2, keepdims=True)
-        phase[:, :, start:stop] = np.angle(np.fft.rfft(avg, axis=2)).transpose(1, 2, 0)
+        spectrum = np.fft.rfft(avg, axis=2)[:, :, bins.start : bins.stop]
+        phase[:, :, start:stop] = np.angle(spectrum).transpose(1, 2, 0)
     return phase
 
 
@@ -153,77 +173,57 @@ def _filter_cells(phase: np.ndarray, frame_rate_hz: float, spec: BandpassSpec | 
         row[:] = bandpass_array(np.unwrap(row), frame_rate_hz, spec)
 
 
-def select_best_bin(phases: np.ndarray, max_bins: int | None = None) -> BinSelection:
+def select_best_bin(phases: np.ndarray, bins: range) -> BinSelection:
     """Pick the (antenna, bin) with the largest pulsation amplitude.
 
-    Peak-to-peak is measured without the ``EDGE_FRACTION`` of samples at
-    each end, so residual filter transients at the record edges cannot
-    inflate it. Ties break toward the lower antenna index, then the
-    lower bin index.
-
-    Bin 0 and the Nyquist bin are excluded from the search: the DC bin
-    is nulled by chirp mean removal and the Nyquist bin of a real IF
-    signal is real-valued, so the arctangent phase of either carries no
-    displacement information. ``max_bins=K`` restricts the search to
-    bins 1 .. K-1 for near-field use: the excluded bin 0 counts toward K.
-
-    Raises
-    ------
-    ValueError
-        When no informative bin is left to search, as with ``max_bins=1``
-        or a cube of one fast-time sample.
+    ``phases[a, i]`` is the band-passed phase of antenna ``a`` at range
+    bin ``bins[i]``, as ``process_radar`` keeps it for the bins of
+    ``searchable_bins``. Peak-to-peak is measured without the
+    ``EDGE_FRACTION`` of samples at each end, so residual filter
+    transients at the record edges cannot inflate it. Ties break toward
+    the lower antenna index, then the lower bin.
     """
     phases = np.asarray(phases, dtype=np.float64)
-    if phases.ndim != 3 or phases.shape[0] < 1 or phases.shape[1] < 1:
-        raise ValueError("phases must be [antenna][bin][frame]")
-    n_bins, n_frames = phases.shape[1:]
-    stop = n_bins - 1 if n_bins > 2 else n_bins
-    if max_bins is not None:
-        stop = min(stop, max_bins)
-    if stop <= 1:
-        raise ValueError("radar: no informative range bin to search")
+    if phases.ndim != 3 or 0 in phases.shape[:2] or phases.shape[1] != len(bins):
+        raise ValueError("phases must be [antenna][bin][frame] over the given bins")
+    n_frames = phases.shape[2]
     margin = int(EDGE_FRACTION * n_frames)
     core = phases[:, :, margin : n_frames - margin] if n_frames - 2 * margin >= 2 else phases
     p2p = core.max(axis=2) - core.min(axis=2)
-    # bins 1 .. stop-1; argmax scans antenna-major, as the tie rule asks
-    search = p2p[:, 1:stop]
-    antenna, offset = np.unravel_index(int(np.argmax(search)), search.shape)
-    range_bin = offset + 1
-    return BinSelection(int(antenna), int(range_bin), float(p2p[antenna, range_bin]))
+    # argmax scans antenna-major, as the tie rule asks
+    antenna, index = np.unravel_index(int(np.argmax(p2p)), p2p.shape)
+    return BinSelection(int(antenna), bins[index], float(p2p[antenna, index]))
 
 
 def process_radar(
-    cube: RadarCube, spec: BandpassSpec | None = None, max_bins: int | None = None
+    cube: RadarCube, spec: BandpassSpec | None = None, max_bins: int = 0
 ) -> RadarPulseResult:
     """Radar chain from raw cube to the band-passed phase of the best cell.
 
-    Per-chirp mean removal, the range FFT and chirp averaging run as
-    one fused linear reduction over frame blocks, algebraically
-    identical to composing them per chirp, and each block goes straight
-    to its wrapped phase. Each (antenna, bin) row is then unwrapped and
-    band-passed in place, one row at a time, and bin selection follows.
-    Memory is one float64 phase per (antenna, bin, frame) plus one
-    frame block; no full-size copy of the cube or of its complex
-    slow-time tensor is made. The waveform is not oriented: that, and
-    beat detection, are the shared last step of every modality
-    (``beats.orient_and_detect``), which sets ``selection.inverted``.
+    ``searchable_bins(cube.n_samples, max_bins)`` is fixed first. Per-chirp
+    mean removal, the range FFT and chirp averaging run as one fused
+    linear reduction over frame blocks, algebraically identical to
+    composing them per chirp, and each block goes straight to the
+    wrapped phase of those bins alone. Each (antenna, bin) row is then
+    unwrapped and band-passed in place, and bin selection follows.
+    Memory is that phase tensor plus one frame block. The waveform is
+    not oriented: that, and beat detection, are the shared last step of
+    every modality (``beats.orient_and_detect``), which sets
+    ``selection.inverted``.
 
     Raises
     ------
     ValueError
-        "recording too short" under ``MIN_RECORD_S``, "radar: non-finite
-        sample in frame N" naming the first frame holding a NaN or infinity, or
-        "radar: no informative range bin to search" (before any
-        reduction when chirps have fewer than 3 samples).
+        "recording too short" under ``MIN_RECORD_S``, "radar: no
+        informative range bin to search" before any reduction when the
+        rule leaves no bin, or "radar: non-finite sample in frame N"
+        naming the first frame holding a NaN or infinity.
     """
     require_min_record(cube.duration_s)
-    if cube.n_samples < 3:
-        raise ValueError("radar: no informative range bin to search")
-    phases = _slow_time_fused(cube)
+    bins = searchable_bins(cube.n_samples, max_bins)
+    phases = _slow_time_fused(cube, bins)
     _filter_cells(phases, cube.frame_rate_hz, spec)
-    selection = select_best_bin(phases, max_bins=max_bins)
+    selection = select_best_bin(phases, bins)
     # a copy of the chosen row, so the phase tensor is freed on return
-    waveform = TimeSeries(
-        phases[selection.antenna_index, selection.range_bin].copy(), cube.frame_rate_hz
-    )
-    return RadarPulseResult(waveform, selection)
+    row = phases[selection.antenna_index, selection.range_bin - bins.start].copy()
+    return RadarPulseResult(TimeSeries(row, cube.frame_rate_hz), selection)

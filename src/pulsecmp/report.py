@@ -247,7 +247,7 @@ def condition_modality(
     spec = _bandpass_spec(config)
     selection = None
     if name == "radar":
-        result = process_radar(raw, spec, max_bins=config.max_bins_or_none)
+        result = process_radar(raw, spec, max_bins=config.radar_max_bins)
         waveform, selection = result.waveform, result.selection
     elif name == "ppg":
         waveform = process_ppg(raw, config.ppg_channel_or_none, spec)

@@ -2,9 +2,9 @@
 
 Everything downstream (radar phase filtering, PPG conditioning, beat
 analysis) is built on the operations here: the shared record-length
-minimum and zero-phase Butterworth band-pass filtering. All arithmetic
-is 64-bit floating point; operations are pure functions and never
-mutate their inputs.
+minimum, a median and zero-phase Butterworth band-pass filtering. All
+arithmetic is 64-bit floating point; operations are pure functions and
+never mutate their inputs.
 
 The band-pass is numpy alone. The design is scipy's ``butter(...,
 output="sos")``: analog prototype, band-pass transform, bilinear map,
@@ -106,6 +106,15 @@ def require_min_record(duration_s: float) -> None:
     """Raise "recording too short" for a record under ``MIN_RECORD_S``."""
     if duration_s < MIN_RECORD_S:
         raise ValueError("recording too short")
+
+
+def median(values: np.ndarray) -> float:
+    """``np.median`` of a finite 1-D float array, bit for bit: the mean
+    of its middle one or two values, without ``np.median``'s import of
+    ``numpy.ma``."""
+    n = values.size
+    middle = np.partition(values, ((n - 1) // 2, n // 2))[(n - 1) // 2 : n // 2 + 1]
+    return float(middle.sum() / middle.size)
 
 
 # Samples per block, and blocks per chunk, of the block-recursive
@@ -331,22 +340,17 @@ def butterworth_bandpass(x: TimeSeries, spec: BandpassSpec | None = None) -> Tim
 def bandpass_array(
     values: np.ndarray, sample_rate_hz: float, spec: BandpassSpec | None = None
 ) -> np.ndarray:
-    """Array form of :func:`butterworth_bandpass`.
+    """Array form of :func:`butterworth_bandpass`, for one 1-D row.
 
-    Filters along the last axis with the one design and padding rule.
-    A flat signal maps to exact zeros.
+    The same design and padding rule; a flat signal maps to exact zeros.
     """
     if spec is None:
         spec = BandpassSpec()
     spec.validate_for(sample_rate_hz)
     values = np.asarray(values, dtype=np.float64)
-    n = values.shape[-1]
-    if n < 3 * spec.order:
+    if values.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    if values.size < 3 * spec.order:
         raise ValueError("input too short")
-    f = _bandpass_filter(spec, sample_rate_hz)
-    padlen = _bandpass_padlen(spec, sample_rate_hz, n)
-    out = np.empty_like(values)
-    # row by row, so a row's values never depend on what shares the call
-    for index in np.ndindex(values.shape[:-1]):
-        out[index] = _filtfilt_row(f, values[index], padlen)
-    return out
+    padlen = _bandpass_padlen(spec, sample_rate_hz, values.size)
+    return _filtfilt_row(_bandpass_filter(spec, sample_rate_hz), values, padlen).copy()

@@ -24,7 +24,7 @@ import numpy as np
 
 from pulsecmp.beats import IBI_MAX_MS, IBI_MIN_MS
 from pulsecmp.ppg import PpgRecording
-from pulsecmp.radar import SPEED_OF_LIGHT, RadarCube, frame_blocks
+from pulsecmp.radar import SPEED_OF_LIGHT, RadarCube, frame_blocks, searchable_bins
 from pulsecmp.signal_core import MIN_RECORD_S, TimeSeries
 
 # Peak-to-peak extent of zero-mean Gaussian noise, as a multiple of its
@@ -105,7 +105,8 @@ class SynthGroundTruth:
 
 @dataclass(frozen=True)
 class CubeGeometry:
-    """Dimensions and target placement for synthetic radar cubes."""
+    """Dimensions and target placement for synthetic radar cubes; the
+    target bin must be one the radar may select, ``searchable_bins(samples)``."""
 
     antennas: int = 3
     chirps: int = 16
@@ -116,13 +117,12 @@ class CubeGeometry:
     def __post_init__(self):
         if not (1 <= self.antennas <= 8):
             raise ValueError("antennas must be in 1..8")
-        if self.chirps < 1 or self.samples < 2:
+        if self.chirps < 1:
             raise ValueError("invalid geometry")
         if not 0 <= self.target_antenna < self.antennas:
             raise ValueError("target antenna out of range")
-        n_bins = self.samples // 2 + 1
-        if not 1 <= self.target_range_bin < n_bins - 1:
-            raise ValueError("target bin must be an interior one-sided bin")
+        if self.target_range_bin not in searchable_bins(self.samples):
+            raise ValueError("target bin must be a searchable range bin")
 
 
 def generate_waveform(
@@ -218,7 +218,7 @@ def synth_radar_cube(
     amps = rng.uniform(*CLUTTER_AMP_RANGE, size=(n_ant, n_bins))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_ant, n_bins))
     amps[:, 0] = 0.0  # DC carries no range information
-    phases[:, -1] = 0.0  # a Nyquist tone with random phase can vanish
+    phases[:, -1] = 0.0  # a Nyquist tone (even N) with random phase can vanish
     amps[geometry.target_antenna, geometry.target_range_bin] = 0.0
     k = np.arange(n_bins)
     angles = 2.0 * np.pi * k[None, :, None] * n[None, None, :] / n_samp + phases[:, :, None]
@@ -298,23 +298,17 @@ def synth_reference(
 ) -> TimeSeries:
     """Pressure reference: affine map of the truth waveform to mmHg.
 
-    With beat boundaries supplied, each beat is mapped so its minimum
-    equals ``dbp`` and its maximum equals ``sbp`` exactly (the reference
-    device calibrates per beat); without boundaries a single global map
-    is used.
+    Each beat is mapped so its minimum equals ``dbp`` and its maximum
+    equals ``sbp`` exactly (the reference device calibrates per beat).
+    Without boundaries, or with fewer than two, the whole record is one
+    beat.
     """
     if not sbp > dbp:
         raise ValueError("invalid pressures")
     y = waveform.samples
-    fs = waveform.sample_rate_hz
     out = np.empty_like(y)
-    if beat_times_s is None or len(beat_times_s) < 2:
-        lo, hi = float(y.min()), float(y.max())
-        if hi - lo < 1e-12:
-            raise ValueError("degenerate waveform")
-        return waveform.with_samples(dbp + (sbp - dbp) * (y - lo) / (hi - lo))
-    bounds = np.round(np.asarray(beat_times_s) * fs).astype(int)
-    bounds = np.clip(bounds, 0, y.size)
+    times = np.asarray([] if beat_times_s is None else beat_times_s, dtype=np.float64)
+    bounds = np.clip(np.round(times * waveform.sample_rate_hz).astype(int), 0, y.size)
     edges = [0] + bounds[1:-1].tolist() + [y.size]
     for a, b in zip(edges[:-1], edges[1:]):
         if b <= a:

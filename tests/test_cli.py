@@ -23,6 +23,8 @@ from pulsecmp.synth import (
     synth_reference,
 )
 
+import seed_grid
+
 
 def run_cli(args, **kwargs):
     return subprocess.run(
@@ -239,6 +241,14 @@ class TestCompare:
         assert "no informative range bin" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_negative_pair_tolerance_is_input_error(self, bundle_dir, tmp_path, capsys):
+        out = tmp_path / "neg"
+        code = main(["compare", "--bundle", str(bundle_dir), "-o", str(out),
+                     "--set", "align.pair_tol_s=-1"])
+        assert code == 1
+        assert "pair_tol_s must not be negative" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_two_sample_chirps_are_input_error(self, bundle_dir, tmp_path, capsys):
         # two samples give bins 0 and 1, and bin 1 is the Nyquist bin
         subject = tmp_path / "two"
@@ -329,17 +339,20 @@ class TestOneReportInMemoryAndFromDisk:
     or written by ``simulate``'s writer and read back by ``compare``'s reader."""
 
     @staticmethod
-    def assert_same_report(bundle, config):
+    def assert_same_report(bundle, config) -> str:
         with tempfile.TemporaryDirectory() as tmp:
             cli.write_bundle_dir(bundle, config, tmp)
             back = cli.read_bundle_dir(tmp, subject_id=bundle.subject_id)
             from_disk = canonical_json(run_compare(back, config).to_dict())
         assert from_disk == canonical_json(run_compare(bundle, config).to_dict())
+        return from_disk
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", seed_grid.SEEDS)
     def test_default_bundle(self, seed):
+        # and the same report as the committed seed grid (see seed_grid.py)
         config = PipelineConfig(synth_seed=seed)
-        self.assert_same_report(simulate_bundle(config), config)
+        report = self.assert_same_report(simulate_bundle(config), config)
+        seed_grid.assert_matches(json.loads(report), seed_grid.expected(seed))
 
     def test_long_ppg_and_reference_bundle(self):
         config = PipelineConfig(synth_seed=41, synth_duration_s=1200.0)
@@ -427,6 +440,21 @@ class TestNumpyOnlyRuntime:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_compare_loads_no_numpy_ma(self, bundle_dir, tmp_path):
+        # np.median and np.unique import numpy.ma on first use (numpy
+        # itself loads it lazily); compare calls neither
+        code = (
+            "import sys, numpy\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from pulsecmp import cli\n"
+            f"code = cli.main(['compare', '--bundle', {str(bundle_dir)!r}, '-o', {str(tmp_path)!r}])\n"
+            "loaded = 'numpy.ma' in sys.modules and not before\n"
+            "sys.exit(code or ('compare imported numpy.ma' if loaded else 0))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "report.json").exists()
 
     def test_simulate_compare_selftest_with_scipy_blocked(self, tmp_path):
         bundle, report = str(tmp_path / "bundle"), str(tmp_path / "report")

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pulsecmp.beats import detect_peaks, extract_ibi
-from pulsecmp import radar
+from pulsecmp import radar, signal_core
 from pulsecmp.radar import RadarCube, process_radar, select_best_bin
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import CubeGeometry, PulseModel, generate_waveform, synth_radar_cube
@@ -132,43 +132,90 @@ class TestPhasePerBin:
                 assert np.array_equal(stacked[a, b], single[0, 0])
 
 
+def pulse(t):
+    return np.sin(2 * np.pi * 1.2 * t)
+
+
+def tone_cube(n_samples, tones, seconds=12.0):
+    """One-antenna cube whose chirps carry a static unit tone at every
+    bin 1 .. N//2, unless ``tones`` maps the bin to ``(amp, modulation)``:
+    then ``amp * cos(2 pi k n / N + modulation(t))``."""
+    t = np.arange(int(seconds * FS)) / FS
+    n = np.arange(n_samples)
+    chirps = np.zeros((t.size, n_samples))
+    for k in range(1, n_samples // 2 + 1):
+        amp, modulation = tones.get(k, (1.0, lambda t: 0.5 + 0.0 * t))
+        chirps += amp * np.cos(2 * np.pi * k * n[None, :] / n_samples + modulation(t)[:, None])
+    return RadarCube(np.repeat(chirps[:, None, None, :], 2, axis=2))
+
+
+class TestSearchableBins:
+    @pytest.mark.parametrize("max_bins", [0, 1, 2, 4, -3])
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 4, 5, 64])
+    def test_rule(self, n_samples, max_bins):
+        # every one-sided bin but DC and an even length's real Nyquist
+        # bin, below a positive max_bins
+        expected = [
+            k for k in range(1, n_samples // 2 + 1)
+            if 2 * k != n_samples and (max_bins <= 0 or k < max_bins)
+        ]
+        if not expected:
+            with pytest.raises(ValueError, match="^radar: no informative range bin to search$"):
+                radar.searchable_bins(n_samples, max_bins)
+        else:
+            assert list(radar.searchable_bins(n_samples, max_bins)) == expected
+
+
 class TestSelectBestBin:
     def test_single_candidate(self):
+        # rows are bins 1, 2, 3: the second row is bin 2
         phases = np.zeros((1, 3, 1000))
         phases[0, 1] = np.sin(np.linspace(0, 20 * np.pi, 1000))
-        sel = select_best_bin(phases)
-        assert (sel.antenna_index, sel.range_bin) == (0, 1)
+        sel = select_best_bin(phases, range(1, 4))
+        assert (sel.antenna_index, sel.range_bin) == (0, 2)
         assert sel.peak_to_peak > 1.9
 
     def test_tie_breaks_to_lower_indices(self):
-        phases = np.zeros((3, 8, 1000))
+        phases = np.zeros((3, 7, 1000))
         wave = np.sin(np.linspace(0, 20 * np.pi, 1000))
-        phases[0, 3] = wave
-        phases[2, 5] = wave
-        sel = select_best_bin(phases)
+        phases[0, 2] = wave  # bin 3
+        phases[0, 5] = wave  # bin 6, same antenna
+        phases[2, 0] = wave  # bin 1, a higher antenna
+        sel = select_best_bin(phases, range(1, 8))
         assert (sel.antenna_index, sel.range_bin) == (0, 3)
 
+    def test_phases_must_match_bins(self):
+        with pytest.raises(ValueError, match="over the given bins"):
+            select_best_bin(np.zeros((1, 3, 100)), range(1, 3))
+
     def test_degenerate_bins_excluded(self):
-        phases = np.zeros((1, 5, 1000))
-        phases[0, 0] = 100.0 * np.sin(np.linspace(0, 20 * np.pi, 1000))  # DC bin
-        phases[0, 4] = 50.0 * np.sin(np.linspace(0, 20 * np.pi, 1000))  # Nyquist
-        phases[0, 2] = np.sin(np.linspace(0, 20 * np.pi, 1000))
-        sel = select_best_bin(phases)
+        # a pulsating DC offset and a sign-flipping Nyquist tone would
+        # both beat the weak pulse at bin 2, were they searched
+        cube = tone_cube(8, {2: (1.0, lambda t: 0.5 * pulse(t)), 4: (50.0, lambda t: 3.0 * pulse(t))})
+        data = cube.data + 100.0 * pulse(np.arange(cube.n_frames) / FS)[:, None, None, None]
+        sel = process_radar(RadarCube(data)).selection
         assert (sel.antenna_index, sel.range_bin) == (0, 2)
 
     def test_max_bins_restriction(self):
-        phases = np.zeros((1, 8, 1000))
-        phases[0, 6] = 10.0 * np.sin(np.linspace(0, 20 * np.pi, 1000))
-        phases[0, 2] = np.sin(np.linspace(0, 20 * np.pi, 1000))
-        sel = select_best_bin(phases, max_bins=4)
-        assert sel.range_bin == 2
+        cube = tone_cube(16, {6: (1.0, lambda t: 3.0 * pulse(t)), 2: (1.0, lambda t: 0.5 * pulse(t))})
+        assert process_radar(cube).selection.range_bin == 6
+        assert process_radar(cube, max_bins=4).selection.range_bin == 2
 
     def test_no_informative_bin_rejected(self):
-        # max_bins=1 leaves only the DC bin, which argmax used to return
-        phases = np.zeros((2, 8, 1000))
-        phases[:, 0] = np.sin(np.linspace(0, 20 * np.pi, 1000))
-        with pytest.raises(ValueError, match="no informative range bin"):
-            select_best_bin(phases, max_bins=1)
+        # max_bins=1 leaves no bin: the rule rejects the cube before its
+        # reduction would reach the NaN
+        data = np.random.default_rng(0).standard_normal((int(12 * FS), 1, 2, 64))
+        data[5, 0, 1, 3] = np.nan
+        with pytest.raises(ValueError, match="^radar: no informative range bin to search$"):
+            process_radar(RadarCube(data), max_bins=1)
+
+    def test_odd_chirp_length_searches_its_last_bin(self):
+        # a 5-sample chirp has bins 0, 1, 2 and no Nyquist bin, so bin 2
+        # is searched, and it is the only pulsating cell
+        cube = tone_cube(5, {2: (1.0, lambda t: 0.5 * pulse(t))})
+        sel = process_radar(cube).selection
+        assert (sel.antenna_index, sel.range_bin) == (0, 2)
+        assert sel.peak_to_peak > 0.5
 
     def test_one_fast_time_sample_cube_rejected(self):
         # one sample per chirp gives one range bin: the DC bin
@@ -311,8 +358,9 @@ class TestProcessRadar:
             slow_b = extract_slow_time(chirp_mean_removal(scaled.data))
             pa = phase_per_bin(slow_a, cube.frame_rate_hz)
             pb = phase_per_bin(slow_b, cube.frame_rate_hz)
-            sel_a = select_best_bin(pa)
-            sel_b = select_best_bin(pb)
+            bins = radar.searchable_bins(geom.samples)
+            sel_a = select_best_bin(pa[:, bins.start : bins.stop], bins)
+            sel_b = select_best_bin(pb[:, bins.start : bins.stop], bins)
             assert (sel_a.antenna_index, sel_a.range_bin) == (sel_b.antenna_index, sel_b.range_bin)
 
     def test_frame_reversal_reverses_phase_pipeline(self):
@@ -367,7 +415,7 @@ class TestProcessRadar:
         waveform, _ = generate_waveform(PulseModel(), 20.0, FS, seed=16)
         displacement = waveform.with_samples(waveform.samples * 1e-4)
         cube = synth_radar_cube(displacement, CubeGeometry(), snr_db=20.0, seed=16)
-        tensor = cube.n_antennas * (cube.n_samples // 2 + 1) * cube.n_frames * 8
+        tensor = cube.n_antennas * len(radar.searchable_bins(cube.n_samples)) * cube.n_frames * 8
         tracemalloc.start()
         try:
             process_radar(cube)
@@ -375,6 +423,14 @@ class TestProcessRadar:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * tensor + radar.BLOCK_SAMPLES * 8
+
+    def test_filters_searchable_rows_only(self, call_log):
+        # 3 antennas x bins 1..31 of a 64-sample chirp: bins 0 and 32
+        # are never reduced or filtered
+        calls = call_log(signal_core.bandpass_array)
+        data = np.random.default_rng(17).standard_normal((int(12 * FS), 3, 16, 64), dtype=np.float32)
+        process_radar(RadarCube(data))
+        assert len(calls) == 93
 
     def test_block_size_does_not_change_result(self, monkeypatch):
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, seed=13)

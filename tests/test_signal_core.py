@@ -14,6 +14,7 @@ from pulsecmp.signal_core import (
     _bandpass_sos,
     bandpass_array,
     butterworth_bandpass,
+    median,
 )
 
 from oracles import (
@@ -125,6 +126,10 @@ class TestButterworthBandpass:
         with pytest.raises(ValueError):
             BandpassSpec(0, 0.5, 8.0)
 
+    def test_one_row_only(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            bandpass_array(np.zeros((2, 4000)), FS)
+
     def test_design_is_cached_read_only(self):
         sos = _bandpass_sos(BandpassSpec(), FS)
         assert _bandpass_sos(BandpassSpec(), FS) is sos
@@ -160,6 +165,23 @@ class TestButterworthBandpass:
         yc = np.where(np.diff(np.signbit(y[mid])))[0]
         assert xc.size == yc.size
         assert np.abs(xc - yc).max() <= 1
+
+
+class TestMedian:
+    @given(
+        values=st.lists(
+            st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=60
+        )
+    )
+    def test_bit_equal_to_np_median(self, values):
+        # odd and even lengths, repeated values and signed zeros
+        expected = np.median(np.array(values))
+        got = median(np.array(values))
+        assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+    def test_even_length_averages_the_middle_pair(self):
+        assert median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.5
+        assert median(np.array([0.1, 0.7, 0.3])) == 0.3
 
 
 class TestNumpyFilterAgainstScipy:

@@ -106,6 +106,17 @@ class TestGenerateWaveform:
         )
 
 
+class TestCubeGeometry:
+    def test_odd_chirp_length_target_on_last_bin(self):
+        # bins 0, 1, 2 of a 5-sample chirp: bin 2 is not a Nyquist bin
+        assert CubeGeometry(samples=5, target_range_bin=2).target_range_bin == 2
+
+    @pytest.mark.parametrize("samples, target", [(64, 0), (64, 32), (5, 3), (4, 2), (2, 1)])
+    def test_target_outside_the_search_rejected(self, samples, target):
+        with pytest.raises(ValueError, match="searchable range bin|no informative range bin"):
+            CubeGeometry(samples=samples, target_range_bin=target)
+
+
 class TestSynthRadarCube:
     def test_phase_ambiguity_guard(self):
         displacement = TimeSeries(np.full(int(12 * FS), WAVELENGTH / 3.0), FS)
@@ -232,6 +243,14 @@ class TestSynthReference:
         assert_allclose(
             map_from_bp(ref.samples.max(), ref.samples.min()), 80.0 + 40.0 / 3.0, atol=1e-6
         )
+
+    def test_no_boundaries_map_the_record_as_one_beat(self):
+        waveform, truth = generate_waveform(PulseModel(), 12.0, FS, 13)
+        y = waveform.samples
+        expected = 80.0 + 40.0 * (y - y.min()) / (y.max() - y.min())
+        assert np.array_equal(synth_reference(waveform, 120.0, 80.0).samples, expected)
+        one = synth_reference(waveform, 120.0, 80.0, truth.beat_times_s[:1])
+        assert np.array_equal(one.samples, expected)
 
     def test_degenerate_flat(self):
         flat = TimeSeries(np.ones(int(12 * FS)), FS)
