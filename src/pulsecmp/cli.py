@@ -162,6 +162,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_process(args) -> int:
+    for flag, modality in (("channel", "ppg"), ("column", "reference")):
+        if getattr(args, flag) is not None and args.modality != modality:
+            raise ValueError(f"--{flag} applies to 'process {modality}' only")
     config = _load_cli_config(args)
     if args.channel:
         config.ppg_channel = args.channel
@@ -210,6 +213,13 @@ def _compare_subject(bundle_dir: str, out_dir: str, config: PipelineConfig) -> s
 
 
 def cmd_compare(args) -> int:
+    sources = ("bundle", "bundle_root", *MODALITIES)
+    flags = [f"--{name.replace('_', '-')}" for name in sources if getattr(args, name)]
+    if (args.bundle or args.bundle_root) and len(flags) > 1:
+        raise ValueError(
+            "compare takes one input source: --bundle, --bundle-root, or "
+            f"--radar/--ppg/--reference files; got {' '.join(flags)}"
+        )
     config = _load_cli_config(args)
     if args.bundle_root:
         subjects = sorted(

@@ -74,10 +74,6 @@ class PipelineConfig:
     def snr_db_or_none(self) -> float | None:
         return None if self.synth_snr_db < 0 else self.synth_snr_db
 
-    @property
-    def ppg_channel_or_none(self) -> str | None:
-        return self.ppg_channel or None
-
 
 # Dotted key -> field name: field ``section_name`` is key ``section.name``.
 _KEYMAP = {f.name.replace("_", ".", 1): f.name for f in fields(PipelineConfig)}

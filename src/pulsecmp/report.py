@@ -43,7 +43,7 @@ from pulsecmp.metrics import (
     measure_beats,
     morphology_metrics,
 )
-from pulsecmp.ppg import PpgRecording, process_ppg
+from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import BinSelection, RadarCube, process_radar
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass, require_min_record
 from pulsecmp.synth import (
@@ -236,9 +236,11 @@ def condition_modality(
     """Run one modality's conditioning chain on its raw recording.
 
     ``name`` is a key of :data:`MODALITIES` and ``raw`` the bundle field
-    of that name: a ``TimeSeries`` for the reference, a ``RadarCube``
-    for radar, a ``PpgRecording`` for PPG. The band-passed waveform is
-    then oriented and its beats detected by the shared last step.
+    of that name: a ``RadarCube`` for radar, a ``PpgRecording`` for PPG,
+    a ``TimeSeries`` for the reference. Radar has its own chain; PPG and
+    the reference share one series chain, PPG entering it as its
+    ``ppg.channel``. The band-passed waveform is then oriented and its
+    beats detected by the shared last step.
     Returns the oriented waveform, its beat train and, for radar only,
     the chosen (antenna, range bin) with its ``inverted`` polarity
     decision (``None`` when undecided). Any record under ``MIN_RECORD_S``
@@ -249,11 +251,10 @@ def condition_modality(
     if name == "radar":
         result = process_radar(raw, spec, max_bins=config.radar_max_bins)
         waveform, selection = result.waveform, result.selection
-    elif name == "ppg":
-        waveform = process_ppg(raw, config.ppg_channel_or_none, spec)
     else:
-        require_min_record(raw.duration_s)
-        waveform = butterworth_bandpass(raw, spec)
+        series = raw.channel(config.ppg_channel) if name == "ppg" else raw
+        require_min_record(series.duration_s)
+        waveform = butterworth_bandpass(series, spec)
     waveform, train, inverted = orient_and_detect(
         waveform, config.beats_min_separation_s, config.beats_prominence_rel
     )

@@ -124,16 +124,14 @@ FILTER_BLOCK = 32
 FILTER_CHUNK = 16
 
 
-@functools.lru_cache(maxsize=32)
 def _bandpass_sos(spec: BandpassSpec, sample_rate_hz: float) -> np.ndarray:
-    """Digital Butterworth band-pass as second-order sections, read-only.
+    """Digital Butterworth band-pass as second-order sections.
 
     The analog prototype's poles are moved to the prewarped band by the
     low-pass to band-pass transform and to the z-plane by the bilinear
     map. Sections are built last to first, each from the remaining pole
     closest to the unit circle and the two zeros nearest it, so the
     most resonant section filters last; the gain goes into the first.
-    Memoized, so the cached array is shared and read-only.
     """
     order = spec.order
     band = np.array([spec.low_cut_hz, spec.high_cut_hz]) / (sample_rate_hz / 2.0)
@@ -165,7 +163,6 @@ def _bandpass_sos(spec: BandpassSpec, sample_rate_hz: float) -> np.ndarray:
         z2 = zeros.pop(int(np.argmin(np.abs(np.subtract(zeros, p1)))))
         sos[si] = [1.0, -(z1 + z2), z1 * z2, *den]
     sos[0, :3] *= gain
-    sos.flags.writeable = False
     return sos
 
 

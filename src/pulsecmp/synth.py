@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pulsecmp.beats import IBI_MAX_MS, IBI_MIN_MS
-from pulsecmp.ppg import PpgRecording
+from pulsecmp.ppg import DEFAULT_CHANNEL, PpgRecording
 from pulsecmp.radar import SPEED_OF_LIGHT, RadarCube, frame_blocks, searchable_bins
 from pulsecmp.signal_core import MIN_RECORD_S, TimeSeries
 
@@ -273,7 +273,7 @@ def synth_ppg(
     ``exp(-t / tau)`` normalized to unit area (PPG decays more slowly
     than tissue displacement because blood drains through the capillary
     bed), then a DC offset, a slow sinusoidal baseline drift, and white
-    noise are added. Emitted as channel ``green_0``.
+    noise are added. Emitted as the default channel, ``green_0``.
     """
     if decay_tau_s <= 0:
         raise ValueError("decay_tau_s must be positive")
@@ -287,7 +287,7 @@ def synth_ppg(
     if noise_sd > 0:
         out = out + noise_sd * np.random.default_rng(seed).standard_normal(out.size)
     channel = TimeSeries(out, fs, waveform.start_time_s)
-    return PpgRecording(channels={"green_0": channel})
+    return PpgRecording(channels={DEFAULT_CHANNEL: channel})
 
 
 def synth_reference(

@@ -95,6 +95,21 @@ class TestProcess:
         out = tmp_path / "ref_out"
         assert main(["process", "reference", str(bundle_dir / "reference.csv"), "-o", str(out)]) == 0
 
+    @pytest.mark.parametrize(
+        "modality, flag",
+        [("radar", "--channel"), ("reference", "--channel"), ("radar", "--column"),
+         ("ppg", "--column")],
+    )
+    def test_flag_of_another_modality_is_input_error(
+        self, bundle_dir, tmp_path, capsys, modality, flag
+    ):
+        source = cli.MODALITIES[modality]
+        code = main(["process", modality, str(bundle_dir / source), "-o", str(tmp_path / "o"),
+                     flag, "nosuch"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} applies to 'process ")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_input_is_input_error(self, tmp_path):
         code = run_cli(["process", "radar", str(tmp_path / "nope.radc"), "-o", str(tmp_path)])
         assert code.returncode == 1
@@ -159,6 +174,22 @@ class TestCompare:
         ])
         assert result.returncode == 1
         assert "need two modalities" in result.stderr
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--radar", "/nonexistent.radc"],
+            ["--bundle-root", "/nonexistent"],
+            ["--ppg", "p", "--reference", "r"],
+        ],
+    )
+    def test_mixed_input_sources_are_input_error(self, bundle_dir, tmp_path, capsys, extra):
+        code = main(["compare", "--bundle", str(bundle_dir), *extra, "-o", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: compare takes one input source")
+        assert " ".join(["--bundle", *extra[::2]]) in err
+        assert not (tmp_path / "o").exists()
 
     def test_directory_input_is_input_error(self, tmp_path, capsys):
         folder = tmp_path / "d"

@@ -8,9 +8,8 @@ from pulsecmp import radar
 from pulsecmp.beats import detect_peaks, segment_beats_indexed
 from pulsecmp.config import PipelineConfig
 from pulsecmp.metrics import auc_normalized, count_inflections, map_from_bp
-from pulsecmp.ppg import process_ppg
 from pulsecmp.radar import process_radar
-from pulsecmp.report import simulate_bundle
+from pulsecmp.report import condition_modality, simulate_bundle
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import (
     CubeGeometry,
@@ -201,8 +200,7 @@ class TestSynthPpg:
     def test_slow_decay_inflates_auc(self):
         waveform, truth = generate_waveform(PulseModel(), 60.0, FS, 7)
         rec = synth_ppg(waveform, decay_tau_s=0.25, noise_sd=0.0, seed=7)
-        ppg_wave = process_ppg(rec)
-        ppg_train = detect_peaks(ppg_wave)
+        ppg_wave, ppg_train, _ = condition_modality("ppg", rec, PipelineConfig())
         ppg_auc = np.mean(
             [auc_normalized(s) for s in segment_beats_indexed(ppg_wave, ppg_train)[1]]
         )
