@@ -10,6 +10,7 @@ from scipy.signal import butter, sosfiltfilt
 from pulsecmp.signal_core import (
     BandpassSpec,
     TimeSeries,
+    _bandpass_filter,
     _bandpass_padlen,
     _bandpass_sos,
     bandpass_array,
@@ -129,6 +130,14 @@ class TestButterworthBandpass:
     def test_one_row_only(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             bandpass_array(np.zeros((2, 4000)), FS)
+
+    def test_design_is_cached_read_only(self):
+        design = _bandpass_filter(BandpassSpec(), FS)
+        assert _bandpass_filter(BandpassSpec(), FS) is design
+        for arr in vars(design).values():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
 
     def test_output_metadata_preserved(self):
         x = TimeSeries(np.random.default_rng(1).standard_normal(4000), FS, start_time_s=2.0)
