@@ -30,6 +30,10 @@ IBI_MAX_MS = 3000.0
 
 EVENT_GRID_HZ = 200.0
 
+# Beats resampled and measured per block of rows: a whole table's
+# index and interpolation temporaries would grow with the recording.
+BEAT_BLOCK_ROWS = 128
+
 
 @dataclass
 class PeakTrain:
@@ -260,20 +264,21 @@ def detect_peaks(
     threshold = prominence_rel * _rolling_p2p_median(sig, window)
     distance = max(1, int(round(min_separation_s * fs)))
     systolic = _find_peaks(sig, distance, threshold)
-    diastolic: list[int] = []
-    if systolic.size:
-        if systolic[0] > 0:
-            diastolic.append(int(np.argmin(sig[: systolic[0]])))
-        for a, b in zip(systolic[:-1], systolic[1:]):
-            diastolic.append(int(a + np.argmin(sig[a:b])))
-        if systolic[-1] < sig.size - 1:
-            diastolic.append(int(systolic[-1] + np.argmin(sig[systolic[-1] :])))
-    return PeakTrain(
-        np.asarray(systolic, dtype=np.int64),
-        np.asarray(diastolic, dtype=np.int64),
-        fs,
-        x.start_time_s,
-    )
+    return PeakTrain(systolic, _feet(sig, systolic), fs, x.start_time_s)
+
+
+def _feet(sig: np.ndarray, systolic: np.ndarray) -> np.ndarray:
+    """First index of the minimum of every segment that ``systolic``
+    cuts ``sig`` into, each peak starting a segment; the segment before
+    the first peak and the one after the last count when not empty."""
+    if not systolic.size:
+        return systolic
+    starts = systolic if systolic[0] == 0 else np.concatenate(([0], systolic))
+    minima = np.minimum.reduceat(sig, starts)
+    at_min = np.flatnonzero(sig == np.repeat(minima, np.diff(starts, append=sig.size)))
+    feet = at_min[np.searchsorted(at_min, starts)]
+    # the segment after the last peak is empty but for the peak itself
+    return feet[:-1] if systolic[-1] == sig.size - 1 else feet
 
 
 def polarity_inverted(train: PeakTrain) -> bool | None:
@@ -367,15 +372,47 @@ def segment_beats_indexed(
         raise ValueError("norm_len must be at least 2")
     d = train.diastolic_indices
     grid = np.linspace(0.0, 1.0, int(norm_len))
-    feet, shapes = [], []
-    for k, (a, b) in enumerate(zip(d[:-1], d[1:])):
-        resampled = np.interp(grid, np.linspace(0.0, 1.0, b - a + 1), x.samples[a : b + 1])
-        span = resampled.max() - resampled.min()
-        if span < 1e-12:
-            continue
-        feet.append(k)
-        shapes.append((resampled - resampled.min()) / span)
-    return np.array(feet, dtype=np.int64), np.array(shapes).reshape(len(feet), norm_len)
+    feet, shapes = [np.zeros(0, dtype=np.int64)], [np.zeros((0, int(norm_len)))]
+    for k in range(0, max(0, d.size - 1), BEAT_BLOCK_ROWS):
+        lead = d[k : k + BEAT_BLOCK_ROWS + 1]
+        resampled = _resample_beats(x.samples, lead[:-1], np.diff(lead) + 1, grid)
+        low = resampled.min(axis=1, keepdims=True)
+        span = resampled.max(axis=1, keepdims=True) - low
+        kept = span[:, 0] >= 1e-12
+        feet.append(k + np.flatnonzero(kept))
+        shapes.append((resampled[kept] - low[kept]) / span[kept])
+    return np.concatenate(feet), np.concatenate(shapes)
+
+
+def _resample_beats(
+    samples: np.ndarray, starts: np.ndarray, lengths: np.ndarray, grid: np.ndarray
+) -> np.ndarray:
+    """Row ``k`` is ``np.interp(grid, np.linspace(0, 1, L), beat)`` for
+    the beat ``samples[starts[k]:][:L]``, ``L = lengths[k]``, bit for bit.
+
+    ``grid`` runs from 0 to 1 inclusive. The beat's sample ``j`` sits at
+    ``j * (1 / (L - 1))``, its last at 1, as ``np.linspace`` places
+    them; each grid point below 1 is bracketed from ``floor`` with a
+    one-step fix-up and interpolated with ``np.interp``'s arithmetic,
+    and the grid's 1 takes the beat's last sample.
+    """
+    starts, last = starts[:, None], lengths[:, None] - 1
+    step = 1.0 / last
+
+    def at(i):  # the position of each beat's sample i
+        return np.where(i == last, 1.0, i * step)
+
+    g = grid[:-1]
+    j = np.minimum(np.floor(g * last).astype(np.int64), last - 1)
+    j -= at(j) > g
+    j += at(j + 1) <= g
+    xj = at(j)
+    fj = samples[starts + j]
+    slope = (samples[starts + j + 1] - fj) / (at(j + 1) - xj)
+    out = np.empty((starts.shape[0], grid.size))
+    out[:, :-1] = np.where(xj == g, fj, slope * (g - xj) + fj)
+    out[:, -1] = samples[starts[:, 0] + last[:, 0]]
+    return out
 
 
 def average_beats(shapes: np.ndarray) -> AverageBeat:

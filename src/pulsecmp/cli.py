@@ -14,7 +14,6 @@ import dataclasses
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from pulsecmp.report import (
     run_compare,
     simulate_bundle,
 )
-from pulsecmp.selftest import run_selftest
 
 TRUTH_FILE = "truth.json"
 
@@ -220,6 +218,12 @@ def cmd_compare(args) -> int:
             "compare takes one input source: --bundle, --bundle-root, or "
             f"--radar/--ppg/--reference files; got {' '.join(flags)}"
         )
+    if args.jobs is not None and not args.bundle_root:
+        raise ValueError("--jobs applies to --bundle-root only")
+    if args.subject is not None and args.bundle_root:
+        raise ValueError(
+            "--subject does not apply to --bundle-root: subjects take their directory names"
+        )
     config = _load_cli_config(args)
     if args.bundle_root:
         subjects = sorted(
@@ -230,7 +234,7 @@ def cmd_compare(args) -> int:
         if not subjects:
             raise ValueError(f"no subject directories under {args.bundle_root}")
         # the fork context starts all max_workers processes at once
-        jobs = max(1, min(args.jobs, len(subjects)))
+        jobs = max(1, min(args.jobs or 1, len(subjects)))
         tasks = [
             (os.path.join(args.bundle_root, s), os.path.join(args.out, s), config)
             for s in subjects
@@ -239,6 +243,9 @@ def cmd_compare(args) -> int:
         if jobs == 1:
             errors = [_compare_subject(*t) for t in tasks]
         else:
+            # imported here: the pool's modules cost every other run start-up time
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 errors = list(pool.map(_compare_subject, *zip(*tasks)))
         failed = [(s, e) for s, e in zip(subjects, errors) if e is not None]
@@ -265,6 +272,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from pulsecmp.selftest import run_selftest
+
     results = run_selftest(quick=not args.full)
     failed = 0
     for r in results:
@@ -316,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("-o", "--out", required=True, help="output directory")
     p_cmp.add_argument("--bundle", help="bundle directory from simulate")
     p_cmp.add_argument("--bundle-root", help="directory of per-subject bundle directories")
-    p_cmp.add_argument("--jobs", type=int, default=1, help="parallel subjects for --bundle-root")
+    p_cmp.add_argument("--jobs", type=int, help="parallel subjects for --bundle-root (default 1)")
     for name, filename in MODALITIES.items():
         # "radar cube file", "PPG CSV file", "reference CSV file"
         label = name.upper() if len(name) <= 3 else name

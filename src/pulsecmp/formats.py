@@ -21,12 +21,15 @@ reduces it block by block over frames, so its memory is one float64
 phase per (antenna, bin, frame) plus one frame block, not the cube.
 
 Every CSV is written by ``write_table`` (header row of column names,
-17-significant-digit values) and read by ``_parse_time_table``, which
-skips blank lines and rejects bad headers (a repeated column name
-included) and rows, fewer than two rows and non-finite samples with a
-``FormatError``. Time-series CSVs start with a ``time_s`` column;
-sampling must be uniform to within 1 % jitter of the median step, and
-what ``write_series_csv`` wrote reads back at the rate it was written.
+values in their shortest round-trip digits, so ``0.005`` and not
+``0.0050000000000000001``; JSON keeps 17 significant digits) and read
+by ``_parse_time_table``, which skips blank and whitespace-only lines
+and rejects bad headers (a repeated column name included) and rows,
+fewer than two rows and non-finite samples with a ``FormatError``.
+Values read back bit for bit. Time-series CSVs start with a ``time_s``
+column; sampling must be uniform to within 1 % jitter of the median
+step, and what ``write_series_csv`` wrote reads back at the rate it was
+written.
 """
 
 from __future__ import annotations
@@ -231,15 +234,22 @@ def _parse_time_table(path: str) -> tuple[list[str], np.ndarray]:
         duplicate = next((n for i, n in enumerate(names) if n in names[:i]), None)
         if duplicate is not None:
             raise FormatError("bad header", f"duplicate column {duplicate}")
-        # a whitespace-only line handed to loadtxt would be a bad row
-        lines = (line for line in fh if line.strip())
+        body = fh.tell()
         with warnings.catch_warnings():
             # an empty body is reported below as "too short"
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
-                table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                raise FormatError("bad row", str(exc)) from exc
+                # loadtxt skips empty lines itself
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                # a whitespace-only line is a bad row to loadtxt: parse
+                # again without them, so only a real bad row raises
+                fh.seek(body)
+                lines = (line for line in fh if line.strip())
+                try:
+                    table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+                except ValueError as exc:
+                    raise FormatError("bad row", str(exc)) from exc
     if table.size and table.shape[1] != len(names):
         raise FormatError("bad row", f"{table.shape[1]} columns under {len(names)} names")
     if table.shape[0] < 2:
@@ -296,7 +306,7 @@ def read_series_csv(path: str, column: str) -> TimeSeries:
 
 def write_table(path: str, columns: dict[str, np.ndarray]) -> None:
     """Write equal-length columns as a CSV: a header row, then values
-    with 17 significant digits (round-trip exact), streamed
+    in their shortest round-trip digits (Python ``repr``), streamed
     ``TABLE_BLOCK_ROWS`` rows at a time. Unequal lengths or a non-finite
     value raise ``ValueError`` before any file is created."""
     arrays = [np.asarray(values, dtype=np.float64) for values in columns.values()]
@@ -304,7 +314,7 @@ def write_table(path: str, columns: dict[str, np.ndarray]) -> None:
         raise ValueError("all columns must have equal length")
     if not all(np.isfinite(arr).all() for arr in arrays):
         raise ValueError("non-finite value in output")
-    row = ",".join(["%.17g"] * len(arrays)) + "\n"
+    row = ",".join(["%r"] * len(arrays)) + "\n"
 
     def chunks():
         yield (",".join(columns) + "\n").encode("utf-8")

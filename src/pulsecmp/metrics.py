@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pulsecmp.beats import BEAT_BLOCK_ROWS
+
 # count_inflections: moving-average width (samples) and the slope floor,
 # as a fraction of the beat's range, below which a difference is flat.
 INFLECTION_SMOOTH_WIN = 5
@@ -137,53 +139,73 @@ def bland_altman(a: np.ndarray, b: np.ndarray) -> BlandAltman:
     return BlandAltman(bias, sd, bias - 2.0 * sd, bias + 2.0 * sd, points)
 
 
-def count_inflections(beat: np.ndarray) -> int:
-    """Count derivative sign changes (interior extrema) of a beat.
+def count_inflections(beats: np.ndarray) -> int | np.ndarray:
+    """Count derivative sign changes (interior extrema) of a beat, or of
+    every row of a ``[beat][sample]`` table.
 
-    The beat is smoothed with a centered moving average of width
+    Each beat is smoothed with a centered moving average of width
     ``INFLECTION_SMOOTH_WIN``; first differences smaller than
     ``INFLECTION_EPS`` times the beat's amplitude range are snapped to
     zero, runs of zeros collapse into a single crossing, and the two
-    endpoints are excluded. A constant beat counts zero.
+    endpoints are excluded. A constant beat counts zero. A 1-D beat
+    gives an ``int``, a table one count per row.
     """
-    beat = np.asarray(beat, dtype=np.float64)
-    if beat.size < 7:
+    beats = np.atleast_1d(np.asarray(beats, dtype=np.float64))
+    if beats.shape[-1] < 7:
         raise ValueError("beat too short")
+    rows = beats.reshape(-1, beats.shape[-1])
+    counts = np.zeros(len(rows), dtype=np.int64)
+    for k in range(0, len(rows), BEAT_BLOCK_ROWS):
+        counts[k : k + BEAT_BLOCK_ROWS] = _count_rows(rows[k : k + BEAT_BLOCK_ROWS])
+    return int(counts[0]) if beats.ndim == 1 else counts
+
+
+def _count_rows(rows: np.ndarray) -> np.ndarray:
     w = INFLECTION_SMOOTH_WIN
-    pad = w // 2
-    padded = np.concatenate([beat[pad:0:-1], beat, beat[-2 : -2 - pad : -1]])
-    smooth = np.convolve(padded, np.ones(w) / w, mode="valid")
-    d = np.diff(smooth)
-    span = beat.max() - beat.min()
-    if span <= 0:
-        return 0
-    d = np.where(np.abs(d) < INFLECTION_EPS * span, 0.0, d)
-    signs = np.sign(d)
-    signs = signs[signs != 0]
-    if signs.size < 2:
-        return 0
-    return int(np.sum(signs[1:] != signs[:-1]))
+    pad, n = w // 2, rows.shape[1]
+    padded = np.concatenate([rows[:, pad:0:-1], rows, rows[:, -2 : -2 - pad : -1]], axis=1)
+    # the moving average as np.convolve sums a short kernel: from zero, left to right
+    smooth = np.zeros_like(rows)
+    for i in range(w):
+        smooth += padded[:, i : i + n] * (1.0 / w)
+    d = np.diff(smooth, axis=1)
+    span = rows.max(axis=1) - rows.min(axis=1)
+    signs = np.sign(np.where(np.abs(d) < INFLECTION_EPS * span[:, None], 0.0, d))
+    # consecutive nonzero signs of one row that differ
+    row, col = np.nonzero(signs)
+    sign = signs[row, col]
+    change = (sign[1:] != sign[:-1]) & (row[1:] == row[:-1])
+    # a flat row's differences are all exactly zero: it counts zero
+    return np.bincount(row[1:][change], minlength=len(rows))
 
 
-def auc_normalized(beat: np.ndarray) -> float:
-    """Trapezoidal integral of a normalized beat over a unit time axis."""
-    beat = np.asarray(beat, dtype=np.float64)
-    if beat.size < 2:
+def auc_normalized(beats: np.ndarray) -> float | np.ndarray:
+    """Trapezoidal integral of a normalized beat over a unit time axis;
+    one per row of a ``[beat][sample]`` table."""
+    beats = np.atleast_1d(np.asarray(beats, dtype=np.float64))
+    if beats.shape[-1] < 2:
         raise ValueError("need at least two samples")
-    return float(np.trapezoid(beat, dx=1.0 / (beat.size - 1)))
+    area = np.trapezoid(beats, dx=1.0 / (beats.shape[-1] - 1), axis=-1)
+    return float(area) if beats.ndim == 1 else area
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """``dot(u, v) / (|u| * |v|)``, in [-1, 1]."""
+def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """``dot(u, v) / (|u| * |v|)``, in [-1, 1]; one per row pair of two
+    ``[beat][sample]`` tables.
+
+    ``np.vecdot`` takes each dot product as ``np.dot`` and
+    ``np.linalg.norm`` do, so a row gives the value it gives alone.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.size != v.size:
+    if u.shape != v.shape:
         raise ValueError("vectors must have equal length")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+    nu = np.sqrt(np.vecdot(u, u))
+    nv = np.sqrt(np.vecdot(v, v))
+    if np.any(nu == 0.0) or np.any(nv == 0.0):
         raise ValueError("zero-norm input")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    cos = np.clip(np.vecdot(u, v) / (nu * nv), -1.0, 1.0)
+    return float(cos) if u.ndim == 1 else cos
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -285,9 +307,7 @@ def _paired_p(diffs: np.ndarray) -> float:
 
 def measure_beats(feet: np.ndarray, shapes: np.ndarray) -> BeatTable:
     """The beat table of ``shapes``: each row's extrema count and AUC, once."""
-    extrema = np.array([count_inflections(row) for row in shapes], dtype=float)
-    auc = np.array([auc_normalized(row) for row in shapes])
-    return BeatTable(feet, shapes, extrema, auc)
+    return BeatTable(feet, shapes, count_inflections(shapes).astype(float), auc_normalized(shapes))
 
 
 def compare_modalities(ref: BeatTable, test: BeatTable) -> PairwiseComparison:
@@ -304,7 +324,7 @@ def compare_modalities(ref: BeatTable, test: BeatTable) -> PairwiseComparison:
         raise ValueError("need at least two beat pairs")
     diff_infl = ref.extrema - test.extrema
     diff_auc = test.auc - ref.auc
-    cos = np.array([cosine_similarity(r, t) for r, t in zip(ref.shapes, test.shapes)])
+    cos = cosine_similarity(ref.shapes, test.shapes)
     return PairwiseComparison(
         mean_diff_inflections=float(np.mean(diff_infl)),
         p_inflections=_paired_p(diff_infl),

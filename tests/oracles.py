@@ -92,6 +92,21 @@ def count_extrema_dense(fn, lo=0.0, hi=1.0, n=200001):
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
+def count_inflections_convolved(beat, smooth_win=5, eps=1e-3):
+    """One beat's interior extrema count, smoothed by ``np.convolve``:
+    ``metrics.count_inflections`` as it was written per beat."""
+    beat = np.asarray(beat, dtype=np.float64)
+    pad = smooth_win // 2
+    padded = np.concatenate([beat[pad:0:-1], beat, beat[-2 : -2 - pad : -1]])
+    d = np.diff(np.convolve(padded, np.ones(smooth_win) / smooth_win, mode="valid"))
+    span = beat.max() - beat.min()
+    if span <= 0:
+        return 0
+    signs = np.sign(np.where(np.abs(d) < eps * span, 0.0, d))
+    signs = signs[signs != 0]
+    return int(np.sum(signs[1:] != signs[:-1]))
+
+
 def three_bump_wave(u, amps=(1.0, 0.25, 0.15), centers=(0.18, 0.34, 0.55),
                     widths=(0.06, 0.08, 0.07)):
     """Reference evaluation of the generator's per-beat shape."""
@@ -227,6 +242,25 @@ def resample_linear(x, target_len):
     src = np.linspace(0.0, 1.0, len(x))
     dst = np.linspace(0.0, 1.0, int(target_len))
     return np.interp(dst, src, x.samples)
+
+
+def feet_by_argmin(samples, systolic):
+    """Diastolic feet one beat at a time: the ``np.argmin`` of the
+    samples before the first systolic peak, of each peak-to-peak
+    stretch (the leading peak included) and of the samples from the
+    last peak on, the end stretches only when the record extends past
+    the peak."""
+    samples = np.asarray(samples)
+    if not len(systolic):
+        return np.zeros(0, dtype=np.int64)
+    feet = []
+    if systolic[0] > 0:
+        feet.append(np.argmin(samples[: systolic[0]]))
+    for a, b in zip(systolic[:-1], systolic[1:]):
+        feet.append(a + np.argmin(samples[a:b]))
+    if systolic[-1] < samples.size - 1:
+        feet.append(systolic[-1] + np.argmin(samples[systolic[-1] :]))
+    return np.array(feet, dtype=np.int64)
 
 
 # Test-only views of production code. Each calls what the pipeline

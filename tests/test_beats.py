@@ -27,7 +27,10 @@ from pulsecmp.beats import (
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import PulseModel, generate_waveform
 
+from pulsecmp import beats
+
 from oracles import (
+    feet_by_argmin,
     impulse_correlation_lag,
     polarity_inverted_by_masks,
     resample_linear,
@@ -101,6 +104,23 @@ class TestDetectPeaks:
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             detect_peaks(TimeSeries(np.zeros(100), FS))
+
+    @given(
+        steps=st.lists(st.integers(-3, 3), min_size=600, max_size=1500),
+        edge=st.sampled_from(["none", "first", "last"]),
+    )
+    def test_feet_equal_per_beat_argmin(self, steps, edge):
+        # a random walk of small integers: many ties between minima
+        sig = np.cumsum(steps).astype(np.float64)
+        train = detect_peaks(TimeSeries(sig, FS), min_separation_s=0.05)
+        assert np.array_equal(
+            train.diastolic_indices, feet_by_argmin(sig, train.systolic_indices)
+        )
+        # peaks on the record's first or last sample, which detection never gives
+        peaks = train.systolic_indices
+        peaks = {"none": peaks, "first": np.union1d([0], peaks),
+                 "last": np.union1d(peaks, [sig.size - 1])}[edge]
+        assert np.array_equal(beats._feet(sig, peaks), feet_by_argmin(sig, peaks))
 
     def test_interleaving_by_construction(self):
         waveform, _ = pulse_train_series(duration_s=30.0, seed=5, ibi_sd_ms=30.0)
@@ -266,6 +286,15 @@ class TestSegmentBeats:
             expected = resample_linear(beat, norm_len)
             expected = (expected - expected.min()) / (expected.max() - expected.min())
             assert np.array_equal(row, expected)
+
+    def test_block_size_does_not_change_the_table(self, monkeypatch):
+        waveform, _ = pulse_train_series(duration_s=30.0, seed=4, ibi_sd_ms=30.0)
+        train = detect_peaks(waveform)
+        feet, shapes = segment_beats_indexed(waveform, train)
+        monkeypatch.setattr(beats, "BEAT_BLOCK_ROWS", 3)
+        small_feet, small_shapes = segment_beats_indexed(waveform, train)
+        assert np.array_equal(small_feet, feet)
+        assert np.array_equal(small_shapes, shapes)
 
     def test_norm_len_below_two_rejected(self):
         waveform, _ = pulse_train_series(duration_s=12.0)

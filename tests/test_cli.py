@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import shutil
@@ -191,6 +192,37 @@ class TestCompare:
         assert " ".join(["--bundle", *extra[::2]]) in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", [["--bundle"], ["--ppg", "--reference"]])
+    def test_jobs_without_bundle_root_is_input_error(self, bundle_dir, tmp_path, capsys, source):
+        files = {"--bundle": bundle_dir, "--ppg": bundle_dir / "ppg.csv",
+                 "--reference": bundle_dir / "reference.csv"}
+        args = [a for flag in source for a in (flag, str(files[flag]))]
+        code = main(["compare", *args, "--jobs", "4", "-o", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --jobs applies to --bundle-root only\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_subject_with_bundle_root_is_input_error(self, bundle_dir, tmp_path, capsys):
+        root = str(bundle_dir.parent)  # holds one valid subject bundle
+        code = main(["compare", "--bundle-root", root, "--subject", "foo",
+                     "-o", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --subject does not apply to --bundle-root")
+        assert not (tmp_path / "o").exists()
+
+    def test_bundle_compare_imports_no_pool_or_selftest(self, bundle_dir, tmp_path):
+        code = (
+            "import sys\n"
+            "from pulsecmp import cli\n"
+            f"code = cli.main(['compare', '--bundle', {str(bundle_dir)!r}, '-o', {str(tmp_path)!r}])\n"
+            "loaded = [m for m in ('multiprocessing', 'pulsecmp.selftest') if m in sys.modules]\n"
+            "sys.exit(code or (f'compare imported {loaded}' if loaded else 0))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "report.json").exists()
+
     def test_directory_input_is_input_error(self, tmp_path, capsys):
         folder = tmp_path / "d"
         folder.mkdir()
@@ -356,7 +388,8 @@ class TestCompare:
             def map(self, fn, *iterables):
                 return []
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # cli looks the pool up when it fans out, not at import
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         root = tmp_path / "subjects"
         for name in ("s1", "s2"):
             (root / name).mkdir(parents=True)

@@ -296,6 +296,44 @@ class TestCsvCodec:
             back = read_series_csv(path, "v").samples
         assert np.array_equal(back.view(np.int64), values.view(np.int64))
 
+    def test_17_digit_file_reads_as_its_shortest_digit_rewrite(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(300) * 1e4
+        times = 1.5 + np.arange(values.size) / 200.0
+        old = _write(
+            tmp_path / "old.csv",
+            "time_s,v\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(times, values)),
+        )
+        new = str(tmp_path / "new.csv")
+        write_series_csv(new, {"v": values}, 200.0, start_time_s=1.5)
+        assert open(new).read().splitlines()[2].startswith("1.505,")
+        a, b = read_series_csv(old, "v"), read_series_csv(new, "v")
+        assert np.array_equal(a.samples.view(np.int64), b.samples.view(np.int64))
+        assert a.sample_rate_hz == b.sample_rate_hz == 200.0
+        assert a.start_time_s == b.start_time_s == 1.5
+
+    def test_file_handle_and_line_filter_give_one_table(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        direct = str(tmp_path / "direct.csv")
+        write_series_csv(direct, {"a": rng.standard_normal(500), "b": rng.uniform(size=500)}, 250.0)
+        lines = open(direct).read().splitlines(keepends=True)
+        filtered = _write(tmp_path / "filtered.csv", "".join(lines[:100] + [" \n"] + lines[100:]))
+        sources = []
+        loadtxt = np.loadtxt
+
+        def logged(source, *args, **kwargs):
+            sources.append(type(source).__name__)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", logged)
+        names, table = formats._parse_time_table(direct)
+        assert sources == ["TextIOWrapper"]
+        # the whitespace-only line fails the handle; the filtered lines parse
+        names_filtered, table_filtered = formats._parse_time_table(filtered)
+        assert sources[1:] == ["TextIOWrapper", "generator"]
+        assert names == names_filtered == ["time_s", "a", "b"]
+        assert np.array_equal(table.view(np.int64), table_filtered.view(np.int64))
+
     def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
         columns = {"a": rng.standard_normal(50), "b": rng.standard_normal(50) * 1e-300}

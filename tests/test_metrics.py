@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from pulsecmp import metrics
 from pulsecmp.metrics import (
     auc_normalized,
     bland_altman,
@@ -19,7 +20,12 @@ from pulsecmp.metrics import (
     regularized_incomplete_beta,
 )
 
-from oracles import count_extrema_dense, t_two_sided_p_quadrature, three_bump_wave
+from oracles import (
+    count_extrema_dense,
+    count_inflections_convolved,
+    t_two_sided_p_quadrature,
+    three_bump_wave,
+)
 
 
 def make_table(rows):
@@ -304,6 +310,31 @@ class TestCompareModalities:
         assert picked.feet.tolist() == [4, 1]
         assert np.array_equal(picked.shapes, rows[[4, 1]])
         assert picked.auc.tolist() == [table.auc[4], table.auc[1]]
+
+    @given(
+        table=st.integers(7, 40).flatmap(
+            lambda n: arrays(
+                np.float64,
+                st.tuples(st.integers(0, 9), st.just(n)),
+                elements=st.floats(-1e6, 1e6, allow_subnormal=False),
+            )
+        ),
+        flat=st.lists(st.booleans(), min_size=9, max_size=9),
+    )
+    def test_table_calls_equal_row_calls(self, table, flat):
+        table[np.array(flat[: len(table)], dtype=bool)] = 2.5
+        with pytest.MonkeyPatch.context() as patch:
+            # blocks of two rows, so a table spans several
+            patch.setattr(metrics, "BEAT_BLOCK_ROWS", 2)
+            counts, areas = count_inflections(table), auc_normalized(table)
+        assert counts.shape == areas.shape == (len(table),)
+        assert counts.tolist() == [count_inflections(row) for row in table]
+        assert counts.tolist() == [count_inflections_convolved(row) for row in table]
+        assert areas.tolist() == [auc_normalized(row) for row in table]
+        u, v = table + 3.0, table[::-1] - 1.0
+        if np.all(np.vecdot(u, u) > 0) and np.all(np.vecdot(v, v) > 0):
+            cosines = cosine_similarity(u, v)
+            assert cosines.tolist() == [cosine_similarity(a, b) for a, b in zip(u, v)]
 
     def test_unpaired_tables_rejected(self):
         rows = np.tile(np.linspace(0.0, 1.0, 20), (3, 1))

@@ -208,14 +208,15 @@ class TestSharedLastStep:
 class TestBeatTable:
     def test_each_beat_measured_once(self, default_bundle, call_log):
         config, bundle = default_bundle
-        extrema_calls = call_log(metrics.count_inflections)
-        auc_calls = call_log(metrics.auc_normalized)
+        calls = [call_log(fn) for fn in (
+            metrics.measure_beats, metrics.count_inflections, metrics.auc_normalized)]
         report = run_compare(bundle, config)
-        n_beats = sum(summary.n_beats for summary in report.modalities.values())
-        assert n_beats == 183
-        # one extrema count and one AUC per segmented beat, paired or not
-        assert len(extrema_calls) == n_beats
-        assert len(auc_calls) == n_beats
+        n_beats = [summary.n_beats for summary in report.modalities.values()]
+        assert sum(n_beats) == 183
+        # one table per modality, a row per segmented beat, paired or not:
+        # pairing reads rows of these tables and measures none
+        for log in calls:
+            assert sorted(len(args[-1]) for args in log) == sorted(n_beats)
 
     def test_rows_span_exactly_unit_interval(self, default_bundle):
         config, bundle = default_bundle
