@@ -40,7 +40,7 @@ from pulsecmp.report import (
     condition_modality,
     model_from_config,
     run_compare,
-    simulate_bundle,
+    simulate_stream,
 )
 
 TRUTH_FILE = "truth.json"
@@ -153,7 +153,8 @@ def cmd_simulate(args) -> int:
         config.synth_duration_s = args.duration
     if args.snr_db is not None:
         config.set_key("synth.snr_db", str(args.snr_db))
-    bundle = simulate_bundle(config, subject_id=args.subject)
+    # the radar cube is drawn as it is written, one frame block at a time
+    bundle = simulate_stream(config, subject_id=args.subject)
     write_bundle_dir(bundle, config, args.out)
     print(f"wrote bundle for {bundle.subject_id!r} to {args.out}")
     return 0

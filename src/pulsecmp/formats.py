@@ -15,10 +15,12 @@ Radar cube container (all fields little-endian):
     metadata         UTF-8 JSON object of string pairs
     payload          f32 array, C order [frame][antenna][chirp][sample]
 
-Payload values are stored as 32-bit floats. The reader maps the payload
-read-only as a float32 array instead of copying it, and the radar chain
-reduces it block by block over frames, so its memory is one float64
-phase per (antenna, bin, frame) plus one frame block, not the cube.
+Payload values are stored as 32-bit floats. The writer writes the
+payload one frame block at a time, so a synthetic cube streamed to it
+is never held whole. The reader maps the payload read-only as a float32
+array instead of copying it, and the radar chain reduces it block by
+block over frames, so its memory is one float64 phase per (antenna,
+bin, frame) plus one frame block, not the cube.
 
 Every CSV is written by ``write_table`` (header row of column names,
 values in their shortest round-trip digits, so ``0.005`` and not
@@ -46,9 +48,9 @@ from dataclasses import asdict
 import numpy as np
 
 from pulsecmp.ppg import PpgRecording
-from pulsecmp.radar import RadarCube
+from pulsecmp.radar import RadarCube, frame_blocks
 from pulsecmp.signal_core import TimeSeries, median
-from pulsecmp.synth import PulseModel, SynthGroundTruth
+from pulsecmp.synth import PulseModel, RadarStream, SynthGroundTruth
 
 MAGIC = b"RADC"
 VERSION = 1
@@ -91,22 +93,44 @@ def write_text_atomic(path: str, text: str) -> None:
     write_bytes_atomic(path, [text.encode("utf-8")])
 
 
-def write_radar_cube(cube: RadarCube, path: str) -> None:
+def write_radar_cube(cube: RadarCube | RadarStream, path: str) -> None:
+    """Write a cube's header, then its payload one frame block at a time.
+
+    An in-memory ``RadarCube`` is written as ``cube.data`` sliced by
+    ``frame_blocks``; a ``RadarStream``'s blocks are written as they are
+    drawn, so the cube is never held whole. Blocks that do not fill the
+    header's shape raise ``ValueError``, and a failed write leaves any
+    file already at ``path`` as it was.
+    """
+    if isinstance(cube, RadarStream):
+        shape, blocks = cube.shape, cube.blocks
+    else:
+        shape = cube.data.shape
+        blocks = (cube.data[start:stop] for start, stop in frame_blocks(shape))
     metadata = json.dumps(cube.metadata, sort_keys=True).encode("utf-8")
     header = _HEADER.pack(
         MAGIC,
         VERSION,
-        cube.n_frames,
-        cube.n_antennas,
-        cube.n_chirps,
-        cube.n_samples,
+        *shape,
         cube.frame_rate_hz,
         cube.fast_time_rate_hz,
         cube.carrier_hz,
         len(metadata),
     )
-    payload = np.ascontiguousarray(cube.data, dtype="<f4")
-    write_bytes_atomic(path, [header, metadata, memoryview(payload).cast("B")])
+
+    def chunks():
+        yield header
+        yield metadata
+        frames = 0
+        for block in blocks:
+            if block.shape[1:] != shape[1:]:
+                raise ValueError(f"frame block of shape {block.shape} in a cube of {shape}")
+            frames += len(block)
+            yield memoryview(np.ascontiguousarray(block, dtype="<f4")).cast("B")
+        if frames != shape[0]:
+            raise ValueError(f"frame blocks hold {frames} frames, the header {shape[0]}")
+
+    write_bytes_atomic(path, chunks())
 
 
 def _page_release(mapping: mmap.mmap, offset: int, frame_bytes: int):

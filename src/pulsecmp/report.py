@@ -1,13 +1,15 @@
 """Bundle processing and the cross-modality agreement report.
 
-``simulate_bundle`` builds a synthetic recording set from one shared
-ground-truth waveform; ``run_compare`` processes whichever modalities a
-bundle carries, aligns beats pairwise against the reference (or against
-radar when no reference is present), and assembles interval and
-morphology agreement statistics. Each modality's chain ends at the
-shared band-pass; orienting the waveform and detecting its beats is one
-shared last step (``beats.orient_and_detect``) whose train is reused.
-Each modality's beats are segmented and measured once into one
+``simulate_stream`` builds a synthetic recording set from one shared
+ground-truth waveform, its radar cube drawn as it is written
+(``simulate_bundle`` holds the cube in memory instead); ``run_compare``
+processes whichever modalities a bundle carries, aligns beats pairwise
+against the reference (or against radar when no reference is present),
+and assembles interval and morphology agreement statistics. Each
+modality's chain ends at the shared band-pass; orienting the waveform
+and detecting its beats is one shared last step
+(``beats.orient_and_detect``) whose train is reused. Each modality's
+beats are segmented and measured once into one
 ``metrics.BeatTable``, and a pair's beats are rows picked by index.
 """
 
@@ -49,10 +51,11 @@ from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass,
 from pulsecmp.synth import (
     CubeGeometry,
     PulseModel,
+    RadarStream,
     SynthGroundTruth,
     generate_waveform,
     synth_ppg,
-    synth_radar_cube,
+    synth_radar_stream,
     synth_reference,
 )
 
@@ -66,9 +69,13 @@ MODALITIES = {"radar": "radar.radc", "ppg": "ppg.csv", "reference": "reference.c
 
 @dataclass
 class RecordingBundle:
-    """All simultaneously recorded modalities for one subject."""
+    """All simultaneously recorded modalities for one subject.
 
-    radar: RadarCube | None = None
+    ``radar`` is a ``RadarStream`` only in a bundle from
+    ``simulate_stream``, which is written, not compared.
+    """
+
+    radar: RadarCube | RadarStream | None = None
     ppg: PpgRecording | None = None
     reference: TimeSeries | None = None
     truth: SynthGroundTruth | None = None
@@ -197,8 +204,13 @@ def geometry_from_config(config: PipelineConfig) -> CubeGeometry:
     )
 
 
-def simulate_bundle(config: PipelineConfig, subject_id: str = "synthetic") -> RecordingBundle:
-    """Generate radar, PPG, and reference recordings from one truth waveform."""
+def simulate_stream(config: PipelineConfig, subject_id: str = "synthetic") -> RecordingBundle:
+    """Generate radar, PPG, and reference recordings from one truth waveform.
+
+    The radar is a ``RadarStream``: its cube is drawn block by block as
+    ``write_radar_cube`` writes it, so the bundle is for writing once
+    (``simulate`` does). The arguments are checked before it returns.
+    """
     model = model_from_config(config)
     waveform, truth = generate_waveform(
         model, config.synth_duration_s, config.synth_fs_hz, config.synth_seed
@@ -209,7 +221,7 @@ def simulate_bundle(config: PipelineConfig, subject_id: str = "synthetic") -> Re
     truth.displacement_peak_m = float(np.abs(displacement.samples).max())
     truth.target_antenna = geometry.target_antenna
     truth.target_range_bin = geometry.target_range_bin
-    radar = synth_radar_cube(
+    radar = synth_radar_stream(
         displacement, geometry, snr_db=config.snr_db_or_none, seed=config.synth_seed
     )
     ppg = synth_ppg(
@@ -224,6 +236,13 @@ def simulate_bundle(config: PipelineConfig, subject_id: str = "synthetic") -> Re
     return RecordingBundle(
         radar=radar, ppg=ppg, reference=reference, truth=truth, subject_id=subject_id
     )
+
+
+def simulate_bundle(config: PipelineConfig, subject_id: str = "synthetic") -> RecordingBundle:
+    """The bundle of :func:`simulate_stream` with its radar cube held in memory."""
+    bundle = simulate_stream(config, subject_id)
+    bundle.radar = bundle.radar.to_cube()
+    return bundle
 
 
 def _bandpass_spec(config: PipelineConfig) -> BandpassSpec:

@@ -26,7 +26,7 @@ from pulsecmp.metrics import (
     paired_t_test,
 )
 from pulsecmp.radar import SPEED_OF_LIGHT, process_radar
-from pulsecmp.report import condition_modality, run_compare, simulate_bundle
+from pulsecmp.report import condition_modality, run_compare, simulate_bundle, simulate_stream
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass
 from pulsecmp.synth import CARRIER_HZ, CubeGeometry, synth_radar_cube
 
@@ -290,8 +290,10 @@ def _recordings(bundle) -> dict[str, tuple[np.ndarray, float, float]]:
 
 
 def check_bundle_roundtrip(seed: int = 3, duration_s: float = 12.0) -> CheckResult:
-    """A simulated bundle read back through the bundle paths of ``simulate``
-    and ``compare`` holds the same recordings and gives the same report."""
+    """A bundle written the way ``simulate`` writes it, its radar cube
+    streamed block by block, and read back through ``compare``'s bundle
+    path holds the recordings of the in-memory bundle and gives the same
+    report."""
     import tempfile
 
     from pulsecmp.cli import read_bundle_dir, write_bundle_dir
@@ -300,7 +302,7 @@ def check_bundle_roundtrip(seed: int = 3, duration_s: float = 12.0) -> CheckResu
     config = PipelineConfig(synth_seed=seed, synth_duration_s=duration_s)
     bundle = simulate_bundle(config)
     with tempfile.TemporaryDirectory() as tmp:
-        write_bundle_dir(bundle, config, tmp)
+        write_bundle_dir(simulate_stream(config), config, tmp)
         back = read_bundle_dir(tmp, subject_id=bundle.subject_id)
         want, got = _recordings(bundle), _recordings(back)
         problems = []

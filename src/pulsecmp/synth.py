@@ -18,6 +18,7 @@ extrema per beat (three maxima, two minima).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,13 +178,47 @@ def generate_waveform(
     return waveform, truth
 
 
-def synth_radar_cube(
+@dataclass
+class RadarStream:
+    """A synthetic radar cube drawn one frame block at a time.
+
+    Carries the header fields of a ``RadarCube`` and ``blocks``, a
+    one-pass iterator of float32 ``[frame][antenna][chirp][sample]``
+    blocks in frame order whose frames add up to ``shape[0]``. Each block
+    is drawn when it is taken, so the whole cube is never held.
+    """
+
+    shape: tuple[int, int, int, int]
+    frame_rate_hz: float
+    carrier_hz: float
+    metadata: dict
+    blocks: Iterator[np.ndarray]
+    fast_time_rate_hz: float = RadarCube.fast_time_rate_hz
+
+    def to_cube(self) -> RadarCube:
+        """Gather the blocks into one in-memory cube."""
+        data = np.empty(self.shape, dtype=np.float32)
+        start = 0
+        for block in self.blocks:
+            data[start:start + len(block)] = block
+            start += len(block)
+        return RadarCube(
+            data=data,
+            frame_rate_hz=self.frame_rate_hz,
+            fast_time_rate_hz=self.fast_time_rate_hz,
+            carrier_hz=self.carrier_hz,
+            metadata=self.metadata,
+        )
+
+
+def synth_radar_stream(
     displacement: TimeSeries,
     geometry: CubeGeometry = CubeGeometry(),
     snr_db: float | None = None,
     seed: int = 0,
-) -> RadarCube:
-    """Synthesize a raw IF cube for a target moving by ``displacement``.
+) -> RadarStream:
+    """Synthesize a raw IF cube for a target moving by ``displacement``,
+    as a stream of frame blocks.
 
     The target (antenna, bin) carries a unit IF tone phase-modulated by
     ``4 * pi * (range_offset + d(t)) / wavelength``. Every other
@@ -193,8 +228,13 @@ def synth_radar_cube(
     and peak-to-peak selection is meaningless). White noise on all
     samples is scaled so the ratio of the target's phase peak-to-peak
     to the induced phase-noise peak-to-peak matches ``snr_db``;
-    ``None`` disables noise. The cube is float32, the precision of the
+    ``None`` disables noise. Blocks are float32, the precision of the
     ``.radc`` payload.
+
+    Each frame block (``radar.frame_blocks``) is summed in float64 and
+    rounded to float32 once, and its noise continues one PCG64 stream,
+    so the cube does not depend on the block size. The arguments are
+    checked here, before any block is drawn.
 
     Raises
     ------
@@ -209,8 +249,8 @@ def synth_radar_cube(
     if np.abs(d).max() >= wavelength / 4.0:
         raise ValueError("phase ambiguity")
     rng = np.random.default_rng(seed)
-    n_frames = len(d)
     n_ant, n_chirp, n_samp = geometry.antennas, geometry.chirps, geometry.samples
+    shape = (len(d), n_ant, n_chirp, n_samp)
     n_bins = n_samp // 2 + 1
     phi = 4.0 * np.pi * (RANGE_OFFSET_M + d) / wavelength
     n = np.arange(n_samp)
@@ -224,7 +264,7 @@ def synth_radar_cube(
     angles = 2.0 * np.pi * k[None, :, None] * n[None, None, :] / n_samp + phases[:, :, None]
     clutter = np.einsum("ak,akn->an", amps, np.cos(angles))
 
-    tone = np.cos(2.0 * np.pi * geometry.target_range_bin * n[None, :] / n_samp + phi[:, None])
+    carrier_phase = 2.0 * np.pi * geometry.target_range_bin * n[None, :] / n_samp
     sigma_if = None
     if snr_db is not None:
         phase_p2p = float(phi.max() - phi.min())
@@ -233,31 +273,39 @@ def synth_radar_cube(
         # leaves per-component bin noise sigma_if * sqrt(N / (2 C)).
         sigma_if = sigma_phase * (n_samp / 2.0) / math.sqrt(n_samp / (2.0 * n_chirp))
 
-    # Each frame block is summed in float64 and rounded to float32 once.
-    # Successive noise draws continue one PCG64 stream, so the cube does
-    # not depend on the block size.
-    cube = np.empty((n_frames, n_ant, n_chirp, n_samp), dtype=np.float32)
-    for start, stop in frame_blocks(cube.shape):
-        block = np.empty((stop - start, n_ant, n_chirp, n_samp))
-        block[:] = clutter[None, :, None, :]
-        block[:, geometry.target_antenna, :, :] += tone[start:stop, None, :]
-        if sigma_if is not None:
-            block += sigma_if * rng.standard_normal(block.shape, dtype=np.float32).astype(
-                np.float64
-            )
-        cube[start:stop] = block
+    def blocks() -> Iterator[np.ndarray]:
+        for start, stop in frame_blocks(shape):
+            block = np.empty((stop - start, n_ant, n_chirp, n_samp))
+            block[:] = clutter[None, :, None, :]
+            tone = np.cos(carrier_phase + phi[start:stop, None])
+            block[:, geometry.target_antenna, :, :] += tone[:, None, :]
+            if sigma_if is not None:
+                block += sigma_if * rng.standard_normal(block.shape, dtype=np.float32).astype(
+                    np.float64
+                )
+            yield block.astype(np.float32)
 
     metadata = {
         "source": "synthetic",
         "target_antenna": str(geometry.target_antenna),
         "target_range_bin": str(geometry.target_range_bin),
     }
-    return RadarCube(
-        data=cube,
-        frame_rate_hz=displacement.sample_rate_hz,
-        carrier_hz=CARRIER_HZ,
-        metadata=metadata,
-    )
+    return RadarStream(shape, displacement.sample_rate_hz, CARRIER_HZ, metadata, blocks())
+
+
+def synth_radar_cube(
+    displacement: TimeSeries,
+    geometry: CubeGeometry = CubeGeometry(),
+    snr_db: float | None = None,
+    seed: int = 0,
+) -> RadarCube:
+    """The cube of :func:`synth_radar_stream`, gathered into one array.
+
+    Its memory grows with the record; ``simulate`` writes the stream one
+    block at a time instead, so its memory does not. Raises as
+    ``synth_radar_stream`` does.
+    """
+    return synth_radar_stream(displacement, geometry, snr_db, seed).to_cube()
 
 
 def synth_ppg(

@@ -9,12 +9,18 @@ import tempfile
 import numpy as np
 import pytest
 
-from pulsecmp import beats, cli
+from pulsecmp import beats, cli, radar, synth
 from pulsecmp.cli import main
 from pulsecmp.config import PipelineConfig
 from pulsecmp.formats import canonical_json, read_radar_cube, write_radar_cube
 from pulsecmp.radar import RadarCube
-from pulsecmp.report import RecordingBundle, model_from_config, run_compare, simulate_bundle
+from pulsecmp.report import (
+    RecordingBundle,
+    model_from_config,
+    run_compare,
+    simulate_bundle,
+    simulate_stream,
+)
 from pulsecmp.signal_core import TimeSeries, _bandpass_filter
 from pulsecmp.synth import (
     CubeGeometry,
@@ -67,6 +73,88 @@ class TestSimulate:
         assert main(["simulate", "-o", str(b), *SIM_ARGS]) == 0
         for name in ("radar.radc", "ppg.csv", "reference.csv", "truth.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestStreamedSimulate:
+    """``simulate`` draws and writes the radar cube one frame block at a
+    time: its ``radar.radc`` holds the bytes of the in-memory cube, and
+    a failure leaves no partial file."""
+
+    @staticmethod
+    def assert_writes_in_memory_cube(tmp_path, config, *args):
+        whole = tmp_path / "whole.radc"
+        write_radar_cube(simulate_bundle(config).radar, str(whole))
+        out = tmp_path / "streamed"
+        assert main(["simulate", "-o", str(out), "--duration", "12", *args]) == 0
+        assert (out / "radar.radc").read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_same_cube_as_in_memory(self, tmp_path, seed):
+        config = PipelineConfig(synth_seed=seed, synth_duration_s=12.0)
+        self.assert_writes_in_memory_cube(tmp_path, config, "--seed", str(seed))
+
+    def test_same_cube_without_noise(self, tmp_path):
+        config = PipelineConfig(synth_duration_s=12.0, synth_snr_db=-1.0)
+        self.assert_writes_in_memory_cube(tmp_path, config, "--snr-db", "-1")
+
+    def test_same_cube_with_ragged_last_block(self, tmp_path, monkeypatch):
+        config = PipelineConfig(synth_seed=4, synth_duration_s=12.0)
+        frame = config.synth_antennas * config.synth_chirps * config.synth_samples
+        # 2400 frames in blocks of 7: the last block holds 6
+        monkeypatch.setattr(radar, "BLOCK_SAMPLES", 7 * frame)
+        assert list(radar.frame_blocks((2400, frame)))[-1] == (2394, 2400)
+        self.assert_writes_in_memory_cube(tmp_path, config, "--seed", "4")
+
+    def test_phase_ambiguity_creates_no_bundle(self, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert main(["simulate", "--set", "synth.displacement_m=0.01", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: phase ambiguity\n"
+        assert not out.exists()
+
+    def test_failure_mid_stream_leaves_the_earlier_cube(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "bundle"
+        out.mkdir()
+        (out / "radar.radc").write_bytes(b"earlier cube")
+        real = synth.frame_blocks
+        drawn = []
+
+        def two_blocks_then_fail(shape):
+            for block in real(shape):
+                if len(drawn) == 2:
+                    raise RuntimeError("block source failed")
+                drawn.append(block)
+                yield block
+
+        monkeypatch.setattr(synth, "frame_blocks", two_blocks_then_fail)
+        assert main(["simulate", "-o", str(out), "--duration", "12"]) == 2
+        assert "RuntimeError: block source failed" in capsys.readouterr().err
+        assert len(drawn) == 2
+        assert os.listdir(out) == ["radar.radc"]
+        assert (out / "radar.radc").read_bytes() == b"earlier cube"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_memory_does_not_grow_with_the_cube(self, tmp_path):
+        out = tmp_path / "long"
+        # A process's ru_maxrss starts at its parent's peak RSS when it
+        # execs, and this test process may have a large one: a small
+        # Python starts simulate and reads its peak with wait4.
+        measure = (
+            "import os, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", measure,
+             sys.executable, "-m", "pulsecmp.cli", "simulate", "-o", str(out), "--duration", "120"],
+            capture_output=True, text=True, check=True,
+        )
+        code, maxrss_kib = map(int, result.stdout.split())
+        assert code == 0, result.stderr
+        # 24,000 frames of 3 x 16 x 64 float32 values: a 295 MB payload
+        cube_bytes = (out / "radar.radc").stat().st_size
+        assert cube_bytes > 24_000 * 3 * 16 * 64 * 4
+        assert maxrss_kib * 1024 < cube_bytes / 2
 
 
 class TestProcess:
@@ -403,9 +491,11 @@ class TestOneReportInMemoryAndFromDisk:
     or written by ``simulate``'s writer and read back by ``compare``'s reader."""
 
     @staticmethod
-    def assert_same_report(bundle, config) -> str:
+    def assert_same_report(bundle, config, written=None) -> str:
+        """Compare ``bundle`` in memory with ``written`` (by default
+        ``bundle`` itself) after a trip through the bundle files."""
         with tempfile.TemporaryDirectory() as tmp:
-            cli.write_bundle_dir(bundle, config, tmp)
+            cli.write_bundle_dir(written or bundle, config, tmp)
             back = cli.read_bundle_dir(tmp, subject_id=bundle.subject_id)
             from_disk = canonical_json(run_compare(back, config).to_dict())
         assert from_disk == canonical_json(run_compare(bundle, config).to_dict())
@@ -415,7 +505,8 @@ class TestOneReportInMemoryAndFromDisk:
     def test_default_bundle(self, seed):
         # and the same report as the committed seed grid (see seed_grid.py)
         config = PipelineConfig(synth_seed=seed)
-        report = self.assert_same_report(simulate_bundle(config), config)
+        # written as simulate writes it, the cube streamed block by block
+        report = self.assert_same_report(simulate_bundle(config), config, simulate_stream(config))
         seed_grid.assert_matches(json.loads(report), seed_grid.expected(seed))
 
     def test_long_ppg_and_reference_bundle(self):

@@ -26,7 +26,13 @@ from pulsecmp.formats import (
 from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import RadarCube, process_radar
 from pulsecmp.signal_core import TimeSeries
-from pulsecmp.synth import CubeGeometry, PulseModel, generate_waveform, synth_radar_cube
+from pulsecmp.synth import (
+    CubeGeometry,
+    PulseModel,
+    RadarStream,
+    generate_waveform,
+    synth_radar_cube,
+)
 
 from oracles import read_ground_truth
 
@@ -65,6 +71,20 @@ class TestRadarCubeFormat:
         assert from_disk.selection == in_memory.selection
         # pages released during the reduction read back unchanged
         assert np.array_equal(back.data, cube.data)
+
+    @pytest.mark.parametrize(
+        "frames, trailing", [(3, (1, 2, 4)), (6, (1, 2, 4)), (5, (1, 2, 3))]
+    )
+    def test_blocks_that_do_not_fill_the_header_are_rejected(self, tmp_path, frames, trailing):
+        # too few frames, too many, or a block of the wrong trailing shape
+        path = tmp_path / "cube.radc"
+        path.write_bytes(b"earlier")
+        blocks = iter([np.zeros((frames, *trailing), dtype=np.float32)])
+        stream = RadarStream((5, 1, 2, 4), 200.0, 60e9, {}, blocks)
+        with pytest.raises(ValueError, match="frame block"):
+            write_radar_cube(stream, str(path))
+        assert os.listdir(tmp_path) == ["cube.radc"]
+        assert path.read_bytes() == b"earlier"
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.radc")

@@ -17,6 +17,7 @@ from pulsecmp.synth import (
     generate_waveform,
     synth_ppg,
     synth_radar_cube,
+    synth_radar_stream,
     synth_reference,
 )
 
@@ -172,6 +173,15 @@ class TestSynthRadarCube:
         noisy = synth_radar_cube(displacement, geom, 20.0, 3)
         assert np.ptp(clean.data[:, 0], axis=0).max() == 0.0
         assert np.ptp(noisy.data[:, 0], axis=0).max() > 0.0
+
+    def test_stream_is_checked_before_any_block_is_drawn(self):
+        waveform, _ = generate_waveform(PulseModel(), 12.0, FS, 3)
+        geom = CubeGeometry(antennas=2, chirps=2, samples=32)
+        # raised by the call itself, not on the first block
+        with pytest.raises(ValueError, match="^phase ambiguity$"):
+            synth_radar_stream(waveform.with_samples(waveform.samples * 0.01), geom)
+        with pytest.raises(ValueError, match="^snr_db must be finite$"):
+            synth_radar_stream(waveform.with_samples(waveform.samples * 1e-4), geom, math.nan)
 
     def test_phase_linearity(self):
         t = np.arange(int(20 * FS)) / FS
