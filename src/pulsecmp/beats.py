@@ -3,8 +3,8 @@
 "Diastolic peak" throughout means the waveform foot: the minimum between
 consecutive systolic maxima, which marks the start of the upstroke. Feet
 are the timing anchors for inter-beat intervals and for cross-modality
-event matching. A modality's beats are one table (leading-foot indices
-and a ``[beat][norm_len]`` array of normalized shapes), indexed by pairs.
+event matching. A modality's beats are one ``metrics.BeatTable``, each
+beat cut, normalized and measured in one pass, and indexed by pairs.
 
 The primitives are numpy alone and give the same integers as the scipy
 calls they stand for: the systolic peak finder is
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pulsecmp.metrics import BeatTable, auc_normalized, count_inflections
 from pulsecmp.signal_core import TimeSeries, median
 
 IBI_MIN_MS = 250.0
@@ -30,7 +31,7 @@ IBI_MAX_MS = 3000.0
 
 EVENT_GRID_HZ = 200.0
 
-# Beats resampled and measured per block of rows: a whole table's
+# Beats cut, resampled and measured per block of rows: a whole table's
 # index and interpolation temporaries would grow with the recording.
 BEAT_BLOCK_ROWS = 128
 
@@ -356,32 +357,39 @@ def extract_ibi(train: PeakTrain) -> IbiSeries:
     return IbiSeries(intervals[keep], anchors[keep])
 
 
-def segment_beats_indexed(
-    x: TimeSeries, train: PeakTrain, norm_len: int = 200
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cut the waveform into beats between consecutive diastolic feet.
+def segment_beats_indexed(x: TimeSeries, train: PeakTrain, norm_len: int = 200) -> BeatTable:
+    """Cut the waveform into beats between consecutive diastolic feet, as one table.
 
     Each beat is resampled to ``norm_len`` points and min-max scaled to
     span exactly [0, 1]; flat beats (peak-to-peak below 1e-12) are
-    discarded. Returns the kept beats as one table: the increasing
-    index in ``train`` of each beat's leading diastolic foot, for
-    matching beats across modalities after event alignment, and the
-    ``[beat][norm_len]`` array of their normalized shapes.
+    discarded. Each kept beat is measured as it is cut: its row holds
+    the increasing index in ``train`` of its leading diastolic foot, for
+    matching beats across modalities after event alignment, its shape,
+    its extrema count and its area. ``norm_len`` must be at least 7, the
+    shortest beat ``count_inflections`` measures, before any beat is cut.
     """
-    if norm_len < 2:
-        raise ValueError("norm_len must be at least 2")
+    if norm_len < 7:
+        raise ValueError("norm_len must be at least 7")
     d = train.diastolic_indices
     grid = np.linspace(0.0, 1.0, int(norm_len))
-    feet, shapes = [np.zeros(0, dtype=np.int64)], [np.zeros((0, int(norm_len)))]
-    for k in range(0, max(0, d.size - 1), BEAT_BLOCK_ROWS):
+    n = max(0, d.size - 1)
+    table = BeatTable(np.empty(n, np.int64), np.empty((n, grid.size)), np.empty(n), np.empty(n))
+    filled = 0
+    for k in range(0, n, BEAT_BLOCK_ROWS):
         lead = d[k : k + BEAT_BLOCK_ROWS + 1]
         resampled = _resample_beats(x.samples, lead[:-1], np.diff(lead) + 1, grid)
         low = resampled.min(axis=1, keepdims=True)
         span = resampled.max(axis=1, keepdims=True) - low
         kept = span[:, 0] >= 1e-12
-        feet.append(k + np.flatnonzero(kept))
-        shapes.append((resampled[kept] - low[kept]) / span[kept])
-    return np.concatenate(feet), np.concatenate(shapes)
+        shapes = (resampled[kept] - low[kept]) / span[kept]
+        rows = slice(filled, filled + len(shapes))
+        table.feet[rows] = k + np.flatnonzero(kept)
+        table.shapes[rows] = shapes
+        table.extrema[rows] = count_inflections(shapes)
+        table.auc[rows] = auc_normalized(shapes)
+        filled = rows.stop
+    # flat beats leave the last rows unfilled
+    return table.rows(slice(0, filled))
 
 
 def _resample_beats(

@@ -1,8 +1,9 @@
 """Pipeline configuration: defaults, flat key=value files, overrides.
 
 Config files are plain text, one ``key = value`` per line with ``#``
-comments. A float value must be finite, from a file, an override or the
-constructor. Field ``filter_low_hz`` is key ``filter.low_hz``, its first
+comments. A value must parse as its field's type, and a float must be
+finite, from a file, an override or the constructor; each error names
+its key. Field ``filter_low_hz`` is key ``filter.low_hz``, its first
 underscore turned into a dot. The environment variable
 ``PULSECMP_CONFIG`` names a default config file used without a path.
 """
@@ -57,10 +58,12 @@ class PipelineConfig:
         if attr is None:
             raise ValueError(f"unknown config key {key!r}")
         current = getattr(self, attr)
-        if isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
+        if isinstance(current, (int, float)):
+            try:
+                value = type(current)(raw)
+            except ValueError:
+                kind = "an integer" if isinstance(current, int) else "a number"
+                raise ValueError(f"config key {key!r} needs {kind}, got {raw.strip()!r}") from None
             _require_finite(key, value)
         else:
             value = raw.strip()

@@ -4,7 +4,8 @@ Bland-Altman bias and limits of agreement quantify interval-level
 agreement; extrema counts, area under the curve, and cosine similarity
 quantify waveform-shape agreement; a paired two-sided t-test supplies
 significance for mean differences. A modality's beats are one
-:class:`BeatTable`, each beat measured once; pairs read its rows.
+:class:`BeatTable`, each beat measured as ``beats.segment_beats_indexed``
+cuts it; pairs read its rows.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from pulsecmp.beats import BEAT_BLOCK_ROWS
 
 # count_inflections: moving-average width (samples) and the slope floor,
 # as a fraction of the beat's range, below which a difference is flat.
@@ -40,8 +39,8 @@ class BeatTable:
     def __len__(self) -> int:
         return self.feet.size
 
-    def rows(self, index: np.ndarray) -> BeatTable:
-        """The table of the rows at ``index``, in that order."""
+    def rows(self, index: np.ndarray | slice) -> BeatTable:
+        """The table of the rows at ``index``, in that order; a slice gives views."""
         return BeatTable(self.feet[index], self.shapes[index], self.extrema[index], self.auc[index])
 
 
@@ -154,13 +153,6 @@ def count_inflections(beats: np.ndarray) -> int | np.ndarray:
     if beats.shape[-1] < 7:
         raise ValueError("beat too short")
     rows = beats.reshape(-1, beats.shape[-1])
-    counts = np.zeros(len(rows), dtype=np.int64)
-    for k in range(0, len(rows), BEAT_BLOCK_ROWS):
-        counts[k : k + BEAT_BLOCK_ROWS] = _count_rows(rows[k : k + BEAT_BLOCK_ROWS])
-    return int(counts[0]) if beats.ndim == 1 else counts
-
-
-def _count_rows(rows: np.ndarray) -> np.ndarray:
     w = INFLECTION_SMOOTH_WIN
     pad, n = w // 2, rows.shape[1]
     padded = np.concatenate([rows[:, pad:0:-1], rows, rows[:, -2 : -2 - pad : -1]], axis=1)
@@ -176,7 +168,8 @@ def _count_rows(rows: np.ndarray) -> np.ndarray:
     sign = signs[row, col]
     change = (sign[1:] != sign[:-1]) & (row[1:] == row[:-1])
     # a flat row's differences are all exactly zero: it counts zero
-    return np.bincount(row[1:][change], minlength=len(rows))
+    counts = np.bincount(row[1:][change], minlength=len(rows))
+    return int(counts[0]) if beats.ndim == 1 else counts
 
 
 def auc_normalized(beats: np.ndarray) -> float | np.ndarray:
@@ -303,11 +296,6 @@ def _paired_p(diffs: np.ndarray) -> float:
     if np.all(diffs == diffs[0]):
         return 1.0 if diffs[0] == 0.0 else 0.0
     return paired_t_test(diffs)[1]
-
-
-def measure_beats(feet: np.ndarray, shapes: np.ndarray) -> BeatTable:
-    """The beat table of ``shapes``: each row's extrema count and AUC, once."""
-    return BeatTable(feet, shapes, count_inflections(shapes).astype(float), auc_normalized(shapes))
 
 
 def compare_modalities(ref: BeatTable, test: BeatTable) -> PairwiseComparison:

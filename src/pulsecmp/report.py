@@ -9,7 +9,7 @@ and assembles interval and morphology agreement statistics. Each
 modality's chain ends at the shared band-pass; orienting the waveform
 and detecting its beats is one shared last step
 (``beats.orient_and_detect``) whose train is reused. Each modality's
-beats are segmented and measured once into one
+beats are cut, normalized and measured in one pass into one
 ``metrics.BeatTable``, and a pair's beats are rows picked by index.
 """
 
@@ -42,7 +42,6 @@ from pulsecmp.metrics import (
     bland_altman,
     compare_modalities,
     map_from_bp,
-    measure_beats,
     morphology_metrics,
 )
 from pulsecmp.ppg import PpgRecording
@@ -293,13 +292,13 @@ def _summarize_modality(
     summary = ModalitySummary(
         name, "insufficient beats", train=train, ibi=extract_ibi(train), selection=selection
     )
-    feet, shapes = segment_beats_indexed(waveform, train, config.beats_norm_len)
-    if feet.size < MIN_BEATS:
+    table = segment_beats_indexed(waveform, train, config.beats_norm_len)
+    if len(table) < MIN_BEATS:
         return summary
     summary.status = "ok"
-    summary.beats = measure_beats(feet, shapes)
-    summary.morphology = morphology_metrics(summary.beats)
-    summary.average_beat = average_beats(shapes)
+    summary.beats = table
+    summary.morphology = morphology_metrics(table)
+    summary.average_beat = average_beats(table.shapes)
     if raw_for_bp is not None and train.systolic_indices.size:
         sbp = float(np.mean(raw_for_bp.samples[train.systolic_indices]))
         dbp = float(np.mean(raw_for_bp.samples[train.diastolic_indices]))

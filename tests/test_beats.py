@@ -24,6 +24,7 @@ from pulsecmp.beats import (
     polarity_inverted,
     segment_beats_indexed,
 )
+from pulsecmp.metrics import auc_normalized, count_inflections
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import PulseModel, generate_waveform
 
@@ -225,7 +226,7 @@ class TestSegmentBeats:
     def test_single_pulse_peak_position(self):
         waveform, truth = pulse_train_series(duration_s=12.0, hr_bpm=60.0)
         train = detect_peaks(waveform)
-        _, shapes = segment_beats_indexed(waveform, train)
+        shapes = segment_beats_indexed(waveform, train).shapes
         assert len(shapes)
         peak_pos = np.argmax(shapes[0]) / (shapes.shape[1] - 1)
         assert abs(peak_pos - 0.18) < 0.05
@@ -240,9 +241,9 @@ class TestSegmentBeats:
         train = PeakTrain(
             np.array([99]), np.array([0, 199]), FS
         )
-        feet, shapes = segment_beats_indexed(series, train, norm_len=200)
-        assert feet.tolist() == [0]
-        assert_allclose(shapes[0], series.samples[:200], atol=1e-12)
+        table = segment_beats_indexed(series, train, norm_len=200)
+        assert table.feet.tolist() == [0]
+        assert_allclose(table.shapes[0], series.samples[:200], atol=1e-12)
 
     def test_flat_segment_discarded(self):
         x = np.zeros(1000)
@@ -251,24 +252,45 @@ class TestSegmentBeats:
         series = TimeSeries(x, FS)
         train = PeakTrain(np.array([300]), np.array([100, 600]), FS)
         flat_train = PeakTrain(np.array([], dtype=int), np.array([700, 900]), FS)
-        assert len(segment_beats_indexed(series, train)[0]) == 1
-        feet, shapes = segment_beats_indexed(series, flat_train)
-        assert feet.size == 0
-        assert shapes.shape == (0, 200)
+        assert len(segment_beats_indexed(series, train)) == 1
+        table = segment_beats_indexed(series, flat_train)
+        assert table.feet.size == table.extrema.size == table.auc.size == 0
+        assert table.shapes.shape == (0, 200)
+
+    @pytest.mark.parametrize("block_rows", [2, 128])
+    def test_flat_beat_between_kept_beats(self, monkeypatch, block_rows):
+        t = np.arange(1000)
+        x = np.exp(-(((t - 300) / 30.0) ** 2)) + np.exp(-(((t - 800) / 30.0) ** 2))
+        series = TimeSeries(x, FS)
+        # the beat 500-550 is flat; 550-700 still rises into the second pulse
+        train = PeakTrain(np.array([], dtype=int), np.array([100, 500, 550, 700, 950]), FS)
+        monkeypatch.setattr(beats, "BEAT_BLOCK_ROWS", block_rows)
+        table = segment_beats_indexed(series, train)
+        assert table.feet.tolist() == [0, 2, 3]
+        assert table.shapes.shape == (3, 200)
+        assert table.extrema.tolist() == [count_inflections(row) for row in table.shapes]
+        assert table.auc.tolist() == [auc_normalized(row) for row in table.shapes]
+        d = train.diastolic_indices
+        for foot, row in zip(table.feet, table.shapes):
+            beat = TimeSeries(x[d[foot] : d[foot + 1] + 1], FS)
+            expected = resample_linear(beat, 200)
+            assert np.array_equal(row, (expected - expected.min()) / np.ptp(expected))
 
     def test_indexed_mapping(self):
         waveform, _ = pulse_train_series(duration_s=20.0, seed=2, ibi_sd_ms=30.0)
         train = detect_peaks(waveform)
-        feet, shapes = segment_beats_indexed(waveform, train)
+        table = segment_beats_indexed(waveform, train)
+        feet = table.feet
         assert feet.dtype == np.int64
         assert np.all(np.diff(feet) > 0)
         assert np.all((0 <= feet) & (feet < train.diastolic_indices.size - 1))
-        assert shapes.shape == (feet.size, 200)
+        assert table.shapes.shape == (feet.size, 200)
+        assert table.extrema.shape == table.auc.shape == (feet.size,)
 
     def test_normalization_invariants(self):
         waveform, _ = pulse_train_series(duration_s=20.0, seed=9, ibi_sd_ms=30.0)
         train = detect_peaks(waveform)
-        _, shapes = segment_beats_indexed(waveform, train, norm_len=150)
+        shapes = segment_beats_indexed(waveform, train, norm_len=150).shapes
         assert shapes.shape[1] == 150
         # every row spans exactly [0, 1]
         assert np.all(shapes.min(axis=1) == 0.0)
@@ -278,10 +300,10 @@ class TestSegmentBeats:
     def test_rows_equal_oracle_resampling_bit_for_bit(self, norm_len):
         waveform, _ = pulse_train_series(duration_s=30.0, seed=4, ibi_sd_ms=30.0)
         train = detect_peaks(waveform)
-        feet, shapes = segment_beats_indexed(waveform, train, norm_len)
+        table = segment_beats_indexed(waveform, train, norm_len)
         d = train.diastolic_indices
-        assert feet.size == d.size - 1
-        for foot, row in zip(feet, shapes):
+        assert len(table) == d.size - 1
+        for foot, row in zip(table.feet, table.shapes):
             beat = TimeSeries(waveform.samples[d[foot] : d[foot + 1] + 1], FS)
             expected = resample_linear(beat, norm_len)
             expected = (expected - expected.min()) / (expected.max() - expected.min())
@@ -290,23 +312,37 @@ class TestSegmentBeats:
     def test_block_size_does_not_change_the_table(self, monkeypatch):
         waveform, _ = pulse_train_series(duration_s=30.0, seed=4, ibi_sd_ms=30.0)
         train = detect_peaks(waveform)
-        feet, shapes = segment_beats_indexed(waveform, train)
+        table = segment_beats_indexed(waveform, train)
         monkeypatch.setattr(beats, "BEAT_BLOCK_ROWS", 3)
-        small_feet, small_shapes = segment_beats_indexed(waveform, train)
-        assert np.array_equal(small_feet, feet)
-        assert np.array_equal(small_shapes, shapes)
+        small = segment_beats_indexed(waveform, train)
+        for column in ("feet", "shapes", "extrema", "auc"):
+            assert np.array_equal(getattr(small, column), getattr(table, column))
+        # each row is measured as it would be alone
+        assert small.extrema.tolist() == [count_inflections(row) for row in small.shapes]
+        assert small.auc.tolist() == [auc_normalized(row) for row in small.shapes]
 
     def test_norm_len_below_two_rejected(self):
         waveform, _ = pulse_train_series(duration_s=12.0)
-        with pytest.raises(ValueError, match="norm_len must be at least 2"):
+        with pytest.raises(ValueError, match="^norm_len must be at least 7$"):
             segment_beats_indexed(waveform, detect_peaks(waveform), norm_len=1)
+
+    @pytest.mark.parametrize("n_feet", [0, 1, 3])
+    @pytest.mark.parametrize("norm_len", [2, 6])
+    def test_norm_len_below_seven_rejected_before_any_cut(self, norm_len, n_feet):
+        # the shortest beat count_inflections measures, whether or not
+        # the train holds a beat to cut
+        series = TimeSeries(np.sin(np.linspace(0.0, 6.0 * np.pi, 600)), FS)
+        train = PeakTrain(np.array([], dtype=int), np.arange(n_feet) * 200, FS)
+        with pytest.raises(ValueError, match="^norm_len must be at least 7$"):
+            segment_beats_indexed(series, train, norm_len)
+        assert len(segment_beats_indexed(series, train, 7)) == max(0, n_feet - 1)
 
 
 class TestAverageBeats:
     def test_single_segment(self):
         waveform, _ = pulse_train_series(duration_s=12.0)
         train = detect_peaks(waveform)
-        _, shapes = segment_beats_indexed(waveform, train)
+        shapes = segment_beats_indexed(waveform, train).shapes
         avg = average_beats(shapes[:1])
         assert_allclose(avg.mean, shapes[0])
         assert_allclose(avg.sd, 0.0)
@@ -341,8 +377,7 @@ class TestAverageBeats:
     def test_identical_beats_zero_sd(self):
         waveform, _ = pulse_train_series(duration_s=30.0, hr_bpm=60.0)
         train = detect_peaks(waveform)
-        _, shapes = segment_beats_indexed(waveform, train)
-        avg = average_beats(shapes)
+        avg = average_beats(segment_beats_indexed(waveform, train).shapes)
         assert np.median(avg.sd) < 0.01
 
     def test_empty_error(self):

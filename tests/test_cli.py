@@ -557,6 +557,28 @@ class TestConfigPlumbing:
         assert err.startswith("error: config key 'align.max_lag_s' must be finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("filter.low_hz=abc", "config key 'filter.low_hz' needs a number, got 'abc'"),
+        ("beats.norm_len=1e3", "config key 'beats.norm_len' needs an integer, got '1e3'"),
+    ])
+    def test_unparsable_value_names_its_key(self, bundle_dir, tmp_path, capsys, setting, message):
+        out = tmp_path / "bad"
+        code = main(["compare", "--bundle", str(bundle_dir), "-o", str(out), "--set", setting])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_norm_len_has_one_rule(self, bundle_dir, tmp_path, capsys):
+        out = tmp_path / "short"
+        code = main(["compare", "--bundle", str(bundle_dir), "-o", str(out),
+                     "--set", "beats.norm_len=5"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: norm_len must be at least 7\n"
+        assert main(["compare", "--bundle", str(bundle_dir), "-o", str(out),
+                     "--set", "beats.norm_len=7"]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert {m["status"] for m in doc["modalities"].values()} == {"ok"}
+
     def test_non_finite_duration_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "inf"
         assert main(["simulate", "-o", str(out), "--duration", "inf"]) == 1

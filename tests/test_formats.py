@@ -436,6 +436,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="unknown config key"):
                 parse_config_text(f"{key} = 1")
 
+    def test_unparsable_value_names_its_key(self):
+        message = "^config key 'beats.norm_len' needs an integer, got '2OO'$"
+        with pytest.raises(ValueError, match=message):
+            parse_config_text("beats.norm_len = 2OO\n")
+        message = "^config key 'filter.low_hz' needs a number, got 'abc'$"
+        with pytest.raises(ValueError, match=message):
+            parse_config_text("filter.low_hz = abc")
+
     def test_bad_line(self):
         with pytest.raises(ValueError, match="expected"):
             parse_config_text("just some words")

@@ -6,15 +6,14 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from pulsecmp import metrics
 from pulsecmp.metrics import (
+    BeatTable,
     auc_normalized,
     bland_altman,
     compare_modalities,
     cosine_similarity,
     count_inflections,
     map_from_bp,
-    measure_beats,
     morphology_metrics,
     paired_t_test,
     regularized_incomplete_beta,
@@ -30,7 +29,8 @@ from oracles import (
 
 def make_table(rows):
     shapes = np.array(rows, dtype=float)
-    return measure_beats(np.arange(len(shapes)), shapes)
+    extrema = count_inflections(shapes).astype(float)
+    return BeatTable(np.arange(len(shapes)), shapes, extrema, auc_normalized(shapes))
 
 
 class TestMapFromBp:
@@ -323,10 +323,7 @@ class TestCompareModalities:
     )
     def test_table_calls_equal_row_calls(self, table, flat):
         table[np.array(flat[: len(table)], dtype=bool)] = 2.5
-        with pytest.MonkeyPatch.context() as patch:
-            # blocks of two rows, so a table spans several
-            patch.setattr(metrics, "BEAT_BLOCK_ROWS", 2)
-            counts, areas = count_inflections(table), auc_normalized(table)
+        counts, areas = count_inflections(table), auc_normalized(table)
         assert counts.shape == areas.shape == (len(table),)
         assert counts.tolist() == [count_inflections(row) for row in table]
         assert counts.tolist() == [count_inflections_convolved(row) for row in table]

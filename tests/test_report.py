@@ -23,6 +23,15 @@ from pulsecmp.synth import PulseModel, generate_waveform, synth_radar_cube, synt
 FS = 200.0
 
 
+def imported_modules(module: str) -> set[str]:
+    """The modules that ``pulsecmp.<module>``'s source imports from."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"pulsecmp.{module}")))
+    imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    return imported | {
+        alias.name for n in ast.walk(tree) if isinstance(n, ast.Import) for alias in n.names
+    }
+
+
 def quick_config(**overrides):
     defaults = dict(synth_duration_s=30.0, synth_seed=1, synth_snr_db=20.0)
     defaults.update(overrides)
@@ -197,26 +206,36 @@ class TestSharedLastStep:
 
     @pytest.mark.parametrize("module", ["radar", "ppg"])
     def test_modality_chains_import_neither_beats_nor_report(self, module):
-        tree = ast.parse(inspect.getsource(importlib.import_module(f"pulsecmp.{module}")))
-        imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
-        imported |= {
-            alias.name for n in ast.walk(tree) if isinstance(n, ast.Import) for alias in n.names
-        }
-        assert not imported & {"pulsecmp.beats", "pulsecmp.report"}
+        assert not imported_modules(module) & {"pulsecmp.beats", "pulsecmp.report"}
+
+    def test_metrics_imports_no_pulsecmp_module(self):
+        # beats measures its table with metrics: the dependency runs one way
+        assert "pulsecmp.metrics" in imported_modules("beats")
+        assert not {m for m in imported_modules("metrics") if m.split(".")[0] == "pulsecmp"}
 
 
 class TestBeatTable:
-    def test_each_beat_measured_once(self, default_bundle, call_log):
+    def test_each_beat_measured_once(self, default_bundle, call_log, monkeypatch):
         config, bundle = default_bundle
-        calls = [call_log(fn) for fn in (
-            metrics.measure_beats, metrics.count_inflections, metrics.auc_normalized)]
+        calls = [call_log(fn) for fn in (metrics.count_inflections, metrics.auc_normalized)]
+        monkeypatch.setattr(beats, "BEAT_BLOCK_ROWS", 7)
         report = run_compare(bundle, config)
         n_beats = [summary.n_beats for summary in report.modalities.values()]
         assert sum(n_beats) == 183
-        # one table per modality, a row per segmented beat, paired or not:
-        # pairing reads rows of these tables and measures none
+        # one call per block of each modality's table as it is cut (no beat
+        # of this bundle is flat); pairing reads rows of these tables and
+        # measures none
+        blocks = [min(7, n - k) for n in n_beats for k in range(0, n, 7)]
+        assert len(blocks) > len(n_beats)
         for log in calls:
-            assert sorted(len(args[-1]) for args in log) == sorted(n_beats)
+            assert [len(args[-1]) for args in log] == blocks
+
+    def test_block_size_does_not_change_the_report(self, default_bundle, monkeypatch):
+        # a 60 s table fits in one default block: only a small one splits it
+        config, bundle = default_bundle
+        expected = canonical_json(run_compare(bundle, config).to_dict())
+        monkeypatch.setattr(beats, "BEAT_BLOCK_ROWS", 7)
+        assert canonical_json(run_compare(bundle, config).to_dict()) == expected
 
     def test_rows_span_exactly_unit_interval(self, default_bundle):
         config, bundle = default_bundle

@@ -57,7 +57,7 @@ class TestGenerateWaveform:
         model = PulseModel(augmentation_amp=0.0, dicrotic_amp=0.0, ibi_sd_ms=0.0)
         waveform, truth = generate_waveform(model, 20.0, FS, 0)
         train = detect_peaks(waveform)
-        for shape in segment_beats_indexed(waveform, train)[1]:
+        for shape in segment_beats_indexed(waveform, train).shapes:
             assert count_inflections(shape) == 1
 
     def test_default_model_five_extrema(self):
@@ -65,7 +65,7 @@ class TestGenerateWaveform:
         model = PulseModel(ibi_sd_ms=0.0)
         waveform, truth = generate_waveform(model, 20.0, FS, 0)
         train = detect_peaks(waveform)
-        counts = [count_inflections(s) for s in segment_beats_indexed(waveform, train)[1]]
+        counts = [count_inflections(s) for s in segment_beats_indexed(waveform, train).shapes]
         assert counts and all(c == 5 for c in counts)
 
     def test_zero_jitter_exactly_periodic(self):
@@ -212,11 +212,11 @@ class TestSynthPpg:
         rec = synth_ppg(waveform, decay_tau_s=0.25, noise_sd=0.0, seed=7)
         ppg_wave, ppg_train, _ = condition_modality("ppg", rec, PipelineConfig())
         ppg_auc = np.mean(
-            [auc_normalized(s) for s in segment_beats_indexed(ppg_wave, ppg_train)[1]]
+            [auc_normalized(s) for s in segment_beats_indexed(ppg_wave, ppg_train).shapes]
         )
         truth_train = detect_peaks(waveform)
         truth_auc = np.mean(
-            [auc_normalized(s) for s in segment_beats_indexed(waveform, truth_train)[1]]
+            [auc_normalized(s) for s in segment_beats_indexed(waveform, truth_train).shapes]
         )
         assert ppg_auc > truth_auc
 
