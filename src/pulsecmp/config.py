@@ -3,9 +3,10 @@
 Config files are plain text, one ``key = value`` per line with ``#``
 comments. A value must parse as its field's type, and a float must be
 finite, from a file, an override or the constructor; each error names
-its key. Field ``filter_low_hz`` is key ``filter.low_hz``, its first
-underscore turned into a dot. The environment variable
-``PULSECMP_CONFIG`` names a default config file used without a path.
+its key, and an error in a file also its line. Field ``filter_low_hz``
+is key ``filter.low_hz``, its first underscore turned into a dot. The
+environment variable ``PULSECMP_CONFIG`` names a default config file
+used without a path.
 """
 
 from __future__ import annotations
@@ -97,7 +98,10 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, raw = stripped.split("=", 1)
-        cfg.set_key(key.strip(), raw)
+        try:
+            cfg.set_key(key.strip(), raw)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return cfg
 
 

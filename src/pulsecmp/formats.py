@@ -24,14 +24,16 @@ bin, frame) plus one frame block, not the cube.
 
 Every CSV is written by ``write_table`` (header row of column names,
 values in their shortest round-trip digits, so ``0.005`` and not
-``0.0050000000000000001``; JSON keeps 17 significant digits) and read
-by ``_parse_time_table``, which skips blank and whitespace-only lines
-and rejects bad headers (a repeated column name included) and rows,
-fewer than two rows and non-finite samples with a ``FormatError``.
-Values read back bit for bit. Time-series CSVs start with a ``time_s``
-column; sampling must be uniform to within 1 % jitter of the median
-step, and what ``write_series_csv`` wrote reads back at the rate it was
-written.
+``0.0050000000000000001``) and read by ``_parse_time_table``, which
+skips blank and whitespace-only lines and rejects bad headers (a
+repeated column name included) and rows, fewer than two rows and
+non-finite samples with a ``FormatError``. Values read back bit for
+bit. Time-series CSVs start with a ``time_s`` column; sampling must be
+uniform to within 1 % jitter of the median step, and what
+``write_series_csv`` wrote reads back at the rate it was written.
+
+Every JSON file (``report.json``, ``meta.json``, ``truth.json``) is
+written by ``canonical_json``, whose floats follow the same rule.
 """
 
 from __future__ import annotations
@@ -99,11 +101,11 @@ def write_radar_cube(cube: RadarCube | RadarStream, path: str) -> None:
     An in-memory ``RadarCube`` is written as ``cube.data`` sliced by
     ``frame_blocks``; a ``RadarStream``'s blocks are written as they are
     drawn, so the cube is never held whole. Blocks that do not fill the
-    header's shape raise ``ValueError``, and a failed write leaves any
-    file already at ``path`` as it was.
+    header's shape raise ``ValueError`` (``RadarStream.checked_blocks``),
+    and a failed write leaves any file already at ``path`` as it was.
     """
     if isinstance(cube, RadarStream):
-        shape, blocks = cube.shape, cube.blocks
+        shape, blocks = cube.shape, cube.checked_blocks()
     else:
         shape = cube.data.shape
         blocks = (cube.data[start:stop] for start, stop in frame_blocks(shape))
@@ -121,14 +123,8 @@ def write_radar_cube(cube: RadarCube | RadarStream, path: str) -> None:
     def chunks():
         yield header
         yield metadata
-        frames = 0
         for block in blocks:
-            if block.shape[1:] != shape[1:]:
-                raise ValueError(f"frame block of shape {block.shape} in a cube of {shape}")
-            frames += len(block)
             yield memoryview(np.ascontiguousarray(block, dtype="<f4")).cast("B")
-        if frames != shape[0]:
-            raise ValueError(f"frame blocks hold {frames} frames, the header {shape[0]}")
 
     write_bytes_atomic(path, chunks())
 
@@ -203,48 +199,23 @@ def read_radar_cube(path: str) -> RadarCube:
         raise FormatError("bad header", str(exc)) from exc
 
 
-def format_float(x: float) -> str:
-    """Serialize a float with 17 significant digits (round-trip exact)."""
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValueError("non-finite value in output")
-    return format(float(x), ".17g")
-
-
 def canonical_json(obj) -> str:
-    """Deterministic JSON: fixed key order, 17-significant-digit floats."""
-    pieces: list[str] = []
-    _emit_json(obj, pieces)
-    return "".join(pieces)
+    """Deterministic JSON: keys in insertion order, no spaces, UTF-8
+    text, and floats in their shortest round-trip digits (Python
+    ``repr``, the rule ``write_table`` uses). Numpy scalars and arrays
+    are written as the Python values they hold; any other type raises
+    ``TypeError`` and a non-finite float ``ValueError``."""
+    try:
+        return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False,
+                          default=_numpy_value)
+    except ValueError as exc:
+        raise ValueError("non-finite value in output") from exc
 
 
-def _emit_json(obj, out: list[str]) -> None:
-    if obj is None or isinstance(obj, (bool, np.bool_)):
-        out.append(json.dumps(bool(obj) if obj is not None else None))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key), ensure_ascii=False))
-            out.append(":")
-            _emit_json(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for i, value in enumerate(seq):
-            if i:
-                out.append(",")
-            _emit_json(value, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _numpy_value(obj):
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _parse_time_table(path: str) -> tuple[list[str], np.ndarray]:

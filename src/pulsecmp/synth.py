@@ -195,11 +195,27 @@ class RadarStream:
     blocks: Iterator[np.ndarray]
     fast_time_rate_hz: float = RadarCube.fast_time_rate_hz
 
+    def checked_blocks(self) -> Iterator[np.ndarray]:
+        """``blocks``, checked to fill ``shape``: a block of another
+        trailing shape, or frames that do not add up to ``shape[0]``
+        (a stream already taken holds none), raise ``ValueError``."""
+        frames = 0
+        for block in self.blocks:
+            if block.shape[1:] != self.shape[1:]:
+                raise ValueError(f"frame block of shape {block.shape} in a cube of {self.shape}")
+            frames += len(block)
+            if frames > self.shape[0]:
+                frames += sum(len(rest) for rest in self.blocks)
+                break
+            yield block
+        if frames != self.shape[0]:
+            raise ValueError(f"frame blocks hold {frames} frames, the header {self.shape[0]}")
+
     def to_cube(self) -> RadarCube:
         """Gather the blocks into one in-memory cube."""
         data = np.empty(self.shape, dtype=np.float32)
         start = 0
-        for block in self.blocks:
+        for block in self.checked_blocks():
             data[start:start + len(block)] = block
             start += len(block)
         return RadarCube(

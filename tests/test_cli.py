@@ -568,6 +568,17 @@ class TestConfigPlumbing:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_config_file_error_names_its_line(self, bundle_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# widths\nfilter.order = 4\nbeats.norm_len = 2OO\n")
+        out = tmp_path / "bad"
+        code = main(["compare", "--bundle", str(bundle_dir), "-o", str(out), "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: line 3: config key 'beats.norm_len' needs an integer, got '2OO'\n"
+        )
+        assert not out.exists()
+
     def test_norm_len_has_one_rule(self, bundle_dir, tmp_path, capsys):
         out = tmp_path / "short"
         code = main(["compare", "--bundle", str(bundle_dir), "-o", str(out),

@@ -13,7 +13,6 @@ from pulsecmp import formats
 from pulsecmp.formats import (
     FormatError,
     canonical_json,
-    format_float,
     read_ppg_csv,
     read_radar_cube,
     read_series_csv,
@@ -77,14 +76,26 @@ class TestRadarCubeFormat:
     )
     def test_blocks_that_do_not_fill_the_header_are_rejected(self, tmp_path, frames, trailing):
         # too few frames, too many, or a block of the wrong trailing shape
+        def stream():
+            blocks = iter([np.zeros((frames, *trailing), dtype=np.float32)])
+            return RadarStream((5, 1, 2, 4), 200.0, 60e9, {}, blocks)
+
         path = tmp_path / "cube.radc"
         path.write_bytes(b"earlier")
-        blocks = iter([np.zeros((frames, *trailing), dtype=np.float32)])
-        stream = RadarStream((5, 1, 2, 4), 200.0, 60e9, {}, blocks)
         with pytest.raises(ValueError, match="frame block"):
-            write_radar_cube(stream, str(path))
+            write_radar_cube(stream(), str(path))
         assert os.listdir(tmp_path) == ["cube.radc"]
         assert path.read_bytes() == b"earlier"
+        with pytest.raises(ValueError, match="frame block"):
+            stream().to_cube()
+
+    def test_a_written_stream_does_not_gather_again(self, tmp_path):
+        blocks = iter([np.ones((2, 1, 2, 4), dtype=np.float32)] * 2)
+        stream = RadarStream((4, 1, 2, 4), 200.0, 60e9, {}, blocks)
+        write_radar_cube(stream, str(tmp_path / "cube.radc"))
+        assert np.array_equal(read_radar_cube(str(tmp_path / "cube.radc")).data, np.ones((4, 1, 2, 4)))
+        with pytest.raises(ValueError, match="^frame blocks hold 0 frames, the header 4$"):
+            stream.to_cube()
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.radc")
@@ -228,7 +239,7 @@ class TestSeriesCsv:
         path = str(tmp_path / "rt.csv")
         write_series_csv(path, {"pressure_mmHg": values}, 200.0, start_time_s=1.5)
         series = read_series_csv(path, "pressure_mmHg")
-        assert np.array_equal(series.samples, values)  # 17 digits round-trip
+        assert np.array_equal(series.samples, values)  # bit-exact round trip
         assert_allclose(series.sample_rate_hz, 200.0, rtol=1e-12)
         assert series.start_time_s == 1.5
 
@@ -397,8 +408,13 @@ class TestCanonicalJson:
         assert canonical_json(doc) == '{"b":1,"a":[1.5,{"z":true,"y":null}]}'
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            canonical_json({"v": float("nan")})
+        for value in (float("nan"), np.float32("nan"), np.float64("inf")):
+            with pytest.raises(ValueError, match="^non-finite value in output$"):
+                canonical_json({"v": [value]})
+
+    def test_rejects_other_objects(self):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            canonical_json({"v": object()})
 
     def test_numpy_scalars(self):
         out = canonical_json(
@@ -408,7 +424,10 @@ class TestCanonicalJson:
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_floats_round_trip(self, x):
-        assert float(format_float(x)) == x
+        # the shortest round-trip digits, the rule write_table uses
+        out = canonical_json({"v": x})
+        assert out == '{"v":' + repr(x) + "}"
+        assert json.loads(out)["v"] == x
 
 
 class TestConfig:
@@ -433,14 +452,14 @@ class TestConfig:
         # near misses of real keys too: the field name itself, the wrong
         # underscore turned into a dot, and a trailing extra section
         for key in ("nope.key", "filter_order", "synth_ppg.tau_s", "filter.order.x"):
-            with pytest.raises(ValueError, match="unknown config key"):
+            with pytest.raises(ValueError, match=f"^line 1: unknown config key '{key}'$"):
                 parse_config_text(f"{key} = 1")
 
     def test_unparsable_value_names_its_key(self):
-        message = "^config key 'beats.norm_len' needs an integer, got '2OO'$"
+        message = "^line 1: config key 'beats.norm_len' needs an integer, got '2OO'$"
         with pytest.raises(ValueError, match=message):
             parse_config_text("beats.norm_len = 2OO\n")
-        message = "^config key 'filter.low_hz' needs a number, got 'abc'$"
+        message = "^line 1: config key 'filter.low_hz' needs a number, got 'abc'$"
         with pytest.raises(ValueError, match=message):
             parse_config_text("filter.low_hz = abc")
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -263,3 +264,28 @@ class TestBeatTable:
             kept = np.isin(i, base.beats.feet) & np.isin(j, report.modalities[name].beats.feet)
             assert pair.n_paired_beats == int(kept.sum()) >= 2
             assert pair.n_event_pairs == len(event_pairs)
+
+
+class TestReportJson:
+    def test_float_fields_read_back_as_floats(self, default_bundle):
+        # a float field stays a float in report.json when its value is integral
+        config, bundle = default_bundle
+        doc = run_compare(bundle, config).to_dict()
+        back = json.loads(canonical_json(doc))
+
+        def walk(value, loaded):
+            if isinstance(value, dict):
+                assert list(loaded) == list(value)
+                for key in value:
+                    walk(value[key], loaded[key])
+            elif isinstance(value, (float, np.floating)):
+                assert type(loaded) is float and loaded == value
+
+        walk(doc, back)
+        for field in (
+            back["modalities"]["radar"]["morphology"]["inflection_count_mean"],
+            back["modalities"]["reference"]["bp"]["sbp"],
+            back["pairs"]["radar_vs_reference"]["lag_s"],
+            back["config"]["filter.high_hz"],
+        ):
+            assert type(field) is float
