@@ -26,9 +26,10 @@ from pulsecmp.signal_core import BandpassSpec, TimeSeries, bandpass_array, requi
 
 SPEED_OF_LIGHT = 299792458.0
 
-# Cube values reduced per frame block: bounds the float64 working set of
-# the slow-time reduction (and of synthesis) whatever the record length.
-BLOCK_SAMPLES = 1 << 20
+# Cube values per frame block: bounds the working set of the slow-time
+# reduction, of synthesis and of the cube writer whatever the record
+# length. A block of 2**18 float32 values is 1 MB.
+BLOCK_SAMPLES = 1 << 18
 
 # Share of frames at each edge left out of the bin-selection peak-to-peak.
 EDGE_FRACTION = 0.05
@@ -165,12 +166,30 @@ def _slow_time_fused(cube: RadarCube, bins: range) -> np.ndarray:
     return phase
 
 
+def _unwrap(row: np.ndarray) -> None:
+    """``row[:] = np.unwrap(row)``, bit for bit, in place.
+
+    Only a step of at least pi is corrected, so ``np.mod`` runs on those
+    steps alone. A positive step that wraps to -pi is kept at +pi, as
+    numpy keeps it.
+    """
+    step = np.diff(row)
+    jumps = np.flatnonzero(np.abs(step) >= np.pi)
+    jump = step[jumps]
+    wrapped = np.mod(jump + np.pi, 2.0 * np.pi) - np.pi
+    wrapped[(wrapped == -np.pi) & (jump > 0)] = np.pi
+    correction = np.zeros_like(step)
+    correction[jumps] = wrapped - jump
+    row[1:] += np.cumsum(correction, out=correction)
+
+
 def _filter_cells(phase: np.ndarray, frame_rate_hz: float, spec: BandpassSpec | None) -> None:
     # One (antenna, bin) row at a time, in place: unwrapping and the
     # band-pass act on each row alone, so this equals filtering the
     # whole stack while holding only one row's temporaries.
     for row in phase.reshape(-1, phase.shape[-1]):
-        row[:] = bandpass_array(np.unwrap(row), frame_rate_hz, spec)
+        _unwrap(row)
+        row[:] = bandpass_array(row, frame_rate_hz, spec)
 
 
 def select_best_bin(phases: np.ndarray, bins: range) -> BinSelection:

@@ -14,6 +14,10 @@ block recursion (Burrus, IEEE Trans. Audio Electroacoust. 20(4), 1972):
 the cascade's states, started in the steady state of the first sample
 (Gustafsson, IEEE Trans. Signal Process. 44(4), 1996), are carried from
 block to block by matrix products, so no Python loop runs per sample.
+The products are stacked in slabs of a few thousand samples rather
+than formed over the whole row: numpy then issues one small GEMM per
+slab, and OpenBLAS runs a product that small on the calling thread
+instead of waking its worker threads, with the same bits per output.
 """
 
 from __future__ import annotations
@@ -117,11 +121,15 @@ def median(values: np.ndarray) -> float:
     return float(middle.sum() / middle.size)
 
 
-# Samples per block, and blocks per chunk, of the block-recursive
-# filter: block outputs and the states within a chunk are matrix
-# products, and only the chunks' start states are carried in a loop.
+# Samples per block, blocks per chunk and chunks per slab of the
+# block-recursive filter: block outputs and the states within a chunk
+# are matrix products, and only the chunks' start states are carried
+# in a loop. Each product is formed one slab at a time; at 8 chunks of
+# the order-4 design the largest, 8 x 128 x 128, stays under the size
+# at which OpenBLAS threads a product (4 * 65536 multiply-adds).
 FILTER_BLOCK = 32
 FILTER_CHUNK = 16
+FILTER_SLAB = 8
 
 
 def _bandpass_sos(spec: BandpassSpec, sample_rate_hz: float) -> np.ndarray:
@@ -266,21 +274,30 @@ def _bandpass_filter(spec: BandpassSpec, sample_rate_hz: float) -> _BlockFilter:
 def _block_pass(f: _BlockFilter, x: np.ndarray, z0: np.ndarray) -> np.ndarray:
     """Filter ``x`` forward from state ``z0``, with one Python step per chunk."""
     n, states = FILTER_BLOCK, z0.size
-    # row k: block k's samples (zero-padded to whole chunks), then the
-    # state it starts in, so one product with ``output`` filters it
-    rows = np.zeros((-(-x.size // (n * FILTER_CHUNK)) * FILTER_CHUNK, n + states))
+    # A stack of slabs of equal size, so each product is one GEMM per
+    # slab. The last slab is zero-padded rather than left short: a slab
+    # of one chunk would make ``within`` a vector product (GEMV), whose
+    # rounding differs. Only a row of one chunk is a GEMV.
+    chunks = -(-x.size // (n * FILTER_CHUNK))
+    slab = min(FILTER_SLAB, chunks)
+    # row k of the flat view: block k's samples (zero-padded to whole
+    # slabs), then the state it starts in, so one product with
+    # ``output`` filters it
+    rows = np.zeros((-(-chunks // slab), slab * FILTER_CHUNK, n + states))
+    flat = rows.reshape(-1, n + states)
     whole = x.size // n
-    rows[:whole, :n] = x[: whole * n].reshape(whole, n)
-    rows[whole : whole + 1, : x.size - whole * n] = x[whole * n :]  # empty if none left
+    flat[:whole, :n] = x[: whole * n].reshape(whole, n)
+    flat[whole : whole + 1, : x.size - whole * n] = x[whole * n :]  # empty if none left
     # every block's end state as if its chunk started at rest, then the
-    # chunk start states carried in, first to last
-    ends = (rows[:, :n] @ f.to_state).reshape(-1, FILTER_CHUNK * states) @ f.within
+    # chunk start states carried in, first to last; padding chunks are
+    # not carried, as only their cut-off outputs would read them
+    ends = (rows[:, :, :n] @ f.to_state).reshape(len(rows), slab, -1) @ f.within
     z = z0
-    for chunk in ends:
+    for chunk in ends.reshape(-1, FILTER_CHUNK * states)[:chunks]:
         chunk += z @ f.carry
         z = chunk[-states:]
-    rows[0, n:] = z0
-    rows[1:, n:] = ends.reshape(-1, states)[:-1]
+    flat[0, n:] = z0
+    flat[1:, n:] = ends.reshape(-1, states)[:-1]
     return (rows @ f.output).ravel()[: x.size]
 
 

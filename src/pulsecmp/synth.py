@@ -289,24 +289,34 @@ def synth_radar_stream(
         # leaves per-component bin noise sigma_if * sqrt(N / (2 C)).
         sigma_if = sigma_phase * (n_samp / 2.0) / math.sqrt(n_samp / (2.0 * n_chirp))
 
-    def blocks() -> Iterator[np.ndarray]:
-        for start, stop in frame_blocks(shape):
-            block = np.empty((stop - start, n_ant, n_chirp, n_samp))
-            block[:] = clutter[None, :, None, :]
-            tone = np.cos(carrier_phase + phi[start:stop, None])
-            block[:, geometry.target_antenna, :, :] += tone[:, None, :]
-            if sigma_if is not None:
-                block += sigma_if * rng.standard_normal(block.shape, dtype=np.float32).astype(
-                    np.float64
-                )
-            yield block.astype(np.float32)
+    def draw(start: int, stop: int) -> np.ndarray:
+        # The noise is drawn into the float32 block itself, then each
+        # antenna slice is summed in float64 and stored back over it:
+        # the working set is one block plus one float64 antenna slice.
+        block = np.empty((stop - start, n_ant, n_chirp, n_samp), dtype=np.float32)
+        cell = np.empty((stop - start, n_chirp, n_samp))
+        if sigma_if is not None:
+            rng.standard_normal(dtype=np.float32, out=block)
+        for a in range(n_ant):
+            static = clutter[a]
+            if a == geometry.target_antenna:
+                static = static + np.cos(carrier_phase + phi[start:stop, None])[:, None, :]
+            if sigma_if is None:
+                cell[:] = static
+            else:
+                np.multiply(sigma_if, block[:, a], out=cell, dtype=np.float64)
+                cell += static
+            block[:, a] = cell
+        return block
 
     metadata = {
         "source": "synthetic",
         "target_antenna": str(geometry.target_antenna),
         "target_range_bin": str(geometry.target_range_bin),
     }
-    return RadarStream(shape, displacement.sample_rate_hz, CARRIER_HZ, metadata, blocks())
+    # a generator expression keeps no block once it is taken
+    blocks = (draw(start, stop) for start, stop in frame_blocks(shape))
+    return RadarStream(shape, displacement.sample_rate_hz, CARRIER_HZ, metadata, blocks)
 
 
 def synth_radar_cube(

@@ -2,8 +2,10 @@
 
 Everything here is derived from first principles (closed forms, brute
 force, quadrature) without touching the implementation paths under
-test, except the test-only views at the end: thin wrappers over
-production code that only tests call.
+test, except two groups at the end: earlier, simpler forms of code
+that was since rewritten for speed or memory, kept to pin the new
+code's bits, and test-only views, thin wrappers over production code
+that only tests call.
 """
 
 import json
@@ -19,9 +21,16 @@ from pulsecmp.beats import (
     polarity_inverted,
 )
 from pulsecmp.formats import FormatError
-from pulsecmp.radar import _filter_cells
-from pulsecmp.signal_core import TimeSeries
-from pulsecmp.synth import PulseModel, generate_waveform
+from pulsecmp.radar import SPEED_OF_LIGHT, _filter_cells, frame_blocks
+from pulsecmp.signal_core import FILTER_BLOCK, FILTER_CHUNK, TimeSeries
+from pulsecmp.synth import (
+    CARRIER_HZ,
+    CLUTTER_AMP_RANGE,
+    NOISE_P2P_SIGMA,
+    RANGE_OFFSET_M,
+    PulseModel,
+    generate_waveform,
+)
 
 
 def wrap_phase(x):
@@ -261,6 +270,66 @@ def feet_by_argmin(samples, systolic):
     if systolic[-1] < samples.size - 1:
         feet.append(systolic[-1] + np.argmin(samples[systolic[-1] :]))
     return np.array(feet, dtype=np.int64)
+
+
+# Earlier forms of rewritten code. Each is the code as it stood before
+# the rewrite, which must give the same bits.
+
+
+def block_pass_one_product(f, x, z0):
+    """``signal_core._block_pass`` with each stage one product over the
+    whole row, before the products were stacked in slabs."""
+    n, states = FILTER_BLOCK, z0.size
+    rows = np.zeros((-(-x.size // (n * FILTER_CHUNK)) * FILTER_CHUNK, n + states))
+    whole = x.size // n
+    rows[:whole, :n] = x[: whole * n].reshape(whole, n)
+    rows[whole : whole + 1, : x.size - whole * n] = x[whole * n :]
+    ends = (rows[:, :n] @ f.to_state).reshape(-1, FILTER_CHUNK * states) @ f.within
+    z = z0
+    for chunk in ends:
+        chunk += z @ f.carry
+        z = chunk[-states:]
+    rows[0, n:] = z0
+    rows[1:, n:] = ends.reshape(-1, states)[:-1]
+    return (rows @ f.output).ravel()[: x.size]
+
+
+def synth_blocks_five_pass(displacement, geometry, snr_db=None, seed=0):
+    """The frame blocks of ``synth.synth_radar_stream``, each built by
+    whole-block float64 passes (clutter fill, tone, float32 noise, its
+    float64 copy, the copy scaled) and rounded to float32 at the end."""
+    wavelength = SPEED_OF_LIGHT / CARRIER_HZ
+    d = displacement.samples
+    rng = np.random.default_rng(seed)
+    n_ant, n_chirp, n_samp = geometry.antennas, geometry.chirps, geometry.samples
+    shape = (len(d), n_ant, n_chirp, n_samp)
+    n_bins = n_samp // 2 + 1
+    phi = 4.0 * np.pi * (RANGE_OFFSET_M + d) / wavelength
+    n = np.arange(n_samp)
+    amps = rng.uniform(*CLUTTER_AMP_RANGE, size=(n_ant, n_bins))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_ant, n_bins))
+    amps[:, 0] = 0.0
+    phases[:, -1] = 0.0
+    amps[geometry.target_antenna, geometry.target_range_bin] = 0.0
+    k = np.arange(n_bins)
+    angles = 2.0 * np.pi * k[None, :, None] * n[None, None, :] / n_samp + phases[:, :, None]
+    clutter = np.einsum("ak,akn->an", amps, np.cos(angles))
+    carrier_phase = 2.0 * np.pi * geometry.target_range_bin * n[None, :] / n_samp
+    sigma_if = None
+    if snr_db is not None:
+        phase_p2p = float(phi.max() - phi.min())
+        sigma_phase = phase_p2p / (NOISE_P2P_SIGMA * 10.0 ** (snr_db / 20.0))
+        sigma_if = sigma_phase * (n_samp / 2.0) / math.sqrt(n_samp / (2.0 * n_chirp))
+    blocks = []
+    for start, stop in frame_blocks(shape):
+        block = np.empty((stop - start, n_ant, n_chirp, n_samp))
+        block[:] = clutter[None, :, None, :]
+        tone = np.cos(carrier_phase + phi[start:stop, None])
+        block[:, geometry.target_antenna, :, :] += tone[:, None, :]
+        if sigma_if is not None:
+            block += sigma_if * rng.standard_normal(block.shape, dtype=np.float32).astype(np.float64)
+        blocks.append(block.astype(np.float32))
+    return blocks
 
 
 # Test-only views of production code. Each calls what the pipeline

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from pulsecmp.beats import detect_peaks, extract_ibi
@@ -147,6 +149,26 @@ def tone_cube(n_samples, tones, seconds=12.0):
         amp, modulation = tones.get(k, (1.0, lambda t: 0.5 + 0.0 * t))
         chirps += amp * np.cos(2 * np.pi * k * n[None, :] / n_samples + modulation(t)[:, None])
     return RadarCube(np.repeat(chirps[:, None, None, :], 2, axis=2))
+
+
+class TestUnwrap:
+    # steps of exactly +-pi, and positive steps that wrap to -pi (3 pi)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 60),
+            elements=st.one_of(
+                st.floats(-20.0, 20.0, allow_nan=False),
+                st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 3 * math.pi, -3 * math.pi]),
+            ),
+        )
+    )
+    @example(np.array([0.0, math.pi, 0.0, -math.pi, 2 * math.pi, -math.pi]))
+    @example(np.array([-0.0, -0.0, 3 * math.pi]))
+    def test_bit_equal_to_np_unwrap(self, row):
+        expected = np.unwrap(row)
+        radar._unwrap(row)
+        assert np.array_equal(row.view(np.int64), expected.view(np.int64))
 
 
 class TestSearchableBins:

@@ -7,12 +7,17 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.signal import butter, sosfiltfilt
 
+from pulsecmp import signal_core
 from pulsecmp.signal_core import (
+    FILTER_BLOCK,
+    FILTER_CHUNK,
+    FILTER_SLAB,
     BandpassSpec,
     TimeSeries,
     _bandpass_filter,
     _bandpass_padlen,
     _bandpass_sos,
+    _block_pass,
     bandpass_array,
     butterworth_bandpass,
     median,
@@ -20,6 +25,7 @@ from pulsecmp.signal_core import (
 
 from oracles import (
     ComplexSeries,
+    block_pass_one_product,
     brute_dft_onesided,
     range_fft,
     resample_linear,
@@ -210,6 +216,34 @@ class TestNumpyFilterAgainstScipy:
         expected = sosfiltfilt(sos, x, padtype="even", padlen=padlen)
         # both round at about eps times the input's size
         assert np.abs(bandpass_array(x, FS, spec) - expected).max() <= 1e-12 * np.abs(x).max()
+
+
+CHUNK_SAMPLES = FILTER_BLOCK * FILTER_CHUNK
+SLAB_SAMPLES = CHUNK_SAMPLES * FILTER_SLAB
+# block, chunk and slab edges, a slab and a chunk (a padded last
+# slab), and two slabs; each with its neighbours
+EDGES = (FILTER_BLOCK, CHUNK_SAMPLES, SLAB_SAMPLES, SLAB_SAMPLES + CHUNK_SAMPLES, 2 * SLAB_SAMPLES)
+EDGE_SIZES = sorted({edge + d for edge in EDGES for d in (-1, 0, 1)})
+
+
+class TestSlabbedFilterBits:
+    """The slab-stacked products give the bits of one product per stage
+    over the whole row."""
+
+    @pytest.mark.parametrize("order", [1, 4, 6])
+    @pytest.mark.parametrize("size", EDGE_SIZES)
+    def test_block_pass_matches_one_product(self, size, order):
+        f = _bandpass_filter(BandpassSpec(order, 0.5, 8.0), FS)
+        x = np.cumsum(np.random.default_rng(size).standard_normal(size))
+        z0 = f.zi * x[0]
+        assert np.array_equal(_block_pass(f, x, z0), block_pass_one_product(f, x, z0))
+
+    @pytest.mark.parametrize("size", [12, *EDGE_SIZES, 12_000, 240_000])
+    def test_bandpass_array_matches_one_product(self, size, monkeypatch):
+        x = 3.0 + np.cumsum(np.random.default_rng(size).standard_normal(size))
+        slabbed = bandpass_array(x, FS)
+        monkeypatch.setattr(signal_core, "_block_pass", block_pass_one_product)
+        assert np.array_equal(slabbed, bandpass_array(x, FS))
 
 
 class TestRangeFft:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from pulsecmp.synth import (
 
 from oracles import (
     count_extrema_dense,
+    synth_blocks_five_pass,
     three_bump_wave,
     tone_amplitude,
     waveform_by_mask,
@@ -160,6 +163,34 @@ class TestSynthRadarCube:
         blocked = synth_radar_cube(displacement, geom, 20.0, 4)
         assert whole.data.dtype == np.float32
         assert np.array_equal(blocked.data, whole.data)
+
+    @pytest.mark.parametrize("snr_db", [20.0, None])
+    @pytest.mark.parametrize("geom", [CubeGeometry(), CubeGeometry(antennas=2, chirps=3, samples=16)])
+    def test_blocks_match_whole_block_passes(self, monkeypatch, geom, snr_db):
+        waveform, _ = generate_waveform(PulseModel(), 12.0, FS, 4)
+        displacement = waveform.with_samples(waveform.samples * 1e-4)
+        monkeypatch.setattr(radar, "BLOCK_SAMPLES", 500)
+        blocks = list(synth_radar_stream(displacement, geom, snr_db, 4).blocks)
+        expected = synth_blocks_five_pass(displacement, geom, snr_db, 4)
+        assert len(blocks) == len(expected)
+        assert all(np.array_equal(b, e) for b, e in zip(blocks, expected))
+
+    def test_traced_peak_is_one_block(self):
+        waveform, _ = generate_waveform(PulseModel(), 20.0, FS, 6)
+        geom = CubeGeometry()
+        stream = synth_radar_stream(waveform.with_samples(waveform.samples * 1e-4), geom, 20.0, 6)
+        frame = geom.antennas * geom.chirps * geom.samples
+        frames = radar.BLOCK_SAMPLES // frame
+        block = frames * frame * 4
+        antenna_slice = frames * geom.chirps * geom.samples * 8
+        tracemalloc.start()
+        try:
+            deque(stream.blocks, maxlen=0)  # each block dropped once taken
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # slack: the target antenna's tone and the float64 cast buffer
+        assert peak <= block + antenna_slice + 256 * 1024
 
     def test_non_finite_snr_is_rejected(self):
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, 3)
