@@ -131,29 +131,54 @@ def _running_extreme(x: np.ndarray, window: int, op: np.ufunc) -> np.ndarray:
     double by one vectorized pass each up to the largest power of two
     within the window, and two overlapping spans cover it, so the cost
     is ``log2(window)`` passes over the record, exact for any window.
+    The passes go back and forth between two buffers.
     """
     left = window // 2
-    out = np.concatenate((np.full(left, x[0]), x, np.full(window - 1 - left, x[-1])))
-    span = 1
+    src = np.concatenate((np.full(left, x[0]), x, np.full(window - 1 - left, x[-1])))
+    dst = np.empty_like(src)
+    size, span = src.size, 1
     while 2 * span <= window:
-        out = op(out[:-span], out[span:])
+        size -= span
+        op(src[:size], src[span : span + size], out=dst[:size])
+        src, dst = dst, src
         span *= 2
-    return op(out[: x.size], out[window - span : window - span + x.size])
+    return op(src[: x.size], src[window - span : window - span + x.size], out=dst[: x.size])
+
+
+# Samples per block of the rolling peak-to-peak: its running extremes
+# are taken over one block (and a window's overlap) at a time.
+P2P_BLOCK = 1 << 14
 
 
 def _rolling_p2p_median(x: np.ndarray, window: int) -> float:
-    if x.size >= window and window > 1:
-        p2p = _running_extreme(x, window, np.maximum) - _running_extreme(x, window, np.minimum)
-        return median(p2p)
-    return float(x.max() - x.min())
+    if x.size < window or window < 2:
+        return float(x.max() - x.min())
+    # each block's window reaches past it by half a window at most on
+    # either side, so the record's edges are repeated only at its ends
+    left, right = window // 2, window - 1 - window // 2
+    block = max(P2P_BLOCK, window)
+    p2p = np.empty(x.size)
+    for start in range(0, x.size, block):
+        stop = min(start + block, x.size)
+        lo = max(0, start - left)
+        seg = x[lo : min(x.size, stop + right)]
+        keep = slice(start - lo, stop - lo)
+        np.subtract(
+            _running_extreme(seg, window, np.maximum)[keep],
+            _running_extreme(seg, window, np.minimum)[keep],
+            out=p2p[start:stop],
+        )
+    return median(p2p)
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
     """Midpoint (rounded down) of every plateau entered by a strict rise
     and left by a strict fall; a plateau touching either end is none."""
     step = np.diff(x)
-    changes = np.flatnonzero(step)
-    rises = step[changes] > 0
+    rising, moving = step > 0, step != 0
+    del step  # the float steps go before the indices are taken
+    changes = np.flatnonzero(moving)
+    rises = rising[changes]
     peak = rises[:-1] & ~rises[1:]
     return (changes[:-1][peak] + 1 + changes[1:][peak]) // 2
 

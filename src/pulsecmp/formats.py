@@ -76,13 +76,15 @@ class FormatError(ValueError):
 
 def write_bytes_atomic(path: str, chunks) -> None:
     """Write an iterable of bytes-like chunks via a temp file and
-    rename, so readers never see partial files."""
+    rename, so readers never see partial files. Each chunk is dropped
+    once written, before the next is drawn."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+                del chunk
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException:
@@ -125,6 +127,7 @@ def write_radar_cube(cube: RadarCube | RadarStream, path: str) -> None:
         yield metadata
         for block in blocks:
             yield memoryview(np.ascontiguousarray(block, dtype="<f4")).cast("B")
+            del block  # written: let it go before the next is drawn
 
     write_bytes_atomic(path, chunks())
 
@@ -262,11 +265,13 @@ def _uniform_rate(times: np.ndarray) -> float:
     """``rate`` for a column that is exactly ``t0 + np.arange(n) / rate``
     (what ``write_series_csv`` writes), the shortest decimal rounding of
     the span estimate that regenerates it; else ``1 / median(dt)``."""
+    # the checks run in place on the one buffer of steps
     dt = np.diff(times)
     if np.any(dt <= 0):
         raise FormatError("non-monotonic", "time column must strictly increase")
     step = median(dt)
-    if np.max(np.abs(dt - step)) > 0.01 * step:
+    dt -= step
+    if np.abs(dt, out=dt).max() > 0.01 * step:
         raise FormatError("non-uniform sampling", "time step jitter exceeds 1%")
     n, t0 = times.size, times[0]
     estimate = (n - 1) / (times[-1] - t0)
@@ -284,11 +289,13 @@ def _uniform_rate(times: np.ndarray) -> float:
 
 
 def _read_channels(path: str) -> dict[str, TimeSeries]:
-    """Every non-time column of a time-series CSV, by column name."""
+    """Every non-time column of a time-series CSV, by column name, each
+    copied out as its own array, so the table and its time column are
+    freed once the rate is known."""
     names, table = _parse_time_table(path)
     rate = _uniform_rate(table[:, 0])
     start = float(table[0, 0])
-    return {name: TimeSeries(table[:, i], rate, start) for i, name in enumerate(names) if i}
+    return {name: TimeSeries(table[:, i].copy(), rate, start) for i, name in enumerate(names) if i}
 
 
 def read_series_csv(path: str, column: str) -> TimeSeries:

@@ -285,8 +285,8 @@ def _summarize_modality(
     name: str,
     waveform: TimeSeries,
     train: PeakTrain,
+    selection: BinSelection | None,
     config: PipelineConfig,
-    selection: BinSelection | None = None,
     raw_for_bp: TimeSeries | None = None,
 ) -> ModalitySummary:
     summary = ModalitySummary(
@@ -371,13 +371,12 @@ def run_compare(bundle: RecordingBundle, config: PipelineConfig | None = None) -
     modalities: dict[str, ModalitySummary] = {}
     for name in present:
         raw = getattr(bundle, name)
-        waveform, train, selection = condition_modality(name, raw, config)
+        # no name is bound to the waveform, so it is freed once its
+        # beats are cut, before the next modality is conditioned
         modalities[name] = _summarize_modality(
             name,
-            waveform,
-            train,
+            *condition_modality(name, raw, config),
             config,
-            selection=selection,
             raw_for_bp=raw if name == "reference" else None,
         )
 

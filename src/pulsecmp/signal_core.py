@@ -4,7 +4,8 @@ Everything downstream (radar phase filtering, PPG conditioning, beat
 analysis) is built on the operations here: the shared record-length
 minimum, a median and zero-phase Butterworth band-pass filtering. All
 arithmetic is 64-bit floating point; operations are pure functions and
-never mutate their inputs.
+never mutate their inputs, but for the median, which partitions its
+input in place.
 
 The band-pass is numpy alone. The design is scipy's ``butter(...,
 output="sos")``: analog prototype, band-pass transform, bilinear map,
@@ -14,10 +15,12 @@ block recursion (Burrus, IEEE Trans. Audio Electroacoust. 20(4), 1972):
 the cascade's states, started in the steady state of the first sample
 (Gustafsson, IEEE Trans. Signal Process. 44(4), 1996), are carried from
 block to block by matrix products, so no Python loop runs per sample.
-The products are stacked in slabs of a few thousand samples rather
-than formed over the whole row: numpy then issues one small GEMM per
-slab, and OpenBLAS runs a product that small on the calling thread
-instead of waking its worker threads, with the same bits per output.
+The products are formed one slab of a few thousand samples at a time
+in one reused buffer, not over the whole row: each is one small GEMM,
+which OpenBLAS runs on the calling thread instead of waking its worker
+threads, with the same bits per output. Both passes write over the
+padded row itself, the backward one through its reversed view, so a
+filter holds the padded row and one slab's products.
 """
 
 from __future__ import annotations
@@ -113,11 +116,13 @@ def require_min_record(duration_s: float) -> None:
 
 
 def median(values: np.ndarray) -> float:
-    """``np.median`` of a finite 1-D float array, bit for bit: the mean
-    of its middle one or two values, without ``np.median``'s import of
-    ``numpy.ma``."""
+    """``np.median(values, overwrite_input=True)`` of a finite 1-D float
+    array, bit for bit: the mean of its middle one or two values,
+    without ``np.median``'s import of ``numpy.ma``. Like it, this
+    partitions ``values`` in place: every caller passes a temporary."""
     n = values.size
-    middle = np.partition(values, ((n - 1) // 2, n // 2))[(n - 1) // 2 : n // 2 + 1]
+    values.partition(((n - 1) // 2, n // 2))
+    middle = values[(n - 1) // 2 : n // 2 + 1]
     return float(middle.sum() / middle.size)
 
 
@@ -271,48 +276,60 @@ def _bandpass_filter(spec: BandpassSpec, sample_rate_hz: float) -> _BlockFilter:
     return design
 
 
-def _block_pass(f: _BlockFilter, x: np.ndarray, z0: np.ndarray) -> np.ndarray:
-    """Filter ``x`` forward from state ``z0``, with one Python step per chunk."""
+def _block_pass(f: _BlockFilter, x: np.ndarray, z0: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Filter ``x`` forward from state ``z0`` into ``out``, one slab at a time.
+
+    ``out`` has the length of ``x`` and may be ``x`` itself, a reversed
+    view included: each slab's samples are copied into the buffer before
+    its outputs are written back over them. Returns ``out``.
+    """
     n, states = FILTER_BLOCK, z0.size
-    # A stack of slabs of equal size, so each product is one GEMM per
-    # slab. The last slab is zero-padded rather than left short: a slab
-    # of one chunk would make ``within`` a vector product (GEMV), whose
+    # Slabs of equal size, so each product is one GEMM per slab. The
+    # last slab is zero-padded rather than left short: a slab of one
+    # chunk would make ``within`` a vector product (GEMV), whose
     # rounding differs. Only a row of one chunk is a GEMV.
-    chunks = -(-x.size // (n * FILTER_CHUNK))
-    slab = min(FILTER_SLAB, chunks)
-    # row k of the flat view: block k's samples (zero-padded to whole
-    # slabs), then the state it starts in, so one product with
-    # ``output`` filters it
-    rows = np.zeros((-(-chunks // slab), slab * FILTER_CHUNK, n + states))
-    flat = rows.reshape(-1, n + states)
-    whole = x.size // n
-    flat[:whole, :n] = x[: whole * n].reshape(whole, n)
-    flat[whole : whole + 1, : x.size - whole * n] = x[whole * n :]  # empty if none left
-    # every block's end state as if its chunk started at rest, then the
-    # chunk start states carried in, first to last; padding chunks are
-    # not carried, as only their cut-off outputs would read them
-    ends = (rows[:, :, :n] @ f.to_state).reshape(len(rows), slab, -1) @ f.within
+    slab = min(FILTER_SLAB, -(-x.size // (n * FILTER_CHUNK)))
+    # row k: block k of the slab's samples, then the state it starts
+    # in, so one product with ``output`` filters it; the one buffer
+    # every slab reuses
+    rows = np.empty((slab * FILTER_CHUNK, n + states))
+    span = len(rows) * n
     z = z0
-    for chunk in ends.reshape(-1, FILTER_CHUNK * states)[:chunks]:
-        chunk += z @ f.carry
-        z = chunk[-states:]
-    flat[0, n:] = z0
-    flat[1:, n:] = ends.reshape(-1, states)[:-1]
-    return (rows @ f.output).ravel()[: x.size]
+    for start in range(0, x.size, span):
+        part = x[start : start + span]
+        whole = part.size // n
+        rows[:whole, :n] = part[: whole * n].reshape(whole, n)
+        if whole < len(rows):  # the last slab
+            rows[whole:, :n] = 0.0
+            rows[whole, : part.size - whole * n] = part[whole * n :]
+        # every block's end state as if its chunk started at rest, then
+        # the chunk start states carried in, first to last; padding
+        # chunks are not carried, as only their cut-off outputs read them
+        ends = (rows[:, :n] @ f.to_state).reshape(slab, -1) @ f.within
+        rows[0, n:] = z
+        for chunk in ends[: -(-part.size // (n * FILTER_CHUNK))]:
+            chunk += z @ f.carry
+            z = chunk[-states:]
+        rows[1:, n:] = ends.reshape(-1, states)[:-1]
+        out[start : start + part.size] = (rows @ f.output).ravel()[: part.size]
+    return out
 
 
 def _filtfilt_row(f: _BlockFilter, x: np.ndarray, padlen: int) -> np.ndarray:
     # even extension, a forward pass from the steady state of the first
     # sample, a backward pass from that of the last output, then the
     # padding cut off again (scipy's sosfiltfilt with padtype="even").
-    # The band-pass is zero at DC, so shifting the row by its first
-    # sample changes nothing but the rounding, which then scales with
-    # the pulsation instead of the offset, and a flat row gives zeros.
+    # Both passes filter the extension in place, the backward one over
+    # its reversed view. The band-pass is zero at DC, so shifting the
+    # row by its first sample changes nothing but the rounding, which
+    # then scales with the pulsation instead of the offset, and a flat
+    # row gives zeros.
     ext = np.concatenate((x[padlen:0:-1], x, x[-2 : -(padlen + 2) : -1]))
     ext -= x[0]
-    y = _block_pass(f, ext, f.zi * ext[0])
-    y = _block_pass(f, y[::-1], f.zi * y[-1])[::-1]
-    return y[padlen : padlen + x.size]
+    _block_pass(f, ext, f.zi * ext[0], ext)
+    back = ext[::-1]
+    _block_pass(f, back, f.zi * back[0], back)
+    return ext[padlen : padlen + x.size]
 
 
 def _bandpass_padlen(spec: BandpassSpec, sample_rate_hz: float, n: int) -> int:
@@ -357,6 +374,8 @@ def bandpass_array(
     """Array form of :func:`butterworth_bandpass`, for one 1-D row.
 
     The same design and padding rule; a flat signal maps to exact zeros.
+    The result is a view of a new buffer: the filtered middle of the
+    padded row.
     """
     if spec is None:
         spec = BandpassSpec()
@@ -367,4 +386,4 @@ def bandpass_array(
     if values.size < 3 * spec.order:
         raise ValueError("input too short")
     padlen = _bandpass_padlen(spec, sample_rate_hz, values.size)
-    return _filtfilt_row(_bandpass_filter(spec, sample_rate_hz), values, padlen).copy()
+    return _filtfilt_row(_bandpass_filter(spec, sample_rate_hz), values, padlen)

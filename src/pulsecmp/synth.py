@@ -208,6 +208,7 @@ class RadarStream:
                 frames += sum(len(rest) for rest in self.blocks)
                 break
             yield block
+            del block  # taken: let it go before the next is drawn
         if frames != self.shape[0]:
             raise ValueError(f"frame blocks hold {frames} frames, the header {self.shape[0]}")
 

@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -475,6 +476,30 @@ class TestPeakFinderAgainstScipy:
         for op, reference in ((np.maximum, maximum_filter1d), (np.minimum, minimum_filter1d)):
             expected = reference(x, size=window, mode="nearest")
             assert np.array_equal(_running_extreme(x, window, op), expected)
+
+    @given(x=signals.filter(lambda v: v.size > 1), window=st.integers(2, 60), block=st.integers(1, 80))
+    def test_blocked_rolling_p2p_median_matches_ndimage(self, x, window, block):
+        # blocks of at least a window, as short as a window, so a
+        # window reaches into both neighbouring blocks
+        x = np.asarray(x, dtype=np.float64)
+        window = min(window, x.size)
+        p2p = maximum_filter1d(x, size=window, mode="nearest") - minimum_filter1d(
+            x, size=window, mode="nearest"
+        )
+        with mock.patch.object(beats, "P2P_BLOCK", block):
+            assert beats._rolling_p2p_median(x, window) == np.median(p2p)
+
+    @pytest.mark.parametrize("window", [2, 5, 60, 400])
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_blocked_rolling_p2p_median_on_noise(self, window, block):
+        # a random walk's p2p values are distinct, so wrong ones at the
+        # block edges show in the median
+        x = np.cumsum(np.random.default_rng(window + block).standard_normal(3000))
+        p2p = maximum_filter1d(x, size=window, mode="nearest") - minimum_filter1d(
+            x, size=window, mode="nearest"
+        )
+        with mock.patch.object(beats, "P2P_BLOCK", block):
+            assert beats._rolling_p2p_median(x, window) == np.median(p2p)
 
 
 class TestLinearPolarity:

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -525,6 +526,32 @@ class TestOneReportInMemoryAndFromDisk:
         _bandpass_filter.cache_clear()
         run_compare(bundle)
         assert _bandpass_filter.cache_info().misses == 1
+
+
+class TestCompareMemory:
+    def test_ppg_and_reference_compare_holds_each_record_about_once(self, tmp_path):
+        # 300 s at 200 Hz: one channel is 480 kB. The two channels read
+        # stay, each modality's waveform lives until its beats are cut,
+        # and beat cutting adds ~2.4 MB of per-block temporaries that do
+        # not grow with the record: ~9.2 channels in all.
+        config = PipelineConfig(synth_seed=43, synth_duration_s=300.0)
+        waveform, truth = generate_waveform(
+            model_from_config(config), config.synth_duration_s, config.synth_fs_hz, 43
+        )
+        ppg = synth_ppg(waveform, config.synth_ppg_tau_s, config.synth_ppg_noise_sd, 43)
+        reference = synth_reference(
+            waveform, config.synth_sbp_mmhg, config.synth_dbp_mmhg, truth.beat_times_s
+        )
+        cli.write_bundle_dir(RecordingBundle(ppg=ppg, reference=reference), config, str(tmp_path))
+        channel = reference.samples.nbytes
+        run_compare(cli.read_bundle_dir(str(tmp_path)))  # the filter design is cached
+        tracemalloc.start()
+        try:
+            run_compare(cli.read_bundle_dir(str(tmp_path)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * channel
 
 
 class TestConfigPlumbing:

@@ -226,6 +226,48 @@ class TestSeriesCsv:
         with pytest.raises(FormatError, match="non-uniform"):
             read_series_csv(path, "v")
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            "0,0.005,0.004",  # a step back
+            "0,0.005,0.005,0.01",  # a repeated time
+        ],
+    )
+    def test_non_monotonic_message(self, tmp_path, times):
+        path = _write(tmp_path / "s.csv", "time_s,v\n" + "".join(f"{t},1\n" for t in times.split(",")))
+        for read in (lambda: read_series_csv(path, "v"), lambda: read_ppg_csv(path)):
+            with pytest.raises(FormatError) as info:
+                read()
+            assert info.value.code == "non-monotonic"
+            assert str(info.value) == "non-monotonic: time column must strictly increase"
+
+    @pytest.mark.parametrize("factor, rejected", [(1.0099, False), (1.0101, True), (0.9899, True)])
+    def test_jitter_bound_and_message(self, tmp_path, factor, rejected):
+        # one step off the 5 ms median by just under or just over 1 %
+        steps = np.full(20, 0.005)
+        steps[7] *= factor
+        times = np.concatenate(([0.0], np.cumsum(steps)))
+        path = _write(tmp_path / "s.csv", "time_s,v\n" + "".join(f"{t!r},1\n" for t in times.tolist()))
+        for read in (lambda: read_series_csv(path, "v"), lambda: read_ppg_csv(path)):
+            if not rejected:
+                read()
+                continue
+            with pytest.raises(FormatError) as info:
+                read()
+            assert info.value.code == "non-uniform sampling"
+            assert str(info.value) == "non-uniform sampling: time step jitter exceeds 1%"
+
+    def test_channels_are_their_own_arrays(self, tmp_path):
+        # each channel is copied out of the parsed table, so the table
+        # and its time column are not kept alive by any channel
+        path = _write(tmp_path / "s.csv", "time_s,a,b\n0,1,2\n0.005,3,4\n0.01,5,6\n")
+        rec = read_ppg_csv(path)
+        channels = [read_series_csv(path, "a"), read_series_csv(path, "b"), *rec.channels.values()]
+        for series in channels:
+            assert series.samples.flags.c_contiguous
+            assert series.samples.flags.owndata and series.samples.base is None
+        assert [c.samples.tolist() for c in channels] == [[1, 3, 5], [2, 4, 6], [1, 3, 5], [2, 4, 6]]
+
     def test_missing_column_lists_names(self, tmp_path):
         path = str(tmp_path / "s.csv")
         with open(path, "w") as fh:

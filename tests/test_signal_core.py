@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,13 @@ EDGES = (FILTER_BLOCK, CHUNK_SAMPLES, SLAB_SAMPLES, SLAB_SAMPLES + CHUNK_SAMPLES
 EDGE_SIZES = sorted({edge + d for edge in EDGES for d in (-1, 0, 1)})
 
 
+def one_product_into(f, x, z0, out):
+    """``block_pass_one_product`` with ``_block_pass``'s signature: the
+    one-product result, taken from ``x`` before ``out`` is written."""
+    out[:] = block_pass_one_product(f, x, z0)
+    return out
+
+
 class TestSlabbedFilterBits:
     """The slab-stacked products give the bits of one product per stage
     over the whole row."""
@@ -236,14 +244,43 @@ class TestSlabbedFilterBits:
         f = _bandpass_filter(BandpassSpec(order, 0.5, 8.0), FS)
         x = np.cumsum(np.random.default_rng(size).standard_normal(size))
         z0 = f.zi * x[0]
-        assert np.array_equal(_block_pass(f, x, z0), block_pass_one_product(f, x, z0))
+        assert np.array_equal(_block_pass(f, x, z0, np.empty_like(x)), block_pass_one_product(f, x, z0))
+
+    @pytest.mark.parametrize("order", [1, 4, 6])
+    @pytest.mark.parametrize("size", EDGE_SIZES)
+    def test_block_pass_in_place_matches_one_product(self, size, order):
+        # over the row itself, and over its reversed view, as the
+        # backward pass runs
+        f = _bandpass_filter(BandpassSpec(order, 0.5, 8.0), FS)
+        x = np.cumsum(np.random.default_rng(size).standard_normal(size))
+        z0 = f.zi * x[0]
+        row = x.copy()
+        assert _block_pass(f, row, z0, row) is row
+        assert np.array_equal(row, block_pass_one_product(f, x, z0))
+        back = x.copy()[::-1]
+        _block_pass(f, back, z0, back)
+        assert np.array_equal(back, block_pass_one_product(f, x[::-1], z0))
 
     @pytest.mark.parametrize("size", [12, *EDGE_SIZES, 12_000, 240_000])
     def test_bandpass_array_matches_one_product(self, size, monkeypatch):
         x = 3.0 + np.cumsum(np.random.default_rng(size).standard_normal(size))
         slabbed = bandpass_array(x, FS)
-        monkeypatch.setattr(signal_core, "_block_pass", block_pass_one_product)
+        monkeypatch.setattr(signal_core, "_block_pass", one_product_into)
         assert np.array_equal(slabbed, bandpass_array(x, FS))
+
+    def test_bandpass_array_traced_peak_is_the_extension(self):
+        # a 240 k row (20 min at 200 Hz) is filtered in its even
+        # extension alone: one slab's buffer and products on top
+        x = np.cumsum(np.random.default_rng(7).standard_normal(240_000))
+        bandpass_array(x, FS)  # the design is cached
+        extension = (x.size + 2 * _bandpass_padlen(BandpassSpec(), FS, x.size)) * 8
+        tracemalloc.start()
+        try:
+            bandpass_array(x, FS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= extension + 256 * 1024
 
 
 class TestRangeFft:

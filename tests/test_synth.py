@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from pulsecmp import radar
 from pulsecmp.beats import detect_peaks, segment_beats_indexed
 from pulsecmp.config import PipelineConfig
+from pulsecmp.formats import write_radar_cube
 from pulsecmp.metrics import auc_normalized, count_inflections, map_from_bp
 from pulsecmp.radar import process_radar
 from pulsecmp.report import condition_modality, simulate_bundle
@@ -175,8 +176,13 @@ class TestSynthRadarCube:
         assert len(blocks) == len(expected)
         assert all(np.array_equal(b, e) for b, e in zip(blocks, expected))
 
-    def test_traced_peak_is_one_block(self):
-        waveform, _ = generate_waveform(PulseModel(), 20.0, FS, 6)
+    @staticmethod
+    def traced_stream_peak(duration_s, consume) -> tuple[int, int]:
+        """tracemalloc peak of ``consume(stream)`` on a default-geometry
+        stream, and its bound: one float32 block, one float64 antenna
+        slice, and slack for the target antenna's tone and the float64
+        cast buffer."""
+        waveform, _ = generate_waveform(PulseModel(), duration_s, FS, 6)
         geom = CubeGeometry()
         stream = synth_radar_stream(waveform.with_samples(waveform.samples * 1e-4), geom, 20.0, 6)
         frame = geom.antennas * geom.chirps * geom.samples
@@ -185,12 +191,22 @@ class TestSynthRadarCube:
         antenna_slice = frames * geom.chirps * geom.samples * 8
         tracemalloc.start()
         try:
-            deque(stream.blocks, maxlen=0)  # each block dropped once taken
+            consume(stream)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # slack: the target antenna's tone and the float64 cast buffer
-        assert peak <= block + antenna_slice + 256 * 1024
+        return peak, block + antenna_slice + 256 * 1024
+
+    def test_traced_peak_is_one_block(self):
+        # each block dropped once taken
+        peak, bound = self.traced_stream_peak(20.0, lambda stream: deque(stream.blocks, maxlen=0))
+        assert peak <= bound
+
+    def test_writing_a_stream_holds_one_block(self, tmp_path):
+        # the writer lets each block go once written, before the next is drawn
+        path = str(tmp_path / "cube.radc")
+        peak, bound = self.traced_stream_peak(10.0, lambda stream: write_radar_cube(stream, path))
+        assert peak <= bound
 
     def test_non_finite_snr_is_rejected(self):
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, 3)
