@@ -15,11 +15,20 @@ import os
 import sys
 import traceback
 
-import numpy as np
+# One BLAS thread unless the user chose a count: every product here is
+# below OpenBLAS's threading threshold, and starting its worker pool
+# costs each process tens of milliseconds. Only before numpy loads, so a
+# caller that imported numpy first keeps its environment as it was.
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from pulsecmp.beats import IbiSeries, extract_ibi
-from pulsecmp.config import PipelineConfig, load_config
-from pulsecmp.formats import (
+import numpy as np  # noqa: E402
+
+from pulsecmp.beats import IbiSeries, extract_ibi  # noqa: E402
+from pulsecmp.config import PipelineConfig, load_config  # noqa: E402
+from pulsecmp.formats import (  # noqa: E402
     FormatError,
     REFERENCE_COLUMN,
     canonical_json,
@@ -33,7 +42,7 @@ from pulsecmp.formats import (
     write_table,
     write_text_atomic,
 )
-from pulsecmp.report import (
+from pulsecmp.report import (  # noqa: E402
     MODALITIES,
     AgreementReport,
     RecordingBundle,

@@ -46,13 +46,16 @@ import struct
 import tempfile
 import warnings
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import RadarCube, frame_blocks
 from pulsecmp.signal_core import TimeSeries, median
-from pulsecmp.synth import PulseModel, RadarStream, SynthGroundTruth
+
+if TYPE_CHECKING:
+    from pulsecmp.synth import PulseModel, RadarStream, SynthGroundTruth
 
 MAGIC = b"RADC"
 VERSION = 1
@@ -106,6 +109,8 @@ def write_radar_cube(cube: RadarCube | RadarStream, path: str) -> None:
     header's shape raise ``ValueError`` (``RadarStream.checked_blocks``),
     and a failed write leaves any file already at ``path`` as it was.
     """
+    from pulsecmp.synth import RadarStream  # only simulate writes a cube
+
     if isinstance(cube, RadarStream):
         shape, blocks = cube.shape, cube.checked_blocks()
     else:

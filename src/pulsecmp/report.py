@@ -16,6 +16,7 @@ beats are cut, normalized and measured in one pass into one
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,16 +48,11 @@ from pulsecmp.metrics import (
 from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import BinSelection, RadarCube, process_radar
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass, require_min_record
-from pulsecmp.synth import (
-    CubeGeometry,
-    PulseModel,
-    RadarStream,
-    SynthGroundTruth,
-    generate_waveform,
-    synth_ppg,
-    synth_radar_stream,
-    synth_reference,
-)
+
+# synthesis is imported in the functions that use it: compare and
+# process never load it
+if TYPE_CHECKING:
+    from pulsecmp.synth import CubeGeometry, PulseModel, RadarStream, SynthGroundTruth
 
 MIN_BEATS = 2
 
@@ -190,10 +186,14 @@ class AgreementReport:
 
 
 def model_from_config(config: PipelineConfig) -> PulseModel:
+    from pulsecmp.synth import PulseModel
+
     return PulseModel(hr_mean_bpm=config.synth_hr_bpm, ibi_sd_ms=config.synth_ibi_sd_ms)
 
 
 def geometry_from_config(config: PipelineConfig) -> CubeGeometry:
+    from pulsecmp.synth import CubeGeometry
+
     return CubeGeometry(
         antennas=config.synth_antennas,
         chirps=config.synth_chirps,
@@ -210,6 +210,8 @@ def simulate_stream(config: PipelineConfig, subject_id: str = "synthetic") -> Re
     ``write_radar_cube`` writes it, so the bundle is for writing once
     (``simulate`` does). The arguments are checked before it returns.
     """
+    from pulsecmp.synth import generate_waveform, synth_ppg, synth_radar_stream, synth_reference
+
     model = model_from_config(config)
     waveform, truth = generate_waveform(
         model, config.synth_duration_s, config.synth_fs_hz, config.synth_seed

@@ -17,10 +17,11 @@ the cascade's states, started in the steady state of the first sample
 block to block by matrix products, so no Python loop runs per sample.
 The products are formed one slab of a few thousand samples at a time
 in one reused buffer, not over the whole row: each is one small GEMM,
-which OpenBLAS runs on the calling thread instead of waking its worker
-threads, with the same bits per output. Both passes write over the
-padded row itself, the backward one through its reversed view, so a
-filter holds the padded row and one slab's products.
+below OpenBLAS's threading threshold, so it runs on the calling thread
+with the same bits per output whatever the BLAS thread count (the CLI
+starts OpenBLAS with one thread and no worker pool). Both passes write
+over the padded row itself, the backward one through its reversed view,
+so a filter holds the padded row and one slab's products.
 """
 
 from __future__ import annotations

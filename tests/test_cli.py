@@ -685,3 +685,83 @@ class TestNumpyOnlyRuntime:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert json.loads((tmp_path / "report" / "report.json").read_text())["pairs"]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(args, **env):
+    """Run a fresh interpreter with no BLAS thread variable but those in ``env``."""
+    clean = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**clean, **env}
+    )
+
+
+class TestColdStart:
+    """A CLI process starts without a BLAS thread pool or the synthesizer."""
+
+    def test_cli_process_runs_one_thread(self, bundle_dir, tmp_path):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads in")
+        # runpy is what `python -m pulsecmp.cli` runs: the package root, then cli
+        code = (
+            "import os, runpy, sys\n"
+            f"sys.argv = ['pulsecmp', 'compare', '--bundle', {str(bundle_dir)!r}, '-o', {str(tmp_path)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('pulsecmp.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+        )
+        result = run_fresh(["-c", code])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[-2:] == ["1", "1"]
+        assert (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_user_thread_count_is_kept(self, name):
+        code = (
+            "import os, pulsecmp.cli\n"
+            "print({k: os.environ.get(k) for k in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')})"
+        )
+        result = run_fresh(["-c", code], **{name: "2"})
+        assert result.returncode == 0, result.stderr
+        expected = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, name: "2"}
+        assert result.stdout.strip() == str(expected)
+
+    def test_cli_imported_after_numpy_leaves_environment(self):
+        code = (
+            "import os, numpy\n"
+            "before = dict(os.environ)\n"
+            "import pulsecmp.cli\n"
+            "assert dict(os.environ) == before"
+        )
+        result = run_fresh(["-c", code])
+        assert result.returncode == 0, result.stderr
+
+    def test_compare_and_process_load_no_synth(self, bundle_dir, tmp_path):
+        code = (
+            "import sys\n"
+            "from pulsecmp import cli\n"
+            f"codes = [cli.main(['compare', '--bundle', {str(bundle_dir)!r}, '-o', {str(tmp_path / 'c')!r}]),\n"
+            f"         cli.main(['process', 'ppg', {str(bundle_dir / 'ppg.csv')!r}, '-o', {str(tmp_path / 'p')!r}])]\n"
+            "loaded = 'pulsecmp.synth' in sys.modules\n"
+            "sys.exit(f'exit codes {codes}' if codes != [0, 0] else 'synth loaded' if loaded else 0)"
+        )
+        result = run_fresh(["-c", code])
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "c" / "report.json").exists()
+
+    def test_jobs_fork_from_one_thread(self, bundle_dir, tmp_path):
+        # Python >= 3.12 warns when os.fork runs in a multi-threaded
+        # process, as a started BLAS pool would make it
+        root = tmp_path / "subjects"
+        for name in ("s1", "s2"):
+            shutil.copytree(bundle_dir, root / name)
+        result = run_fresh([
+            "-W", "always::DeprecationWarning", "-m", "pulsecmp.cli",
+            "compare", "--bundle-root", str(root), "--jobs", "2", "-o", str(tmp_path / "out"),
+        ])
+        assert result.returncode == 0, result.stderr
+        assert "multi-threaded" not in result.stderr

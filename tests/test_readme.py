@@ -4,7 +4,11 @@ import contextlib
 import io
 import os
 import re
+import subprocess
+import sys
 import types
+
+import pytest
 
 import pulsecmp
 
@@ -21,12 +25,35 @@ def _library_example() -> str:
 
 
 def test_package_root_exports_the_readme_names():
+    # the names load on first use, so dir() and getattr, not vars()
     public = {
         name
-        for name, value in vars(pulsecmp).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(pulsecmp)
+        if not name.startswith("_") and not isinstance(getattr(pulsecmp, name), types.ModuleType)
     }
     assert public == set(pulsecmp.__all__) == {"PipelineConfig", "run_compare", "simulate_bundle"}
+
+
+def test_package_root_imports_nothing_until_used():
+    code = (
+        "import sys, pulsecmp\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('pulsecmp.')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_package_root_resolves_its_names_only():
+    from pulsecmp.config import PipelineConfig
+    from pulsecmp.report import run_compare, simulate_bundle
+
+    assert pulsecmp.PipelineConfig is PipelineConfig
+    assert pulsecmp.run_compare is run_compare
+    assert pulsecmp.simulate_bundle is simulate_bundle
+    for name in ("process_radar", "synth_radar_cube"):
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(pulsecmp, name)
 
 
 def test_library_example_runs():
