@@ -20,6 +20,9 @@ import numpy as np
 INFLECTION_SMOOTH_WIN = 5
 INFLECTION_EPS = 1e-3
 
+# Paired shape rows gathered at once by compare_modalities.
+PAIR_BLOCK_ROWS = 128
+
 
 @dataclass
 class BeatTable:
@@ -298,21 +301,29 @@ def _paired_p(diffs: np.ndarray) -> float:
     return paired_t_test(diffs)[1]
 
 
-def compare_modalities(ref: BeatTable, test: BeatTable) -> PairwiseComparison:
-    """Shape comparison over paired beats, row ``k`` of each table a pair.
+def compare_modalities(
+    ref: BeatTable, test: BeatTable, ref_rows: np.ndarray, test_rows: np.ndarray
+) -> PairwiseComparison:
+    """Shape comparison over paired beats: row ``ref_rows[k]`` of ``ref``
+    with row ``test_rows[k]`` of ``test``.
 
     Per pair: extrema counts, AUC, and cosine similarity on the
-    normalized beats. Mean differences follow the conventions noted on
+    normalized beats, whose rows are gathered ``PAIR_BLOCK_ROWS`` pairs
+    at a time, so no table is copied whole; a row's cosine is the value
+    it gives alone. Mean differences follow the conventions noted on
     :class:`PairwiseComparison`; p-values come from the paired t-test
     (see ``_paired_p`` for the degenerate-spread conventions).
     """
-    if len(ref) != len(test):
+    if len(ref_rows) != len(test_rows):
         raise ValueError("beat tables must be paired")
-    if len(ref) < 2:
+    if len(ref_rows) < 2:
         raise ValueError("need at least two beat pairs")
-    diff_infl = ref.extrema - test.extrema
-    diff_auc = test.auc - ref.auc
-    cos = cosine_similarity(ref.shapes, test.shapes)
+    diff_infl = ref.extrema[ref_rows] - test.extrema[test_rows]
+    diff_auc = test.auc[test_rows] - ref.auc[ref_rows]
+    cos = np.empty(len(ref_rows))
+    for k in range(0, cos.size, PAIR_BLOCK_ROWS):
+        block = slice(k, k + PAIR_BLOCK_ROWS)
+        cos[block] = cosine_similarity(ref.shapes[ref_rows[block]], test.shapes[test_rows[block]])
     return PairwiseComparison(
         mean_diff_inflections=float(np.mean(diff_infl)),
         p_inflections=_paired_p(diff_infl),

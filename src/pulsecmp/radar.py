@@ -9,9 +9,11 @@ displacement / wavelength``. Orientation and beat detection are one
 shared last step for every modality (``beats.orient_and_detect``).
 
 Only the range bins of one rule, ``searchable_bins``, are reduced,
-filtered and searched. Memory is their float64 phase per (antenna, bin,
-frame) plus one frame block: the cube is reduced to wrapped phase block
-by block over frames, and each row is then unwrapped and band-passed.
+filtered and searched, and one antenna at a time: each antenna's slice
+of the cube is reduced to wrapped phase block by block over frames,
+its rows are unwrapped, band-passed and scored, and only the best row
+so far is kept. Memory is one antenna's float64 phase per (bin, frame),
+that row and one frame block.
 """
 
 from __future__ import annotations
@@ -42,8 +44,11 @@ class RadarCube:
     ``data`` is stored as float32, the precision of the ``.radc``
     payload, and may be a read-only view of a mapped file.
     ``release_frames``, when set, is called with ``(start, stop)`` once
-    the slow-time reduction has consumed those frames, so a file-backed
-    cube can hand their pages back to the kernel.
+    the slow-time reduction has consumed those frames of one antenna, so
+    a file-backed cube can hand their pages back to the kernel. The
+    reduction passes over the frames once per antenna, so a released
+    page may be touched again by a later pass; a file-backed page is
+    then read back from the file.
     """
 
     data: np.ndarray
@@ -143,8 +148,11 @@ def searchable_bins(n_samples: int, max_bins: int = 0) -> range:
     return range(1, stop)
 
 
-def _slow_time_fused(cube: RadarCube, bins: range) -> np.ndarray:
-    """Wrapped phase [antenna][bin][frame] of the chirp-averaged range FFT."""
+def _antenna_phase(cube: RadarCube, antenna: int, bins: range, phase: np.ndarray) -> None:
+    """Fill ``phase[i]`` with the wrapped phase of ``antenna`` at bin ``bins[i]``.
+
+    ``phase`` is ``[bin][frame]``, the chirp-averaged range FFT's angle.
+    """
     # Chirp averaging commutes with the mean removal and the FFT (all
     # linear), so average first and transform once per frame. Averaging
     # float32 chirps in float64 gives the same values as averaging a
@@ -152,18 +160,37 @@ def _slow_time_fused(cube: RadarCube, bins: range) -> np.ndarray:
     # means a non-finite sample. Each frame block is taken to its phase
     # at once, so no complex slow-time tensor is ever held.
     data = cube.data
-    phase = np.empty((data.shape[1], len(bins), data.shape[0]))
+    n_chirps = data.shape[2]
     for start, stop in frame_blocks(data.shape):
-        avg = np.mean(data[start:stop], axis=2, dtype=np.float64)
+        if start == 0:  # the first block is the largest
+            buffer = np.empty((stop, data.shape[3]))
+        # np.mean's sum and division, in one buffer reused across blocks
+        avg = buffer[: stop - start]
+        np.add.reduce(data[start:stop, antenna], axis=1, dtype=np.float64, out=avg)
+        avg /= n_chirps
         if not np.isfinite(avg).all():
-            frame = start + int(np.nonzero(~np.isfinite(avg))[0][0])
+            frame = _first_bad_frame(data, antenna, start + int(np.nonzero(~np.isfinite(avg))[0][0]))
             raise ValueError(f"radar: non-finite sample in frame {frame}")
         if cube.release_frames is not None:
             cube.release_frames(start, stop)
-        avg -= avg.mean(axis=2, keepdims=True)
-        spectrum = np.fft.rfft(avg, axis=2)[:, :, bins.start : bins.stop]
-        phase[:, :, start:stop] = np.angle(spectrum).transpose(1, 2, 0)
-    return phase
+        avg -= avg.mean(axis=1, keepdims=True)
+        spectrum = np.fft.rfft(avg, axis=1)[:, bins.start : bins.stop]
+        # np.angle is this arctan2, written straight into the phase rows
+        np.arctan2(spectrum.imag.T, spectrum.real.T, out=phase[:, start:stop])
+
+
+def _first_bad_frame(data: np.ndarray, antenna: int, frame: int) -> int:
+    """The first frame of any antenna holding a NaN or infinity, given
+    that ``antenna``'s first is ``frame``: the antennas before it were
+    reduced whole, and only those after it may hold an earlier one."""
+    for start, stop in frame_blocks(data.shape):
+        if start >= frame:
+            break
+        stop = min(stop, frame)
+        finite = np.isfinite(data[start:stop, antenna + 1 :]).all(axis=(1, 2, 3))
+        if not finite.all():
+            return start + int(np.argmin(finite))
+    return frame
 
 
 def _unwrap(row: np.ndarray) -> None:
@@ -196,11 +223,11 @@ def select_best_bin(phases: np.ndarray, bins: range) -> BinSelection:
     """Pick the (antenna, bin) with the largest pulsation amplitude.
 
     ``phases[a, i]`` is the band-passed phase of antenna ``a`` at range
-    bin ``bins[i]``, as ``process_radar`` keeps it for the bins of
-    ``searchable_bins``. Peak-to-peak is measured without the
-    ``EDGE_FRACTION`` of samples at each end, so residual filter
-    transients at the record edges cannot inflate it. Ties break toward
-    the lower antenna index, then the lower bin.
+    bin ``bins[i]``; ``process_radar`` passes one antenna's rows at a
+    time, over the bins of ``searchable_bins``. Peak-to-peak is measured
+    without the ``EDGE_FRACTION`` of samples at each end, so residual
+    filter transients at the record edges cannot inflate it. Ties break
+    toward the lower antenna index, then the lower bin.
     """
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 3 or 0 in phases.shape[:2] or phases.shape[1] != len(bins):
@@ -219,16 +246,19 @@ def process_radar(
 ) -> RadarPulseResult:
     """Radar chain from raw cube to the band-passed phase of the best cell.
 
-    ``searchable_bins(cube.n_samples, max_bins)`` is fixed first. Per-chirp
-    mean removal, the range FFT and chirp averaging run as one fused
-    linear reduction over frame blocks, algebraically identical to
-    composing them per chirp, and each block goes straight to the
-    wrapped phase of those bins alone. Each (antenna, bin) row is then
-    unwrapped and band-passed in place, and bin selection follows.
-    Memory is that phase tensor plus one frame block. The waveform is
-    not oriented: that, and beat detection, are the shared last step of
-    every modality (``beats.orient_and_detect``), which sets
-    ``selection.inverted``.
+    ``searchable_bins(cube.n_samples, max_bins)`` is fixed first. The
+    chain then runs one antenna at a time. Per-chirp mean removal, the
+    range FFT and chirp averaging run as one fused linear reduction over
+    frame blocks of that antenna, algebraically identical to composing
+    them per chirp, and each block goes straight to the wrapped phase of
+    those bins alone. Each of the antenna's rows is then unwrapped and
+    band-passed in place, and ``select_best_bin`` scores them; a copy of
+    the best row so far is kept, and a later antenna replaces it only
+    with a strictly larger peak-to-peak, so ties still go to the lower
+    antenna, then the lower bin. Memory is one antenna's phase rows,
+    that copy and one frame block. The waveform is not oriented: that,
+    and beat detection, are the shared last step of every modality
+    (``beats.orient_and_detect``), which sets ``selection.inverted``.
 
     Raises
     ------
@@ -236,13 +266,18 @@ def process_radar(
         "recording too short" under ``MIN_RECORD_S``, "radar: no
         informative range bin to search" before any reduction when the
         rule leaves no bin, or "radar: non-finite sample in frame N"
-        naming the first frame holding a NaN or infinity.
+        naming the first frame, over all antennas, holding a NaN or
+        infinity.
     """
     require_min_record(cube.duration_s)
     bins = searchable_bins(cube.n_samples, max_bins)
-    phases = _slow_time_fused(cube, bins)
-    _filter_cells(phases, cube.frame_rate_hz, spec)
-    selection = select_best_bin(phases, bins)
-    # a copy of the chosen row, so the phase tensor is freed on return
-    row = phases[selection.antenna_index, selection.range_bin - bins.start].copy()
-    return RadarPulseResult(TimeSeries(row, cube.frame_rate_hz), selection)
+    phase = np.empty((len(bins), cube.n_frames))
+    best = best_row = None
+    for antenna in range(cube.n_antennas):
+        _antenna_phase(cube, antenna, bins, phase)
+        _filter_cells(phase, cube.frame_rate_hz, spec)
+        pick = select_best_bin(phase[None], bins)
+        if best is None or pick.peak_to_peak > best.peak_to_peak:
+            best = BinSelection(antenna, pick.range_bin, pick.peak_to_peak)
+            best_row = phase[pick.range_bin - bins.start].copy()
+    return RadarPulseResult(TimeSeries(best_row, cube.frame_rate_hz), best)

@@ -58,7 +58,7 @@ MIN_BEATS = 2
 
 # Each modality's file inside a bundle directory, in load and processing
 # order. The cube loads first: parsing the CSVs before it raises the
-# peak RSS of a 60 s default bundle's compare by about 2.5 MB.
+# peak RSS of a 60 s default bundle's compare by about 0.5 MB.
 MODALITIES = {"radar": "radar.radc", "ppg": "ppg.csv", "reference": "reference.csv"}
 
 
@@ -320,13 +320,14 @@ def _paired_ibis(
 
 def _paired_beats(
     base: ModalitySummary, test: ModalitySummary, i: np.ndarray, j: np.ndarray
-) -> tuple[BeatTable, BeatTable]:
-    # the rows led by feet i and j; a flat beat leaves a gap in a table's
-    # increasing feet, and a pair that misses either row is dropped
+) -> tuple[np.ndarray, np.ndarray]:
+    # the indices of the rows led by feet i and j; a flat beat leaves a
+    # gap in a table's increasing feet, and a pair that misses either
+    # row is dropped
     base_rows = np.minimum(np.searchsorted(base.beats.feet, i), len(base.beats) - 1)
     test_rows = np.minimum(np.searchsorted(test.beats.feet, j), len(test.beats) - 1)
     kept = (base.beats.feet[base_rows] == i) & (test.beats.feet[test_rows] == j)
-    return base.beats.rows(base_rows[kept]), test.beats.rows(test_rows[kept])
+    return base_rows[kept], test_rows[kept]
 
 
 def _compare_pair(
@@ -341,19 +342,19 @@ def _compare_pair(
     # beats bounded by two matched feet in both trains, by leading index
     i, j = paired_consecutive(pairs)
     base_ibis, test_ibis = _paired_ibis(base, test, i, j)
-    ref_beats, test_beats = _paired_beats(base, test, i, j)
+    base_rows, test_rows = _paired_beats(base, test, i, j)
     summary = PairSummary(
         name,
         "ok",
         lag_s=lag_s,
         n_event_pairs=len(pairs),
         n_paired_ibis=len(base_ibis),
-        n_paired_beats=len(ref_beats),
+        n_paired_beats=len(base_rows),
     )
     if len(base_ibis) >= 2:
         summary.bland_altman = bland_altman(test_ibis, base_ibis)
-    if len(ref_beats) >= 2:
-        summary.comparison = compare_modalities(ref_beats, test_beats)
+    if len(base_rows) >= 2:
+        summary.comparison = compare_modalities(base.beats, test.beats, base_rows, test_rows)
     if summary.bland_altman is None and summary.comparison is None:
         summary.status = "insufficient pairs"
     return summary

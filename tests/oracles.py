@@ -21,7 +21,14 @@ from pulsecmp.beats import (
     polarity_inverted,
 )
 from pulsecmp.formats import FormatError
-from pulsecmp.radar import SPEED_OF_LIGHT, _filter_cells, frame_blocks
+from pulsecmp.metrics import PairwiseComparison, _paired_p, cosine_similarity
+from pulsecmp.radar import (
+    SPEED_OF_LIGHT,
+    _filter_cells,
+    frame_blocks,
+    searchable_bins,
+    select_best_bin,
+)
 from pulsecmp.signal_core import FILTER_BLOCK, FILTER_CHUNK, TimeSeries
 from pulsecmp.synth import (
     CARRIER_HZ,
@@ -330,6 +337,53 @@ def synth_blocks_five_pass(displacement, geometry, snr_db=None, seed=0):
             block += sigma_if * rng.standard_normal(block.shape, dtype=np.float32).astype(np.float64)
         blocks.append(block.astype(np.float32))
     return blocks
+
+
+def slow_time_fused_whole(cube, bins):
+    """Wrapped phase [antenna][bin][frame] of every antenna at once: the
+    fused reduction of ``radar`` before it ran one antenna at a time,
+    each frame block averaged over all antennas' chirps together."""
+    data = cube.data
+    phase = np.empty((data.shape[1], len(bins), data.shape[0]))
+    for start, stop in frame_blocks(data.shape):
+        avg = np.mean(data[start:stop], axis=2, dtype=np.float64)
+        if not np.isfinite(avg).all():
+            frame = start + int(np.nonzero(~np.isfinite(avg))[0][0])
+            raise ValueError(f"radar: non-finite sample in frame {frame}")
+        avg -= avg.mean(axis=2, keepdims=True)
+        spectrum = np.fft.rfft(avg, axis=2)[:, :, bins.start : bins.stop]
+        phase[:, :, start:stop] = np.angle(spectrum).transpose(1, 2, 0)
+    return phase
+
+
+def process_radar_whole_tensor(cube, spec=None, max_bins=0):
+    """``radar.process_radar`` over the whole [antenna][bin][frame] phase
+    tensor: every row filtered, then one ``select_best_bin`` over all of
+    them. Returns ``(waveform samples, selection)``."""
+    bins = searchable_bins(cube.n_samples, max_bins)
+    phases = slow_time_fused_whole(cube, bins)
+    _filter_cells(phases, cube.frame_rate_hz, spec)
+    selection = select_best_bin(phases, bins)
+    return phases[selection.antenna_index, selection.range_bin - bins.start], selection
+
+
+def compare_copied_tables(ref, test):
+    """``metrics.compare_modalities`` on two paired tables, row ``k`` of
+    each a pair, before it read the pairs by index: every cosine taken
+    in one call over the whole copied tables."""
+    if len(ref) != len(test):
+        raise ValueError("beat tables must be paired")
+    diff_infl = ref.extrema - test.extrema
+    diff_auc = test.auc - ref.auc
+    cos = cosine_similarity(ref.shapes, test.shapes)
+    return PairwiseComparison(
+        mean_diff_inflections=float(np.mean(diff_infl)),
+        p_inflections=_paired_p(diff_infl),
+        mean_diff_auc=float(np.mean(diff_auc)),
+        p_auc=_paired_p(diff_auc),
+        cosine_mean=float(cos.mean()),
+        cosine_sd=float(cos.std(ddof=1)),
+    )
 
 
 # Test-only views of production code. Each calls what the pipeline

@@ -20,6 +20,7 @@ from pulsecmp.metrics import (
 )
 
 from oracles import (
+    compare_copied_tables,
     count_extrema_dense,
     count_inflections_convolved,
     t_two_sided_p_quadrature,
@@ -31,6 +32,11 @@ def make_table(rows):
     shapes = np.array(rows, dtype=float)
     extrema = count_inflections(shapes).astype(float)
     return BeatTable(np.arange(len(shapes)), shapes, extrema, auc_normalized(shapes))
+
+
+def compare_tables(ref, test):
+    """``compare_modalities`` pairing row k of each table."""
+    return compare_modalities(ref, test, np.arange(len(ref)), np.arange(len(test)))
 
 
 class TestMapFromBp:
@@ -254,7 +260,7 @@ class TestCompareModalities:
         shape = three_bump_wave(u)
         normalized = (shape - shape.min()) / (shape.max() - shape.min())
         beats = make_table([normalized] * 5)
-        cmp = compare_modalities(beats, beats)
+        cmp = compare_tables(beats, beats)
         assert cmp.mean_diff_inflections == 0.0
         assert cmp.mean_diff_auc == 0.0
         assert cmp.cosine_mean == 1.0
@@ -273,7 +279,7 @@ class TestCompareModalities:
             smeared = np.convolve(jittered, kernel)[:200]
             ref_beats.append((jittered - jittered.min()) / np.ptp(jittered))
             ppg_beats.append((smeared - smeared.min()) / np.ptp(smeared))
-        cmp = compare_modalities(make_table(ref_beats), make_table(ppg_beats))
+        cmp = compare_tables(make_table(ref_beats), make_table(ppg_beats))
         assert cmp.mean_diff_auc > 0.0  # slow decay raises the test AUC
         assert cmp.cosine_mean < 1.0
 
@@ -287,7 +293,7 @@ class TestCompareModalities:
             noisy = ref + 0.01 * rng.standard_normal(200)
             ref_beats.append(ref)
             radar_beats.append((noisy - noisy.min()) / np.ptp(noisy))
-        cmp = compare_modalities(make_table(ref_beats), make_table(radar_beats))
+        cmp = compare_tables(make_table(ref_beats), make_table(radar_beats))
         assert cmp.cosine_mean >= 0.95
         assert abs(cmp.mean_diff_auc) <= 0.05
 
@@ -336,6 +342,17 @@ class TestCompareModalities:
     def test_unpaired_tables_rejected(self):
         rows = np.tile(np.linspace(0.0, 1.0, 20), (3, 1))
         with pytest.raises(ValueError, match="paired"):
-            compare_modalities(make_table(rows), make_table(rows[:2]))
+            compare_tables(make_table(rows), make_table(rows[:2]))
         with pytest.raises(ValueError, match="two beat pairs"):
-            compare_modalities(make_table(rows[:1]), make_table(rows[:1]))
+            compare_tables(make_table(rows[:1]), make_table(rows[:1]))
+
+    @pytest.mark.parametrize("n_pairs", [2, 127, 128, 129, 300])
+    def test_rows_by_index_equal_picked_tables(self, n_pairs):
+        # pairs read by index, a block of rows at a time, give the bits
+        # of one pass over the copied paired tables
+        rng = np.random.default_rng(n_pairs)
+        ref = make_table(rng.uniform(0.0, 1.0, (400, 40)))
+        test = make_table(rng.uniform(0.0, 1.0, (350, 40)))
+        i = np.sort(rng.choice(400, n_pairs, replace=False))
+        j = np.sort(rng.choice(350, n_pairs, replace=False))
+        assert compare_modalities(ref, test, i, j) == compare_copied_tables(ref.rows(i), test.rows(j))

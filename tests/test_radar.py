@@ -18,6 +18,7 @@ from oracles import (
     correct_polarity,
     extract_slow_time,
     phase_per_bin,
+    process_radar_whole_tensor,
     tone_amplitude,
     zero_phase_gain,
 )
@@ -423,28 +424,54 @@ class TestProcessRadar:
         with pytest.raises(ValueError, match="radar: non-finite sample in frame 1500$"):
             process_radar(RadarCube(data))
 
+    @pytest.mark.parametrize(
+        "bad, frame",
+        [
+            # a later antenna's bad frame comes before the first antenna's
+            ({(1500, 0): np.nan, (100, 2): np.inf}, 100),
+            ({(900, 1): -np.inf, (300, 2): np.nan}, 300),
+            # the first antenna's bad frame is the first
+            ({(100, 0): np.inf, (1500, 2): np.nan}, 100),
+            # two antennas share the first bad frame, in a later block
+            ({(700, 1): np.nan, (700, 2): np.inf, (2300, 0): np.nan}, 700),
+        ],
+    )
+    def test_non_finite_sample_names_first_frame_across_antennas(self, bad, frame):
+        data = np.random.default_rng(18).standard_normal((int(12 * FS), 3, 16, 64), dtype=np.float32)
+        assert radar.BLOCK_SAMPLES // (3 * 16 * 64) < 100  # not in the first block
+        for (f, a), value in bad.items():
+            data[f, a, 7, 11] = value
+        with pytest.raises(ValueError, match=f"radar: non-finite sample in frame {frame}$"):
+            process_radar(RadarCube(data))
+
     def test_release_frames_follows_the_reduction(self, monkeypatch):
+        # one pass over the frames per antenna, each releasing contiguous
+        # block ranges that cover every frame
         monkeypatch.setattr(radar, "BLOCK_SAMPLES", 1000)
         released = []
-        data = np.random.default_rng(14).standard_normal((int(12 * FS), 1, 4, 64))
+        data = np.random.default_rng(14).standard_normal((int(12 * FS), 3, 4, 16))
         process_radar(RadarCube(data, release_frames=lambda a, b: released.append((a, b))))
-        starts, stops = zip(*released)
-        assert starts[0] == 0 and stops[-1] == data.shape[0]
-        assert starts[1:] == stops[:-1]
-        assert max(b - a for a, b in released) == 1000 // (4 * 64)
+        passes = [i for i, (start, _) in enumerate(released) if start == 0]
+        assert len(passes) == data.shape[1]
+        for first, end in zip(passes, passes[1:] + [len(released)]):
+            starts, stops = zip(*released[first:end])
+            assert starts[0] == 0 and stops[-1] == data.shape[0]
+            assert starts[1:] == stops[:-1]
+            assert max(b - a for a, b in released[first:end]) == 1000 // (3 * 4 * 16)
 
     def test_traced_peak_is_one_phase_tensor(self):
+        # one antenna's phase rows, the kept best row and one block
         waveform, _ = generate_waveform(PulseModel(), 20.0, FS, seed=16)
         displacement = waveform.with_samples(waveform.samples * 1e-4)
         cube = synth_radar_cube(displacement, CubeGeometry(), snr_db=20.0, seed=16)
-        tensor = cube.n_antennas * len(radar.searchable_bins(cube.n_samples)) * cube.n_frames * 8
+        tensor = len(radar.searchable_bins(cube.n_samples)) * cube.n_frames * 8
         tracemalloc.start()
         try:
             process_radar(cube)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * tensor + radar.BLOCK_SAMPLES * 8
+        assert peak <= tensor + cube.n_frames * 8 + radar.BLOCK_SAMPLES * 8
 
     def test_filters_searchable_rows_only(self, call_log):
         # 3 antennas x bins 1..31 of a 64-sample chirp: bins 0 and 32
@@ -463,3 +490,48 @@ class TestProcessRadar:
         blocked = process_radar(cube)
         assert np.array_equal(blocked.waveform.samples, whole.waveform.samples)
         assert blocked.selection == whole.selection
+
+
+def _oracle_cube(antennas, chirps, samples, target, seed, twin=False):
+    waveform, _ = generate_waveform(PulseModel(), 12.0, FS, seed=seed)
+    displacement = waveform.with_samples(waveform.samples * 1e-4)
+    geometry = CubeGeometry(antennas, chirps, samples, target_antenna=target[0], target_range_bin=target[1])
+    cube = synth_radar_cube(displacement, geometry, snr_db=20.0, seed=seed)
+    if twin:
+        # antenna 2 a copy of antenna 0: every cell of one ties with the
+        # same cell of the other
+        cube.data[:, 2] = cube.data[:, 0]
+    return cube
+
+
+class TestOneAntennaAtATime:
+    @pytest.mark.parametrize(
+        "geometry, max_bins, expected",
+        [
+            pytest.param((1, 4, 32, (0, 5), 21), 0, (0, 5), id="1-antenna"),
+            pytest.param((3, 16, 64, (1, 7), 22), 0, (1, 7), id="3-antennas"),
+            pytest.param((3, 4, 32, (2, 9), 23), 0, (2, 9), id="target-in-last"),
+            pytest.param((8, 2, 16, (5, 3), 24), 0, (5, 3), id="8-antennas"),
+            pytest.param((3, 3, 15, (1, 6), 25), 0, (1, 6), id="odd-chirp"),
+            pytest.param((3, 4, 32, (1, 9), 26), 5, None, id="max-bins-cap"),
+            pytest.param((3, 4, 32, (0, 6), 27, True), 0, (0, 6), id="tie-to-antenna-0"),
+        ],
+    )
+    def test_bits_equal_whole_tensor_path(self, geometry, max_bins, expected):
+        cube = _oracle_cube(*geometry)
+        samples, selection = process_radar_whole_tensor(cube, max_bins=max_bins)
+        result = process_radar(cube, max_bins=max_bins)
+        assert np.array_equal(result.waveform.samples, samples)
+        assert result.selection == selection
+        if expected is not None:
+            assert (selection.antenna_index, selection.range_bin) == expected
+        else:
+            assert selection.range_bin < max_bins
+
+    def test_bits_equal_whole_tensor_path_in_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(radar, "BLOCK_SAMPLES", 1000)
+        cube = _oracle_cube(3, 4, 16, (2, 3), 28)
+        samples, selection = process_radar_whole_tensor(cube)
+        result = process_radar(cube)
+        assert np.array_equal(result.waveform.samples, samples)
+        assert result.selection == selection
