@@ -644,6 +644,33 @@ class TestConfigPlumbing:
             assert "unknown config key" in result.stderr
 
 
+class TestSelftest:
+    def test_raising_and_failing_checks_exit_2(self, monkeypatch, capsys):
+        from pulsecmp import selftest
+
+        def check_passes(quick):
+            return [], "fine"
+
+        def check_raises(quick):
+            # the type that names an input error when a verb raises it
+            raise ValueError("recording too short")
+
+        def check_fails(quick):
+            return ["off by one"], ""
+
+        checks = [check_passes] * len(selftest.CHECKS)
+        checks[1], checks[4] = check_raises, check_fails
+        monkeypatch.setattr(selftest, "CHECKS", tuple(checks))
+        assert main(["selftest"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len([line for line in lines if line.startswith(("[PASS]", "[FAIL]"))]) == 7
+        failed = [line for line in lines if line.startswith("[FAIL]")]
+        assert len(failed) == 2
+        assert failed[0].startswith("[FAIL] raises: raised ValueError: recording too short (")
+        assert failed[1].startswith("[FAIL] fails: off by one (")
+        assert lines[-1] == "2 of 7 checks failed"
+
+
 class TestNumpyOnlyRuntime:
     """The installed runtime needs numpy alone; scipy is a test oracle."""
 
