@@ -12,7 +12,7 @@ from pulsecmp.config import PipelineConfig
 from pulsecmp.formats import write_radar_cube
 from pulsecmp.metrics import auc_normalized, count_inflections, map_from_bp
 from pulsecmp.radar import process_radar
-from pulsecmp.report import condition_modality
+from pulsecmp.report import condition_modality, simulate_bundle
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import (
     CubeGeometry,
@@ -317,3 +317,16 @@ class TestSynthReference:
         with pytest.raises(ValueError, match="invalid pressures"):
             synth_reference(waveform, 80.0, 120.0)
 
+
+class TestBeatCountInvariant:
+    def test_ten_seed_suite_at_snr_20(self):
+        from pulsecmp.selftest import RECOVERY_SEEDS
+
+        for seed in RECOVERY_SEEDS:
+            config = PipelineConfig(synth_seed=seed, synth_duration_s=60.0, synth_snr_db=20.0)
+            bundle = simulate_bundle(config)
+            result = process_radar(bundle.radar)
+            train = detect_peaks(result.waveform)
+            assert train.systolic_indices.size == bundle.truth.systolic_times_s.size, (
+                f"seed {seed}"
+            )
