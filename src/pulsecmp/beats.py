@@ -69,11 +69,6 @@ class PeakTrain:
         if np.any(between != 1):
             raise ValueError("systolic and diastolic peaks must interleave")
 
-    @property
-    def n_beats(self) -> int:
-        """Number of complete foot-to-foot beats."""
-        return max(0, self.diastolic_indices.size - 1)
-
     def diastolic_times(self) -> np.ndarray:
         return self.start_time_s + self.diastolic_indices / self.sample_rate_hz
 

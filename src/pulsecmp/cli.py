@@ -284,7 +284,7 @@ def cmd_compare(args) -> int:
 def cmd_selftest(args) -> int:
     from pulsecmp.selftest import run_selftest
 
-    results = run_selftest(quick=not args.full)
+    results = run_selftest()
     failed = 0
     for r in results:
         label = "PASS" if r.passed else "FAIL"
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_self = sub.add_parser("selftest", help="run the built-in oracle suite")
-    p_self.add_argument("--full", action="store_true", help="acceptance-scale checks")
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

@@ -81,10 +81,6 @@ class RadarCube:
         return self.data.shape[1]
 
     @property
-    def n_chirps(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def n_samples(self) -> int:
         return self.data.shape[3]
 
@@ -210,35 +206,24 @@ def _unwrap(row: np.ndarray) -> None:
     row[1:] += np.cumsum(correction, out=correction)
 
 
-def _filter_cells(phase: np.ndarray, frame_rate_hz: float, spec: BandpassSpec | None) -> None:
-    # One (antenna, bin) row at a time, in place: unwrapping and the
-    # band-pass act on each row alone, so this equals filtering the
-    # whole stack while holding only one row's temporaries.
-    for row in phase.reshape(-1, phase.shape[-1]):
-        _unwrap(row)
-        row[:] = bandpass_array(row, frame_rate_hz, spec)
+def select_best_bin(rows: np.ndarray, bins: range) -> tuple[int, float]:
+    """The range bin of one antenna with the largest pulsation amplitude,
+    and that amplitude.
 
-
-def select_best_bin(phases: np.ndarray, bins: range) -> BinSelection:
-    """Pick the (antenna, bin) with the largest pulsation amplitude.
-
-    ``phases[a, i]`` is the band-passed phase of antenna ``a`` at range
-    bin ``bins[i]``; ``process_radar`` passes one antenna's rows at a
-    time, over the bins of ``searchable_bins``. Peak-to-peak is measured
-    without the ``EDGE_FRACTION`` of samples at each end, so residual
-    filter transients at the record edges cannot inflate it. Ties break
-    toward the lower antenna index, then the lower bin.
+    ``rows[i]`` is the band-passed phase at range bin ``bins[i]``, over
+    the bins of ``searchable_bins``. Peak-to-peak is measured without
+    the ``EDGE_FRACTION`` of samples at each end, so residual filter
+    transients at the record edges cannot inflate it. Ties break toward
+    the lower bin.
     """
-    phases = np.asarray(phases, dtype=np.float64)
-    if phases.ndim != 3 or 0 in phases.shape[:2] or phases.shape[1] != len(bins):
-        raise ValueError("phases must be [antenna][bin][frame] over the given bins")
-    n_frames = phases.shape[2]
+    if rows.ndim != 2 or rows.shape[0] != len(bins):
+        raise ValueError("rows must be [bin][frame] over the given bins")
+    n_frames = rows.shape[1]
     margin = int(EDGE_FRACTION * n_frames)
-    core = phases[:, :, margin : n_frames - margin] if n_frames - 2 * margin >= 2 else phases
-    p2p = core.max(axis=2) - core.min(axis=2)
-    # argmax scans antenna-major, as the tie rule asks
-    antenna, index = np.unravel_index(int(np.argmax(p2p)), p2p.shape)
-    return BinSelection(int(antenna), bins[index], float(p2p[antenna, index]))
+    core = rows[:, margin : n_frames - margin] if n_frames - 2 * margin >= 2 else rows
+    p2p = core.max(axis=1) - core.min(axis=1)
+    index = int(np.argmax(p2p))
+    return bins[index], float(p2p[index])
 
 
 def process_radar(
@@ -275,9 +260,12 @@ def process_radar(
     best = best_row = None
     for antenna in range(cube.n_antennas):
         _antenna_phase(cube, antenna, bins, phase)
-        _filter_cells(phase, cube.frame_rate_hz, spec)
-        pick = select_best_bin(phase[None], bins)
-        if best is None or pick.peak_to_peak > best.peak_to_peak:
-            best = BinSelection(antenna, pick.range_bin, pick.peak_to_peak)
-            best_row = phase[pick.range_bin - bins.start].copy()
+        # one row at a time, in place, so only one row's temporaries are held
+        for row in phase:
+            _unwrap(row)
+            row[:] = bandpass_array(row, cube.frame_rate_hz, spec)
+        range_bin, peak_to_peak = select_best_bin(phase, bins)
+        if best is None or peak_to_peak > best.peak_to_peak:
+            best = BinSelection(antenna, range_bin, peak_to_peak)
+            best_row = phase[range_bin - bins.start].copy()
     return RadarPulseResult(TimeSeries(best_row, cube.frame_rate_hz), best)

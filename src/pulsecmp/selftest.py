@@ -4,10 +4,10 @@ This module is where the criteria are stated: criterion n is
 ``CHECKS[n - 1]``. Each check regenerates synthetic data with known
 truth, runs the real pipeline, and verifies recovery against
 independently computed expectations (closed-form filter gains,
-hand-computed statistics, the generator's ground truth). A check picks
-its own scale from ``quick``: the ``selftest`` verb runs the quick
-scale within a one-minute budget, and ``selftest --full`` and
-``tests/test_acceptance.py`` run the full one.
+hand-computed statistics, the generator's ground truth). There is one
+scale: the ``selftest`` verb runs every check on its full seed set
+within a one-minute budget, and ``tests/test_acceptance.py`` runs that
+verb.
 """
 
 from __future__ import annotations
@@ -152,12 +152,11 @@ def radar_recovery_problems(selected, train, waveform, truth) -> tuple[list[str]
     return problems, float(cosines.mean())
 
 
-def check_radar_recovery(quick: bool = True) -> tuple[list[str], str]:
+def check_radar_recovery() -> tuple[list[str], str]:
     """Criterion 1: 60 s radar at 20 dB selects the true bin, counts every
     beat, and has a mean per-beat cosine of at least ``MIN_MEAN_COSINE``."""
-    seeds = RECOVERY_SEEDS[:3] if quick else RECOVERY_SEEDS
     problems, cos_means = [], []
-    for seed in seeds:
+    for seed in RECOVERY_SEEDS:
         config = PipelineConfig(synth_seed=seed, synth_duration_s=60.0, synth_snr_db=20.0)
         bundle = simulate_bundle(config)
         # the chain the compare and process verbs run, orientation included
@@ -170,14 +169,14 @@ def check_radar_recovery(quick: bool = True) -> tuple[list[str], str]:
     if mean_cos < MIN_MEAN_COSINE:
         problems.append(f"mean per-beat cosine {mean_cos:.5f} < {MIN_MEAN_COSINE}")
     return problems, (
-        f"{len(seeds)} seeds: selection exact, beat counts exact, "
+        f"{len(RECOVERY_SEEDS)} seeds: selection exact, beat counts exact, "
         f"mean per-beat cosine {mean_cos:.5f} >= {MIN_MEAN_COSINE}"
     )
 
 
-def check_phase_scale(quick: bool = True) -> tuple[list[str], str]:
+def check_phase_scale() -> tuple[list[str], str]:
     """Criterion 2: a lambda/8 displacement reads pi/2 rad within 3 %, and
-    lambda/16 to lambda/64 read linearly within 2 %, on each seed (one scale)."""
+    lambda/16 to lambda/64 read linearly within 2 %, on each seed."""
     fs = 200.0
     wavelength = SPEED_OF_LIGHT / CARRIER_HZ
     geometry = CubeGeometry(antennas=1, chirps=4, samples=64, target_antenna=0)
@@ -206,11 +205,11 @@ def check_phase_scale(quick: bool = True) -> tuple[list[str], str]:
     )
 
 
-def check_ibi_fidelity(quick: bool = True) -> tuple[list[str], str]:
+def check_ibi_fidelity() -> tuple[list[str], str]:
     """Criterion 3: on 120 s bundles at 40 dB, radar and PPG feet keep a
     mean |IBI error| within 5 ms of truth, and radar-vs-reference
     agreement has |bias| <= 2 ms and SD <= 8 ms."""
-    seeds = (2,) if quick else (2, 5, 7)
+    seeds = (2, 5, 7)
     problems, ibi_ms, biases, sds = [], [], [], []
     for seed in seeds:
         # 40 dB keeps visible noise on the radar path while the diastolic
@@ -241,8 +240,8 @@ def check_ibi_fidelity(quick: bool = True) -> tuple[list[str], str]:
     )
 
 
-def check_metric_oracles(quick: bool = True) -> tuple[list[str], str]:
-    """Criterion 4: the statistics match hand-computed values (one scale)."""
+def check_metric_oracles() -> tuple[list[str], str]:
+    """Criterion 4: the statistics match hand-computed values."""
     problems = []
     ba = bland_altman(np.array([1000.0, 1010.0, 990.0]), np.array([1005.0, 1000.0, 995.0]))
     sd, loa = math.sqrt(75.0), 2.0 * math.sqrt(75.0)
@@ -263,11 +262,11 @@ def check_metric_oracles(quick: bool = True) -> tuple[list[str], str]:
     return problems, "5 hand-computed oracles match"
 
 
-def check_morphology_ordering(quick: bool = True) -> tuple[list[str], str]:
+def check_morphology_ordering() -> tuple[list[str], str]:
     """Criterion 5: on 60 s bundles, PPG AUC exceeds the reference's, radar
     has at least PPG's extrema count, and radar's cosine to the reference
     exceeds PPG's."""
-    seeds = (1,) if quick else (1, 2, 3)
+    seeds = (1, 2, 3)
     problems, cosines = [], []
     for seed in seeds:
         config = PipelineConfig(synth_seed=seed, synth_duration_s=60.0, synth_snr_db=20.0)
@@ -288,9 +287,9 @@ def check_morphology_ordering(quick: bool = True) -> tuple[list[str], str]:
     )
 
 
-def check_filter_contract(quick: bool = True) -> tuple[list[str], str]:
+def check_filter_contract() -> tuple[list[str], str]:
     """Criterion 6: the band-pass has its analytic gains, passes no DC and
-    shifts no peak by more than a sample (one scale)."""
+    shifts no peak by more than a sample."""
     fs = 200.0
     spec = BandpassSpec()
     t = np.arange(int(60 * fs)) / fs
@@ -345,11 +344,11 @@ def _recordings(bundle) -> dict[str, tuple[np.ndarray, float, float]]:
     return out
 
 
-def check_bundle_roundtrip(quick: bool = True) -> tuple[list[str], str]:
+def check_bundle_roundtrip() -> tuple[list[str], str]:
     """Criterion 7: a 12 s bundle written the way ``simulate`` writes it,
     its radar cube streamed block by block, and read back through
     ``compare``'s bundle path holds the recordings of the in-memory
-    bundle and gives the same report (one scale)."""
+    bundle and gives the same report."""
     import tempfile
 
     from pulsecmp.cli import read_bundle_dir, write_bundle_dir
@@ -389,18 +388,18 @@ CHECKS = (
 )
 
 
-def run_check(check, quick: bool = True) -> CheckResult:
+def run_check(check) -> CheckResult:
     """Run one check, timed. An exception it raises is its failure."""
     name = check.__name__.removeprefix("check_").replace("_", "-")
     start = time.perf_counter()
     try:
-        problems, summary = check(quick)
+        problems, summary = check()
     except Exception as exc:
         problems, summary = [f"raised {type(exc).__name__}: {exc}"], ""
     elapsed_s = time.perf_counter() - start
     return CheckResult(name, not problems, "; ".join(problems) or summary, elapsed_s)
 
 
-def run_selftest(quick: bool = True) -> list[CheckResult]:
-    """Run every check in criterion order, at the quick scale unless ``quick`` is false."""
-    return [run_check(check, quick) for check in CHECKS]
+def run_selftest() -> list[CheckResult]:
+    """Run every check in criterion order."""
+    return [run_check(check) for check in CHECKS]

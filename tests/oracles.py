@@ -23,13 +23,13 @@ from pulsecmp.beats import (
 from pulsecmp.formats import FormatError
 from pulsecmp.metrics import PairwiseComparison, _paired_p, cosine_similarity
 from pulsecmp.radar import (
+    EDGE_FRACTION,
     SPEED_OF_LIGHT,
-    _filter_cells,
+    BinSelection,
     frame_blocks,
     searchable_bins,
-    select_best_bin,
 )
-from pulsecmp.signal_core import FILTER_BLOCK, FILTER_CHUNK, TimeSeries
+from pulsecmp.signal_core import FILTER_BLOCK, FILTER_CHUNK, TimeSeries, bandpass_array
 from pulsecmp.synth import (
     CARRIER_HZ,
     CLUTTER_AMP_RANGE,
@@ -356,14 +356,33 @@ def slow_time_fused_whole(cube, bins):
     return phase
 
 
+def filter_phase_rows(phase, frame_rate_hz, spec=None):
+    """Unwrap (``np.unwrap``) and band-pass every row of the last axis of
+    ``phase`` in place, the radar chain's per-row filter."""
+    for row in phase.reshape(-1, phase.shape[-1]):
+        row[:] = bandpass_array(np.unwrap(row), frame_rate_hz, spec)
+
+
+def select_whole_tensor(phases, bins):
+    """The (antenna, bin) cell of a filtered [antenna][bin][frame] tensor
+    with the largest edge-trimmed peak-to-peak; ``argmax`` scans
+    antenna-major, so ties go to the lower antenna, then the lower bin."""
+    n_frames = phases.shape[2]
+    margin = int(EDGE_FRACTION * n_frames)
+    core = phases[:, :, margin : n_frames - margin] if n_frames - 2 * margin >= 2 else phases
+    p2p = core.max(axis=2) - core.min(axis=2)
+    antenna, index = np.unravel_index(int(np.argmax(p2p)), p2p.shape)
+    return BinSelection(int(antenna), bins[index], float(p2p[antenna, index]))
+
+
 def process_radar_whole_tensor(cube, spec=None, max_bins=0):
     """``radar.process_radar`` over the whole [antenna][bin][frame] phase
-    tensor: every row filtered, then one ``select_best_bin`` over all of
-    them. Returns ``(waveform samples, selection)``."""
+    tensor: every row filtered, then one antenna-major selection over all
+    of them. Returns ``(waveform samples, selection)``."""
     bins = searchable_bins(cube.n_samples, max_bins)
     phases = slow_time_fused_whole(cube, bins)
-    _filter_cells(phases, cube.frame_rate_hz, spec)
-    selection = select_best_bin(phases, bins)
+    filter_phase_rows(phases, cube.frame_rate_hz, spec)
+    selection = select_whole_tensor(phases, bins)
     return phases[selection.antenna_index, selection.range_bin - bins.start], selection
 
 
@@ -387,8 +406,8 @@ def compare_copied_tables(ref, test):
 
 
 # Test-only views of production code. Each calls what the pipeline
-# itself runs (`_filter_cells`, `polarity_inverted`,
-# `generate_waveform`), so tests written against it exercise that code.
+# itself runs (`polarity_inverted`, `generate_waveform`), so tests
+# written against it exercise that code.
 
 
 def phase_per_bin(slow_time, frame_rate_hz, spec=None):
@@ -396,8 +415,8 @@ def phase_per_bin(slow_time, frame_rate_hz, spec=None):
 
     ``slow_time`` is the complex tensor [frame][antenna][bin] of
     chirp-averaged range bins; the result is the real tensor
-    [antenna][bin][frame], filtered by the radar chain's own
-    ``_filter_cells`` (``spec`` defaults to the shared band-pass).
+    [antenna][bin][frame], filtered row by row as the radar chain
+    filters (``spec`` defaults to the shared band-pass).
     """
     slow_time = np.asarray(slow_time)
     if slow_time.ndim != 3:
@@ -405,7 +424,7 @@ def phase_per_bin(slow_time, frame_rate_hz, spec=None):
     if slow_time.shape[0] < 3.0 * frame_rate_hz:
         raise ValueError("recording too short")
     phase = np.ascontiguousarray(np.angle(slow_time).transpose(1, 2, 0))
-    _filter_cells(phase, frame_rate_hz, spec)
+    filter_phase_rows(phase, frame_rate_hz, spec)
     return phase
 
 

@@ -1,20 +1,24 @@
-"""Acceptance gate: each criterion's check at full scale, each printing a PASS line.
+"""Acceptance gate: one ``pulsecmp selftest`` run, one PASS line per criterion.
 
 The criteria are stated in ``pulsecmp.selftest``, one check each
-(criterion n is ``CHECKS[n - 1]``); this file runs those checks and
-adds only what belongs to a test suite: criterion 1's first seed
-through the CLI files, and the runtime limits of criteria 1 and 7.
+(criterion n is ``CHECKS[n - 1]``). This file runs the ``selftest``
+verb once, in a fresh interpreter where scipy cannot be imported and a
+warning from pulsecmp is an error, and each criterion's test asserts
+its check's ``[PASS]`` line. It adds only what belongs to a test suite:
+criterion 1's first seed through the CLI files, criterion 1's 30 s
+bound, and criterion 7's exit code, line count and 60 s wall time.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-
 criterion summary lines.
 """
 
 import json
-import math
+import re
 import subprocess
 import sys
 import time
 
 import numpy as np
+import pytest
 
 from pulsecmp.cli import main as cli_main
 from pulsecmp.config import PipelineConfig
@@ -27,32 +31,58 @@ from pulsecmp.selftest import (
     analytic_zero_phase_gain,
     measure_tone_amplitude,
     radar_recovery_problems,
-    run_check,
 )
 from pulsecmp.signal_core import BandpassSpec
 
 from oracles import read_ground_truth, tone_amplitude, zero_phase_gain
+
+SELFTEST = (
+    "import sys, warnings\n"
+    "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+    "warnings.filterwarnings('error', module='pulsecmp')\n"
+    "from pulsecmp import cli\n"
+    "sys.exit(cli.main(['selftest']))\n"
+)
+
+
+@pytest.fixture(scope="module")
+def selftest_run() -> tuple[subprocess.CompletedProcess, float]:
+    """The ``selftest`` verb, run once for the whole file: its process and wall time."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", SELFTEST], capture_output=True, text=True, timeout=120
+    )
+    return proc, time.perf_counter() - start
+
+
+def result_lines(proc: subprocess.CompletedProcess) -> list[str]:
+    return [line for line in proc.stdout.splitlines() if line.startswith(("[PASS]", "[FAIL]"))]
 
 
 def report(line: str) -> None:
     print(f"\n[acceptance] {line}")
 
 
-def run_criterion(number: int, limit_s: float = math.inf) -> None:
-    """Run criterion ``number``'s check at full scale; it must pass within ``limit_s``."""
-    result = run_check(CHECKS[number - 1], quick=False)
-    assert result.passed, f"criterion {number} ({result.name}): {result.detail}"
-    assert result.elapsed_s <= limit_s, f"runtime {result.elapsed_s:.1f} s > {limit_s} s"
-    report(f"criterion {number} PASS ({result.elapsed_s:.1f} s): {result.detail}")
+def assert_criterion(selftest_run, number: int) -> float:
+    """Criterion ``number``'s result line must be its check's PASS; returns
+    the seconds that line reports."""
+    proc, _ = selftest_run
+    lines = result_lines(proc)
+    name = CHECKS[number - 1].__name__.removeprefix("check_").replace("_", "-")
+    assert len(lines) >= number and lines[number - 1].startswith(f"[PASS] {name}: "), (
+        proc.stdout + proc.stderr
+    )
+    report(f"criterion {number} {lines[number - 1]}")
+    return float(re.search(r"\((\d+\.\d)s\)$", lines[number - 1]).group(1))
 
 
-def test_criterion_1_end_to_end_radar_recovery(tmp_path):
-    """The ten seeds in memory within 30 s, then the first seed again
-    through the CLI files: ``simulate`` writes its bundle, ``process
-    radar`` reads the cube back, and the selection it writes, with the
-    chain run on the cube file, recovers the truth regenerated from
-    ``truth.json``."""
-    run_criterion(1, limit_s=30.0)
+def test_criterion_1_end_to_end_radar_recovery(selftest_run, tmp_path):
+    """The ten seeds within 30 s, then the first seed again through the
+    CLI files: ``simulate`` writes its bundle, ``process radar`` reads
+    the cube back, and the selection it writes, with the chain run on
+    the cube file, recovers the truth regenerated from ``truth.json``."""
+    elapsed_s = assert_criterion(selftest_run, 1)
+    assert elapsed_s <= 30.0, f"runtime {elapsed_s:.1f} s > 30 s"
     seed = RECOVERY_SEEDS[0]
     bundle_dir, out_dir = tmp_path / "bundle", tmp_path / "out"
     cube = str(bundle_dir / "radar.radc")
@@ -69,41 +99,34 @@ def test_criterion_1_end_to_end_radar_recovery(tmp_path):
     report(f"criterion 1 PASS through the CLI files: seed {seed}, per-beat cosine {cos_mean:.5f}")
 
 
-def test_criterion_2_phase_scale_physics():
-    run_criterion(2)
+def test_criterion_2_phase_scale_physics(selftest_run):
+    assert_criterion(selftest_run, 2)
 
 
-def test_criterion_3_ibi_fidelity():
-    run_criterion(3)
+def test_criterion_3_ibi_fidelity(selftest_run):
+    assert_criterion(selftest_run, 3)
 
 
-def test_criterion_4_metric_oracles():
-    run_criterion(4)
+def test_criterion_4_metric_oracles(selftest_run):
+    assert_criterion(selftest_run, 4)
 
 
-def test_criterion_5_morphology_ordering():
-    run_criterion(5)
+def test_criterion_5_morphology_ordering(selftest_run):
+    assert_criterion(selftest_run, 5)
 
 
-def test_criterion_6_filter_contract():
-    run_criterion(6)
+def test_criterion_6_filter_contract(selftest_run):
+    assert_criterion(selftest_run, 6)
 
 
-def test_criterion_7_invariants_roundtrips_selftest():
-    """The bundle round trip, then the quick ``selftest`` verb within 60 s."""
-    run_criterion(7)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pulsecmp.cli", "selftest"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    elapsed = time.perf_counter() - start
+def test_criterion_7_invariants_roundtrips_selftest(selftest_run):
+    """The bundle round trip, and the verb: exit 0, one line per check, within 60 s."""
+    assert_criterion(selftest_run, 7)
+    proc, wall_s = selftest_run
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert elapsed <= 60.0, f"selftest took {elapsed:.1f} s"
-    n_pass = proc.stdout.count("[PASS]")
-    report(f"criterion 7 PASS: selftest {n_pass} checks green in {elapsed:.1f} s <= 60 s")
+    assert len(result_lines(proc)) == len(CHECKS) == 7, proc.stdout
+    assert wall_s <= 60.0, f"selftest took {wall_s:.1f} s"
+    report(f"criterion 7 PASS: selftest 7 checks green in {wall_s:.1f} s <= 60 s")
 
 
 def test_check_oracles_equal_the_test_oracles():

@@ -648,14 +648,14 @@ class TestSelftest:
     def test_raising_and_failing_checks_exit_2(self, monkeypatch, capsys):
         from pulsecmp import selftest
 
-        def check_passes(quick):
+        def check_passes():
             return [], "fine"
 
-        def check_raises(quick):
+        def check_raises():
             # the type that names an input error when a verb raises it
             raise ValueError("recording too short")
 
-        def check_fails(quick):
+        def check_fails():
             return ["off by one"], ""
 
         checks = [check_passes] * len(selftest.CHECKS)
@@ -698,16 +698,16 @@ class TestNumpyOnlyRuntime:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "report.json").exists()
 
-    def test_simulate_compare_selftest_with_scipy_blocked(self, tmp_path):
+    def test_simulate_compare_with_scipy_blocked(self, tmp_path):
+        # selftest runs without scipy in test_acceptance's one selftest run
         bundle, report = str(tmp_path / "bundle"), str(tmp_path / "report")
         code = (
             "import sys\n"
             "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
             "from pulsecmp import cli\n"
             f"codes = [cli.main(['simulate', '-o', {bundle!r}, *{SIM_ARGS!r}]),\n"
-            f"         cli.main(['compare', '--bundle', {bundle!r}, '-o', {report!r}]),\n"
-            "         cli.main(['selftest'])]\n"
-            "sys.exit(0 if codes == [0, 0, 0] else f'exit codes {codes}')"
+            f"         cli.main(['compare', '--bundle', {bundle!r}, '-o', {report!r}])]\n"
+            "sys.exit(0 if codes == [0, 0] else f'exit codes {codes}')"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr

@@ -192,24 +192,25 @@ class TestSearchableBins:
 class TestSelectBestBin:
     def test_single_candidate(self):
         # rows are bins 1, 2, 3: the second row is bin 2
-        phases = np.zeros((1, 3, 1000))
-        phases[0, 1] = np.sin(np.linspace(0, 20 * np.pi, 1000))
-        sel = select_best_bin(phases, range(1, 4))
-        assert (sel.antenna_index, sel.range_bin) == (0, 2)
-        assert sel.peak_to_peak > 1.9
+        rows = np.zeros((3, 1000))
+        rows[1] = np.sin(np.linspace(0, 20 * np.pi, 1000))
+        range_bin, peak_to_peak = select_best_bin(rows, range(1, 4))
+        assert range_bin == 2
+        assert peak_to_peak > 1.9
 
     def test_tie_breaks_to_lower_indices(self):
-        phases = np.zeros((3, 7, 1000))
+        # the lower bin within an antenna; between antennas, process_radar
+        # keeps the lower one (TestOneAntennaAtATime's tie-to-antenna-0)
+        rows = np.zeros((7, 1000))
         wave = np.sin(np.linspace(0, 20 * np.pi, 1000))
-        phases[0, 2] = wave  # bin 3
-        phases[0, 5] = wave  # bin 6, same antenna
-        phases[2, 0] = wave  # bin 1, a higher antenna
-        sel = select_best_bin(phases, range(1, 8))
-        assert (sel.antenna_index, sel.range_bin) == (0, 3)
+        rows[2] = wave  # bin 3
+        rows[5] = wave  # bin 6
+        assert select_best_bin(rows, range(1, 8))[0] == 3
 
     def test_phases_must_match_bins(self):
-        with pytest.raises(ValueError, match="over the given bins"):
-            select_best_bin(np.zeros((1, 3, 100)), range(1, 3))
+        for rows in (np.zeros((3, 100)), np.zeros((1, 2, 100))):
+            with pytest.raises(ValueError, match="over the given bins"):
+                select_best_bin(rows, range(1, 3))
 
     def test_degenerate_bins_excluded(self):
         # a pulsating DC offset and a sign-flipping Nyquist tone would
@@ -377,13 +378,8 @@ class TestProcessRadar:
             scale = float(rng.uniform(0.01, 100.0))
             scaled = RadarCube(cube.data * scale, cube.frame_rate_hz,
                                cube.fast_time_rate_hz, cube.carrier_hz)
-            slow_a = extract_slow_time(chirp_mean_removal(cube.data))
-            slow_b = extract_slow_time(chirp_mean_removal(scaled.data))
-            pa = phase_per_bin(slow_a, cube.frame_rate_hz)
-            pb = phase_per_bin(slow_b, cube.frame_rate_hz)
-            bins = radar.searchable_bins(geom.samples)
-            sel_a = select_best_bin(pa[:, bins.start : bins.stop], bins)
-            sel_b = select_best_bin(pb[:, bins.start : bins.stop], bins)
+            sel_a = process_radar(cube).selection
+            sel_b = process_radar(scaled).selection
             assert (sel_a.antenna_index, sel_a.range_bin) == (sel_b.antenna_index, sel_b.range_bin)
 
     def test_frame_reversal_reverses_phase_pipeline(self):

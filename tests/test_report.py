@@ -247,7 +247,8 @@ class TestBeatTable:
             assert np.all(table.shapes.min(axis=1) == 0.0)
             assert np.all(table.shapes.max(axis=1) == 1.0)
             assert np.all(np.diff(table.feet) > 0)
-            assert table.feet[-1] < summary.train.n_beats
+            # foot-to-foot beats: one fewer than the feet
+            assert table.feet[-1] < summary.train.diastolic_indices.size - 1
 
     def test_paired_rows_match_the_aligned_feet(self, default_bundle):
         config, bundle = default_bundle
