@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import sys
 import traceback
@@ -24,33 +25,51 @@ if "numpy" not in sys.modules and not any(
 ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np  # noqa: E402
+# No cyclic collections while numpy and the pipeline load: the modules
+# they create live for the whole process, so a pass over them would
+# find next to nothing to free. The importer's GC state is restored
+# after.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    import numpy as np
 
-from pulsecmp.beats import IbiSeries, extract_ibi  # noqa: E402
-from pulsecmp.config import PipelineConfig, load_config  # noqa: E402
-from pulsecmp.formats import (  # noqa: E402
-    FormatError,
-    REFERENCE_COLUMN,
-    canonical_json,
-    read_ppg_csv,
-    read_radar_cube,
-    read_series_csv,
-    write_ground_truth,
-    write_ppg_csv,
-    write_radar_cube,
-    write_series_csv,
-    write_table,
-    write_text_atomic,
-)
-from pulsecmp.report import (  # noqa: E402
-    MODALITIES,
-    AgreementReport,
-    RecordingBundle,
-    condition_modality,
-    model_from_config,
-    run_compare,
-    simulate_stream,
-)
+    from pulsecmp.beats import IbiSeries, extract_ibi
+    from pulsecmp.config import PipelineConfig, load_config
+    from pulsecmp.formats import (
+        FormatError,
+        REFERENCE_COLUMN,
+        canonical_json,
+        read_ppg_csv,
+        read_radar_cube,
+        read_series_csv,
+        write_ground_truth,
+        write_ppg_csv,
+        write_radar_cube,
+        write_series_csv,
+        write_table,
+        write_text_atomic,
+    )
+    from pulsecmp.report import (
+        MODALITIES,
+        AgreementReport,
+        RecordingBundle,
+        condition_modality,
+        model_from_config,
+        run_compare,
+        simulate_stream,
+    )
+finally:
+    # freeze + unfreeze moves every tracked object into the oldest
+    # generation without a scan, so the first collection after enabling
+    # does not walk all that the imports made. Not when the importer
+    # froze objects of its own: unfreeze would thaw them.
+    if not gc.get_freeze_count():
+        gc.freeze()
+        gc.unfreeze()
+    if _gc_was_enabled:
+        gc.enable()
+    del _gc_was_enabled
 
 TRUTH_FILE = "truth.json"
 
@@ -363,5 +382,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """Entry point of a ``pulsecmp`` process: :func:`main` on ``sys.argv``.
+
+    What the verb leaves is frozen out of the cyclic GC before the
+    process exits, so interpreter shutdown does not walk every object
+    once more; atexit hooks, flushes and reference-count frees still
+    run. Only for a process that exits right after: an in-process
+    caller of :func:`main` keeps a collector that sees everything.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -194,16 +194,20 @@ def _unwrap(row: np.ndarray) -> None:
 
     Only a step of at least pi is corrected, so ``np.mod`` runs on those
     steps alone. A positive step that wraps to -pi is kept at +pi, as
-    numpy keeps it.
+    numpy keeps it. The steps' buffer then holds the corrections and
+    their running sum, so the only full-length temporary is one row.
     """
     step = np.diff(row)
-    jumps = np.flatnonzero(np.abs(step) >= np.pi)
+    # |step| >= pi without a float temporary; false for NaN either way
+    wraps = step >= np.pi
+    wraps |= step <= -np.pi
+    jumps = np.flatnonzero(wraps)
     jump = step[jumps]
     wrapped = np.mod(jump + np.pi, 2.0 * np.pi) - np.pi
     wrapped[(wrapped == -np.pi) & (jump > 0)] = np.pi
-    correction = np.zeros_like(step)
-    correction[jumps] = wrapped - jump
-    row[1:] += np.cumsum(correction, out=correction)
+    step.fill(0.0)
+    step[jumps] = wrapped - jump
+    row[1:] += np.cumsum(step, out=step)
 
 
 def select_best_bin(rows: np.ndarray, bins: range) -> tuple[int, float]:

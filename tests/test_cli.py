@@ -726,7 +726,8 @@ def run_fresh(args, **env):
 
 
 class TestColdStart:
-    """A CLI process starts without a BLAS thread pool or the synthesizer."""
+    """A CLI process starts without a BLAS thread pool or the synthesizer,
+    and spends no cyclic-GC passes on its imports or its shutdown."""
 
     def test_cli_process_runs_one_thread(self, bundle_dir, tmp_path):
         if not os.path.isdir("/proc/self/task"):
@@ -792,3 +793,69 @@ class TestColdStart:
         ])
         assert result.returncode == 0, result.stderr
         assert "multi-threaded" not in result.stderr
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_import_leaves_gc_state(self, enabled, frozen):
+        code = (
+            "import gc\n"
+            f"gc.enable() if {enabled} else gc.disable()\n"
+            f"gc.freeze() if {frozen} else None\n"
+            "frozen = gc.get_freeze_count()\n"
+            "import pulsecmp.cli\n"
+            f"assert gc.isenabled() is {enabled}\n"
+            "assert gc.get_freeze_count() == frozen"
+        )
+        result = run_fresh(["-c", code])
+        assert result.returncode == 0, result.stderr
+
+    def test_in_process_main_freezes_nothing(self, bundle_dir, tmp_path):
+        code = (
+            "import gc\n"
+            "from pulsecmp import cli\n"
+            f"assert cli.main(['compare', '--bundle', {str(bundle_dir)!r}, '-o', {str(tmp_path)!r}]) == 0\n"
+            "assert gc.get_freeze_count() == 0 and gc.isenabled()"
+        )
+        result = run_fresh(["-c", code])
+        assert result.returncode == 0, result.stderr
+
+    def test_process_entry_freezes_before_exit(self, bundle_dir, tmp_path):
+        # runpy is what `python -m pulsecmp.cli` runs
+        code = (
+            "import gc, runpy, sys\n"
+            f"sys.argv = ['pulsecmp', 'compare', '--bundle', {str(bundle_dir)!r}, '-o', {str(tmp_path)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('pulsecmp.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "assert gc.get_freeze_count() > 0"
+        )
+        result = run_fresh(["-c", code])
+        assert result.returncode == 0, result.stderr
+
+    def test_process_writes_in_process_bytes(self, bundle_dir, tmp_path, capsys):
+        result = run_fresh(["-m", "pulsecmp.cli", "compare", "--bundle", str(bundle_dir),
+                            "-o", str(tmp_path / "p")])
+        assert result.returncode == 0, result.stderr
+        assert main(["compare", "--bundle", str(bundle_dir), "-o", str(tmp_path / "m")]) == 0
+        reports = [(tmp_path / d / "report.json").read_bytes() for d in ("p", "m")]
+        assert reports[0] == reports[1]
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "ppg.csv").write_bytes(b"\x00\x01 not a csv\n")
+        capsys.readouterr()
+        result = run_fresh(["-m", "pulsecmp.cli", "compare", "--bundle", str(bad),
+                            "-o", str(tmp_path / "pb")])
+        assert main(["compare", "--bundle", str(bad), "-o", str(tmp_path / "mb")]) == 1
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert result.stderr == capsys.readouterr().err
+
+    def test_console_script_is_the_module_entry(self):
+        # `pulsecmp` and `python -m pulsecmp.cli` run the same function
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as f:
+            scripts = f.read().split("[project.scripts]\n", 1)[1]
+        assert scripts.splitlines()[0] == 'pulsecmp = "pulsecmp.cli:run"'
+        with open(cli.__file__) as f:
+            assert f.read().endswith('if __name__ == "__main__":\n    sys.exit(run())\n')

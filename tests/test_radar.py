@@ -171,6 +171,18 @@ class TestUnwrap:
         radar._unwrap(row)
         assert np.array_equal(row.view(np.int64), expected.view(np.int64))
 
+    def test_traced_peak_is_one_row(self):
+        # a 1200 s row at 200 Hz that wraps 20 times: the steps' buffer
+        # and two boolean masks, not three float64 temporaries
+        row = np.angle(np.exp(1j * np.linspace(0.0, 40.0 * np.pi, 240_000)))
+        tracemalloc.start()
+        try:
+            radar._unwrap(row)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * row.nbytes
+
 
 class TestSearchableBins:
     @pytest.mark.parametrize("max_bins", [0, 1, 2, 4, -3])
