@@ -34,10 +34,9 @@ gc.disable()
 try:
     import numpy as np
 
-    from pulsecmp.beats import IbiSeries, extract_ibi
+    from pulsecmp.beats import extract_ibi
     from pulsecmp.config import PipelineConfig, load_config
     from pulsecmp.formats import (
-        FormatError,
         REFERENCE_COLUMN,
         canonical_json,
         read_ppg_csv,
@@ -74,8 +73,9 @@ finally:
 TRUTH_FILE = "truth.json"
 
 
-def _apply_overrides(config: PipelineConfig, pairs: list[str] | None) -> PipelineConfig:
-    for item in pairs or []:
+def _load_cli_config(args) -> PipelineConfig:
+    config = load_config(getattr(args, "config", None))
+    for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
@@ -83,15 +83,22 @@ def _apply_overrides(config: PipelineConfig, pairs: list[str] | None) -> Pipelin
     return config
 
 
-def _load_cli_config(args) -> PipelineConfig:
-    config = load_config(getattr(args, "config", None))
-    return _apply_overrides(config, getattr(args, "set", None))
-
-
 def write_bundle_dir(bundle: RecordingBundle, config: PipelineConfig, directory: str) -> None:
+    """Write each present modality as :func:`load_modality` reads it, and any truth sidecar."""
     os.makedirs(directory, exist_ok=True)
     for name in bundle.present_modalities():
-        save_modality(name, getattr(bundle, name), os.path.join(directory, MODALITIES[name]))
+        recording, path = getattr(bundle, name), os.path.join(directory, MODALITIES[name])
+        if name == "radar":
+            write_radar_cube(recording, path)
+        elif name == "ppg":
+            write_ppg_csv(recording, path)
+        else:
+            write_series_csv(
+                path,
+                {REFERENCE_COLUMN: recording.samples},
+                recording.sample_rate_hz,
+                recording.start_time_s,
+            )
     if bundle.truth is not None:
         write_ground_truth(
             bundle.truth,
@@ -112,21 +119,6 @@ def load_modality(name: str, path: str, column: str = REFERENCE_COLUMN):
     return read_series_csv(path, column)
 
 
-def save_modality(name: str, recording, path: str) -> None:
-    """Write one modality's recording so that :func:`load_modality` reads it back."""
-    if name == "radar":
-        write_radar_cube(recording, path)
-    elif name == "ppg":
-        write_ppg_csv(recording, path)
-    else:
-        write_series_csv(
-            path,
-            {REFERENCE_COLUMN: recording.samples},
-            recording.sample_rate_hz,
-            recording.start_time_s,
-        )
-
-
 def read_bundle_dir(directory: str, subject_id: str | None = None) -> RecordingBundle:
     """Load every modality file present in a bundle directory.
 
@@ -143,18 +135,18 @@ def read_bundle_dir(directory: str, subject_id: str | None = None) -> RecordingB
     )
 
 
-def _write_ibi(path: str, ibi: IbiSeries) -> None:
-    write_table(path, {"anchor_time_s": ibi.anchor_times_s, "interval_ms": ibi.intervals_ms})
-
-
 def _write_report_files(report: AgreementReport, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     write_text_atomic(
         os.path.join(directory, "report.json"), canonical_json(report.to_dict()) + "\n"
     )
     for name, modality in sorted(report.modalities.items()):
-        if modality.ibi is not None and len(modality.ibi):
-            _write_ibi(os.path.join(directory, f"ibi_{name}.csv"), modality.ibi)
+        ibi = modality.ibi
+        if len(ibi):
+            write_table(
+                os.path.join(directory, f"ibi_{name}.csv"),
+                {"anchor_time_s": ibi.anchor_times_s, "interval_ms": ibi.intervals_ms},
+            )
         if modality.average_beat is not None:
             beat = modality.average_beat
             positions = np.linspace(0.0, 1.0, beat.mean.size)
@@ -221,7 +213,10 @@ def cmd_process(args) -> int:
             "value": waveform.samples[indices],
         },
     )
-    _write_ibi(os.path.join(args.out, "ibi.csv"), ibi)
+    write_table(
+        os.path.join(args.out, "ibi.csv"),
+        {"anchor_time_s": ibi.anchor_times_s, "interval_ms": ibi.intervals_ms},
+    )
     meta["n_systolic"] = int(train.systolic_indices.size)
     meta["n_diastolic"] = int(train.diastolic_indices.size)
     meta["n_ibi"] = len(ibi)
@@ -234,7 +229,7 @@ def _compare_subject(bundle_dir: str, out_dir: str, config: PipelineConfig) -> s
     """Compare one subject of a batch; the input-error message if it fails."""
     try:
         _write_report_files(run_compare(read_bundle_dir(bundle_dir), config), out_dir)
-    except (FormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return str(exc)
     return None
 
@@ -249,6 +244,8 @@ def cmd_compare(args) -> int:
         )
     if args.jobs is not None and not args.bundle_root:
         raise ValueError("--jobs applies to --bundle-root only")
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.subject is not None and args.bundle_root:
         raise ValueError(
             "--subject does not apply to --bundle-root: subjects take their directory names"
@@ -263,7 +260,7 @@ def cmd_compare(args) -> int:
         if not subjects:
             raise ValueError(f"no subject directories under {args.bundle_root}")
         # the fork context starts all max_workers processes at once
-        jobs = max(1, min(args.jobs or 1, len(subjects)))
+        jobs = min(args.jobs or 1, len(subjects))
         tasks = [
             (os.path.join(args.bundle_root, s), os.path.join(args.out, s), config)
             for s in subjects
@@ -374,7 +371,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # a FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

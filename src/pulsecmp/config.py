@@ -74,10 +74,6 @@ class PipelineConfig:
         """Dotted-key view of every parameter (for the report echo)."""
         return {key: getattr(self, attr) for key, attr in sorted(_KEYMAP.items())}
 
-    @property
-    def snr_db_or_none(self) -> float | None:
-        return None if self.synth_snr_db < 0 else self.synth_snr_db
-
 
 # Dotted key -> field name: field ``section_name`` is key ``section.name``.
 _KEYMAP = {f.name.replace("_", ".", 1): f.name for f in fields(PipelineConfig)}

@@ -18,9 +18,9 @@ Radar cube container (all fields little-endian):
 Payload values are stored as 32-bit floats. The writer writes the
 payload one frame block at a time, so a synthetic cube streamed to it
 is never held whole. The reader maps the payload read-only as a float32
-array instead of copying it, and the radar chain reduces it block by
-block over frames, so its memory is one float64 phase per (antenna,
-bin, frame) plus one frame block, not the cube.
+array instead of copying it. The radar chain reduces it one antenna at
+a time, block by block over frames, and holds one antenna's float64
+phase rows, the best row kept so far and one frame block, not the cube.
 
 Every CSV is written by ``write_table`` (header row of column names,
 values in their shortest round-trip digits, so ``0.005`` and not

@@ -80,9 +80,7 @@ class MorphologyMetrics:
 class PairwiseComparison:
     """Shape-metric comparison between a reference and a test modality.
 
-    ``mean_diff_inflections`` is reference minus test;
-    ``mean_diff_auc`` is test minus reference. Reports emit both sign
-    conventions explicitly labeled.
+    Both mean differences are test minus reference.
     """
 
     mean_diff_inflections: float
@@ -262,20 +260,11 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def student_t_two_sided_p(t: float, dof: int) -> float:
-    """Two-sided tail probability of Student's t distribution."""
-    if dof < 1:
-        raise ValueError("degrees of freedom must be positive")
-    if t == 0.0:
-        return 1.0
-    x = dof / (dof + t * t)
-    return regularized_incomplete_beta(dof / 2.0, 0.5, x)
-
-
 def paired_t_test(diffs: np.ndarray) -> tuple[float, float]:
     """Two-sided paired t-test on per-pair differences.
 
-    Returns ``(t, p)`` with ``t = mean / (sd / sqrt(n))``. All-zero
+    Returns ``(t, p)`` with ``t = mean / (sd / sqrt(n))`` and ``p`` its
+    two-sided Student's t tail on ``n - 1`` degrees of freedom. All-zero
     differences give ``(0.0, 1.0)`` by convention; identical nonzero
     differences have no spread and raise "zero variance".
     """
@@ -288,7 +277,8 @@ def paired_t_test(diffs: np.ndarray) -> tuple[float, float]:
     if sd == 0.0:
         raise ValueError("zero variance")
     t = float(diffs.mean()) / (sd / math.sqrt(diffs.size))
-    return t, student_t_two_sided_p(t, diffs.size - 1)
+    dof = diffs.size - 1
+    return t, regularized_incomplete_beta(dof / 2.0, 0.5, dof / (dof + t * t))
 
 
 def _paired_p(diffs: np.ndarray) -> float:
@@ -310,15 +300,15 @@ def compare_modalities(
     Per pair: extrema counts, AUC, and cosine similarity on the
     normalized beats, whose rows are gathered ``PAIR_BLOCK_ROWS`` pairs
     at a time, so no table is copied whole; a row's cosine is the value
-    it gives alone. Mean differences follow the conventions noted on
-    :class:`PairwiseComparison`; p-values come from the paired t-test
-    (see ``_paired_p`` for the degenerate-spread conventions).
+    it gives alone. Mean differences are test minus reference; p-values
+    come from the paired t-test (see ``_paired_p`` for the
+    degenerate-spread conventions).
     """
     if len(ref_rows) != len(test_rows):
         raise ValueError("beat tables must be paired")
     if len(ref_rows) < 2:
         raise ValueError("need at least two beat pairs")
-    diff_infl = ref.extrema[ref_rows] - test.extrema[test_rows]
+    diff_infl = test.extrema[test_rows] - ref.extrema[ref_rows]
     diff_auc = test.auc[test_rows] - ref.auc[ref_rows]
     cos = np.empty(len(ref_rows))
     for k in range(0, cos.size, PAIR_BLOCK_ROWS):

@@ -34,21 +34,11 @@ class PpgRecording:
         if len(bases) != 1:
             raise ValueError("all channels must share one sample rate, start time and length")
 
-    def channel_names(self) -> list[str]:
-        return sorted(self.channels)
-
     def channel(self, name: str = "") -> TimeSeries:
-        """The named channel; an empty name selects :func:`default_channel`."""
-        name = name or default_channel(self)
+        """The named channel. An empty name selects ``green_0`` when
+        present, else the alphabetically first channel."""
+        name = name or (DEFAULT_CHANNEL if DEFAULT_CHANNEL in self.channels else min(self.channels))
         if name not in self.channels:
-            raise ValueError(
-                f"channel {name!r} not found; available: {', '.join(self.channel_names())}"
-            )
+            available = ", ".join(sorted(self.channels))
+            raise ValueError(f"channel {name!r} not found; available: {available}")
         return self.channels[name]
-
-
-def default_channel(rec: PpgRecording) -> str:
-    """``green_0`` when present, else the alphabetically first channel."""
-    if DEFAULT_CHANNEL in rec.channels:
-        return DEFAULT_CHANNEL
-    return rec.channel_names()[0]

@@ -52,7 +52,7 @@ from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass,
 # synthesis is imported in the functions that use it: compare and
 # process never load it
 if TYPE_CHECKING:
-    from pulsecmp.synth import CubeGeometry, PulseModel, RadarStream, SynthGroundTruth
+    from pulsecmp.synth import PulseModel, RadarStream, SynthGroundTruth
 
 MIN_BEATS = 2
 
@@ -92,8 +92,8 @@ class ModalitySummary:
 
     name: str
     status: str
-    train: PeakTrain | None = None
-    ibi: IbiSeries | None = None
+    train: PeakTrain
+    ibi: IbiSeries
     beats: BeatTable | None = None
     morphology: MorphologyMetrics | None = None
     average_beat: AverageBeat | None = None
@@ -142,10 +142,10 @@ class AgreementReport:
             m = self.modalities[name]
             entry: dict = {
                 "status": m.status,
-                "n_systolic": int(m.train.systolic_indices.size) if m.train else 0,
-                "n_diastolic": int(m.train.diastolic_indices.size) if m.train else 0,
+                "n_systolic": int(m.train.systolic_indices.size),
+                "n_diastolic": int(m.train.diastolic_indices.size),
                 "n_beats": m.n_beats,
-                "n_ibi": len(m.ibi) if m.ibi is not None else 0,
+                "n_ibi": len(m.ibi),
             }
             if m.morphology is not None:
                 entry["morphology"] = asdict(m.morphology)
@@ -174,8 +174,8 @@ class AgreementReport:
             if p.comparison is not None:
                 c = p.comparison
                 entry["morphology_comparison"] = {
-                    "inflections_mean_diff_ref_minus_test": c.mean_diff_inflections,
-                    "inflections_mean_diff_test_minus_ref": -c.mean_diff_inflections,
+                    "inflections_mean_diff_ref_minus_test": -c.mean_diff_inflections,
+                    "inflections_mean_diff_test_minus_ref": c.mean_diff_inflections,
                     "p_inflections": c.p_inflections,
                     "auc_mean_diff_test_minus_ref": c.mean_diff_auc,
                     "auc_mean_diff_ref_minus_test": -c.mean_diff_auc,
@@ -193,18 +193,6 @@ def model_from_config(config: PipelineConfig) -> PulseModel:
     return PulseModel(hr_mean_bpm=config.synth_hr_bpm, ibi_sd_ms=config.synth_ibi_sd_ms)
 
 
-def geometry_from_config(config: PipelineConfig) -> CubeGeometry:
-    from pulsecmp.synth import CubeGeometry
-
-    return CubeGeometry(
-        antennas=config.synth_antennas,
-        chirps=config.synth_chirps,
-        samples=config.synth_samples,
-        target_antenna=config.synth_target_antenna,
-        target_range_bin=config.synth_target_bin,
-    )
-
-
 def simulate_stream(config: PipelineConfig, subject_id: str = "synthetic") -> RecordingBundle:
     """Generate radar, PPG, and reference recordings from one truth waveform.
 
@@ -212,21 +200,33 @@ def simulate_stream(config: PipelineConfig, subject_id: str = "synthetic") -> Re
     ``write_radar_cube`` writes it, so the bundle is for writing once
     (``simulate`` does). The arguments are checked before it returns.
     """
-    from pulsecmp.synth import generate_waveform, synth_ppg, synth_radar_stream, synth_reference
+    from pulsecmp.synth import (
+        CubeGeometry,
+        generate_waveform,
+        synth_ppg,
+        synth_radar_stream,
+        synth_reference,
+    )
 
     model = model_from_config(config)
     waveform, truth = generate_waveform(
         model, config.synth_duration_s, config.synth_fs_hz, config.synth_seed
     )
     displacement = waveform.with_samples(waveform.samples * config.synth_displacement_m)
-    geometry = geometry_from_config(config)
+    geometry = CubeGeometry(
+        antennas=config.synth_antennas,
+        chirps=config.synth_chirps,
+        samples=config.synth_samples,
+        target_antenna=config.synth_target_antenna,
+        target_range_bin=config.synth_target_bin,
+    )
     truth.displacement = displacement
     truth.displacement_peak_m = float(np.abs(displacement.samples).max())
     truth.target_antenna = geometry.target_antenna
     truth.target_range_bin = geometry.target_range_bin
-    radar = synth_radar_stream(
-        displacement, geometry, snr_db=config.snr_db_or_none, seed=config.synth_seed
-    )
+    # a negative SNR disables the noise
+    snr_db = None if config.synth_snr_db < 0 else config.synth_snr_db
+    radar = synth_radar_stream(displacement, geometry, snr_db=snr_db, seed=config.synth_seed)
     ppg = synth_ppg(
         waveform,
         decay_tau_s=config.synth_ppg_tau_s,
@@ -248,10 +248,6 @@ def simulate_bundle(config: PipelineConfig, subject_id: str = "synthetic") -> Re
     return bundle
 
 
-def _bandpass_spec(config: PipelineConfig) -> BandpassSpec:
-    return BandpassSpec(config.filter_order, config.filter_low_hz, config.filter_high_hz)
-
-
 def condition_modality(
     name: str, raw, config: PipelineConfig
 ) -> tuple[TimeSeries, PeakTrain, BinSelection | None]:
@@ -268,7 +264,7 @@ def condition_modality(
     decision (``None`` when undecided). Any record under ``MIN_RECORD_S``
     is "recording too short".
     """
-    spec = _bandpass_spec(config)
+    spec = BandpassSpec(config.filter_order, config.filter_low_hz, config.filter_high_hz)
     selection = None
     if name == "radar":
         result = process_radar(raw, spec, max_bins=config.radar_max_bins)

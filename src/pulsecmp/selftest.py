@@ -77,10 +77,6 @@ def measure_tone_amplitude(x: np.ndarray, fs: float, f_hz: float) -> float:
     return 2.0 * math.hypot(c, s)
 
 
-def _norm01(v: np.ndarray) -> np.ndarray:
-    return (v - v.min()) / (v.max() - v.min())
-
-
 def waveform_beat_cosines(
     wave: TimeSeries, target: TimeSeries, beat_times_s: np.ndarray, norm_len: int = 200
 ) -> np.ndarray:
@@ -110,9 +106,10 @@ def waveform_beat_cosines(
             continue
         ta = np.interp(grid, np.linspace(0, 1, a1 - a0 + 1), target.samples[a0 : a1 + 1])
         tb = np.interp(grid, np.linspace(0, 1, b1 - b0 + 1), wave.samples[b0 : b1 + 1])
-        if np.ptp(ta) < 1e-12 or np.ptp(tb) < 1e-12:
+        span_a, span_b = np.ptp(ta), np.ptp(tb)
+        if span_a < 1e-12 or span_b < 1e-12:
             continue
-        cosines.append(cosine_similarity(_norm01(ta), _norm01(tb)))
+        cosines.append(cosine_similarity((ta - ta.min()) / span_a, (tb - tb.min()) / span_b))
     return np.asarray(cosines)
 
 

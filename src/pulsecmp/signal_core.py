@@ -100,11 +100,6 @@ class BandpassSpec:
         if not (0.0 < self.low_cut_hz < self.high_cut_hz):
             raise ValueError("invalid cutoff")
 
-    def validate_for(self, sample_rate_hz: float) -> None:
-        """Raise if the band does not fit below Nyquist for this rate."""
-        if self.high_cut_hz >= sample_rate_hz / 2.0:
-            raise ValueError("invalid cutoff")
-
 
 # Shortest record, in seconds, that any modality's chain accepts.
 MIN_RECORD_S = 10.0
@@ -380,7 +375,8 @@ def bandpass_array(
     """
     if spec is None:
         spec = BandpassSpec()
-    spec.validate_for(sample_rate_hz)
+    if spec.high_cut_hz >= sample_rate_hz / 2.0:
+        raise ValueError("invalid cutoff")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("values must be one-dimensional")

@@ -392,7 +392,7 @@ def compare_copied_tables(ref, test):
     in one call over the whole copied tables."""
     if len(ref) != len(test):
         raise ValueError("beat tables must be paired")
-    diff_infl = ref.extrema - test.extrema
+    diff_infl = test.extrema - ref.extrema
     diff_auc = test.auc - ref.auc
     cos = cosine_similarity(ref.shapes, test.shapes)
     return PairwiseComparison(

@@ -248,7 +248,7 @@ class TestCompare:
     def test_short_reference_is_input_error(self, bundle_dir, tmp_path, capsys):
         reference = cli.load_modality("reference", str(bundle_dir / "reference.csv"))
         short = reference.with_samples(reference.samples[: int(6 * reference.sample_rate_hz)])
-        cli.save_modality("reference", short, str(tmp_path / "reference.csv"))
+        cli.write_bundle_dir(RecordingBundle(reference=short), PipelineConfig(), str(tmp_path))
         code = main([
             "compare", "--ppg", str(bundle_dir / "ppg.csv"),
             "--reference", str(tmp_path / "reference.csv"), "-o", str(tmp_path / "out"),
@@ -289,6 +289,14 @@ class TestCompare:
         code = main(["compare", *args, "--jobs", "4", "-o", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err == "error: --jobs applies to --bundle-root only\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_input_error(self, bundle_dir, tmp_path, capsys, jobs):
+        root = str(bundle_dir.parent)  # holds one valid subject bundle
+        code = main(["compare", "--bundle-root", root, "--jobs", jobs, "-o", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
         assert not (tmp_path / "o").exists()
 
     def test_subject_with_bundle_root_is_input_error(self, bundle_dir, tmp_path, capsys):

@@ -266,6 +266,16 @@ class TestCompareModalities:
         assert cmp.cosine_mean == 1.0
         assert cmp.p_inflections == 1.0 and cmp.p_auc == 1.0
 
+    def test_inflection_difference_is_test_minus_reference(self):
+        u = np.linspace(0, 1, 200)
+        ref = make_table([np.sin(np.pi * u)] * 4)
+        # ripples of 2-5 cycles put extra extrema on each test beat
+        ripples = [0.2 * np.sin(2 * np.pi * k * u) for k in (2, 3, 4, 5)]
+        test = make_table([np.sin(np.pi * u) + ripple for ripple in ripples])
+        cmp = compare_tables(ref, test)
+        assert cmp.mean_diff_inflections > 0.0
+        assert cmp.mean_diff_inflections == np.mean(test.extrema - ref.extrema)
+
     def test_slow_decay_inflates_auc(self):
         u = np.linspace(0, 1, 200)
         shape = three_bump_wave(u)

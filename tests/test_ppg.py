@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from pulsecmp.beats import align_beat_events, event_train, orient_and_detect
 from pulsecmp.config import PipelineConfig
-from pulsecmp.ppg import PpgRecording, default_channel
+from pulsecmp.ppg import PpgRecording
 from pulsecmp.report import condition_modality
 from pulsecmp.signal_core import TimeSeries, butterworth_bandpass
 from pulsecmp.synth import PulseModel, generate_waveform, synth_ppg
@@ -43,9 +43,10 @@ class TestPpgRecording:
                 PpgRecording(channels={"a": TimeSeries(np.zeros(10), 100.0), "b": other})
 
     def test_default_channel_prefers_green(self):
-        ts = TimeSeries(np.zeros(10), FS)
-        assert default_channel(PpgRecording(channels={"red_0": ts, "green_0": ts})) == "green_0"
-        assert default_channel(PpgRecording(channels={"red_0": ts, "blue_0": ts})) == "blue_0"
+        red, green, blue = (TimeSeries(np.full(10, v), FS) for v in (0.0, 1.0, 2.0))
+        assert PpgRecording(channels={"red_0": red, "green_0": green}).channel() is green
+        # without green_0, the alphabetically first channel
+        assert PpgRecording(channels={"red_0": red, "blue_0": blue}).channel() is blue
 
     def test_channel_lookup(self):
         green, red = TimeSeries(np.zeros(10), FS), TimeSeries(np.ones(10), FS)

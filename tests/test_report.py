@@ -14,12 +14,17 @@ from pulsecmp.ppg import PpgRecording
 from pulsecmp.report import (
     RecordingBundle,
     condition_modality,
-    geometry_from_config,
     run_compare,
     simulate_bundle,
 )
 from pulsecmp.signal_core import TimeSeries
-from pulsecmp.synth import PulseModel, generate_waveform, synth_radar_cube, synth_reference
+from pulsecmp.synth import (
+    CubeGeometry,
+    PulseModel,
+    generate_waveform,
+    synth_radar_cube,
+    synth_reference,
+)
 
 FS = 200.0
 
@@ -187,8 +192,8 @@ class TestSharedLastStep:
         displacement = bundle.truth.displacement
         cube = synth_radar_cube(
             displacement.with_samples(-displacement.samples),
-            geometry_from_config(config),
-            snr_db=config.snr_db_or_none,
+            CubeGeometry(),
+            snr_db=config.synth_snr_db,
             seed=config.synth_seed,
         )
         _, _, selection = condition_modality("radar", cube, config)
@@ -200,7 +205,7 @@ class TestSharedLastStep:
         # no pulse, no systolic peak: the polarity rule cannot decide
         config, _ = default_bundle
         still = TimeSeries(np.zeros(int(12 * FS)), FS)
-        cube = synth_radar_cube(still, geometry_from_config(config), snr_db=None, seed=1)
+        cube = synth_radar_cube(still, CubeGeometry(), snr_db=None, seed=1)
         _, train, selection = condition_modality("radar", cube, config)
         assert train.systolic_indices.size < 3
         assert selection.inverted is None
