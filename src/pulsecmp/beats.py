@@ -13,8 +13,9 @@ calls they stand for: the systolic peak finder is
 range maxima and minima over the local maxima); the rolling
 peak-to-peak that scales its threshold is ``maximum_filter1d`` minus
 ``minimum_filter1d`` with ``mode="nearest"``, by doubling spans; and
-event alignment counts event pairs at each lag exactly, which is the
-impulse-train cross-correlation without FFT rounding.
+event alignment, on two arrays of event times, counts event pairs at
+each lag exactly, which is the impulse-train cross-correlation without
+FFT rounding, and returns the matches as two index arrays.
 """
 
 from __future__ import annotations
@@ -71,13 +72,6 @@ class PeakTrain:
 
     def diastolic_times(self) -> np.ndarray:
         return self.start_time_s + self.diastolic_indices / self.sample_rate_hz
-
-
-def event_train(times_s: np.ndarray, sample_rate_hz: float) -> PeakTrain:
-    """Diastolic-only PeakTrain from event times, for alignment purposes."""
-    times = np.asarray(times_s, dtype=np.float64)
-    idx = np.round(times * sample_rate_hz).astype(np.int64)
-    return PeakTrain(np.array([], dtype=np.int64), idx, sample_rate_hz)
 
 
 @dataclass
@@ -451,37 +445,36 @@ def average_beats(shapes: np.ndarray) -> AverageBeat:
 
 
 def align_beat_events(
-    a: PeakTrain,
-    b: PeakTrain,
+    ta_s: np.ndarray,
+    tb_s: np.ndarray,
     max_lag_s: float = 5.0,
     pair_tol_s: float = 0.25,
-) -> tuple[float, list[tuple[int, int]]]:
-    """Match diastolic events of two trains recorded simultaneously.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Match two increasing sets of event times recorded simultaneously.
 
     Both event sets are rounded onto a fixed 200 Hz grid, and every
     pair of grid events within ``max_lag_s`` of each other is counted
     at its lag: the exact cross-correlation of the two binary impulse
     series. The most frequent lag, the earliest on a tie, is the amount
-    by which ``b`` trails ``a``. After shifting
-    ``b`` by the lag, events are matched greedily nearest-neighbor with
-    residual offsets at most ``pair_tol_s``, each event used once.
+    by which ``tb_s`` trails ``ta_s``. After shifting ``tb_s`` by the
+    lag, events are matched greedily nearest-neighbor with residual
+    offsets at most ``pair_tol_s``, each event used once.
 
     Returns
     -------
-    (lag_s, pairs)
-        ``pairs`` holds (index into a, index into b) tuples in
-        increasing order; empty when nothing matches within tolerance.
+    (lag_s, ia, ib)
+        Match ``k`` pairs ``ta_s[ia[k]]`` with ``tb_s[ib[k]]``; both
+        int64 arrays are in increasing order of ``ia``, and empty when
+        nothing matches within tolerance.
     """
-    ta = a.diastolic_times()
-    tb = b.diastolic_times()
-    if ta.size == 0 or tb.size == 0:
-        raise ValueError("both trains must contain diastolic events")
+    if ta_s.size == 0 or tb_s.size == 0:
+        raise ValueError("both trains must contain events")
     fs = EVENT_GRID_HZ
-    t_lo = min(ta.min(), tb.min())
-    n = int(round((max(ta.max(), tb.max()) - t_lo) * fs)) + 1
-    # each train's feet increase, so its distinct grid events are where
+    t_lo = min(ta_s.min(), tb_s.min())
+    n = int(round((max(ta_s.max(), tb_s.max()) - t_lo) * fs)) + 1
+    # each set's times increase, so its distinct grid events are where
     # the rounded steps change (np.unique would import numpy.ma)
-    grid = [np.clip(np.round((t - t_lo) * fs).astype(int), 0, n - 1) for t in (ta, tb)]
+    grid = [np.clip(np.round((t - t_lo) * fs).astype(int), 0, n - 1) for t in (ta_s, tb_s)]
     ga, gb = (g[np.concatenate(([True], g[1:] != g[:-1]))] for g in grid)
     reach = min(int(round(max_lag_s * fs)), n - 1)
     if reach < 0:
@@ -497,13 +490,13 @@ def align_beat_events(
     counts = np.bincount(lags + reach, minlength=2 * reach + 1)
     lag_s = float((int(np.argmax(counts)) - reach) / fs)
 
-    shifted = tb - lag_s
+    shifted = tb_s - lag_s
     candidates = []
     for j, t in enumerate(shifted):
-        i = int(np.searchsorted(ta, t))
+        i = int(np.searchsorted(ta_s, t))
         for ii in (i - 1, i):
-            if 0 <= ii < ta.size:
-                dt = abs(ta[ii] - t)
+            if 0 <= ii < ta_s.size:
+                dt = abs(ta_s[ii] - t)
                 if dt <= pair_tol_s:
                     candidates.append((dt, ii, j))
     candidates.sort()
@@ -516,17 +509,17 @@ def align_beat_events(
             used_a.add(i)
             used_b.add(j)
     pairs.sort()
-    return lag_s, pairs
+    ia, ib = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return lag_s, ia, ib
 
 
-def paired_consecutive(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+def paired_consecutive(ia: np.ndarray, ib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leading indices of the matches whose next events also matched.
 
-    Returns the arrays ``i`` and ``j`` of every match ``(i, j)`` for
-    which ``(i + 1, j + 1)`` is the next match: a beat bounded by two
-    matched feet in each train, usable for interval-by-interval or
-    beat-by-beat comparison.
+    Returns the arrays ``i`` and ``j`` of every match ``(ia[k], ib[k])``
+    for which ``(ia[k] + 1, ib[k] + 1)`` is the next match: a beat
+    bounded by two matched feet in each train, usable for
+    interval-by-interval or beat-by-beat comparison.
     """
-    matched = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    lead = matched[:-1][np.all(np.diff(matched, axis=0) == 1, axis=1)]
-    return lead[:, 0], lead[:, 1]
+    lead = (np.diff(ia) == 1) & (np.diff(ib) == 1)
+    return ia[:-1][lead], ib[:-1][lead]

@@ -43,7 +43,6 @@ try:
         read_radar_cube,
         read_series_csv,
         write_ground_truth,
-        write_ppg_csv,
         write_radar_cube,
         write_series_csv,
         write_table,
@@ -90,15 +89,16 @@ def write_bundle_dir(bundle: RecordingBundle, config: PipelineConfig, directory:
         recording, path = getattr(bundle, name), os.path.join(directory, MODALITIES[name])
         if name == "radar":
             write_radar_cube(recording, path)
-        elif name == "ppg":
-            write_ppg_csv(recording, path)
-        else:
-            write_series_csv(
-                path,
-                {REFERENCE_COLUMN: recording.samples},
-                recording.sample_rate_hz,
-                recording.start_time_s,
-            )
+            continue
+        # the PPG's channels share one time base; the reference is one column
+        channels = recording.channels if name == "ppg" else {REFERENCE_COLUMN: recording}
+        first = next(iter(channels.values()))
+        write_series_csv(
+            path,
+            {column: ts.samples for column, ts in sorted(channels.items())},
+            first.sample_rate_hz,
+            first.start_time_s,
+        )
     if bundle.truth is not None:
         write_ground_truth(
             bundle.truth,
@@ -165,14 +165,11 @@ def _write_report_files(report: AgreementReport, directory: str) -> None:
 
 def cmd_simulate(args) -> int:
     config = _load_cli_config(args)
-    # through the key check, as --set would be (a non-finite --duration
-    # is left to synthesis, which names the duration)
-    if args.seed is not None:
-        config.set_key("synth.seed", str(args.seed))
-    if args.duration is not None:
-        config.synth_duration_s = args.duration
-    if args.snr_db is not None:
-        config.set_key("synth.snr_db", str(args.snr_db))
+    # through the key check, as --set would be
+    flags = {"seed": args.seed, "duration_s": args.duration, "snr_db": args.snr_db}
+    for key, value in flags.items():
+        if value is not None:
+            config.set_key(f"synth.{key}", str(value))
     # the radar cube is drawn as it is written, one frame block at a time
     bundle = simulate_stream(config, subject_id=args.subject)
     write_bundle_dir(bundle, config, args.out)
@@ -187,10 +184,11 @@ def cmd_process(args) -> int:
     config = _load_cli_config(args)
     if args.channel:
         config.ppg_channel = args.channel
-    os.makedirs(args.out, exist_ok=True)
     meta: dict = {"modality": args.modality, "input": os.path.basename(args.input)}
     raw = load_modality(args.modality, args.input, args.column or REFERENCE_COLUMN)
     waveform, train, selection = condition_modality(args.modality, raw, config)
+    # only once the input has loaded and been conditioned: a bad call writes nothing
+    os.makedirs(args.out, exist_ok=True)
     if selection is not None:
         meta["selection"] = dataclasses.asdict(selection)
     ibi = extract_ibi(train)

@@ -345,16 +345,6 @@ def read_ppg_csv(path: str) -> PpgRecording:
     return PpgRecording(channels=_read_channels(path))
 
 
-def write_ppg_csv(rec: PpgRecording, path: str) -> None:
-    first = next(iter(rec.channels.values()))
-    write_series_csv(
-        path,
-        {name: ts.samples for name, ts in sorted(rec.channels.items())},
-        first.sample_rate_hz,
-        first.start_time_s,
-    )
-
-
 def write_ground_truth(
     truth: SynthGroundTruth,
     model: PulseModel,

@@ -264,31 +264,20 @@ def paired_t_test(diffs: np.ndarray) -> tuple[float, float]:
     """Two-sided paired t-test on per-pair differences.
 
     Returns ``(t, p)`` with ``t = mean / (sd / sqrt(n))`` and ``p`` its
-    two-sided Student's t tail on ``n - 1`` degrees of freedom. All-zero
-    differences give ``(0.0, 1.0)`` by convention; identical nonzero
-    differences have no spread and raise "zero variance".
+    two-sided Student's t tail on ``n - 1`` degrees of freedom.
+    Differences with no spread get the limits, so a comparison of
+    near-identical signals still yields a report: all exactly 0 give
+    ``(0.0, 1.0)``, maximally insignificant, and all one nonzero value
+    give ``(±inf, 0.0)``, maximally significant.
     """
     diffs = np.asarray(diffs, dtype=np.float64)
     if diffs.size < 2:
         raise ValueError("need at least two differences")
-    if np.all(diffs == 0.0):
-        return 0.0, 1.0
-    sd = float(diffs.std(ddof=1))
-    if sd == 0.0:
-        raise ValueError("zero variance")
-    t = float(diffs.mean()) / (sd / math.sqrt(diffs.size))
+    if np.all(diffs == diffs[0]):
+        return (0.0, 1.0) if diffs[0] == 0.0 else (math.copysign(math.inf, diffs[0]), 0.0)
+    t = float(diffs.mean()) / (float(diffs.std(ddof=1)) / math.sqrt(diffs.size))
     dof = diffs.size - 1
     return t, regularized_incomplete_beta(dof / 2.0, 0.5, dof / (dof + t * t))
-
-
-def _paired_p(diffs: np.ndarray) -> float:
-    # Degenerate spreads get limit conventions so a comparison of
-    # near-identical signals still yields a report: no difference at
-    # all is maximally insignificant, a perfectly constant nonzero
-    # difference maximally significant.
-    if np.all(diffs == diffs[0]):
-        return 1.0 if diffs[0] == 0.0 else 0.0
-    return paired_t_test(diffs)[1]
 
 
 def compare_modalities(
@@ -301,8 +290,8 @@ def compare_modalities(
     normalized beats, whose rows are gathered ``PAIR_BLOCK_ROWS`` pairs
     at a time, so no table is copied whole; a row's cosine is the value
     it gives alone. Mean differences are test minus reference; p-values
-    come from the paired t-test (see ``_paired_p`` for the
-    degenerate-spread conventions).
+    come from :func:`paired_t_test`, which states the conventions for
+    differences with no spread.
     """
     if len(ref_rows) != len(test_rows):
         raise ValueError("beat tables must be paired")
@@ -316,9 +305,9 @@ def compare_modalities(
         cos[block] = cosine_similarity(ref.shapes[ref_rows[block]], test.shapes[test_rows[block]])
     return PairwiseComparison(
         mean_diff_inflections=float(np.mean(diff_infl)),
-        p_inflections=_paired_p(diff_infl),
+        p_inflections=paired_t_test(diff_infl)[1],
         mean_diff_auc=float(np.mean(diff_auc)),
-        p_auc=_paired_p(diff_auc),
+        p_auc=paired_t_test(diff_auc)[1],
         cosine_mean=float(cos.mean()),
         cosine_sd=float(cos.std(ddof=1)),
     )

@@ -334,18 +334,21 @@ def _compare_pair(
     name = f"{test.name}_vs_{base.name}"
     if base.status != "ok" or test.status != "ok":
         return PairSummary(name, "insufficient beats")
-    lag_s, pairs = align_beat_events(
-        base.train, test.train, config.align_max_lag_s, config.align_pair_tol_s
+    lag_s, ia, ib = align_beat_events(
+        base.train.diastolic_times(),
+        test.train.diastolic_times(),
+        config.align_max_lag_s,
+        config.align_pair_tol_s,
     )
     # beats bounded by two matched feet in both trains, by leading index
-    i, j = paired_consecutive(pairs)
+    i, j = paired_consecutive(ia, ib)
     base_ibis, test_ibis = _paired_ibis(base, test, i, j)
     base_rows, test_rows = _paired_beats(base, test, i, j)
     summary = PairSummary(
         name,
         "ok",
         lag_s=lag_s,
-        n_event_pairs=len(pairs),
+        n_event_pairs=len(ia),
         n_paired_ibis=len(base_ibis),
         n_paired_beats=len(base_rows),
     )

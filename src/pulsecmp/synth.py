@@ -320,21 +320,6 @@ def synth_radar_stream(
     return RadarStream(shape, displacement.sample_rate_hz, CARRIER_HZ, metadata, blocks)
 
 
-def synth_radar_cube(
-    displacement: TimeSeries,
-    geometry: CubeGeometry = CubeGeometry(),
-    snr_db: float | None = None,
-    seed: int = 0,
-) -> RadarCube:
-    """The cube of :func:`synth_radar_stream`, gathered into one array.
-
-    Its memory grows with the record; ``simulate`` writes the stream one
-    block at a time instead, so its memory does not. Raises as
-    ``synth_radar_stream`` does.
-    """
-    return synth_radar_stream(displacement, geometry, snr_db, seed).to_cube()
-
-
 def synth_ppg(
     waveform: TimeSeries,
     decay_tau_s: float = 0.25,

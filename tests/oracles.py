@@ -17,11 +17,12 @@ from scipy.integrate import quad
 from pulsecmp.beats import (
     IBI_MAX_MS,
     IBI_MIN_MS,
+    PeakTrain,
     detect_peaks,
     polarity_inverted,
 )
 from pulsecmp.formats import FormatError
-from pulsecmp.metrics import PairwiseComparison, _paired_p, cosine_similarity
+from pulsecmp.metrics import PairwiseComparison, cosine_similarity, paired_t_test
 from pulsecmp.radar import (
     EDGE_FRACTION,
     SPEED_OF_LIGHT,
@@ -35,8 +36,10 @@ from pulsecmp.synth import (
     CLUTTER_AMP_RANGE,
     NOISE_P2P_SIGMA,
     RANGE_OFFSET_M,
+    CubeGeometry,
     PulseModel,
     generate_waveform,
+    synth_radar_stream,
 )
 
 
@@ -397,17 +400,28 @@ def compare_copied_tables(ref, test):
     cos = cosine_similarity(ref.shapes, test.shapes)
     return PairwiseComparison(
         mean_diff_inflections=float(np.mean(diff_infl)),
-        p_inflections=_paired_p(diff_infl),
+        p_inflections=paired_t_test(diff_infl)[1],
         mean_diff_auc=float(np.mean(diff_auc)),
-        p_auc=_paired_p(diff_auc),
+        p_auc=paired_t_test(diff_auc)[1],
         cosine_mean=float(cos.mean()),
         cosine_sd=float(cos.std(ddof=1)),
     )
 
 
 # Test-only views of production code. Each calls what the pipeline
-# itself runs (`polarity_inverted`, `generate_waveform`), so tests
-# written against it exercise that code.
+# itself runs (`polarity_inverted`, `generate_waveform`,
+# `synth_radar_stream`), so tests written against it exercise that code.
+
+
+def event_train(times_s, sample_rate_hz):
+    """Diastolic-only PeakTrain of event times rounded to the sample grid."""
+    idx = np.round(np.asarray(times_s, dtype=np.float64) * sample_rate_hz).astype(np.int64)
+    return PeakTrain(np.array([], dtype=np.int64), idx, sample_rate_hz)
+
+
+def synth_radar_cube(displacement, geometry=CubeGeometry(), snr_db=None, seed=0):
+    """The cube of ``synth_radar_stream``, gathered into one array."""
+    return synth_radar_stream(displacement, geometry, snr_db, seed).to_cube()
 
 
 def phase_per_bin(slow_time, frame_rate_hz, spec=None):

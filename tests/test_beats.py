@@ -16,7 +16,6 @@ from pulsecmp.beats import (
     align_beat_events,
     average_beats,
     detect_peaks,
-    event_train,
     extract_ibi,
     foot_intervals_ms,
     in_ibi_gate,
@@ -32,6 +31,7 @@ from pulsecmp.synth import PulseModel, generate_waveform
 from pulsecmp import beats
 
 from oracles import (
+    event_train,
     feet_by_argmin,
     impulse_correlation_lag,
     polarity_inverted_by_masks,
@@ -393,55 +393,50 @@ class TestAverageBeats:
 class TestAlignBeatEvents:
     def test_exact_shift(self):
         times = np.arange(0.5, 20.0, 1.0)
-        a = event_train(times, FS)
-        b = event_train(times + 0.5, FS)
-        lag, pairs = align_beat_events(a, b)
+        lag, ia, ib = align_beat_events(times, times + 0.5)
         assert_allclose(lag, 0.5, atol=1e-9)
-        assert pairs == [(i, i) for i in range(times.size)]
+        assert ia.tolist() == ib.tolist() == list(range(times.size))
 
     def test_zero_shift_identity(self):
         times = np.arange(0.5, 20.0, 1.0)
-        a = event_train(times, FS)
-        lag, pairs = align_beat_events(a, a)
+        lag, ia, ib = align_beat_events(times, times)
         assert lag == 0.0
-        assert pairs == [(i, i) for i in range(times.size)]
+        assert ia.tolist() == ib.tolist() == list(range(times.size))
 
     def test_disjoint_trains(self):
-        a = event_train(np.array([1.0, 2.0, 3.0]), FS)
-        b = event_train(np.array([31.0, 32.0, 33.0]), FS)
-        lag, pairs = align_beat_events(a, b, max_lag_s=5.0)
-        assert pairs == []
+        lag, ia, ib = align_beat_events(
+            np.array([1.0, 2.0, 3.0]), np.array([31.0, 32.0, 33.0]), max_lag_s=5.0
+        )
+        assert ia.size == ib.size == 0
+        assert ia.dtype == ib.dtype == np.int64
 
     def test_single_event_each(self):
-        a = event_train(np.array([1.0]), FS)
-        b = event_train(np.array([1.5]), FS)
-        lag, pairs = align_beat_events(a, b)
+        lag, ia, ib = align_beat_events(np.array([1.0]), np.array([1.5]))
         assert abs(lag - 0.5) < 1e-9
-        assert pairs == [(0, 0)]
+        assert ia.tolist() == ib.tolist() == [0]
 
     def test_empty_train_rejected(self):
-        a = event_train(np.array([1.0]), FS)
-        empty = PeakTrain(np.array([], dtype=int), np.array([], dtype=int), FS)
-        with pytest.raises(ValueError, match="diastolic events"):
-            align_beat_events(a, empty)
+        with pytest.raises(ValueError, match="must contain events"):
+            align_beat_events(np.array([1.0]), np.array([]))
 
     def test_paired_consecutive(self):
-        pairs = [(0, 0), (1, 1), (3, 2), (4, 3), (5, 4)]
-        i, j = paired_consecutive(pairs)
+        ia, ib = np.array([0, 1, 3, 4, 5]), np.array([0, 1, 2, 3, 4])
+        i, j = paired_consecutive(ia, ib)
         assert i.tolist() == [0, 3, 4]
         assert j.tolist() == [0, 2, 3]
-        for pairs in ([], [(2, 5)]):
-            i, j = paired_consecutive(pairs)
+        for ia, ib in ((np.array([], np.int64), np.array([], np.int64)), ([2], [5])):
+            i, j = paired_consecutive(np.asarray(ia), np.asarray(ib))
             assert i.size == j.size == 0
 
     @given(seed=st.integers(0, 500))
     def test_self_alignment_identity(self, seed):
+        # unrounded times, off the 200 Hz event grid
         rng = np.random.default_rng(seed)
         times = np.cumsum(rng.uniform(0.5, 1.5, 20))
-        train = event_train(times, FS)
-        lag, pairs = align_beat_events(train, train)
+        lag, ia, ib = align_beat_events(times, times)
         assert lag == 0.0
-        assert pairs == [(i, i) for i in range(times.size)]
+        assert ia.dtype == ib.dtype == np.int64
+        assert ia.tolist() == ib.tolist() == list(range(times.size))
 
 
 # Samples with many ties (small integers), ties and plateaus at the
@@ -541,12 +536,12 @@ class TestExactEventCorrelation:
         rng = np.random.default_rng(seed)
         ta = np.unique(rng.integers(0, 400, n_a)) / 20.0
         tb = np.unique(rng.integers(0, 400, n_b)) / 20.0
-        lag, _ = align_beat_events(event_train(ta, FS), event_train(tb, FS), max_lag_s=max_lag_s)
         a = event_train(ta, FS).diastolic_times()
         b = event_train(tb, FS).diastolic_times()
+        lag, _, _ = align_beat_events(a, b, max_lag_s=max_lag_s)
         assert lag == impulse_correlation_lag(a, b, max_lag_s, FS)
 
     def test_negative_max_lag_rejected(self):
-        a = event_train(np.array([1.0, 2.0]), FS)
+        a = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="max_lag_s"):
             align_beat_events(a, a, max_lag_s=-1.0)

@@ -27,11 +27,11 @@ from pulsecmp.synth import (
     CubeGeometry,
     generate_waveform,
     synth_ppg,
-    synth_radar_cube,
     synth_reference,
 )
 
 import seed_grid
+from oracles import synth_radar_cube
 
 
 def run_cli(args, **kwargs):
@@ -199,6 +199,19 @@ class TestProcess:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {flag} applies to 'process ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "modality, source, flags, message",
+        [("ppg", "ppg.csv", ["--channel", "nope"], "error: channel 'nope' not found"),
+         ("radar", "missing.radc", [], "error: [Errno 2]")],
+    )
+    def test_failed_call_writes_nothing(
+        self, bundle_dir, tmp_path, capsys, modality, source, flags, message
+    ):
+        out = tmp_path / "o"
+        assert main(["process", modality, str(bundle_dir / source), "-o", str(out), *flags]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     def test_missing_input_is_input_error(self, tmp_path):
         code = run_cli(["process", "radar", str(tmp_path / "nope.radc"), "-o", str(tmp_path)])
@@ -628,7 +641,9 @@ class TestConfigPlumbing:
     def test_non_finite_duration_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "inf"
         assert main(["simulate", "-o", str(out), "--duration", "inf"]) == 1
-        assert capsys.readouterr().err == "error: duration must be finite\n"
+        assert capsys.readouterr().err == (
+            "error: config key 'synth.duration_s' must be finite, got inf\n"
+        )
         assert main(["simulate", "-o", str(out), "--set", "synth.duration_s=nan"]) == 1
         assert "'synth.duration_s' must be finite" in capsys.readouterr().err
         assert not out.exists()

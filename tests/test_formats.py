@@ -17,7 +17,6 @@ from pulsecmp.formats import (
     read_radar_cube,
     read_series_csv,
     write_ground_truth,
-    write_ppg_csv,
     write_radar_cube,
     write_series_csv,
     write_table,
@@ -30,10 +29,9 @@ from pulsecmp.synth import (
     PulseModel,
     RadarStream,
     generate_waveform,
-    synth_radar_cube,
 )
 
-from oracles import read_ground_truth
+from oracles import read_ground_truth, synth_radar_cube
 
 
 class TestRadarCubeFormat:
@@ -294,7 +292,7 @@ class TestSeriesCsv:
             }
         )
         path = str(tmp_path / "ppg.csv")
-        write_ppg_csv(rec, path)
+        write_series_csv(path, {name: ts.samples for name, ts in rec.channels.items()}, 200.0)
         back = read_ppg_csv(path)
         assert set(back.channels) == {"green_0", "green_1"}
         for name in rec.channels:

@@ -204,8 +204,9 @@ class TestPairedTTest:
         assert t == 0.0 and p == 1.0
 
     def test_zero_variance(self):
-        with pytest.raises(ValueError, match="zero variance"):
-            paired_t_test(np.array([1.0, 1.0, 1.0, 1.0]))
+        # identical nonzero differences: the maximally significant limit
+        assert paired_t_test(np.array([1.0, 1.0, 1.0, 1.0])) == (math.inf, 0.0)
+        assert paired_t_test(np.array([-2.0, -2.0])) == (-math.inf, 0.0)
 
     def test_all_zero_convention(self):
         t, p = paired_t_test(np.zeros(4))

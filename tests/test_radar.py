@@ -11,7 +11,7 @@ from pulsecmp.beats import detect_peaks, extract_ibi
 from pulsecmp import radar, signal_core
 from pulsecmp.radar import RadarCube, process_radar, select_best_bin
 from pulsecmp.signal_core import TimeSeries
-from pulsecmp.synth import CubeGeometry, PulseModel, generate_waveform, synth_radar_cube
+from pulsecmp.synth import CubeGeometry, PulseModel, generate_waveform
 
 from oracles import (
     chirp_mean_removal,
@@ -19,6 +19,7 @@ from oracles import (
     extract_slow_time,
     phase_per_bin,
     process_radar_whole_tensor,
+    synth_radar_cube,
     tone_amplitude,
     zero_phase_gain,
 )

@@ -51,7 +51,7 @@ def test_package_root_resolves_its_names_only():
     assert pulsecmp.PipelineConfig is PipelineConfig
     assert pulsecmp.run_compare is run_compare
     assert pulsecmp.simulate_bundle is simulate_bundle
-    for name in ("process_radar", "synth_radar_cube"):
+    for name in ("process_radar", "synth_radar_stream"):
         with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
             getattr(pulsecmp, name)
 

@@ -19,7 +19,6 @@ from pulsecmp.synth import (
     PulseModel,
     generate_waveform,
     synth_ppg,
-    synth_radar_cube,
     synth_radar_stream,
     synth_reference,
 )
@@ -27,6 +26,7 @@ from pulsecmp.synth import (
 from oracles import (
     count_extrema_dense,
     synth_blocks_five_pass,
+    synth_radar_cube,
     three_bump_wave,
     tone_amplitude,
     waveform_by_mask,
