@@ -8,12 +8,15 @@ proportional to radial tissue displacement: ``phase = 4 * pi *
 displacement / wavelength``. Orientation and beat detection are one
 shared last step for every modality (``beats.orient_and_detect``).
 
-Only the range bins of one rule, ``searchable_bins``, are reduced,
-filtered and searched, and one antenna at a time: each antenna's slice
-of the cube is reduced to wrapped phase block by block over frames,
-its rows are unwrapped, band-passed and scored, and only the best row
-so far is kept. Memory is one antenna's float64 phase per (bin, frame),
-that row and one frame block.
+Only the range bins of one rule, ``searchable_bins``, are reduced and
+searched, and one antenna at a time: each antenna's slice of the cube
+is reduced to wrapped phase block by block over frames, its rows are
+unwrapped, and only the rows that can still win are band-passed and
+scored; only the best row so far is kept. A row can still win while
+the filter's gain bound (``signal_core.bandpass_gain``) times its raw
+peak-to-peak reaches the best score so far, so skipping the others
+changes no output. Memory is one antenna's float64 phase per (bin,
+frame), that row and one frame block.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pulsecmp.signal_core import BandpassSpec, TimeSeries, bandpass_array, require_min_record
+from pulsecmp.signal_core import (
+    BandpassSpec,
+    TimeSeries,
+    bandpass_array,
+    bandpass_gain,
+    require_min_record,
+)
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -240,12 +249,21 @@ def process_radar(
     range FFT and chirp averaging run as one fused linear reduction over
     frame blocks of that antenna, algebraically identical to composing
     them per chirp, and each block goes straight to the wrapped phase of
-    those bins alone. Each of the antenna's rows is then unwrapped and
-    band-passed in place, and ``select_best_bin`` scores them; a copy of
-    the best row so far is kept, and a later antenna replaces it only
-    with a strictly larger peak-to-peak, so ties still go to the lower
-    antenna, then the lower bin. Memory is one antenna's phase rows,
-    that copy and one frame block. The waveform is not oriented: that,
+    those bins alone. Each of the antenna's rows is then unwrapped in
+    place. The rows are visited by decreasing raw (unfiltered)
+    peak-to-peak; each is band-passed in place and scored by
+    ``select_best_bin``, until the first whose raw peak-to-peak times
+    ``bandpass_gain`` is below the best score so far over every
+    antenna. The filtered row's peak-to-peak is at most that product,
+    so this row and every later one would score strictly below a
+    scored row: they are set to zeros, which score 0, and the antenna's
+    rows are scored once more together. The selection, its
+    ``peak_to_peak`` and the waveform are the bits that filtering every
+    row gives. A copy of the best row so far is kept, and a later
+    antenna replaces it only with a strictly larger peak-to-peak, so
+    ties still go to the lower antenna, then the lower bin. Memory is
+    one antenna's phase rows, that copy and one frame block. The
+    waveform is not oriented: that,
     and beat detection, are the shared last step of every modality
     (``beats.orient_and_detect``), which sets ``selection.inverted``.
 
@@ -267,7 +285,17 @@ def process_radar(
         # one row at a time, in place, so only one row's temporaries are held
         for row in phase:
             _unwrap(row)
-            row[:] = bandpass_array(row, cube.frame_rate_hz, spec)
+        gain = bandpass_gain(cube.n_frames, cube.frame_rate_hz, spec)
+        raw = phase.max(axis=1) - phase.min(axis=1)
+        floor = -math.inf if best is None else best.peak_to_peak
+        order = np.argsort(-raw)
+        for k, i in enumerate(order):
+            if gain * raw[i] < floor:
+                # this row and every later one cannot reach the floor
+                phase[order[k:]] = 0.0
+                break
+            phase[i] = bandpass_array(phase[i], cube.frame_rate_hz, spec)
+            floor = max(floor, select_best_bin(phase[i : i + 1], bins[i : i + 1])[1])
         range_bin, peak_to_peak = select_best_bin(phase, bins)
         if best is None or peak_to_peak > best.peak_to_peak:
             best = BinSelection(antenna, range_bin, peak_to_peak)

@@ -22,6 +22,9 @@ with the same bits per output whatever the BLAS thread count (the CLI
 starts OpenBLAS with one thread and no worker pool). Both passes write
 over the padded row itself, the backward one through its reversed view,
 so a filter holds the padded row and one slab's products.
+``bandpass_gain`` bounds the filter's output by the range of its input;
+it rests on the even extension and the steady-state starts, so it sits
+beside them here.
 """
 
 from __future__ import annotations
@@ -328,9 +331,92 @@ def _filtfilt_row(f: _BlockFilter, x: np.ndarray, padlen: int) -> np.ndarray:
     return ext[padlen : padlen + x.size]
 
 
+# Relative margin of ``bandpass_gain`` over its real-arithmetic value:
+# it covers the filter's rounding (about 1e-12 of a row's
+# peak-to-peak) and the impulse response cut off once its slowest pole
+# has decayed by ``1e-13``, and costs nothing in what the bound prunes.
+GAIN_SLACK = 1e-6
+
+
+@functools.lru_cache(maxsize=32)
+def _gain_terms(spec: BandpassSpec, sample_rate_hz: float) -> tuple[float, np.ndarray] | None:
+    # ||g||_1 of the autocorrelation g of the one-pass impulse response
+    # h, over every lag, and the tails t[k] = sum_{j >= k} |h_j| of h
+    # (t[0] = ||h||_1, and a last entry 0), with h taken until its
+    # slowest pole has decayed by 1e-13; None when that takes over
+    # 2**20 samples. Memoized like the design it is taken from, so the
+    # tails are read-only. Both sums come from the block filter itself:
+    # a LAPACK eigen-solver or an FFT of a new size would load library
+    # pages that stay in the process's peak RSS (0.9 and 0.5 MB).
+    sos = _bandpass_sos(spec, sample_rate_hz)
+    # each section's two poles, the roots of z**2 + a1 z + a2
+    root = np.sqrt(sos[:, 4] ** 2 - 4.0 * sos[:, 5] + 0j)
+    radius = np.abs(np.concatenate((-sos[:, 4] + root, -sos[:, 4] - root))).max() / 2.0
+    size = math.ceil(math.log(1e-13) / math.log(radius)) if radius < 1.0 else math.inf
+    if size > 1 << 20:
+        return None
+    f = _bandpass_filter(spec, sample_rate_hz)
+    h = np.zeros(size)
+    h[0] = 1.0
+    _block_pass(f, h, np.zeros_like(f.zi), h)
+    # h run forward over h reversed: g at lags size - 1 down to -size
+    autocorrelation = np.zeros(2 * size)
+    autocorrelation[:size] = h[::-1]
+    _block_pass(f, autocorrelation, np.zeros_like(f.zi), autocorrelation)
+    tails = np.append(np.cumsum(np.abs(h[::-1]))[::-1], 0.0)
+    tails.flags.writeable = False
+    return float(np.abs(autocorrelation).sum()), tails
+
+
+def bandpass_gain(n: int, sample_rate_hz: float, spec: BandpassSpec | None = None) -> float:
+    """A bound ``G`` on how far :func:`bandpass_array` spreads a row of
+    ``n`` samples: every output sample lies within ``G * p / 2`` of 0,
+    where ``p`` is the row's peak-to-peak, so the output's peak-to-peak
+    over any of its samples is at most ``G * p``.
+
+    With ``h`` the design's one-pass impulse response and ``g`` its
+    autocorrelation (the response of a forward and backward pass),
+    ``G = (||g||_1 + 2 ||h||_1 sum_{k > padlen} |h_k|) * (1 +
+    GAIN_SLACK)``: 2.478 for the default design at 200 Hz, whose
+    ``||h||_1`` is 2.796. It follows from ``_filtfilt_row``. The
+    design's DC gain is 0, so a pass may measure its input from any
+    constant, here the middle of the row's range. The even extension
+    holds only the row's own values, and a steady-state start is a
+    constant past input of one of them, so the forward pass is ``h``
+    over values within ``p / 2`` of that middle, and stays within
+    ``||h||_1 p / 2`` of 0 (Young's inequality). The backward pass
+    starts from its last output held constant beyond the end. Had the
+    forward pass run on, the two passes would be ``g`` over the
+    extension, within ``||g||_1 p / 2`` of 0; the held value differs
+    from that run-on by at most ``||h||_1 p``, and an output sample
+    reads it only through taps past ``padlen``. ``inf`` when the
+    response is too long to sum (over 2**20 samples).
+
+    Raises
+    ------
+    ValueError
+        As :func:`bandpass_array` for a row of ``n`` samples.
+    """
+    if spec is None:
+        spec = BandpassSpec()
+    padlen = _bandpass_padlen(spec, sample_rate_hz, n)
+    terms = _gain_terms(spec, sample_rate_hz)
+    if terms is None:
+        return math.inf
+    autocorrelation_l1, tails = terms
+    tail = tails[min(padlen + 1, tails.size - 1)]
+    return (autocorrelation_l1 + 2.0 * tails[0] * tail) * (1.0 + GAIN_SLACK)
+
+
 def _bandpass_padlen(spec: BandpassSpec, sample_rate_hz: float, n: int) -> int:
     # Reflect-pad by three times the effective impulse length of the
     # slowest pole, capped at n - 1 so short records remain filterable.
+    # Raises "invalid cutoff" for a band that does not fit below
+    # Nyquist, then "input too short" under 3 * order samples.
+    if spec.high_cut_hz >= sample_rate_hz / 2.0:
+        raise ValueError("invalid cutoff")
+    if n < 3 * spec.order:
+        raise ValueError("input too short")
     nominal = 3 * spec.order * math.ceil(sample_rate_hz / spec.low_cut_hz)
     return int(min(nominal, n - 1))
 
@@ -375,12 +461,8 @@ def bandpass_array(
     """
     if spec is None:
         spec = BandpassSpec()
-    if spec.high_cut_hz >= sample_rate_hz / 2.0:
-        raise ValueError("invalid cutoff")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    if values.size < 3 * spec.order:
-        raise ValueError("input too short")
     padlen = _bandpass_padlen(spec, sample_rate_hz, values.size)
     return _filtfilt_row(_bandpass_filter(spec, sample_rate_hz), values, padlen)

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from pulsecmp.beats import detect_peaks, extract_ibi
 from pulsecmp import radar, signal_core
 from pulsecmp.radar import RadarCube, process_radar, select_best_bin
-from pulsecmp.signal_core import TimeSeries
+from pulsecmp.signal_core import BandpassSpec, TimeSeries
 from pulsecmp.synth import CubeGeometry, PulseModel, generate_waveform
 
 from oracles import (
@@ -484,11 +484,26 @@ class TestProcessRadar:
 
     def test_filters_searchable_rows_only(self, call_log):
         # 3 antennas x bins 1..31 of a 64-sample chirp: bins 0 and 32
-        # are never reduced or filtered
+        # are never reduced or filtered. Every searchable bin carries
+        # the same phase row, so each ties the best and none may be
+        # skipped.
         calls = call_log(signal_core.bandpass_array)
-        data = np.random.default_rng(17).standard_normal((int(12 * FS), 3, 16, 64), dtype=np.float32)
-        process_radar(RadarCube(data))
+        process_radar(RadarCube(_equal_rows_data(int(12 * FS), antennas=3, samples=64)))
         assert len(calls) == 93
+
+    def test_skips_rows_that_cannot_win(self, call_log):
+        # at 20 dB the target's row lets most noise rows be skipped
+        calls = call_log(signal_core.bandpass_array)
+        waveform, _ = generate_waveform(PulseModel(), 12.0, FS, seed=13)
+        cube = synth_radar_cube(waveform.with_samples(waveform.samples * 1e-4), CubeGeometry(), 20.0, 13)
+        result = process_radar(cube)
+        assert (result.selection.antenna_index, result.selection.range_bin) == (1, 7)
+        assert 0 < len(calls) < 93
+
+    def test_invalid_band_still_raises(self):
+        cube = _oracle_cube(3, 4, 32, (0, 9), 29)
+        with pytest.raises(ValueError, match="invalid cutoff"):
+            process_radar(cube, BandpassSpec(4, 0.5, 100.0))
 
     def test_block_size_does_not_change_result(self, monkeypatch):
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, seed=13)
@@ -501,40 +516,67 @@ class TestProcessRadar:
         assert blocked.selection == whole.selection
 
 
-def _oracle_cube(antennas, chirps, samples, target, seed, twin=False):
-    waveform, _ = generate_waveform(PulseModel(), 12.0, FS, seed=seed)
+def _oracle_cube(antennas, chirps, samples, target, seed, twin=False, snr_db=20.0, duration_s=12.0, fs=FS,
+                 flat=False):
+    waveform, _ = generate_waveform(PulseModel(), duration_s, fs, seed=seed)
     displacement = waveform.with_samples(waveform.samples * 1e-4)
     geometry = CubeGeometry(antennas, chirps, samples, target_antenna=target[0], target_range_bin=target[1])
-    cube = synth_radar_cube(displacement, geometry, snr_db=20.0, seed=seed)
+    cube = synth_radar_cube(displacement, geometry, snr_db=snr_db, seed=seed)
     if twin:
         # antenna 2 a copy of antenna 0: every cell of one ties with the
         # same cell of the other
         cube.data[:, 2] = cube.data[:, 0]
+    if flat:
+        cube.data[:] = 0.25
     return cube
+
+
+def _equal_rows_data(n_frames, antennas, samples):
+    """Cube data whose every searchable range bin has the same pulsating
+    phase: each chirp is the real signal whose bins 1 .. ceil(N/2) - 1
+    all equal exp(1j * phase), and bin 0 and any Nyquist bin are 0."""
+    t = np.arange(n_frames) / FS
+    phase = 2.0 * np.sin(2.0 * np.pi * 1.1 * t)
+    bins = np.arange(1, (samples + 1) // 2)
+    comb = np.exp(2j * np.pi * bins[:, None] * np.arange(samples)[None, :] / samples).sum(axis=0)
+    chirp = (np.exp(1j * phase)[:, None] * comb[None, :]).real * (2.0 / samples)
+    return np.repeat(chirp[:, None, None, :], antennas, axis=1).astype(np.float32)
 
 
 class TestOneAntennaAtATime:
     @pytest.mark.parametrize(
-        "geometry, max_bins, expected",
+        "geometry, max_bins, expected, options",
         [
-            pytest.param((1, 4, 32, (0, 5), 21), 0, (0, 5), id="1-antenna"),
-            pytest.param((3, 16, 64, (1, 7), 22), 0, (1, 7), id="3-antennas"),
-            pytest.param((3, 4, 32, (2, 9), 23), 0, (2, 9), id="target-in-last"),
-            pytest.param((8, 2, 16, (5, 3), 24), 0, (5, 3), id="8-antennas"),
-            pytest.param((3, 3, 15, (1, 6), 25), 0, (1, 6), id="odd-chirp"),
-            pytest.param((3, 4, 32, (1, 9), 26), 5, None, id="max-bins-cap"),
-            pytest.param((3, 4, 32, (0, 6), 27, True), 0, (0, 6), id="tie-to-antenna-0"),
+            pytest.param((1, 4, 32, (0, 5), 21), 0, (0, 5), {}, id="1-antenna"),
+            pytest.param((3, 16, 64, (1, 7), 22), 0, (1, 7), {}, id="3-antennas"),
+            pytest.param((3, 4, 32, (2, 9), 23), 0, (2, 9), {}, id="target-in-last"),
+            pytest.param((8, 2, 16, (5, 3), 24), 0, (5, 3), {}, id="8-antennas"),
+            pytest.param((3, 3, 15, (1, 6), 25), 0, (1, 6), {}, id="odd-chirp"),
+            pytest.param((3, 4, 32, (1, 9), 26), 5, None, {}, id="max-bins-cap"),
+            pytest.param((3, 4, 32, (0, 6), 27, True), 0, (0, 6), {}, id="tie-to-antenna-0"),
+            # rows skipped by the gain bound change no bit: at each
+            # noise level, with the target in the first, middle and
+            # last antenna (at 0 dB a noise cell may win)
+            *(
+                pytest.param((3, 4, 32, (antenna, 9), 30 + antenna), 0, None if snr == 0.0 else (antenna, 9),
+                             {"snr_db": snr}, id=f"{snr}dB-target-in-{antenna}")
+                for snr in (0.0, 10.0, 20.0, 40.0, None)
+                for antenna in (0, 1, 2)
+            ),
+            pytest.param((3, 4, 32, (0, 9), 33), 0, (0, 1), {"flat": True}, id="flat"),
+            pytest.param((3, 4, 32, (0, 9), 34), 0, (0, 9), {"duration_s": 10.0}, id="10s-padding-capped"),
+            pytest.param((3, 4, 32, (2, 9), 35), 0, (2, 9), {"fs": 50.0, "duration_s": 30.0}, id="50Hz"),
         ],
     )
-    def test_bits_equal_whole_tensor_path(self, geometry, max_bins, expected):
-        cube = _oracle_cube(*geometry)
+    def test_bits_equal_whole_tensor_path(self, geometry, max_bins, expected, options):
+        cube = _oracle_cube(*geometry, **options)
         samples, selection = process_radar_whole_tensor(cube, max_bins=max_bins)
         result = process_radar(cube, max_bins=max_bins)
         assert np.array_equal(result.waveform.samples, samples)
         assert result.selection == selection
         if expected is not None:
             assert (selection.antenna_index, selection.range_bin) == expected
-        else:
+        if max_bins:
             assert selection.range_bin < max_bins
 
     def test_bits_equal_whole_tensor_path_in_small_blocks(self, monkeypatch):

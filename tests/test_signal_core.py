@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
-from scipy.signal import butter, sosfiltfilt
+from scipy.signal import butter, sosfilt, sosfiltfilt
 
 from pulsecmp import signal_core
 from pulsecmp.signal_core import (
@@ -20,6 +20,7 @@ from pulsecmp.signal_core import (
     _bandpass_sos,
     _block_pass,
     bandpass_array,
+    bandpass_gain,
     butterworth_bandpass,
     median,
 )
@@ -217,6 +218,102 @@ class TestNumpyFilterAgainstScipy:
         expected = sosfiltfilt(sos, x, padtype="even", padlen=padlen)
         # both round at about eps times the input's size
         assert np.abs(bandpass_array(x, FS, spec) - expected).max() <= 1e-12 * np.abs(x).max()
+
+
+
+def _impulse_response(order, fs, size=20_000):
+    """scipy's one-pass impulse response of the band-pass design, and
+    its full autocorrelation (lags -(size - 1) .. size - 1)."""
+    impulse = np.zeros(size)
+    impulse[0] = 1.0
+    h = sosfilt(butter(order, [0.5, 8.0], btype="bandpass", fs=fs, output="sos"), impulse)
+    return h, np.correlate(h, h, "full")
+
+
+def _peak_to_peak(x):
+    return x.max() - x.min()
+
+
+def _two_center_row(g, n):
+    """A row of +-1 that drives the output to about +||g||_1 at n / 4
+    and -||g||_1 at 3n / 4: the sign pattern of the autocorrelation g
+    centred on each, the second negated."""
+    lag = np.arange(n) + (g.size // 2)
+    row = np.zeros(n)
+    for centre, sign, part in ((n // 4, 1.0, slice(0, n // 2)), (3 * n // 4, -1.0, slice(n // 2, n))):
+        index = lag[part] - centre
+        inside = (index >= 0) & (index < g.size)
+        row[part][inside] = sign * np.sign(g[index[inside]])
+    return row
+
+
+class TestBandpassGain:
+    """``bandpass_gain`` bounds the output's peak-to-peak by ``G`` times
+    the row's. It is derived from ``_filtfilt_row``'s even extension and
+    steady-state starts, so these fail if either changes without it."""
+
+    # 12 000 and 4 000 samples are padded by 4 800; the shorter rows by
+    # n - 1, so their bound carries more of the response's tail
+    LENGTHS = (12_000, 4_000, 2_000, 600, 100)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("order, fs", [(4, 200.0), (4, 50.0), (2, 200.0), (6, 200.0)])
+    def test_matches_the_sums_of_scipys_response(self, n, order, fs):
+        spec = BandpassSpec(order, 0.5, 8.0)
+        h, g = _impulse_response(order, fs)
+        padlen = _bandpass_padlen(spec, fs, n)
+        expected = np.abs(g).sum() + 2.0 * np.abs(h).sum() * np.abs(h[padlen + 1 :]).sum()
+        assert bandpass_gain(n, fs, spec) == pytest.approx(expected * (1.0 + signal_core.GAIN_SLACK), rel=1e-9)
+
+    def test_default_design_values(self):
+        h, _ = _impulse_response(4, FS)
+        assert np.abs(h).sum() == pytest.approx(2.796, abs=5e-4)
+        assert bandpass_gain(12_000, FS) == pytest.approx(2.478, abs=5e-4)
+
+    def test_no_bound_for_a_response_too_long_to_sum(self):
+        # a 0.1 mHz low cut (filter.low_hz) rings for far over 2**20
+        # samples: nothing can be ruled out, and the input is still checked
+        assert bandpass_gain(12_000, FS, BandpassSpec(4, 1e-4, 8.0)) == math.inf
+        with pytest.raises(ValueError, match="invalid cutoff"):
+            bandpass_gain(12_000, FS, BandpassSpec(4, 0.5, 100.0))
+        with pytest.raises(ValueError, match="input too short"):
+            bandpass_gain(11, FS)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_bounds_random_and_adversarial_rows(self, n):
+        gain = bandpass_gain(n, FS)
+        rng = np.random.default_rng(n)
+        rows = {
+            "walk": 5.0 + np.cumsum(rng.standard_normal(n)),
+            "noise": rng.standard_normal(n),
+            "uniform": rng.uniform(-1.0, 1.0, n),
+            # any leak of the offset through the filter would dwarf the
+            # bound of this row's small spread
+            "offset": 1e4 + rng.uniform(-1e-3, 1e-3, n),
+            "adversarial": _two_center_row(_impulse_response(4, FS)[1], n),
+        }
+        margin = int(0.05 * n)  # radar.EDGE_FRACTION's trim
+        for name, row in rows.items():
+            out = bandpass_array(row, FS)
+            assert _peak_to_peak(out) <= gain * _peak_to_peak(row), name
+            if name == "adversarial" and n >= 2_000:
+                # the bound is nearly tight: edge-trimmed, the row
+                # reaches 97.7 % of it at 2 000 samples, 99.9999 % at 12 000
+                core = out[margin : n - margin]
+                assert _peak_to_peak(core) >= 0.95 * gain * _peak_to_peak(row), name
+
+    @pytest.mark.parametrize("n", [40, 600, 2_000])
+    def test_bounds_the_worst_row_of_a_short_record(self, n):
+        # The filter is linear and maps a flat row to zeros, so output
+        # sample t is w_t . (x - c) for any constant c, and the worst
+        # row for it, sign(w_t), sends it to ||w_t||_1 with a
+        # peak-to-peak of 2: the bound holds exactly when every
+        # ||w_t||_1 is at most G. Rows padded by n - 1 read the
+        # extension and the start states the most. At 2 000 samples
+        # the largest ||w_t||_1 is 0.99993 G, at the last sample; an
+        # odd extension would lift it to 1.02 G.
+        weights = np.array([bandpass_array(unit, FS) for unit in np.eye(n)])
+        assert np.abs(weights).sum(axis=0).max() <= bandpass_gain(n, FS)
 
 
 CHUNK_SAMPLES = FILTER_BLOCK * FILTER_CHUNK
