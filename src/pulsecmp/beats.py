@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pulsecmp.metrics import BeatTable, auc_normalized, count_inflections
+from pulsecmp.config import PipelineConfig
+from pulsecmp.metrics import MIN_BEAT_SAMPLES, BeatTable, auc_normalized, count_inflections
 from pulsecmp.signal_core import TimeSeries, median
 
 IBI_MIN_MS = 250.0
@@ -255,8 +256,8 @@ def _find_peaks(x: np.ndarray, distance: int, prominence: float) -> np.ndarray:
 
 def detect_peaks(
     x: TimeSeries,
-    min_separation_s: float = 0.33,
-    prominence_rel: float = 0.3,
+    min_separation_s: float = PipelineConfig.beats_min_separation_s,
+    prominence_rel: float = PipelineConfig.beats_prominence_rel,
 ) -> PeakTrain:
     """Locate systolic maxima and diastolic feet in a filtered waveform.
 
@@ -322,8 +323,8 @@ def polarity_inverted(train: PeakTrain) -> bool | None:
 
 def orient_and_detect(
     waveform: TimeSeries,
-    min_separation_s: float = 0.33,
-    prominence_rel: float = 0.3,
+    min_separation_s: float = PipelineConfig.beats_min_separation_s,
+    prominence_rel: float = PipelineConfig.beats_prominence_rel,
 ) -> tuple[TimeSeries, PeakTrain, bool | None]:
     """Orient a band-passed pulse waveform upstroke-up and detect its beats.
 
@@ -371,7 +372,9 @@ def extract_ibi(train: PeakTrain) -> IbiSeries:
     return IbiSeries(intervals[keep], anchors[keep])
 
 
-def segment_beats_indexed(x: TimeSeries, train: PeakTrain, norm_len: int = 200) -> BeatTable:
+def segment_beats_indexed(
+    x: TimeSeries, train: PeakTrain, norm_len: int = PipelineConfig.beats_norm_len
+) -> BeatTable:
     """Cut the waveform into beats between consecutive diastolic feet, as one table.
 
     Each beat is resampled to ``norm_len`` points and min-max scaled to
@@ -379,11 +382,11 @@ def segment_beats_indexed(x: TimeSeries, train: PeakTrain, norm_len: int = 200) 
     discarded. Each kept beat is measured as it is cut: its row holds
     the increasing index in ``train`` of its leading diastolic foot, for
     matching beats across modalities after event alignment, its shape,
-    its extrema count and its area. ``norm_len`` must be at least 7, the
-    shortest beat ``count_inflections`` measures, before any beat is cut.
+    its extrema count and its area. ``norm_len`` below ``MIN_BEAT_SAMPLES``,
+    the shortest beat ``count_inflections`` measures, fails before any cut.
     """
-    if norm_len < 7:
-        raise ValueError("norm_len must be at least 7")
+    if norm_len < MIN_BEAT_SAMPLES:
+        raise ValueError(f"norm_len must be at least {MIN_BEAT_SAMPLES}")
     d = train.diastolic_indices
     grid = np.linspace(0.0, 1.0, int(norm_len))
     n = max(0, d.size - 1)
@@ -447,8 +450,8 @@ def average_beats(shapes: np.ndarray) -> AverageBeat:
 def align_beat_events(
     ta_s: np.ndarray,
     tb_s: np.ndarray,
-    max_lag_s: float = 5.0,
-    pair_tol_s: float = 0.25,
+    max_lag_s: float = PipelineConfig.align_max_lag_s,
+    pair_tol_s: float = PipelineConfig.align_pair_tol_s,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Match two increasing sets of event times recorded simultaneously.
 

@@ -34,7 +34,7 @@ gc.disable()
 try:
     import numpy as np
 
-    from pulsecmp.beats import extract_ibi
+    from pulsecmp.beats import IbiSeries, extract_ibi
     from pulsecmp.config import PipelineConfig, load_config
     from pulsecmp.formats import (
         REFERENCE_COLUMN,
@@ -135,18 +135,18 @@ def read_bundle_dir(directory: str, subject_id: str | None = None) -> RecordingB
     )
 
 
+def _write_ibi(path: str, ibi: IbiSeries) -> None:
+    """Write ``process``'s ``ibi.csv`` or one of ``compare``'s ``ibi_<modality>.csv``."""
+    write_table(path, {"anchor_time_s": ibi.anchor_times_s, "interval_ms": ibi.intervals_ms})
+
+
 def _write_report_files(report: AgreementReport, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     write_text_atomic(
         os.path.join(directory, "report.json"), canonical_json(report.to_dict()) + "\n"
     )
     for name, modality in sorted(report.modalities.items()):
-        ibi = modality.ibi
-        if len(ibi):
-            write_table(
-                os.path.join(directory, f"ibi_{name}.csv"),
-                {"anchor_time_s": ibi.anchor_times_s, "interval_ms": ibi.intervals_ms},
-            )
+        _write_ibi(os.path.join(directory, f"ibi_{name}.csv"), modality.ibi)
         if modality.average_beat is not None:
             beat = modality.average_beat
             positions = np.linspace(0.0, 1.0, beat.mean.size)
@@ -211,10 +211,7 @@ def cmd_process(args) -> int:
             "value": waveform.samples[indices],
         },
     )
-    write_table(
-        os.path.join(args.out, "ibi.csv"),
-        {"anchor_time_s": ibi.anchor_times_s, "interval_ms": ibi.intervals_ms},
-    )
+    _write_ibi(os.path.join(args.out, "ibi.csv"), ibi)
     meta["n_systolic"] = int(train.systolic_indices.size)
     meta["n_diastolic"] = int(train.diastolic_indices.size)
     meta["n_ibi"] = len(ibi)

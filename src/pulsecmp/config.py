@@ -6,7 +6,10 @@ finite, from a file, an override or the constructor; each error names
 its key, and an error in a file also its line. Field ``filter_low_hz``
 is key ``filter.low_hz``, its first underscore turned into a dot. The
 environment variable ``PULSECMP_CONFIG`` names a default config file
-used without a path.
+used without a path. ``PipelineConfig`` states every default once: a
+library default that a key sets reads its class attribute, so a call
+without the argument uses the key's value. This module imports neither
+numpy nor the pipeline, so every pipeline module may import it.
 """
 
 from __future__ import annotations

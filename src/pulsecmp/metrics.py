@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# count_inflections: moving-average width (samples) and the slope floor,
-# as a fraction of the beat's range, below which a difference is flat.
+# count_inflections: moving-average width and shortest beat (samples), and
+# the slope floor, as a fraction of a beat's range, below which a step is flat.
 INFLECTION_SMOOTH_WIN = 5
+MIN_BEAT_SAMPLES = 7
 INFLECTION_EPS = 1e-3
 
 # Paired shape rows gathered at once by compare_modalities.
@@ -151,7 +152,7 @@ def count_inflections(beats: np.ndarray) -> int | np.ndarray:
     gives an ``int``, a table one count per row.
     """
     beats = np.atleast_1d(np.asarray(beats, dtype=np.float64))
-    if beats.shape[-1] < 7:
+    if beats.shape[-1] < MIN_BEAT_SAMPLES:
         raise ValueError("beat too short")
     rows = beats.reshape(-1, beats.shape[-1])
     w = INFLECTION_SMOOTH_WIN

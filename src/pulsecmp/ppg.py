@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from pulsecmp.config import PipelineConfig
 from pulsecmp.signal_core import TimeSeries
 
 DEFAULT_CHANNEL = "green_0"
@@ -34,7 +35,7 @@ class PpgRecording:
         if len(bases) != 1:
             raise ValueError("all channels must share one sample rate, start time and length")
 
-    def channel(self, name: str = "") -> TimeSeries:
+    def channel(self, name: str = PipelineConfig.ppg_channel) -> TimeSeries:
         """The named channel. An empty name selects ``green_0`` when
         present, else the alphabetically first channel."""
         name = name or (DEFAULT_CHANNEL if DEFAULT_CHANNEL in self.channels else min(self.channels))

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from pulsecmp.config import PipelineConfig
 from pulsecmp.signal_core import (
     BandpassSpec,
     TimeSeries,
@@ -135,7 +136,7 @@ def frame_blocks(shape: tuple[int, ...]) -> Iterator[tuple[int, int]]:
         yield start, min(start + step, n_frames)
 
 
-def searchable_bins(n_samples: int, max_bins: int = 0) -> range:
+def searchable_bins(n_samples: int, max_bins: int = PipelineConfig.radar_max_bins) -> range:
     """Range bins the chain may select for chirps of ``n_samples`` samples.
 
     Bins 1 .. ceil(N/2) - 1: bin 0 is nulled by chirp mean removal, and
@@ -240,7 +241,7 @@ def select_best_bin(rows: np.ndarray, bins: range) -> tuple[int, float]:
 
 
 def process_radar(
-    cube: RadarCube, spec: BandpassSpec | None = None, max_bins: int = 0
+    cube: RadarCube, spec: BandpassSpec = BandpassSpec(), max_bins: int = PipelineConfig.radar_max_bins
 ) -> RadarPulseResult:
     """Radar chain from raw cube to the band-passed phase of the best cell.
 

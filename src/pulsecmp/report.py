@@ -267,7 +267,7 @@ def condition_modality(
     spec = BandpassSpec(config.filter_order, config.filter_low_hz, config.filter_high_hz)
     selection = None
     if name == "radar":
-        result = process_radar(raw, spec, max_bins=config.radar_max_bins)
+        result = process_radar(raw, spec, config.radar_max_bins)
         waveform, selection = result.waveform, result.selection
     else:
         series = raw.channel(config.ppg_channel) if name == "ppg" else raw

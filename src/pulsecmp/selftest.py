@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pulsecmp.beats import align_beat_events, paired_consecutive
+from pulsecmp.beats import align_beat_events, foot_intervals_ms, paired_consecutive
 from pulsecmp.config import PipelineConfig
 from pulsecmp.metrics import (
     auc_normalized,
@@ -40,9 +40,6 @@ RECOVERY_SEEDS = (1, 2, 3, 4, 5, 6, 7, 9, 10, 11)
 
 # Criterion 1's floor on the mean per-beat cosine to the true displacement.
 MIN_MEAN_COSINE = 0.99
-
-# Largest truth-to-detection lag searched when judging IBI fidelity.
-IBI_MAX_LAG_S = 5.0
 
 
 @dataclass
@@ -78,7 +75,7 @@ def measure_tone_amplitude(x: np.ndarray, fs: float, f_hz: float) -> float:
 
 
 def waveform_beat_cosines(
-    wave: TimeSeries, target: TimeSeries, beat_times_s: np.ndarray, norm_len: int = 200
+    wave: TimeSeries, target: TimeSeries, beat_times_s: np.ndarray
 ) -> np.ndarray:
     """Per-beat cosine between two waveforms on ground-truth beat windows.
 
@@ -97,7 +94,7 @@ def waveform_beat_cosines(
     lags = np.arange(-(x.size - 1), w.size)
     window = (lags >= -int(5 * fs)) & (lags <= int(5 * fs))
     lag = int(lags[window][np.argmax(cc[window])])
-    grid = np.linspace(0.0, 1.0, norm_len)
+    grid = np.linspace(0.0, 1.0, PipelineConfig.beats_norm_len)
     cosines = []
     for t0, t1 in zip(beat_times_s[:-1], beat_times_s[1:]):
         a0, a1 = int(round(t0 * fs)), int(round(t1 * fs))
@@ -124,11 +121,9 @@ def ibi_errors_vs_truth(detected, truth_times_s: np.ndarray) -> np.ndarray:
     # the truth is snapped to the detected train's sample grid: against
     # unrounded times the greedy pairing picks other pairs at 20 dB
     fs = detected.sample_rate_hz
-    _, ia, ib = align_beat_events(
-        np.round(truth_times_s * fs) / fs, detected.diastolic_times(), IBI_MAX_LAG_S
-    )
+    _, ia, ib = align_beat_events(np.round(truth_times_s * fs) / fs, detected.diastolic_times())
     i, j = paired_consecutive(ia, ib)
-    out = np.diff(detected.diastolic_times())[j] * 1000.0 - np.diff(truth_times_s)[i] * 1000.0
+    out = foot_intervals_ms(detected)[j] - np.diff(truth_times_s)[i] * 1000.0
     if out.size > 2:
         out = out[1:-1]
     return out

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pulsecmp.config import PipelineConfig
+
 
 @dataclass
 class TimeSeries:
@@ -88,14 +90,14 @@ class TimeSeries:
 class BandpassSpec:
     """Butterworth band-pass design parameters.
 
-    The default (order 4, 0.5 Hz, 8 Hz) keeps cardiac content while
-    rejecting baseline drift and high-frequency noise. Cutoffs are
-    validated against the Nyquist rate when the filter is applied.
+    The default, ``PipelineConfig``'s ``filter.*`` keys, keeps cardiac
+    content while rejecting baseline drift and high-frequency noise.
+    Cutoffs are validated against the Nyquist rate when it is applied.
     """
 
-    order: int = 4
-    low_cut_hz: float = 0.5
-    high_cut_hz: float = 8.0
+    order: int = PipelineConfig.filter_order
+    low_cut_hz: float = PipelineConfig.filter_low_hz
+    high_cut_hz: float = PipelineConfig.filter_high_hz
 
     def __post_init__(self):
         if int(self.order) != self.order or self.order < 1:
@@ -368,7 +370,7 @@ def _gain_terms(spec: BandpassSpec, sample_rate_hz: float) -> tuple[float, np.nd
     return float(np.abs(autocorrelation).sum()), tails
 
 
-def bandpass_gain(n: int, sample_rate_hz: float, spec: BandpassSpec | None = None) -> float:
+def bandpass_gain(n: int, sample_rate_hz: float, spec: BandpassSpec = BandpassSpec()) -> float:
     """A bound ``G`` on how far :func:`bandpass_array` spreads a row of
     ``n`` samples: every output sample lies within ``G * p / 2`` of 0,
     where ``p`` is the row's peak-to-peak, so the output's peak-to-peak
@@ -397,8 +399,6 @@ def bandpass_gain(n: int, sample_rate_hz: float, spec: BandpassSpec | None = Non
     ValueError
         As :func:`bandpass_array` for a row of ``n`` samples.
     """
-    if spec is None:
-        spec = BandpassSpec()
     padlen = _bandpass_padlen(spec, sample_rate_hz, n)
     terms = _gain_terms(spec, sample_rate_hz)
     if terms is None:
@@ -421,7 +421,7 @@ def _bandpass_padlen(spec: BandpassSpec, sample_rate_hz: float, n: int) -> int:
     return int(min(nominal, n - 1))
 
 
-def butterworth_bandpass(x: TimeSeries, spec: BandpassSpec | None = None) -> TimeSeries:
+def butterworth_bandpass(x: TimeSeries, spec: BandpassSpec = BandpassSpec()) -> TimeSeries:
     """Zero-phase Butterworth band-pass filter.
 
     A bilinear-transform Butterworth design is applied forward and
@@ -434,7 +434,7 @@ def butterworth_bandpass(x: TimeSeries, spec: BandpassSpec | None = None) -> Tim
     x : TimeSeries
         Input signal.
     spec : BandpassSpec, optional
-        Filter design; the shared (4, 0.5, 8) default when omitted.
+        Filter design; the config's ``filter.*`` default when omitted.
 
     Returns
     -------
@@ -451,7 +451,7 @@ def butterworth_bandpass(x: TimeSeries, spec: BandpassSpec | None = None) -> Tim
 
 
 def bandpass_array(
-    values: np.ndarray, sample_rate_hz: float, spec: BandpassSpec | None = None
+    values: np.ndarray, sample_rate_hz: float, spec: BandpassSpec = BandpassSpec()
 ) -> np.ndarray:
     """Array form of :func:`butterworth_bandpass`, for one 1-D row.
 
@@ -459,8 +459,6 @@ def bandpass_array(
     The result is a view of a new buffer: the filtered middle of the
     padded row.
     """
-    if spec is None:
-        spec = BandpassSpec()
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("values must be one-dimensional")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pulsecmp.beats import IBI_MAX_MS, IBI_MIN_MS
+from pulsecmp.config import PipelineConfig
 from pulsecmp.ppg import DEFAULT_CHANNEL, PpgRecording
 from pulsecmp.radar import SPEED_OF_LIGHT, RadarCube, frame_blocks, searchable_bins
 from pulsecmp.signal_core import MIN_RECORD_S, TimeSeries
@@ -34,7 +35,7 @@ NOISE_P2P_SIGMA = 6.0
 
 # Radar carrier, the target's static range offset and the uniform
 # amplitude range of the clutter tones; PPG DC offset and drift rate.
-CARRIER_HZ = 60.0e9
+CARRIER_HZ = RadarCube.carrier_hz
 RANGE_OFFSET_M = 0.003
 CLUTTER_AMP_RANGE = (0.2, 1.0)
 PPG_OFFSET_COUNTS = 10000.0
@@ -45,8 +46,8 @@ PPG_DRIFT_HZ = 0.05
 class PulseModel:
     """Beat-shape and rhythm parameters for the generator."""
 
-    hr_mean_bpm: float = 62.0
-    ibi_sd_ms: float = 30.0
+    hr_mean_bpm: float = PipelineConfig.synth_hr_bpm
+    ibi_sd_ms: float = PipelineConfig.synth_ibi_sd_ms
     systolic_amp: float = 1.0
     augmentation_amp: float = 0.25
     dicrotic_amp: float = 0.15
@@ -109,11 +110,11 @@ class CubeGeometry:
     """Dimensions and target placement for synthetic radar cubes; the
     target bin must be one the radar may select, ``searchable_bins(samples)``."""
 
-    antennas: int = 3
-    chirps: int = 16
-    samples: int = 64
-    target_antenna: int = 1
-    target_range_bin: int = 7
+    antennas: int = PipelineConfig.synth_antennas
+    chirps: int = PipelineConfig.synth_chirps
+    samples: int = PipelineConfig.synth_samples
+    target_antenna: int = PipelineConfig.synth_target_antenna
+    target_range_bin: int = PipelineConfig.synth_target_bin
 
     def __post_init__(self):
         if not (1 <= self.antennas <= 8):
@@ -322,7 +323,7 @@ def synth_radar_stream(
 
 def synth_ppg(
     waveform: TimeSeries,
-    decay_tau_s: float = 0.25,
+    decay_tau_s: float = PipelineConfig.synth_ppg_tau_s,
     noise_sd: float = 0.0,
     seed: int = 0,
     drift_amp_counts: float = 100.0,
@@ -352,8 +353,8 @@ def synth_ppg(
 
 def synth_reference(
     waveform: TimeSeries,
-    sbp: float = 120.0,
-    dbp: float = 80.0,
+    sbp: float = PipelineConfig.synth_sbp_mmhg,
+    dbp: float = PipelineConfig.synth_dbp_mmhg,
     beat_times_s: np.ndarray | None = None,
 ) -> TimeSeries:
     """Pressure reference: affine map of the truth waveform to mmHg.

@@ -30,7 +30,7 @@ from pulsecmp.radar import (
     frame_blocks,
     searchable_bins,
 )
-from pulsecmp.signal_core import FILTER_BLOCK, FILTER_CHUNK, TimeSeries, bandpass_array
+from pulsecmp.signal_core import FILTER_BLOCK, FILTER_CHUNK, BandpassSpec, TimeSeries, bandpass_array
 from pulsecmp.synth import (
     CARRIER_HZ,
     CLUTTER_AMP_RANGE,
@@ -359,7 +359,7 @@ def slow_time_fused_whole(cube, bins):
     return phase
 
 
-def filter_phase_rows(phase, frame_rate_hz, spec=None):
+def filter_phase_rows(phase, frame_rate_hz, spec=BandpassSpec()):
     """Unwrap (``np.unwrap``) and band-pass every row of the last axis of
     ``phase`` in place, the radar chain's per-row filter."""
     for row in phase.reshape(-1, phase.shape[-1]):
@@ -378,7 +378,7 @@ def select_whole_tensor(phases, bins):
     return BinSelection(int(antenna), bins[index], float(p2p[antenna, index]))
 
 
-def process_radar_whole_tensor(cube, spec=None, max_bins=0):
+def process_radar_whole_tensor(cube, spec=BandpassSpec(), max_bins=0):
     """``radar.process_radar`` over the whole [antenna][bin][frame] phase
     tensor: every row filtered, then one antenna-major selection over all
     of them. Returns ``(waveform samples, selection)``."""
@@ -424,7 +424,7 @@ def synth_radar_cube(displacement, geometry=CubeGeometry(), snr_db=None, seed=0)
     return synth_radar_stream(displacement, geometry, snr_db, seed).to_cube()
 
 
-def phase_per_bin(slow_time, frame_rate_hz, spec=None):
+def phase_per_bin(slow_time, frame_rate_hz, spec=BandpassSpec()):
     """Unwrapped, band-pass-filtered phase of every (antenna, bin) cell.
 
     ``slow_time`` is the complex tensor [frame][antenna][bin] of

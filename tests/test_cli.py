@@ -10,10 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pulsecmp import beats, cli, radar, synth
+from pulsecmp import beats, cli, radar, signal_core, synth
 from pulsecmp.cli import main
 from pulsecmp.config import PipelineConfig
 from pulsecmp.formats import canonical_json, read_radar_cube, write_radar_cube
+from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import RadarCube
 from pulsecmp.report import (
     RecordingBundle,
@@ -22,7 +23,7 @@ from pulsecmp.report import (
     simulate_bundle,
     simulate_stream,
 )
-from pulsecmp.signal_core import TimeSeries, _bandpass_filter
+from pulsecmp.signal_core import BandpassSpec, TimeSeries, _bandpass_filter
 from pulsecmp.synth import (
     CubeGeometry,
     generate_waveform,
@@ -391,19 +392,30 @@ class TestCompare:
         assert reports[0] == reports[1] == reports[2]
 
     def test_process_matches_compare(self, bundle_dir, tmp_path):
-        cmp_out = tmp_path / "cmp"
-        assert main(["compare", "--bundle", str(bundle_dir), "-o", str(cmp_out)]) == 0
-        report = json.loads((cmp_out / "report.json").read_text())
-        for modality, filename in (
-            ("radar", "radar.radc"), ("ppg", "ppg.csv"), ("reference", "reference.csv")
-        ):
-            out = tmp_path / modality
-            assert main(["process", modality, str(bundle_dir / filename), "-o", str(out)]) == 0
-            assert (out / "ibi.csv").read_bytes() == (
-                cmp_out / f"ibi_{modality}.csv"
-            ).read_bytes()
-        meta = json.loads((tmp_path / "radar" / "meta.json").read_text())
-        assert meta["selection"] == report["modalities"]["radar"]["selection"]
+        # and on a flat reference, whose interval series is empty
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        for name in ("radar.radc", "ppg.csv"):
+            (flat / name).write_bytes((bundle_dir / name).read_bytes())
+        header, *rows = (bundle_dir / "reference.csv").read_text().splitlines()
+        (flat / "reference.csv").write_text(
+            "\n".join([header, *(row.split(",")[0] + ",100.0" for row in rows)]) + "\n"
+        )
+        for bundle in (bundle_dir, flat):
+            cmp_out = tmp_path / f"cmp_{bundle.name}"
+            assert main(["compare", "--bundle", str(bundle), "-o", str(cmp_out)]) == 0
+            report = json.loads((cmp_out / "report.json").read_text())
+            for modality, filename in (
+                ("radar", "radar.radc"), ("ppg", "ppg.csv"), ("reference", "reference.csv")
+            ):
+                out = tmp_path / f"{bundle.name}_{modality}"
+                assert main(["process", modality, str(bundle / filename), "-o", str(out)]) == 0
+                assert (out / "ibi.csv").read_bytes() == (
+                    cmp_out / f"ibi_{modality}.csv"
+                ).read_bytes()
+            meta = json.loads((tmp_path / f"{bundle.name}_radar" / "meta.json").read_text())
+            assert meta["selection"] == report["modalities"]["radar"]["selection"]
+        assert report["modalities"]["reference"]["n_ibi"] == 0
 
     def test_max_bins_one_is_input_error(self, bundle_dir, tmp_path, capsys):
         # bin 0 is the only bin under max_bins=1, and it carries no phase
@@ -637,6 +649,49 @@ class TestConfigPlumbing:
                      "--set", "beats.norm_len=7"]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert {m["status"] for m in doc["modalities"].values()} == {"ok"}
+
+    def test_config_imports_neither_numpy_nor_the_pipeline(self):
+        # every pipeline module reads its defaults from the config, so
+        # the config may import none of them
+        code = (
+            "import sys, pulsecmp.config\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('pulsecmp.')))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "['pulsecmp.config']"
+
+    def test_every_key_reaches_its_stage(self, bundle_dir, call_log):
+        # each key off its default: a stage that fell back on the default
+        # its own signature states would show here
+        config = PipelineConfig(
+            filter_order=3, filter_low_hz=0.6, filter_high_hz=7.0,
+            beats_min_separation_s=0.3, beats_prominence_rel=0.25, beats_norm_len=150,
+            align_max_lag_s=4.0, align_pair_tol_s=0.2, radar_max_bins=12, ppg_channel="ir_0",
+        )
+        default = PipelineConfig().to_flat_dict()
+        changed = {k for k, v in config.to_flat_dict().items() if v != default[k]}
+        assert changed == {k for k in default if not k.startswith("synth.")}
+        bundle = cli.read_bundle_dir(str(bundle_dir))
+        green = bundle.ppg.channel()
+        chosen = green.with_samples(green.samples)
+        bundle.ppg = PpgRecording({"green_0": green, "ir_0": chosen})
+        stages = (
+            radar.process_radar,
+            signal_core.butterworth_bandpass,
+            beats.orient_and_detect,
+            beats.segment_beats_indexed,
+            beats.align_beat_events,
+        )
+        calls = {fn.__name__: call_log(fn) for fn in stages}
+        run_compare(bundle, config)
+        spec = BandpassSpec(3, 0.6, 7.0)
+        assert [args[1:] for args in calls["process_radar"]] == [(spec, 12)]
+        assert [args[1:] for args in calls["butterworth_bandpass"]] == [(spec,)] * 2
+        assert calls["butterworth_bandpass"][0][0] is chosen
+        assert [args[1:] for args in calls["orient_and_detect"]] == [(0.3, 0.25)] * 3
+        assert [args[2:] for args in calls["segment_beats_indexed"]] == [(150,)] * 3
+        assert [args[2:] for args in calls["align_beat_events"]] == [(4.0, 0.2)] * 2
 
     def test_non_finite_duration_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "inf"

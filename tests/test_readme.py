@@ -11,6 +11,7 @@ import types
 import pytest
 
 import pulsecmp
+from pulsecmp.config import PipelineConfig
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -62,3 +63,14 @@ def test_library_example_runs():
         exec(compile(_library_example(), "README.md", "exec"), {})
     cosine_mean = float(out.getvalue())
     assert 0.5 < cosine_mean <= 1.0
+
+
+def test_configuration_lists_every_key_once():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    listing = section.split("Keys:", 1)[1].split(").", 1)[0]
+    named, family = listing.split("the `synth.*` family", 1)
+    keys = re.findall(r"`([a-z]+\.[a-z_]+)`", named)
+    keys += [f"synth.{name}" for name in re.findall(r"`([a-z_]+)`", family)]
+    assert sorted(keys) == sorted(PipelineConfig().to_flat_dict())
