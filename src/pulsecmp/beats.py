@@ -493,20 +493,22 @@ def align_beat_events(
     counts = np.bincount(lags + reach, minlength=2 * reach + 1)
     lag_s = float((int(np.argmax(counts)) - reach) / fs)
 
+    # each shifted b event's candidates are the a events either side of it
     shifted = tb_s - lag_s
-    candidates = []
-    for j, t in enumerate(shifted):
-        i = int(np.searchsorted(ta_s, t))
-        for ii in (i - 1, i):
-            if 0 <= ii < ta_s.size:
-                dt = abs(ta_s[ii] - t)
-                if dt <= pair_tol_s:
-                    candidates.append((dt, ii, j))
-    candidates.sort()
+    after = np.searchsorted(ta_s, shifted)
+    cand_a = np.concatenate((after - 1, after))
+    cand_b = np.tile(np.arange(shifted.size), 2)
+    inside = (cand_a >= 0) & (cand_a < ta_s.size)
+    cand_a, cand_b = cand_a[inside], cand_b[inside]
+    dt = np.abs(ta_s[cand_a] - shifted[cand_b])
+    near = dt <= pair_tol_s
+    cand_a, cand_b, dt = cand_a[near], cand_b[near], dt[near]
+    # nearest first, ties to the lower a index, then the lower b index
+    order = np.lexsort((cand_b, cand_a, dt))
     used_a: set[int] = set()
     used_b: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    for _, i, j in candidates:
+    for i, j in zip(cand_a[order].tolist(), cand_b[order].tolist()):
         if i not in used_a and j not in used_b:
             pairs.append((i, j))
             used_a.add(i)

@@ -25,12 +25,19 @@ phase rows, the best row kept so far and one frame block, not the cube.
 Every CSV is written by ``write_table`` (header row of column names,
 values in their shortest round-trip digits, so ``0.005`` and not
 ``0.0050000000000000001``) and read by ``_parse_time_table``, which
-skips blank and whitespace-only lines and rejects bad headers (a
-repeated column name included) and rows, fewer than two rows and
-non-finite samples with a ``FormatError``. Values read back bit for
-bit. Time-series CSVs start with a ``time_s`` column; sampling must be
-uniform to within 1 % jitter of the median step, and what
-``write_series_csv`` wrote reads back at the rate it was written.
+skips blank and whitespace-only lines, reads CRLF line ends as LF, and
+rejects bad headers (a repeated column name included) and rows, fewer
+than two rows and non-finite samples with a ``FormatError``. Values
+read back bit for bit. The header is read from an open handle; the
+body is parsed from the path, which lets numpy's C parser read the
+file in chunks rather than one Python string per line. The two opens
+are checked to be the same file, and the read starts again if a writer
+renamed another file into place between them. Time-series CSVs start
+with a ``time_s`` column; sampling must be uniform to within 1 % jitter
+of the median step, and what ``write_series_csv`` wrote reads back at
+the rate it was written. That last check compares the time column with
+the writer's ``t0 + k / rate`` in blocks of ``RATE_CHECK_ROWS``, so it
+holds no second full-length column.
 
 Every JSON file (``report.json``, ``meta.json``, ``truth.json``) is
 written by ``canonical_json``, whose floats follow the same rule.
@@ -227,43 +234,79 @@ def _numpy_value(obj):
 
 
 def _parse_time_table(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise FormatError("bad header", "empty file")
-        names = [c.strip() for c in header.split(",")]
-        if names[0] != "time_s":
-            raise FormatError("bad header", "first column must be time_s")
-        duplicate = next((n for i, n in enumerate(names) if n in names[:i]), None)
-        if duplicate is not None:
-            raise FormatError("bad header", f"duplicate column {duplicate}")
-        body = fh.tell()
-        with warnings.catch_warnings():
-            # an empty body is reported below as "too short"
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                # loadtxt skips empty lines itself
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                # a whitespace-only line is a bad row to loadtxt: parse
-                # again without them, so only a real bad row raises
-                fh.seek(body)
-                lines = (line for line in fh if line.strip())
-                try:
-                    table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-                except ValueError as exc:
-                    raise FormatError("bad row", str(exc)) from exc
+    while True:
+        with open(path, "r", encoding="utf-8") as fh:
+            names = _read_header(fh)
+            table = _parse_body(path, fh)
+            opened = os.fstat(fh.fileno())
+        # the body was parsed from a second open of ``path``: a writer's
+        # rename in between pairs this header with another file's rows
+        if os.path.samestat(opened, os.stat(path)):
+            break
     if table.size and table.shape[1] != len(names):
         raise FormatError("bad row", f"{table.shape[1]} columns under {len(names)} names")
     if table.shape[0] < 2:
         raise FormatError("too short", "need at least two rows")
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        row, col = bad[0]
+    if not np.isfinite(table).all():
+        row, col = np.argwhere(~np.isfinite(table))[0]
         raise FormatError(
             "non-finite", f"data row {row + 1}, column {names[col]}: {table[row, col]}"
         )
     return names, table
+
+
+def _read_header(fh) -> list[str]:
+    header = fh.readline().strip()
+    if not header:
+        raise FormatError("bad header", "empty file")
+    names = [c.strip() for c in header.split(",")]
+    if names[0] != "time_s":
+        raise FormatError("bad header", "first column must be time_s")
+    duplicate = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if duplicate is not None:
+        raise FormatError("bad header", f"duplicate column {duplicate}")
+    return names
+
+
+# Suffixes that numpy's DataSource, which opens a path for np.loadtxt,
+# reads through a decompressor
+COMPRESSION_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _parse_body(path: str, fh) -> np.ndarray:
+    """The rows after the header, at which ``fh`` stands. Given a path,
+    numpy's C parser reads the file in chunks; given the handle, it
+    makes one ``str`` per line. The path is made absolute, so that no
+    name is taken for a URL, and a name with a compression suffix is
+    parsed from the handle, as plain text."""
+    body = fh.tell()
+    if os.path.splitext(path)[1] in COMPRESSION_SUFFIXES:
+        source, skip = fh, 0
+    else:
+        source, skip = os.path.abspath(path), 1
+    with warnings.catch_warnings():
+        # an empty body is reported by the caller as "too short"
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            # loadtxt skips empty lines itself
+            return np.loadtxt(source, delimiter=",", comments=None, ndmin=2, skiprows=skip,
+                              encoding="utf-8")
+        except ValueError:
+            # a whitespace-only line is a bad row to loadtxt: parse
+            # again without them, so only a real bad row raises. The seek
+            # starts the decoder's chunks at the body, which sets the
+            # position a decode error names
+            fh.seek(body)
+            lines = (line for line in fh if line.strip())
+            try:
+                return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise FormatError("bad row", str(exc)) from exc
+
+
+# Rows of the time column compared per block with the writer's
+# ``t0 + k / rate``, so the check holds no full-length column
+RATE_CHECK_ROWS = 16384
 
 
 def _uniform_rate(times: np.ndarray) -> float:
@@ -283,14 +326,21 @@ def _uniform_rate(times: np.ndarray) -> float:
     for digits in range(1, 18):
         rate = float(f"{estimate:.{digits}g}")
         # the last sample first: it rules out almost every wrong candidate
-        if t0 + (n - 1) / rate == times[-1]:
-            # the writer's column, built in one array: fresh ones fault in pages
-            column = np.arange(n, dtype=np.float64)
-            column /= rate
-            column += t0
-            if np.array_equal(column, times):
-                return rate
+        if t0 + (n - 1) / rate == times[-1] and _is_written_column(times, t0, rate):
+            return rate
     return 1.0 / step
+
+
+def _is_written_column(times: np.ndarray, t0: float, rate: float) -> bool:
+    """Whether ``times`` equals ``t0 + np.arange(n) / rate`` bit for bit."""
+    for start in range(0, times.size, RATE_CHECK_ROWS):
+        stop = min(start + RATE_CHECK_ROWS, times.size)
+        column = np.arange(start, stop, dtype=np.float64)
+        column /= rate
+        column += t0
+        if not np.array_equal(column, times[start:stop]):
+            return False
+    return True
 
 
 def _read_channels(path: str) -> dict[str, TimeSeries]:

@@ -1,3 +1,4 @@
+import inspect
 import os
 import sys
 
@@ -22,15 +23,18 @@ def call_log(monkeypatch):
 
     ``call_log(fn)`` replaces ``fn`` under every name that holds it in a
     loaded ``pulsecmp`` module and returns the list that each later call
-    appends its positional arguments to.
+    appends its positional arguments to. Each call is bound to ``fn``'s
+    signature first, so an argument passed by keyword is logged in its
+    positional slot; arguments left at their defaults are not logged.
     """
     import pulsecmp.cli  # noqa: F401  (loads every pipeline module)
 
     def watch(real):
         calls = []
+        signature = inspect.signature(real)
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append(signature.bind(*args, **kwargs).args)
             return real(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):

@@ -408,6 +408,30 @@ def compare_copied_tables(ref, test):
     )
 
 
+def greedy_pairs_by_loop(ta_s, shifted_s, pair_tol_s):
+    """The matching step of ``beats.align_beat_events`` after its lag is
+    applied, before the candidate search was vectorized: one
+    ``searchsorted`` per shifted event and candidate tuples
+    ``(dt, i, j)`` sorted in Python. Returns the sorted ``(i, j)``
+    pairs."""
+    candidates = []
+    for j, t in enumerate(shifted_s):
+        i = int(np.searchsorted(ta_s, t))
+        for ii in (i - 1, i):
+            if 0 <= ii < ta_s.size:
+                dt = abs(ta_s[ii] - t)
+                if dt <= pair_tol_s:
+                    candidates.append((dt, ii, j))
+    candidates.sort()
+    used_a, used_b, pairs = set(), set(), []
+    for _, i, j in candidates:
+        if i not in used_a and j not in used_b:
+            pairs.append((i, j))
+            used_a.add(i)
+            used_b.add(j)
+    return sorted(pairs)
+
+
 # Test-only views of production code. Each calls what the pipeline
 # itself runs (`polarity_inverted`, `generate_waveform`,
 # `synth_radar_stream`), so tests written against it exercise that code.

@@ -33,6 +33,7 @@ from pulsecmp import beats
 from oracles import (
     event_train,
     feet_by_argmin,
+    greedy_pairs_by_loop,
     impulse_correlation_lag,
     polarity_inverted_by_masks,
     resample_linear,
@@ -427,6 +428,30 @@ class TestAlignBeatEvents:
         for ia, ib in ((np.array([], np.int64), np.array([], np.int64)), ([2], [5])):
             i, j = paired_consecutive(np.asarray(ia), np.asarray(ib))
             assert i.size == j.size == 0
+
+    @given(seed=st.integers(0, 2**32 - 1), max_lag_s=st.sampled_from([0.0, 1.0]))
+    def test_pairs_equal_the_loop(self, seed, max_lag_s):
+        # events a few steps apart on a 1/256 s grid, exact in binary, so
+        # the distances to the events either side of an event tie often
+        rng = np.random.default_rng(seed)
+        ta = np.cumsum(rng.integers(1, 9, rng.integers(1, 41))) / 256.0
+        tb = (rng.integers(0, 41) + np.cumsum(rng.integers(1, 9, rng.integers(1, 41)))) / 256.0
+        pair_tol_s = rng.integers(0, 9) / 256.0
+        lag, ia, ib = align_beat_events(ta, tb, max_lag_s, pair_tol_s)
+        assert ia.dtype == ib.dtype == np.int64
+        assert list(zip(ia.tolist(), ib.tolist())) == greedy_pairs_by_loop(ta, tb - lag, pair_tol_s)
+
+    def test_tie_goes_to_the_lower_indices(self):
+        # b event 0 is 0.25 s from a events 0 and 1, and b event 1 as far
+        # from a event 1: the lower a index, then the lower b index, wins
+        # each tie, so both pair; the other order would pair (1, 0) only
+        ta = np.array([1.0, 1.5, 8.0])
+        tb = np.array([1.25, 1.75, 8.0])
+        expected = [(0, 0), (1, 1), (2, 2)]
+        lag, ia, ib = align_beat_events(ta, tb, max_lag_s=0.0, pair_tol_s=0.25)
+        assert lag == 0.0
+        assert list(zip(ia.tolist(), ib.tolist())) == expected
+        assert greedy_pairs_by_loop(ta, tb, 0.25) == expected
 
     @given(seed=st.integers(0, 500))
     def test_self_alignment_identity(self, seed):

@@ -693,6 +693,17 @@ class TestConfigPlumbing:
         assert [args[2:] for args in calls["segment_beats_indexed"]] == [(150,)] * 3
         assert [args[2:] for args in calls["align_beat_events"]] == [(4.0, 0.2)] * 2
 
+    def test_call_log_sees_keyword_arguments(self, call_log):
+        # a keyword-passed argument is logged in its positional slot, so
+        # a stage called by keyword cannot slip past the test above
+        calls = call_log(beats.align_beat_events)
+        times = np.arange(1.0, 6.0)
+        beats.align_beat_events(times, times, max_lag_s=2.0, pair_tol_s=0.1)
+        beats.align_beat_events(times, times, 2.0, pair_tol_s=0.1)
+        beats.align_beat_events(times, tb_s=times)
+        assert [args[2:] for args in calls] == [(2.0, 0.1), (2.0, 0.1), ()]
+        assert all(args[0] is times and args[1] is times for args in calls)
+
     def test_non_finite_duration_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "inf"
         assert main(["simulate", "-o", str(out), "--duration", "inf"]) == 1

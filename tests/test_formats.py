@@ -305,6 +305,19 @@ def _write(path, text):
     return str(path)
 
 
+def _log_loadtxt_sources(monkeypatch):
+    """The type names of what each later ``np.loadtxt`` call parses."""
+    sources = []
+    loadtxt = np.loadtxt
+
+    def logged(source, *args, **kwargs):
+        sources.append(type(source).__name__)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", logged)
+    return sources
+
+
 class TestCsvCodec:
     @pytest.mark.parametrize(
         "text, code",
@@ -383,27 +396,129 @@ class TestCsvCodec:
         assert a.sample_rate_hz == b.sample_rate_hz == 200.0
         assert a.start_time_s == b.start_time_s == 1.5
 
-    def test_file_handle_and_line_filter_give_one_table(self, tmp_path, monkeypatch):
+    def test_path_and_line_filter_give_one_table(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(6)
         direct = str(tmp_path / "direct.csv")
         write_series_csv(direct, {"a": rng.standard_normal(500), "b": rng.uniform(size=500)}, 250.0)
         lines = open(direct).read().splitlines(keepends=True)
         filtered = _write(tmp_path / "filtered.csv", "".join(lines[:100] + [" \n"] + lines[100:]))
-        sources = []
-        loadtxt = np.loadtxt
-
-        def logged(source, *args, **kwargs):
-            sources.append(type(source).__name__)
-            return loadtxt(source, *args, **kwargs)
-
-        monkeypatch.setattr(np, "loadtxt", logged)
+        sources = _log_loadtxt_sources(monkeypatch)
         names, table = formats._parse_time_table(direct)
-        assert sources == ["TextIOWrapper"]
-        # the whitespace-only line fails the handle; the filtered lines parse
+        # a path: numpy's C parser reads the file in chunks
+        assert sources == ["str"]
+        # the whitespace-only line fails the path; the filtered lines parse
         names_filtered, table_filtered = formats._parse_time_table(filtered)
-        assert sources[1:] == ["TextIOWrapper", "generator"]
+        assert sources[1:] == ["str", "generator"]
         assert names == names_filtered == ["time_s", "a", "b"]
         assert np.array_equal(table.view(np.int64), table_filtered.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "name, source",
+        [
+            ("plain.gz", "TextIOWrapper"),
+            ("plain.bz2", "TextIOWrapper"),
+            ("plain.xz", "TextIOWrapper"),
+            ("plain.lzma", "TextIOWrapper"),
+            ("plain.GZ", "str"),
+            ("s://h/plain.csv", "str"),
+        ],
+    )
+    def test_any_name_reads_as_plain_text(self, tmp_path, monkeypatch, name, source):
+        # numpy reads a path with a compression suffix as compressed and
+        # a relative name that parses as a URL as one; pulsecmp reads
+        # every file as the plain text its header was read from
+        rng = np.random.default_rng(8)
+        csv = str(tmp_path / "plain.csv")
+        write_series_csv(csv, {"a": rng.standard_normal(40)}, 200.0)
+        monkeypatch.chdir(tmp_path)
+        os.makedirs(os.path.dirname(name) or ".", exist_ok=True)
+        with open(csv, "rb") as src, open(name, "wb") as dst:
+            dst.write(src.read())
+        sources = _log_loadtxt_sources(monkeypatch)
+        names, table = formats._parse_time_table(name)
+        assert sources == [source]
+        expected = formats._parse_time_table(csv)
+        assert names == expected[0]
+        assert np.array_equal(table.view(np.int64), expected[1].view(np.int64))
+
+    def test_crlf_file_reads_as_its_lf_twin(self, tmp_path):
+        rng = np.random.default_rng(7)
+        lf = str(tmp_path / "lf.csv")
+        write_series_csv(lf, {"a": rng.standard_normal(300), "b": rng.uniform(size=300)}, 200.0, 1.5)
+        text = open(lf, newline="").read()
+        crlf = str(tmp_path / "crlf.csv")
+        with open(crlf, "w", newline="") as fh:
+            fh.write(text.replace("\n", "\r\n"))
+        spaced = str(tmp_path / "spaced.csv")
+        with open(spaced, "w", newline="") as fh:
+            fh.write(text.replace("\n", "\r\n\r\n  \r\n", 50))
+        names, table = formats._parse_time_table(lf)
+        for path in (crlf, spaced):
+            twin_names, twin = formats._parse_time_table(path)
+            assert twin_names == names
+            assert np.array_equal(twin.view(np.int64), table.view(np.int64))
+            for name in ("a", "b"):
+                a, b = read_series_csv(lf, name), read_series_csv(path, name)
+                assert np.array_equal(a.samples, b.samples)
+                assert a.sample_rate_hz == b.sample_rate_hz == 200.0
+                assert a.start_time_s == b.start_time_s == 1.5
+
+    @pytest.mark.parametrize("offset", [1, 2])
+    def test_mismatch_in_last_check_block_falls_back(self, tmp_path, offset):
+        # past two full check blocks, only one sample of the partial last
+        # block is off the writer's column, and not the last sample,
+        # which is tested first
+        n = 2 * formats.RATE_CHECK_ROWS + 5
+        times = np.arange(n, dtype=np.float64) / 200.0
+        times[n - 1 - offset] = np.nextafter(times[n - 1 - offset], np.inf)
+        path = _write(tmp_path / "s.csv", "time_s,v\n" + "".join(f"{t!r},1\n" for t in times.tolist()))
+        series = read_series_csv(path, "v")
+        assert series.sample_rate_hz == 1.0 / np.median(np.diff(times))
+        assert series.sample_rate_hz != 200.0
+        # unaltered, the same file reads the writer's rate exactly
+        times[n - 1 - offset] = (n - 1 - offset) / 200.0
+        path = _write(tmp_path / "s.csv", "time_s,v\n" + "".join(f"{t!r},1\n" for t in times.tolist()))
+        assert read_series_csv(path, "v").sample_rate_hz == 200.0
+
+    @pytest.mark.parametrize(
+        "row, column, value",
+        [(0, 0, "nan"), (5, 1, "-inf"), (20_000, 2, "inf"), (20_001, 0, "inf")],
+    )
+    def test_non_finite_cell_named_in_a_long_file(self, tmp_path, row, column, value):
+        n = 20_002
+        cells = [[repr(i / 200.0), "1.0", "2.0"] for i in range(n)]
+        cells[row][column] = value
+        path = _write(tmp_path / "p.csv", "time_s,green_0,green_1\n" + "".join(
+            ",".join(r) + "\n" for r in cells))
+        name = ["time_s", "green_0", "green_1"][column]
+        with pytest.raises(FormatError) as err:
+            read_ppg_csv(path)
+        assert str(err.value) == f"non-finite: data row {row + 1}, column {name}: {float(value)}"
+
+    def test_file_replaced_during_the_read_reads_as_one_version(self, tmp_path, monkeypatch):
+        # writers replace files by rename: the header read from one open
+        # and the body parsed from another must come from one file
+        path = str(tmp_path / "s.csv")
+        write_table(path, {"time_s": [0.0, 0.005, 0.01], "old": [1.0, 2.0, 3.0]})
+        replacement = str(tmp_path / "new.csv")
+        write_table(replacement, {"time_s": [0.0, 0.01, 0.02, 0.03], "new": [4.0, 5.0, 6.0, 7.0]})
+        loadtxt = np.loadtxt
+        parsed = []
+
+        def replace_first(source, *args, **kwargs):
+            if not parsed:
+                os.replace(replacement, path)
+            parsed.append(type(source).__name__)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", replace_first)
+        names, table = formats._parse_time_table(path)
+        assert names == ["time_s", "new"]
+        assert table.tolist() == [[0.0, 4.0], [0.01, 5.0], [0.02, 6.0], [0.03, 7.0]]
+        assert parsed == ["str", "str"]
+        # unchanged, a file is parsed once
+        formats._parse_time_table(path)
+        assert parsed == ["str"] * 3
 
     def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
