@@ -25,8 +25,9 @@ phase rows, the best row kept so far and one frame block, not the cube.
 Every CSV is written by ``write_table`` (header row of column names,
 values in their shortest round-trip digits, so ``0.005`` and not
 ``0.0050000000000000001``) and read by ``_parse_time_table``, which
-skips blank and whitespace-only lines, reads CRLF line ends as LF, and
-rejects bad headers (a repeated column name included) and rows, fewer
+skips blank and whitespace-only lines, reads CRLF line ends as LF,
+drops a leading UTF-8 byte-order mark, and rejects bad headers (an
+empty or repeated column name included) and rows, fewer
 than two rows and non-finite samples with a ``FormatError``. Values
 read back bit for bit. The header is read from an open handle; the
 body is parsed from the path, which lets numpy's C parser read the
@@ -235,7 +236,9 @@ def _numpy_value(obj):
 
 def _parse_time_table(path: str) -> tuple[list[str], np.ndarray]:
     while True:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark a spreadsheet export may
+        # start with; the body parse skips the header line it sits on
+        with open(path, "r", encoding="utf-8-sig") as fh:
             names = _read_header(fh)
             table = _parse_body(path, fh)
             opened = os.fstat(fh.fileno())
@@ -262,6 +265,10 @@ def _read_header(fh) -> list[str]:
     names = [c.strip() for c in header.split(",")]
     if names[0] != "time_s":
         raise FormatError("bad header", "first column must be time_s")
+    if len(names) < 2:
+        raise FormatError("bad header", "no data column after time_s")
+    if "" in names:
+        raise FormatError("bad header", f"column {names.index('') + 1} has no name")
     duplicate = next((n for i, n in enumerate(names) if n in names[:i]), None)
     if duplicate is not None:
         raise FormatError("bad header", f"duplicate column {duplicate}")
@@ -313,16 +320,22 @@ def _uniform_rate(times: np.ndarray) -> float:
     """``rate`` for a column that is exactly ``t0 + np.arange(n) / rate``
     (what ``write_series_csv`` writes), the shortest decimal rounding of
     the span estimate that regenerates it; else ``1 / median(dt)``."""
+    # comparisons and Python floats, which cannot overflow into a
+    # warning, until the span is known to give a finite rate: then no
+    # step overflows either
+    if np.any(times[1:] <= times[:-1]):
+        raise FormatError("non-monotonic", "time column must strictly increase")
+    n, t0 = times.size, float(times[0])
+    span = float(times[-1]) - t0
+    estimate = (n - 1) / span
+    if not 0.0 < estimate < math.inf:
+        raise FormatError("non-uniform sampling", f"time span {span!r} s gives rate {estimate!r} Hz")
     # the checks run in place on the one buffer of steps
     dt = np.diff(times)
-    if np.any(dt <= 0):
-        raise FormatError("non-monotonic", "time column must strictly increase")
     step = median(dt)
     dt -= step
     if np.abs(dt, out=dt).max() > 0.01 * step:
         raise FormatError("non-uniform sampling", "time step jitter exceeds 1%")
-    n, t0 = times.size, times[0]
-    estimate = (n - 1) / (times[-1] - t0)
     for digits in range(1, 18):
         rate = float(f"{estimate:.{digits}g}")
         # the last sample first: it rules out almost every wrong candidate

@@ -8,15 +8,12 @@ proportional to radial tissue displacement: ``phase = 4 * pi *
 displacement / wavelength``. Orientation and beat detection are one
 shared last step for every modality (``beats.orient_and_detect``).
 
-Only the range bins of one rule, ``searchable_bins``, are reduced and
-searched, and one antenna at a time: each antenna's slice of the cube
-is reduced to wrapped phase block by block over frames, its rows are
-unwrapped, and only the rows that can still win are band-passed and
-scored; only the best row so far is kept. A row can still win while
-the filter's gain bound (``signal_core.bandpass_gain``) times its raw
-peak-to-peak reaches the best score so far, so skipping the others
-changes no output. Memory is one antenna's float64 phase per (bin,
-frame), that row and one frame block.
+Only the range bins of one rule, ``searchable_bins``, are searched,
+one antenna at a time and in one pass: each row is band-passed and
+scored once, unless the filter's gain bound
+(``signal_core.bandpass_gain``) shows that it cannot win, and only the
+best row so far is kept. Memory is one antenna's float64 phase per
+(bin, frame), that row and one frame block.
 """
 
 from __future__ import annotations
@@ -120,14 +117,6 @@ class BinSelection:
             raise ValueError("peak_to_peak must be non-negative")
 
 
-@dataclass
-class RadarPulseResult:
-    """Band-passed phase of the selected cell plus the selection itself."""
-
-    waveform: TimeSeries
-    selection: BinSelection
-
-
 def frame_blocks(shape: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """``(start, stop)`` frame ranges of about ``BLOCK_SAMPLES`` cube values."""
     n_frames = shape[0]
@@ -220,52 +209,35 @@ def _unwrap(row: np.ndarray) -> None:
     row[1:] += np.cumsum(step, out=step)
 
 
-def select_best_bin(rows: np.ndarray, bins: range) -> tuple[int, float]:
-    """The range bin of one antenna with the largest pulsation amplitude,
-    and that amplitude.
-
-    ``rows[i]`` is the band-passed phase at range bin ``bins[i]``, over
-    the bins of ``searchable_bins``. Peak-to-peak is measured without
-    the ``EDGE_FRACTION`` of samples at each end, so residual filter
-    transients at the record edges cannot inflate it. Ties break toward
-    the lower bin.
-    """
-    if rows.ndim != 2 or rows.shape[0] != len(bins):
-        raise ValueError("rows must be [bin][frame] over the given bins")
-    n_frames = rows.shape[1]
-    margin = int(EDGE_FRACTION * n_frames)
-    core = rows[:, margin : n_frames - margin] if n_frames - 2 * margin >= 2 else rows
-    p2p = core.max(axis=1) - core.min(axis=1)
-    index = int(np.argmax(p2p))
-    return bins[index], float(p2p[index])
+def _score(row: np.ndarray) -> float:
+    """Pulsation amplitude of one band-passed phase row: its
+    peak-to-peak without the ``EDGE_FRACTION`` of samples at each end,
+    where residual filter transients could inflate it."""
+    margin = int(EDGE_FRACTION * row.size)  # rounds down: 90 % or more remains
+    core = row[margin : row.size - margin]
+    return float(core.max() - core.min())
 
 
 def process_radar(
     cube: RadarCube, spec: BandpassSpec = BandpassSpec(), max_bins: int = PipelineConfig.radar_max_bins
-) -> RadarPulseResult:
-    """Radar chain from raw cube to the band-passed phase of the best cell.
+) -> tuple[TimeSeries, BinSelection]:
+    """Radar chain from raw cube to the band-passed phase of the best
+    cell: returns that waveform and the cell's ``BinSelection``.
 
-    ``searchable_bins(cube.n_samples, max_bins)`` is fixed first. The
-    chain then runs one antenna at a time. Per-chirp mean removal, the
-    range FFT and chirp averaging run as one fused linear reduction over
-    frame blocks of that antenna, algebraically identical to composing
-    them per chirp, and each block goes straight to the wrapped phase of
-    those bins alone. Each of the antenna's rows is then unwrapped in
-    place. The rows are visited by decreasing raw (unfiltered)
-    peak-to-peak; each is band-passed in place and scored by
-    ``select_best_bin``, until the first whose raw peak-to-peak times
+    ``searchable_bins(cube.n_samples, max_bins)`` is fixed first, then
+    each antenna's rows are reduced (``_antenna_phase``, algebraically
+    identical to per-chirp mean removal, range FFT and chirp averaging)
+    and unwrapped in place. They are visited by decreasing raw
+    peak-to-peak, each band-passed in place and scored once
+    (``_score``), until the first whose raw peak-to-peak times
     ``bandpass_gain`` is below the best score so far over every
-    antenna. The filtered row's peak-to-peak is at most that product,
-    so this row and every later one would score strictly below a
-    scored row: they are set to zeros, which score 0, and the antenna's
-    rows are scored once more together. The selection, its
-    ``peak_to_peak`` and the waveform are the bits that filtering every
-    row gives. A copy of the best row so far is kept, and a later
-    antenna replaces it only with a strictly larger peak-to-peak, so
-    ties still go to the lower antenna, then the lower bin. Memory is
-    one antenna's phase rows, that copy and one frame block. The
-    waveform is not oriented: that,
-    and beat detection, are the shared last step of every modality
+    antenna: the filtered row's peak-to-peak is at most that product,
+    so this row and every later one keep score 0 unfiltered, and the
+    result is the bits that filtering every row gives. The ``argmax``
+    of the scores sends ties to the lower bin; a later antenna replaces
+    the kept best only with a strictly larger score, so ties go to the
+    lower antenna. The waveform is not oriented: that, and beat
+    detection, are the shared last step of every modality
     (``beats.orient_and_detect``), which sets ``selection.inverted``.
 
     Raises
@@ -289,16 +261,15 @@ def process_radar(
         gain = bandpass_gain(cube.n_frames, cube.frame_rate_hz, spec)
         raw = phase.max(axis=1) - phase.min(axis=1)
         floor = -math.inf if best is None else best.peak_to_peak
-        order = np.argsort(-raw)
-        for k, i in enumerate(order):
+        score = np.zeros(len(bins))
+        for i in np.argsort(-raw):
             if gain * raw[i] < floor:
-                # this row and every later one cannot reach the floor
-                phase[order[k:]] = 0.0
-                break
+                break  # this row and every later one cannot reach the floor
             phase[i] = bandpass_array(phase[i], cube.frame_rate_hz, spec)
-            floor = max(floor, select_best_bin(phase[i : i + 1], bins[i : i + 1])[1])
-        range_bin, peak_to_peak = select_best_bin(phase, bins)
-        if best is None or peak_to_peak > best.peak_to_peak:
-            best = BinSelection(antenna, range_bin, peak_to_peak)
-            best_row = phase[range_bin - bins.start].copy()
-    return RadarPulseResult(TimeSeries(best_row, cube.frame_rate_hz), best)
+            score[i] = _score(phase[i])
+            floor = max(floor, score[i])
+        index = int(np.argmax(score))
+        if best is None or score[index] > best.peak_to_peak:
+            best = BinSelection(antenna, bins[index], float(score[index]))
+            best_row = phase[index].copy()
+    return TimeSeries(best_row, cube.frame_rate_hz), best

@@ -267,8 +267,7 @@ def condition_modality(
     spec = BandpassSpec(config.filter_order, config.filter_low_hz, config.filter_high_hz)
     selection = None
     if name == "radar":
-        result = process_radar(raw, spec, config.radar_max_bins)
-        waveform, selection = result.waveform, result.selection
+        waveform, selection = process_radar(raw, spec, config.radar_max_bins)
     else:
         series = raw.channel(config.ppg_channel) if name == "ppg" else raw
         require_min_record(series.duration_s)

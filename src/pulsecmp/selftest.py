@@ -186,7 +186,7 @@ def check_phase_scale() -> tuple[list[str], str]:
         for denom in (8, 16, 32, 48, 64):
             disp = TimeSeries((wavelength / denom) * np.sin(2 * np.pi * t), fs)
             cube = synth_radar_stream(disp, geometry, snr_db=None, seed=seed).to_cube()
-            amp = measure_tone_amplitude(process_radar(cube).waveform.samples, fs, 1.0) / gain
+            amp = measure_tone_amplitude(process_radar(cube)[0].samples, fs, 1.0) / gain
             sensitivity[denom] = amp / (4.0 * math.pi / denom)
         errors.append(abs(sensitivity.pop(8) - 1.0))
         sweep = np.array(list(sensitivity.values()))

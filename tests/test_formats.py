@@ -62,10 +62,10 @@ class TestRadarCubeFormat:
         write_radar_cube(cube, path)
         back = read_radar_cube(path)
         assert back.release_frames is not None
-        in_memory = process_radar(cube)
-        from_disk = process_radar(back)
-        assert np.array_equal(from_disk.waveform.samples, in_memory.waveform.samples)
-        assert from_disk.selection == in_memory.selection
+        memory_waveform, memory_sel = process_radar(cube)
+        disk_waveform, disk_sel = process_radar(back)
+        assert np.array_equal(disk_waveform.samples, memory_waveform.samples)
+        assert disk_sel == memory_sel
         # pages released during the reduction read back unchanged
         assert np.array_equal(back.data, cube.data)
 
@@ -326,6 +326,8 @@ class TestCsvCodec:
             ("t,v\n0,1\n0.005,2\n", "bad header"),
             ("time_s,v,v\n0,1,1\n0.005,2,2\n", "bad header"),
             ("time_s,v,time_s\n0,1,0\n0.005,2,0.005\n", "bad header"),
+            ("time_s,\n0,1\n0.005,2\n", "bad header"),
+            ("time_s\n0\n0.005\n", "bad header"),
             ("time_s,v\n0,1\n0.005,2,3\n0.010,3\n", "bad row"),
             ("time_s,v\n0,1,9\n0.005,2,9\n0.010,3,9\n", "bad row"),
             ("time_s,v\n0,1\n0.005,x\n0.010,3\n", "bad row"),
@@ -335,8 +337,13 @@ class TestCsvCodec:
             ("time_s,v\n0,1\n0.005,nan\n0.010,3\n", "non-finite"),
             ("time_s,v\n0,1\n0.005,inf\n0.010,3\n", "non-finite"),
             ("time_s,v\n0,1\n0.005,-inf\n0.010,3\n", "non-finite"),
+            # a rate, a span or a step past the float range
+            ("time_s,v\n0,1\n1e-320,2\n2e-320,3\n", "non-uniform sampling"),
+            ("time_s,v\n-1.5e308,1\n0,2\n1.5e308,3\n", "non-uniform sampling"),
+            ("time_s,v\n1e308,1\n-1e308,2\n1e308,3\n", "non-monotonic"),
         ],
     )
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warnings included
     def test_error_codes(self, tmp_path, text, code):
         path = _write(tmp_path / "s.csv", text)
         with pytest.raises(FormatError) as err:
@@ -452,8 +459,12 @@ class TestCsvCodec:
         spaced = str(tmp_path / "spaced.csv")
         with open(spaced, "w", newline="") as fh:
             fh.write(text.replace("\n", "\r\n\r\n  \r\n", 50))
+        # a spreadsheet export's UTF-8 byte-order mark before time_s
+        bom = str(tmp_path / "bom.csv")
+        with open(bom, "w", newline="", encoding="utf-8") as fh:
+            fh.write("\ufeff" + text)
         names, table = formats._parse_time_table(lf)
-        for path in (crlf, spaced):
+        for path in (crlf, spaced, bom):
             twin_names, twin = formats._parse_time_table(path)
             assert twin_names == names
             assert np.array_equal(twin.view(np.int64), table.view(np.int64))

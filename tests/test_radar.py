@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from pulsecmp.beats import detect_peaks, extract_ibi
 from pulsecmp import radar, signal_core
-from pulsecmp.radar import RadarCube, process_radar, select_best_bin
+from pulsecmp.radar import BinSelection, RadarCube, process_radar
 from pulsecmp.signal_core import BandpassSpec, TimeSeries
 from pulsecmp.synth import CubeGeometry, PulseModel, generate_waveform
 
@@ -204,39 +204,31 @@ class TestSearchableBins:
 
 class TestSelectBestBin:
     def test_single_candidate(self):
-        # rows are bins 1, 2, 3: the second row is bin 2
-        rows = np.zeros((3, 1000))
-        rows[1] = np.sin(np.linspace(0, 20 * np.pi, 1000))
-        range_bin, peak_to_peak = select_best_bin(rows, range(1, 4))
-        assert range_bin == 2
-        assert peak_to_peak > 1.9
+        # bins 1, 2, 3 of an 8-sample chirp: only bin 2 pulsates
+        cube = tone_cube(8, {2: (1.0, lambda t: 0.5 * pulse(t))})
+        waveform, sel = process_radar(cube)
+        assert (sel.antenna_index, sel.range_bin) == (0, 2)
+        assert sel.peak_to_peak == radar._score(waveform.samples) > 0.5
 
     def test_tie_breaks_to_lower_indices(self):
-        # the lower bin within an antenna; between antennas, process_radar
-        # keeps the lower one (TestOneAntennaAtATime's tie-to-antenna-0)
-        rows = np.zeros((7, 1000))
-        wave = np.sin(np.linspace(0, 20 * np.pi, 1000))
-        rows[2] = wave  # bin 3
-        rows[5] = wave  # bin 6
-        assert select_best_bin(rows, range(1, 8))[0] == 3
-
-    def test_phases_must_match_bins(self):
-        for rows in (np.zeros((3, 100)), np.zeros((1, 2, 100))):
-            with pytest.raises(ValueError, match="over the given bins"):
-                select_best_bin(rows, range(1, 3))
+        # every cell of a flat cube scores 0: the lower antenna wins,
+        # then the lower bin (TestOneAntennaAtATime's tie-to-antenna-0
+        # ties two pulsating antennas)
+        _, sel = process_radar(RadarCube(np.zeros((int(12 * FS), 2, 2, 8))))
+        assert sel == BinSelection(0, 1, 0.0)
 
     def test_degenerate_bins_excluded(self):
         # a pulsating DC offset and a sign-flipping Nyquist tone would
         # both beat the weak pulse at bin 2, were they searched
         cube = tone_cube(8, {2: (1.0, lambda t: 0.5 * pulse(t)), 4: (50.0, lambda t: 3.0 * pulse(t))})
         data = cube.data + 100.0 * pulse(np.arange(cube.n_frames) / FS)[:, None, None, None]
-        sel = process_radar(RadarCube(data)).selection
+        _, sel = process_radar(RadarCube(data))
         assert (sel.antenna_index, sel.range_bin) == (0, 2)
 
     def test_max_bins_restriction(self):
         cube = tone_cube(16, {6: (1.0, lambda t: 3.0 * pulse(t)), 2: (1.0, lambda t: 0.5 * pulse(t))})
-        assert process_radar(cube).selection.range_bin == 6
-        assert process_radar(cube, max_bins=4).selection.range_bin == 2
+        assert process_radar(cube)[1].range_bin == 6
+        assert process_radar(cube, max_bins=4)[1].range_bin == 2
 
     def test_no_informative_bin_rejected(self):
         # max_bins=1 leaves no bin: the rule rejects the cube before its
@@ -250,7 +242,7 @@ class TestSelectBestBin:
         # a 5-sample chirp has bins 0, 1, 2 and no Nyquist bin, so bin 2
         # is searched, and it is the only pulsating cell
         cube = tone_cube(5, {2: (1.0, lambda t: 0.5 * pulse(t))})
-        sel = process_radar(cube).selection
+        _, sel = process_radar(cube)
         assert (sel.antenna_index, sel.range_bin) == (0, 2)
         assert sel.peak_to_peak > 0.5
 
@@ -271,15 +263,15 @@ class TestSelectBestBin:
     def test_three_sample_chirps_keep_bin_one(self):
         # an odd chirp length has no Nyquist bin: bin 1 is informative
         data = np.random.default_rng(0).standard_normal((int(12 * FS), 1, 2, 3))
-        assert process_radar(RadarCube(data)).selection.range_bin == 1
+        assert process_radar(RadarCube(data))[1].range_bin == 1
 
     def test_synthetic_selection_at_snr20(self):
         model = PulseModel()
         waveform, truth = generate_waveform(model, 20.0, FS, seed=11)
         displacement = waveform.with_samples(waveform.samples * 1e-4)
         cube = synth_radar_cube(displacement, CubeGeometry(), snr_db=20.0, seed=11)
-        result = process_radar(cube)
-        assert (result.selection.antenna_index, result.selection.range_bin) == (1, 7)
+        _, sel = process_radar(cube)
+        assert (sel.antenna_index, sel.range_bin) == (1, 7)
         # brute-force check: the chosen cell has the largest p2p among
         # informative bins, measured on the central 90 % of the composed
         # chain's phases
@@ -336,24 +328,24 @@ class TestProcessRadar:
     def test_flat_cube_degrades_gracefully(self):
         displacement = TimeSeries(np.zeros(int(12 * FS)), FS)
         cube = synth_radar_cube(displacement, SMALL_GEOM, snr_db=None, seed=0)
-        result = process_radar(cube)
-        train = detect_peaks(result.waveform)
+        waveform, _ = process_radar(cube)
+        train = detect_peaks(waveform)
         assert train.systolic_indices.size == 0
         assert len(extract_ibi(train)) == 0
 
     def test_noise_only_cube_completes(self):
         rng = np.random.default_rng(7)
         cube = RadarCube(rng.standard_normal((int(12 * FS), 2, 2, 16)))
-        result = process_radar(cube)
-        train = detect_peaks(result.waveform)
+        waveform, _ = process_radar(cube)
+        train = detect_peaks(waveform)
         extract_ibi(train)  # must not raise
 
     def test_phase_scale_lambda_8(self):
         t = np.arange(int(30 * FS)) / FS
         displacement = TimeSeries((WAVELENGTH / 8.0) * np.sin(2 * np.pi * t), FS)
         cube = synth_radar_cube(displacement, SMALL_GEOM, snr_db=None, seed=5)
-        result = process_radar(cube)
-        amp = tone_amplitude(result.waveform.samples, FS, 1.0) / zero_phase_gain(1.0, FS)
+        waveform, _ = process_radar(cube)
+        amp = tone_amplitude(waveform.samples, FS, 1.0) / zero_phase_gain(1.0, FS)
         assert abs(amp - math.pi / 2.0) <= 0.03 * math.pi / 2.0
 
     def test_phase_displacement_linearity(self):
@@ -362,8 +354,8 @@ class TestProcessRadar:
         for denom in (64, 48, 32, 16):
             displacement = TimeSeries((WAVELENGTH / denom) * np.sin(2 * np.pi * t), FS)
             cube = synth_radar_cube(displacement, SMALL_GEOM, snr_db=None, seed=6)
-            result = process_radar(cube)
-            amp = tone_amplitude(result.waveform.samples, FS, 1.0)
+            waveform, _ = process_radar(cube)
+            amp = tone_amplitude(waveform.samples, FS, 1.0)
             gains.append(amp / (4 * np.pi * (WAVELENGTH / denom) / WAVELENGTH))
         gains = np.array(gains)
         assert np.ptp(gains) / gains.mean() <= 0.02
@@ -372,10 +364,9 @@ class TestProcessRadar:
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, seed=3)
         displacement = waveform.with_samples(waveform.samples * 1e-4)
         cube = synth_radar_cube(displacement, SMALL_GEOM, snr_db=25.0, seed=3)
-        r1 = process_radar(cube)
-        r2 = process_radar(cube)
-        assert np.array_equal(r1.waveform.samples, r2.waveform.samples)
-        assert r1.selection == r2.selection
+        (w1, s1), (w2, s2) = process_radar(cube), process_radar(cube)
+        assert np.array_equal(w1.samples, w2.samples)
+        assert s1 == s2
 
     def test_scale_invariance_of_selection(self):
         rng = np.random.default_rng(9)
@@ -391,8 +382,8 @@ class TestProcessRadar:
             scale = float(rng.uniform(0.01, 100.0))
             scaled = RadarCube(cube.data * scale, cube.frame_rate_hz,
                                cube.fast_time_rate_hz, cube.carrier_hz)
-            sel_a = process_radar(cube).selection
-            sel_b = process_radar(scaled).selection
+            _, sel_a = process_radar(cube)
+            _, sel_b = process_radar(scaled)
             assert (sel_a.antenna_index, sel_a.range_bin) == (sel_b.antenna_index, sel_b.range_bin)
 
     def test_frame_reversal_reverses_phase_pipeline(self):
@@ -418,11 +409,10 @@ class TestProcessRadar:
         displacement = waveform.with_samples(waveform.samples * 1e-4)
         cube = synth_radar_cube(displacement, SMALL_GEOM, snr_db=30.0, seed=8)
         composed = phase_per_bin(extract_slow_time(chirp_mean_removal(cube.data)), FS)
-        result = process_radar(cube)
-        sel = result.selection
+        phase, sel = process_radar(cube)
         direct = composed[sel.antenna_index, sel.range_bin]
         sign = -1.0 if sel.inverted else 1.0
-        assert_allclose(result.waveform.samples, sign * direct, atol=1e-9)
+        assert_allclose(phase.samples, sign * direct, atol=1e-9)
 
     def test_non_finite_sample_names_first_frame(self):
         rng = np.random.default_rng(12)
@@ -496,8 +486,8 @@ class TestProcessRadar:
         calls = call_log(signal_core.bandpass_array)
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, seed=13)
         cube = synth_radar_cube(waveform.with_samples(waveform.samples * 1e-4), CubeGeometry(), 20.0, 13)
-        result = process_radar(cube)
-        assert (result.selection.antenna_index, result.selection.range_bin) == (1, 7)
+        _, sel = process_radar(cube)
+        assert (sel.antenna_index, sel.range_bin) == (1, 7)
         assert 0 < len(calls) < 93
 
     def test_invalid_band_still_raises(self):
@@ -509,11 +499,11 @@ class TestProcessRadar:
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, seed=13)
         displacement = waveform.with_samples(waveform.samples * 1e-4)
         cube = synth_radar_cube(displacement, SMALL_GEOM, snr_db=20.0, seed=13)
-        whole = process_radar(cube)
+        whole, whole_sel = process_radar(cube)
         monkeypatch.setattr(radar, "BLOCK_SAMPLES", 1000)
-        blocked = process_radar(cube)
-        assert np.array_equal(blocked.waveform.samples, whole.waveform.samples)
-        assert blocked.selection == whole.selection
+        blocked, blocked_sel = process_radar(cube)
+        assert np.array_equal(blocked.samples, whole.samples)
+        assert blocked_sel == whole_sel
 
 
 def _oracle_cube(antennas, chirps, samples, target, seed, twin=False, snr_db=20.0, duration_s=12.0, fs=FS,
@@ -571,9 +561,9 @@ class TestOneAntennaAtATime:
     def test_bits_equal_whole_tensor_path(self, geometry, max_bins, expected, options):
         cube = _oracle_cube(*geometry, **options)
         samples, selection = process_radar_whole_tensor(cube, max_bins=max_bins)
-        result = process_radar(cube, max_bins=max_bins)
-        assert np.array_equal(result.waveform.samples, samples)
-        assert result.selection == selection
+        waveform, sel = process_radar(cube, max_bins=max_bins)
+        assert np.array_equal(waveform.samples, samples)
+        assert sel == selection
         if expected is not None:
             assert (selection.antenna_index, selection.range_bin) == expected
         if max_bins:
@@ -583,6 +573,6 @@ class TestOneAntennaAtATime:
         monkeypatch.setattr(radar, "BLOCK_SAMPLES", 1000)
         cube = _oracle_cube(3, 4, 16, (2, 3), 28)
         samples, selection = process_radar_whole_tensor(cube)
-        result = process_radar(cube)
-        assert np.array_equal(result.waveform.samples, samples)
-        assert result.selection == selection
+        waveform, sel = process_radar(cube)
+        assert np.array_equal(waveform.samples, samples)
+        assert sel == selection

@@ -132,8 +132,8 @@ class TestSynthRadarCube:
         displacement = TimeSeries((WAVELENGTH / 8) * np.sin(2 * np.pi * t), FS)
         geom = CubeGeometry(antennas=1, chirps=4, samples=64, target_antenna=0)
         cube = synth_radar_cube(displacement, geom, None, 1)
-        result = process_radar(cube)
-        amp = tone_amplitude(result.waveform.samples, FS, 1.0) / zero_phase_gain(1.0, FS)
+        waveform, _ = process_radar(cube)
+        amp = tone_amplitude(waveform.samples, FS, 1.0) / zero_phase_gain(1.0, FS)
         assert abs(amp - math.pi / 2) <= 0.03 * math.pi / 2
 
     def test_noise_free_selects_target(self):
@@ -141,8 +141,8 @@ class TestSynthRadarCube:
         displacement = waveform.with_samples(waveform.samples * 1e-4)
         geom = CubeGeometry()
         cube = synth_radar_cube(displacement, geom, None, 2)
-        result = process_radar(cube)
-        assert (result.selection.antenna_index, result.selection.range_bin) == (
+        _, sel = process_radar(cube)
+        assert (sel.antenna_index, sel.range_bin) == (
             geom.target_antenna,
             geom.target_range_bin,
         )
@@ -237,7 +237,7 @@ class TestSynthRadarCube:
         for denom in (32, 16):
             displacement = TimeSeries((WAVELENGTH / denom) * np.sin(2 * np.pi * t), FS)
             cube = synth_radar_cube(displacement, geom, None, 4)
-            amps.append(tone_amplitude(process_radar(cube).waveform.samples, FS, 1.0))
+            amps.append(tone_amplitude(process_radar(cube)[0].samples, FS, 1.0))
         assert abs(amps[1] / amps[0] - 2.0) <= 0.04
 
     def test_metadata_records_target(self):
