@@ -52,9 +52,9 @@ try:
         MODALITIES,
         AgreementReport,
         RecordingBundle,
+        compare_recordings,
         condition_modality,
         model_from_config,
-        run_compare,
         simulate_stream,
     )
 finally:
@@ -119,19 +119,43 @@ def load_modality(name: str, path: str, column: str = REFERENCE_COLUMN):
     return read_series_csv(path, column)
 
 
-def read_bundle_dir(directory: str, subject_id: str | None = None) -> RecordingBundle:
-    """Load every modality file present in a bundle directory.
+def bundle_paths(directory: str) -> dict[str, str]:
+    """The file of each modality present in a bundle directory, by modality.
 
-    The truth sidecar is not read: comparison never uses it.
+    The truth sidecar is not listed: comparison never uses it.
     """
-    recordings = {}
-    for name, filename in MODALITIES.items():
-        path = os.path.join(directory, filename)
-        if os.path.exists(path):
-            recordings[name] = load_modality(name, path)
+    if not os.path.isdir(directory):
+        raise ValueError(f"no bundle directory at {directory}")
+    paths = {name: os.path.join(directory, filename) for name, filename in MODALITIES.items()}
+    return {name: path for name, path in paths.items() if os.path.exists(path)}
+
+
+def _bundle_subject(directory: str) -> str:
+    """A bundle's default subject identifier: its directory name."""
+    return os.path.basename(os.path.normpath(directory))
+
+
+def compare_bundle(
+    paths: dict[str, str], subject_id: str, config: PipelineConfig
+) -> AgreementReport:
+    """Compare the recordings at ``paths`` (modality -> file).
+
+    Each file is read just before its modality's chain and released
+    before the next is read, so the peak holds one raw recording.
+    """
+    return compare_recordings(
+        list(paths), lambda name: load_modality(name, paths[name]), subject_id, config
+    )
+
+
+def read_bundle_dir(directory: str, subject_id: str | None = None) -> RecordingBundle:
+    """Load every modality file present in a bundle directory at once.
+
+    ``compare`` reads them one at a time instead (:func:`compare_bundle`).
+    """
     return RecordingBundle(
-        **recordings,
-        subject_id=subject_id or os.path.basename(os.path.normpath(directory)),
+        **{name: load_modality(name, path) for name, path in bundle_paths(directory).items()},
+        subject_id=subject_id or _bundle_subject(directory),
     )
 
 
@@ -223,7 +247,8 @@ def cmd_process(args) -> int:
 def _compare_subject(bundle_dir: str, out_dir: str, config: PipelineConfig) -> str | None:
     """Compare one subject of a batch; the input-error message if it fails."""
     try:
-        _write_report_files(run_compare(read_bundle_dir(bundle_dir), config), out_dir)
+        report = compare_bundle(bundle_paths(bundle_dir), _bundle_subject(bundle_dir), config)
+        _write_report_files(report, out_dir)
     except (ValueError, OSError) as exc:
         return str(exc)
     return None
@@ -232,6 +257,11 @@ def _compare_subject(bundle_dir: str, out_dir: str, config: PipelineConfig) -> s
 def cmd_compare(args) -> int:
     sources = ("bundle", "bundle_root", *MODALITIES)
     flags = [f"--{name.replace('_', '-')}" for name in sources if getattr(args, name)]
+    if not flags:
+        raise ValueError(
+            "compare needs an input source: --bundle, --bundle-root, or "
+            "--radar/--ppg/--reference files"
+        )
     if (args.bundle or args.bundle_root) and len(flags) > 1:
         raise ValueError(
             "compare takes one input source: --bundle, --bundle-root, or "
@@ -276,14 +306,12 @@ def cmd_compare(args) -> int:
         return 1 if failed else 0
 
     if args.bundle:
-        bundle = read_bundle_dir(args.bundle, subject_id=args.subject)
+        paths = bundle_paths(args.bundle)
+        subject_id = args.subject or _bundle_subject(args.bundle)
     else:
-        paths = {name: getattr(args, name) for name in MODALITIES}
-        bundle = RecordingBundle(
-            **{name: load_modality(name, path) for name, path in paths.items() if path},
-            subject_id=args.subject or "subject",
-        )
-    report = run_compare(bundle, config)
+        paths = {name: getattr(args, name) for name in MODALITIES if getattr(args, name)}
+        subject_id = args.subject or "subject"
+    report = compare_bundle(paths, subject_id, config)
     _write_report_files(report, args.out)
     statuses = ", ".join(
         f"{name}={summary.status}" for name, summary in sorted(report.modalities.items())

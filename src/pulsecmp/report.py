@@ -2,8 +2,10 @@
 
 ``simulate_stream`` builds a synthetic recording set from one shared
 ground-truth waveform, its radar cube drawn as it is written
-(``simulate_bundle`` holds the cube in memory instead); ``run_compare``
-processes whichever modalities a bundle carries, aligns beats pairwise
+(``simulate_bundle`` holds the cube in memory instead);
+``compare_recordings`` processes the modalities given, loading each
+recording just before its chain (``run_compare`` on an in-memory
+bundle, ``cli.compare_bundle`` on files), aligns beats pairwise
 against the reference (or against radar when no reference is present),
 and assembles interval and morphology agreement statistics. Each
 modality's chain ends at the shared band-pass; orienting the waveform
@@ -15,6 +17,7 @@ beats are cut, normalized and measured in one pass into one
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -56,11 +59,11 @@ if TYPE_CHECKING:
 
 MIN_BEATS = 2
 
-# Each modality's file inside a bundle directory. ``cli.read_bundle_dir``
-# reads every file present, in this order, before ``run_compare`` runs any
-# chain (in the same order), so the CSV records are held while the radar
-# chain runs. Mapping the cube before parsing the CSVs lowers the peak RSS
-# of a 60 s default bundle's compare by about 0.5 MB.
+# Each modality's file inside a bundle directory. ``compare_recordings``
+# runs the chains in this order, each recording loaded just before its
+# chain and released before the next one loads. Radar first: its chain's
+# peak then sits in a heap that no CSV has grown yet (radar last peaks a
+# 60 s default bundle's compare about 0.9 MB higher).
 MODALITIES = {"radar": "radar.radc", "ppg": "ppg.csv", "reference": "reference.csv"}
 
 
@@ -360,20 +363,23 @@ def _compare_pair(
     return summary
 
 
-def run_compare(bundle: RecordingBundle, config: PipelineConfig | None = None) -> AgreementReport:
-    """Process every present modality and compare against the baseline.
+def compare_recordings(
+    names: list[str], load: Callable[[str], object], subject_id: str, config: PipelineConfig
+) -> AgreementReport:
+    """Process the named modalities one at a time and compare against the baseline.
 
-    The baseline is the reference when present, else the radar. Each
-    modality with fewer than two detected beats is flagged rather than
-    failing the whole run.
+    ``names`` are keys of :data:`MODALITIES`, in that order, and
+    ``load(name)`` returns that modality's raw recording. Each recording
+    is loaded just before its chain and released once its summary is
+    built, so no two are held at once. The baseline is the reference
+    when present, else the radar. Each modality with fewer than two
+    detected beats is flagged rather than failing the whole run.
     """
-    config = config if config is not None else PipelineConfig()
-    present = bundle.present_modalities()
-    if len(present) < 2:
+    if len(names) < 2:
         raise ValueError("need two modalities")
     modalities: dict[str, ModalitySummary] = {}
-    for name in present:
-        raw = getattr(bundle, name)
+    for name in names:
+        raw = load(name)
         # no name is bound to the waveform, so it is freed once its
         # beats are cut, before the next modality is conditioned
         modalities[name] = _summarize_modality(
@@ -382,6 +388,8 @@ def run_compare(bundle: RecordingBundle, config: PipelineConfig | None = None) -
             config,
             raw_for_bp=raw if name == "reference" else None,
         )
+        # else the name would hold this recording while the next one loads
+        del raw
 
     baseline = "reference" if "reference" in modalities else "radar"
     pairs: dict[str, PairSummary] = {}
@@ -391,9 +399,19 @@ def run_compare(bundle: RecordingBundle, config: PipelineConfig | None = None) -
         pair = _compare_pair(modalities[baseline], summary, config)
         pairs[pair.name] = pair
     return AgreementReport(
-        subject_id=bundle.subject_id,
+        subject_id=subject_id,
         baseline=baseline,
         config_echo=config.to_flat_dict(),
         modalities=modalities,
         pairs=pairs,
+    )
+
+
+def run_compare(bundle: RecordingBundle, config: PipelineConfig | None = None) -> AgreementReport:
+    """:func:`compare_recordings` on the modalities an in-memory bundle holds."""
+    return compare_recordings(
+        bundle.present_modalities(),
+        lambda name: getattr(bundle, name),
+        bundle.subject_id,
+        config if config is not None else PipelineConfig(),
     )

@@ -342,12 +342,12 @@ def _recordings(bundle) -> dict[str, tuple[np.ndarray, float, float]]:
 
 def check_bundle_roundtrip() -> tuple[list[str], str]:
     """Criterion 7: a 12 s bundle written the way ``simulate`` writes it,
-    its radar cube streamed block by block, and read back through
-    ``compare``'s bundle path holds the recordings of the in-memory
-    bundle and gives the same report."""
+    its radar cube streamed block by block, holds the recordings of the
+    in-memory bundle when read back, and ``compare``'s streaming bundle
+    path gives the same report."""
     import tempfile
 
-    from pulsecmp.cli import read_bundle_dir, write_bundle_dir
+    from pulsecmp.cli import bundle_paths, compare_bundle, read_bundle_dir, write_bundle_dir
     from pulsecmp.formats import canonical_json
 
     config = PipelineConfig(synth_seed=3, synth_duration_s=12.0)
@@ -364,7 +364,8 @@ def check_bundle_roundtrip() -> tuple[list[str], str]:
             if back_timing != timing:
                 problems.append(f"{key} (rate Hz, start s) {back_timing} != written {timing}")
         report = canonical_json(run_compare(bundle, config).to_dict())
-        if canonical_json(run_compare(back, config).to_dict()) != report:
+        from_disk = compare_bundle(bundle_paths(tmp), bundle.subject_id, config)
+        if canonical_json(from_disk.to_dict()) != report:
             problems.append("report bytes differ from the in-memory bundle's")
     return problems, (
         f"{len(want)} recordings: samples, rates, start times and report bytes identical"

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -344,6 +345,41 @@ class TestCompare:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("source, message", [
+        (["--bundle", "{tmp}/missing"], "no bundle directory at {tmp}/missing"),
+        (["--bundle", "{bundle}/ppg.csv"], "no bundle directory at {bundle}/ppg.csv"),
+        ([], "compare needs an input source: --bundle, --bundle-root, or "
+             "--radar/--ppg/--reference files"),
+    ], ids=["missing-bundle", "file-as-bundle", "no-source"])
+    def test_input_source_error_says_what_is_wrong(
+        self, bundle_dir, tmp_path, capsys, source, message
+    ):
+        # neither reads as an empty bundle
+        fill = {"tmp": tmp_path, "bundle": bundle_dir}
+        args = [arg.format(**fill) for arg in source]
+        code = main(["compare", *args, "-o", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(**fill)}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_radar_chain_error_comes_before_a_later_bad_csv(self, bundle_dir, tmp_path, capsys):
+        # each modality is read just before its chain, in radar, PPG,
+        # reference order: a short cube fails before the PPG file is read
+        subject = tmp_path / "s"
+        subject.mkdir()
+        cube = read_radar_cube(str(bundle_dir / "radar.radc"))
+        frames = int(6 * cube.frame_rate_hz)
+        write_radar_cube(
+            RadarCube(cube.data[:frames].copy(), cube.frame_rate_hz, cube.fast_time_rate_hz,
+                      cube.carrier_hz, cube.metadata),
+            str(subject / "radar.radc"),
+        )
+        (subject / "ppg.csv").write_text("not a table\n")
+        code = main(["compare", "--bundle", str(subject), "-o", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: recording too short\n"
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_radar_sample_is_input_error(self, bundle_dir, tmp_path):
         subject = tmp_path / "nan"
         subject.mkdir()
@@ -522,7 +558,8 @@ class TestCompare:
 
 class TestOneReportInMemoryAndFromDisk:
     """A bundle gives the same report whether it was processed in memory
-    or written by ``simulate``'s writer and read back by ``compare``'s reader."""
+    or written by ``simulate``'s writer and streamed back from disk as
+    ``compare`` reads it."""
 
     @staticmethod
     def assert_same_report(bundle, config, written=None) -> str:
@@ -530,8 +567,8 @@ class TestOneReportInMemoryAndFromDisk:
         ``bundle`` itself) after a trip through the bundle files."""
         with tempfile.TemporaryDirectory() as tmp:
             cli.write_bundle_dir(written or bundle, config, tmp)
-            back = cli.read_bundle_dir(tmp, subject_id=bundle.subject_id)
-            from_disk = canonical_json(run_compare(back, config).to_dict())
+            back = cli.compare_bundle(cli.bundle_paths(tmp), bundle.subject_id, config)
+            from_disk = canonical_json(back.to_dict())
         assert from_disk == canonical_json(run_compare(bundle, config).to_dict())
         return from_disk
 
@@ -555,18 +592,17 @@ class TestOneReportInMemoryAndFromDisk:
         self.assert_same_report(RecordingBundle(ppg=ppg, reference=reference), config)
 
     def test_one_bandpass_design_from_disk(self, bundle_dir):
-        bundle = cli.read_bundle_dir(str(bundle_dir))
         _bandpass_filter.cache_clear()
-        run_compare(bundle)
+        cli.compare_bundle(cli.bundle_paths(str(bundle_dir)), "s", PipelineConfig())
         assert _bandpass_filter.cache_info().misses == 1
 
 
 class TestCompareMemory:
     def test_ppg_and_reference_compare_holds_each_record_about_once(self, tmp_path):
-        # 300 s at 200 Hz: one channel is 480 kB. The two channels read
-        # stay, each modality's waveform lives until its beats are cut,
-        # and beat cutting adds ~2.4 MB of per-block temporaries that do
-        # not grow with the record: ~9.2 channels in all.
+        # 300 s at 200 Hz: one channel is 480 kB. Each channel read lives
+        # until its modality's beats are cut, as does its waveform, and
+        # beat cutting adds ~2.4 MB of per-block temporaries that do not
+        # grow with the record: ~8.2 channels in all.
         config = PipelineConfig(synth_seed=43, synth_duration_s=300.0)
         waveform, truth = generate_waveform(
             model_from_config(config), config.synth_duration_s, config.synth_fs_hz, 43
@@ -577,14 +613,37 @@ class TestCompareMemory:
         )
         cli.write_bundle_dir(RecordingBundle(ppg=ppg, reference=reference), config, str(tmp_path))
         channel = reference.samples.nbytes
-        run_compare(cli.read_bundle_dir(str(tmp_path)))  # the filter design is cached
+        paths = cli.bundle_paths(str(tmp_path))
+        cli.compare_bundle(paths, "s", config)  # the filter design is cached
         tracemalloc.start()
         try:
-            run_compare(cli.read_bundle_dir(str(tmp_path)))
+            cli.compare_bundle(paths, "s", config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * channel
+        assert peak <= 9 * channel
+
+    @pytest.mark.parametrize("source", ["--bundle", "files", "--bundle-root"])
+    def test_no_two_raw_recordings_are_held_at_once(self, bundle_dir, tmp_path, monkeypatch,
+                                                    source):
+        # each recording is released before the next modality's file is read
+        loaded, alive = [], {}
+
+        def load_modality(name, path, *args):
+            alive[name] = [n for n, ref in loaded if ref() is not None]
+            recording = read(name, path, *args)
+            loaded.append((name, weakref.ref(recording)))
+            return recording
+
+        read = cli.load_modality
+        monkeypatch.setattr(cli, "load_modality", load_modality)
+        if source == "files":
+            args = [a for name, filename in cli.MODALITIES.items()
+                    for a in (f"--{name}", str(bundle_dir / filename))]
+        else:
+            args = [source, str(bundle_dir if source == "--bundle" else bundle_dir.parent)]
+        assert main(["compare", *args, "-o", str(tmp_path / "o")]) == 0
+        assert alive == {name: [] for name in cli.MODALITIES}
 
 
 class TestConfigPlumbing:
