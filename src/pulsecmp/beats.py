@@ -94,25 +94,6 @@ class IbiSeries:
         return self.intervals_ms.size
 
 
-@dataclass
-class AverageBeat:
-    """Pointwise mean and spread of a set of normalized beats."""
-
-    mean: np.ndarray
-    sd: np.ndarray
-    n_beats: int
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.sd = np.asarray(self.sd, dtype=np.float64)
-        if self.mean.shape != self.sd.shape:
-            raise ValueError("mean and sd must have equal length")
-        if np.any(self.sd < 0):
-            raise ValueError("sd must be non-negative")
-        if self.n_beats < 1:
-            raise ValueError("n_beats must be at least 1")
-
-
 def _running_extreme(x: np.ndarray, window: int, op: np.ufunc) -> np.ndarray:
     """Running ``op`` (``np.maximum`` or ``np.minimum``) over centred windows.
 
@@ -383,7 +364,8 @@ def segment_beats_indexed(
     the increasing index in ``train`` of its leading diastolic foot, for
     matching beats across modalities after event alignment, its shape,
     its extrema count and its area. ``norm_len`` below ``MIN_BEAT_SAMPLES``,
-    the shortest beat ``count_inflections`` measures, fails before any cut.
+    the shortest beat ``count_inflections`` measures, fails before any cut,
+    and a waveform so large that a beat's resampling overflows fails too.
     """
     if norm_len < MIN_BEAT_SAMPLES:
         raise ValueError(f"norm_len must be at least {MIN_BEAT_SAMPLES}")
@@ -394,9 +376,14 @@ def segment_beats_indexed(
     filled = 0
     for k in range(0, n, BEAT_BLOCK_ROWS):
         lead = d[k : k + BEAT_BLOCK_ROWS + 1]
-        resampled = _resample_beats(x.samples, lead[:-1], np.diff(lead) + 1, grid)
-        low = resampled.min(axis=1, keepdims=True)
-        span = resampled.max(axis=1, keepdims=True) - low
+        # a finite waveform near the float range can overflow the
+        # interpolation's slopes: the spans show it, with no numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            resampled = _resample_beats(x.samples, lead[:-1], np.diff(lead) + 1, grid)
+            low = resampled.min(axis=1, keepdims=True)
+            span = resampled.max(axis=1, keepdims=True) - low
+        if not np.isfinite(span).all():
+            raise ValueError("beat resampling overflowed: waveform too large")
         kept = span[:, 0] >= 1e-12
         shapes = (resampled[kept] - low[kept]) / span[kept]
         rows = slice(filled, filled + len(shapes))
@@ -438,13 +425,6 @@ def _resample_beats(
     out[:, :-1] = np.where(xj == g, fj, slope * (g - xj) + fj)
     out[:, -1] = samples[starts[:, 0] + last[:, 0]]
     return out
-
-
-def average_beats(shapes: np.ndarray) -> AverageBeat:
-    """Pointwise mean and population standard deviation of ``[beat][sample]`` shapes."""
-    if len(shapes) == 0:
-        raise ValueError("no beats to average")
-    return AverageBeat(shapes.mean(axis=0), shapes.std(axis=0), len(shapes))
 
 
 def align_beat_events(

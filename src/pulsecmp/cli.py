@@ -55,6 +55,7 @@ try:
         compare_recordings,
         condition_modality,
         model_from_config,
+        modality_errors,
         simulate_stream,
     )
 finally:
@@ -148,17 +149,6 @@ def compare_bundle(
     )
 
 
-def read_bundle_dir(directory: str, subject_id: str | None = None) -> RecordingBundle:
-    """Load every modality file present in a bundle directory at once.
-
-    ``compare`` reads them one at a time instead (:func:`compare_bundle`).
-    """
-    return RecordingBundle(
-        **{name: load_modality(name, path) for name, path in bundle_paths(directory).items()},
-        subject_id=subject_id or _bundle_subject(directory),
-    )
-
-
 def _write_ibi(path: str, ibi: IbiSeries) -> None:
     """Write ``process``'s ``ibi.csv`` or one of ``compare``'s ``ibi_<modality>.csv``."""
     write_table(path, {"anchor_time_s": ibi.anchor_times_s, "interval_ms": ibi.intervals_ms})
@@ -171,19 +161,19 @@ def _write_report_files(report: AgreementReport, directory: str) -> None:
     )
     for name, modality in sorted(report.modalities.items()):
         _write_ibi(os.path.join(directory, f"ibi_{name}.csv"), modality.ibi)
-        if modality.average_beat is not None:
-            beat = modality.average_beat
-            positions = np.linspace(0.0, 1.0, beat.mean.size)
+        if modality.beats is not None:
+            # the averaged beat: the beat table's column mean and population SD
+            shapes = modality.beats.shapes
             write_table(
                 os.path.join(directory, f"avg_beat_{name}.csv"),
-                {"position": positions, "mean": beat.mean, "sd": beat.sd},
+                {"position": np.linspace(0.0, 1.0, shapes.shape[1]),
+                 "mean": shapes.mean(axis=0), "sd": shapes.std(axis=0)},
             )
     for name, pair in sorted(report.pairs.items()):
         if pair.bland_altman is not None:
-            points = pair.bland_altman.points
             write_table(
                 os.path.join(directory, f"ba_points_{name}.csv"),
-                {"mean_ms": [m for m, _ in points], "diff_ms": [d for _, d in points]},
+                {"mean_ms": pair.bland_altman.means, "diff_ms": pair.bland_altman.diffs},
             )
 
 
@@ -209,8 +199,9 @@ def cmd_process(args) -> int:
     if args.channel:
         config.ppg_channel = args.channel
     meta: dict = {"modality": args.modality, "input": os.path.basename(args.input)}
-    raw = load_modality(args.modality, args.input, args.column or REFERENCE_COLUMN)
-    waveform, train, selection = condition_modality(args.modality, raw, config)
+    with modality_errors(args.modality):
+        raw = load_modality(args.modality, args.input, args.column or REFERENCE_COLUMN)
+        waveform, train, selection = condition_modality(args.modality, raw, config)
     # only once the input has loaded and been conditioned: a bad call writes nothing
     os.makedirs(args.out, exist_ok=True)
     if selection is not None:

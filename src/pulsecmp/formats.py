@@ -28,7 +28,9 @@ values in their shortest round-trip digits, so ``0.005`` and not
 skips blank and whitespace-only lines, reads CRLF line ends as LF,
 drops a leading UTF-8 byte-order mark, and rejects bad headers (an
 empty or repeated column name included) and rows, fewer
-than two rows and non-finite samples with a ``FormatError``. Values
+than two rows and non-finite samples with a ``FormatError``. Writer
+and reader share one column-name rule (``_check_column_names``), so a
+name the writer accepts reads back as itself. Values
 read back bit for bit. The header is read from an open handle; the
 body is parsed from the path, which lets numpy's C parser read the
 file in chunks rather than one Python string per line. The two opens
@@ -267,12 +269,23 @@ def _read_header(fh) -> list[str]:
         raise FormatError("bad header", "first column must be time_s")
     if len(names) < 2:
         raise FormatError("bad header", "no data column after time_s")
-    if "" in names:
-        raise FormatError("bad header", f"column {names.index('') + 1} has no name")
-    duplicate = next((n for i, n in enumerate(names) if n in names[:i]), None)
-    if duplicate is not None:
-        raise FormatError("bad header", f"duplicate column {duplicate}")
+    _check_column_names(names)
     return names
+
+
+def _check_column_names(names: list[str]) -> None:
+    """The one rule for CSV column names, which the reader enforces and
+    ``write_table`` checks before it writes: each name is non-empty,
+    holds no comma, CR or LF, has no whitespace at either end (the
+    reader strips it), and is not repeated. Else ``FormatError``
+    "bad header"."""
+    for i, name in enumerate(names):
+        if not name:
+            raise FormatError("bad header", f"column {i + 1} has no name")
+        if name != name.strip() or any(c in name for c in ",\r\n"):
+            raise FormatError("bad header", f"column {i + 1} name {name!r} does not read back")
+        if name in names[:i]:
+            raise FormatError("bad header", f"duplicate column {name}")
 
 
 # Suffixes that numpy's DataSource, which opens a path for np.loadtxt,
@@ -377,8 +390,10 @@ def read_series_csv(path: str, column: str) -> TimeSeries:
 def write_table(path: str, columns: dict[str, np.ndarray]) -> None:
     """Write equal-length columns as a CSV: a header row, then values
     in their shortest round-trip digits (Python ``repr``), streamed
-    ``TABLE_BLOCK_ROWS`` rows at a time. Unequal lengths or a non-finite
+    ``TABLE_BLOCK_ROWS`` rows at a time. A column name outside
+    the rule of ``_check_column_names``, unequal lengths or a non-finite
     value raise ``ValueError`` before any file is created."""
+    _check_column_names(list(columns))
     arrays = [np.asarray(values, dtype=np.float64) for values in columns.values()]
     if len({arr.shape for arr in arrays}) != 1:
         raise ValueError("all columns must have equal length")
@@ -397,7 +412,9 @@ def write_table(path: str, columns: dict[str, np.ndarray]) -> None:
 
 def write_series_csv(path: str, columns: dict[str, np.ndarray], sample_rate_hz: float,
                      start_time_s: float = 0.0) -> None:
-    """Write named channels sharing one uniform time base."""
+    """Write named channels sharing one uniform time base; a channel
+    named ``time_s`` is a repeated column."""
+    _check_column_names(["time_s", *columns])
     n = max((np.size(values) for values in columns.values()), default=0)
     times = start_time_s + np.arange(n) / sample_rate_hz
     write_table(path, {"time_s": times, **columns})

@@ -50,17 +50,14 @@ class BeatTable:
 
 @dataclass
 class BlandAltman:
-    """Bias and +/-2 SD limits of agreement for paired measurements (ms)."""
+    """Bias, +/-2 SD limits of agreement and each pair's mean and difference (ms)."""
 
     bias: float
     sd: float
     loa_low: float
     loa_high: float
-    points: list[tuple[float, float]]
-
-    def __post_init__(self):
-        if self.sd < 0:
-            raise ValueError("sd must be non-negative")
+    means: np.ndarray
+    diffs: np.ndarray
 
 
 @dataclass
@@ -71,10 +68,6 @@ class MorphologyMetrics:
     inflection_count_sd: float
     auc_mean: float
     auc_sd: float
-
-    def __post_init__(self):
-        if self.inflection_count_mean < 0 or self.inflection_count_sd < 0:
-            raise ValueError("counts must be non-negative")
 
 
 @dataclass
@@ -105,12 +98,6 @@ class BpSummary:
     dbp: float
     map: float
 
-    def __post_init__(self):
-        if not self.sbp > self.dbp > 0:
-            raise ValueError("invalid pressures")
-        if not self.dbp <= self.map <= self.sbp:
-            raise ValueError("map must lie between dbp and sbp")
-
 
 def map_from_bp(sbp: float, dbp: float) -> float:
     """Mean arterial pressure: ``dbp + (sbp - dbp) / 3``."""
@@ -124,8 +111,8 @@ def bland_altman(a: np.ndarray, b: np.ndarray) -> BlandAltman:
 
     Differences are ``a - b``. The bias is their mean, the spread is the
     sample standard deviation (n-1 denominator), and the limits of
-    agreement sit at bias +/- 2 SD. ``points`` pairs each difference
-    with the corresponding mean for plotting.
+    agreement sit at bias +/- 2 SD. ``means`` and ``diffs`` hold each
+    pair's mean and difference.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -136,8 +123,7 @@ def bland_altman(a: np.ndarray, b: np.ndarray) -> BlandAltman:
     diff = a - b
     bias = float(diff.mean())
     sd = float(diff.std(ddof=1))
-    points = list(zip(((a + b) / 2.0).tolist(), diff.tolist()))
-    return BlandAltman(bias, sd, bias - 2.0 * sd, bias + 2.0 * sd, points)
+    return BlandAltman(bias, sd, bias - 2.0 * sd, bias + 2.0 * sd, (a + b) / 2.0, diff)
 
 
 def count_inflections(beats: np.ndarray) -> int | np.ndarray:

@@ -110,12 +110,6 @@ class BinSelection:
     peak_to_peak: float
     inverted: bool | None = False
 
-    def __post_init__(self):
-        if self.antenna_index < 0 or self.range_bin < 0:
-            raise ValueError("indices must be non-negative")
-        if self.peak_to_peak < 0:
-            raise ValueError("peak_to_peak must be non-negative")
-
 
 def frame_blocks(shape: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """``(start, stop)`` frame ranges of about ``BLOCK_SAMPLES`` cube values."""
@@ -133,13 +127,13 @@ def searchable_bins(n_samples: int, max_bins: int = PipelineConfig.radar_max_bin
     carries displacement. ``max_bins=K > 0`` keeps bins 1 .. K-1 for
     near-field use (bin 0 counts toward K); 0 or less sets no cap. No
     bin left, as with ``max_bins=1`` or chirps of under 3 samples, raises
-    "radar: no informative range bin to search".
+    "no informative range bin to search".
     """
     stop = (n_samples + 1) // 2
     if max_bins > 0:
         stop = min(stop, max_bins)
     if stop <= 1:
-        raise ValueError("radar: no informative range bin to search")
+        raise ValueError("no informative range bin to search")
     return range(1, stop)
 
 
@@ -165,7 +159,7 @@ def _antenna_phase(cube: RadarCube, antenna: int, bins: range, phase: np.ndarray
         avg /= n_chirps
         if not np.isfinite(avg).all():
             frame = _first_bad_frame(data, antenna, start + int(np.nonzero(~np.isfinite(avg))[0][0]))
-            raise ValueError(f"radar: non-finite sample in frame {frame}")
+            raise ValueError(f"non-finite sample in frame {frame}")
         if cube.release_frames is not None:
             cube.release_frames(start, stop)
         avg -= avg.mean(axis=1, keepdims=True)
@@ -243,9 +237,9 @@ def process_radar(
     Raises
     ------
     ValueError
-        "recording too short" under ``MIN_RECORD_S``, "radar: no
-        informative range bin to search" before any reduction when the
-        rule leaves no bin, or "radar: non-finite sample in frame N"
+        "recording too short" under ``MIN_RECORD_S``, "no informative
+        range bin to search" before any reduction when the rule leaves
+        no bin, or "non-finite sample in frame N"
         naming the first frame, over all antennas, holding a NaN or
         infinity.
     """

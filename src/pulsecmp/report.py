@@ -18,17 +18,16 @@ beats are cut, normalized and measured in one pass into one
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from pulsecmp.beats import (
-    AverageBeat,
     IbiSeries,
     PeakTrain,
     align_beat_events,
-    average_beats,
     extract_ibi,
     foot_intervals_ms,
     in_ibi_gate,
@@ -99,7 +98,6 @@ class ModalitySummary:
     ibi: IbiSeries
     beats: BeatTable | None = None
     morphology: MorphologyMetrics | None = None
-    average_beat: AverageBeat | None = None
     selection: BinSelection | None = None
     bp: BpSummary | None = None
 
@@ -172,7 +170,7 @@ class AgreementReport:
                     "sd_ms": p.bland_altman.sd,
                     "loa_low_ms": p.bland_altman.loa_low,
                     "loa_high_ms": p.bland_altman.loa_high,
-                    "n": len(p.bland_altman.points),
+                    "n": p.bland_altman.diffs.size,
                 }
             if p.comparison is not None:
                 c = p.comparison
@@ -251,6 +249,17 @@ def simulate_bundle(config: PipelineConfig, subject_id: str = "synthetic") -> Re
     return bundle
 
 
+@contextmanager
+def modality_errors(name: str):
+    """Prefix a ``ValueError`` raised inside with the modality's name, once
+    ("ppg: recording too short"); a ``FormatError`` keeps its ``code``."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+
+
 def condition_modality(
     name: str, raw, config: PipelineConfig
 ) -> tuple[TimeSeries, PeakTrain, BinSelection | None]:
@@ -300,7 +309,6 @@ def _summarize_modality(
     summary.status = "ok"
     summary.beats = table
     summary.morphology = morphology_metrics(table)
-    summary.average_beat = average_beats(table.shapes)
     if raw_for_bp is not None and train.systolic_indices.size:
         sbp = float(np.mean(raw_for_bp.samples[train.systolic_indices]))
         dbp = float(np.mean(raw_for_bp.samples[train.diastolic_indices]))
@@ -373,21 +381,23 @@ def compare_recordings(
     is loaded just before its chain and released once its summary is
     built, so no two are held at once. The baseline is the reference
     when present, else the radar. Each modality with fewer than two
-    detected beats is flagged rather than failing the whole run.
+    detected beats is flagged rather than failing the whole run; an
+    input error while loading or conditioning one names that modality.
     """
     if len(names) < 2:
         raise ValueError("need two modalities")
     modalities: dict[str, ModalitySummary] = {}
     for name in names:
-        raw = load(name)
-        # no name is bound to the waveform, so it is freed once its
-        # beats are cut, before the next modality is conditioned
-        modalities[name] = _summarize_modality(
-            name,
-            *condition_modality(name, raw, config),
-            config,
-            raw_for_bp=raw if name == "reference" else None,
-        )
+        with modality_errors(name):
+            raw = load(name)
+            # no name is bound to the waveform, so it is freed once its
+            # beats are cut, before the next modality is conditioned
+            modalities[name] = _summarize_modality(
+                name,
+                *condition_modality(name, raw, config),
+                config,
+                raw_for_bp=raw if name == "reference" else None,
+            )
         # else the name would hold this recording while the next one loads
         del raw
 

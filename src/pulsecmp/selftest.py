@@ -325,50 +325,58 @@ def check_filter_contract() -> tuple[list[str], str]:
     )
 
 
-def _recordings(bundle) -> dict[str, tuple[np.ndarray, float, float]]:
-    """Every array a bundle records, with its rate and start time, by name."""
-    out = {}
-    for name in bundle.present_modalities():
-        raw = getattr(bundle, name)
-        if name == "radar":
-            out[name] = (raw.data, raw.frame_rate_hz, 0.0)
-        elif name == "ppg":
-            for channel, ts in raw.channels.items():
-                out[f"ppg {channel}"] = (ts.samples, ts.sample_rate_hz, ts.start_time_s)
-        else:
-            out[name] = (raw.samples, raw.sample_rate_hz, raw.start_time_s)
-    return out
+def _recordings(name: str, raw) -> dict[str, tuple[np.ndarray, float, float]]:
+    """Every array one modality's recording holds, with its rate and start time, by name."""
+    if name == "radar":
+        return {name: (raw.data, raw.frame_rate_hz, 0.0)}
+    if name == "ppg":
+        return {
+            f"ppg {channel}": (ts.samples, ts.sample_rate_hz, ts.start_time_s)
+            for channel, ts in raw.channels.items()
+        }
+    return {name: (raw.samples, raw.sample_rate_hz, raw.start_time_s)}
 
 
 def check_bundle_roundtrip() -> tuple[list[str], str]:
     """Criterion 7: a 12 s bundle written the way ``simulate`` writes it,
     its radar cube streamed block by block, holds the recordings of the
     in-memory bundle when read back, and ``compare``'s streaming bundle
-    path gives the same report."""
+    path gives the same report. Each recording is checked as that path
+    loads it, so every file is read once."""
     import tempfile
 
-    from pulsecmp.cli import bundle_paths, compare_bundle, read_bundle_dir, write_bundle_dir
+    from pulsecmp import cli
     from pulsecmp.formats import canonical_json
+    from pulsecmp.report import compare_recordings
 
     config = PipelineConfig(synth_seed=3, synth_duration_s=12.0)
     bundle = simulate_bundle(config)
-    with tempfile.TemporaryDirectory() as tmp:
-        write_bundle_dir(simulate_stream(config), config, tmp)
-        back = read_bundle_dir(tmp, subject_id=bundle.subject_id)
-        want, got = _recordings(bundle), _recordings(back)
-        problems = []
-        for key, (samples, *timing) in want.items():
-            back_samples, *back_timing = got.get(key, (None, None, None))
-            if not np.array_equal(back_samples, samples):
+    want = {}
+    for name in bundle.present_modalities():
+        want.update(_recordings(name, getattr(bundle, name)))
+    n_recordings = len(want)
+    problems = []
+
+    def load(name: str):
+        raw = cli.load_modality(name, paths[name])
+        for key, (samples, *timing) in _recordings(name, raw).items():
+            want_samples, *want_timing = want.pop(key, (None, None, None))
+            if not np.array_equal(samples, want_samples):
                 problems.append(f"{key} samples differ")
-            if back_timing != timing:
-                problems.append(f"{key} (rate Hz, start s) {back_timing} != written {timing}")
-        report = canonical_json(run_compare(bundle, config).to_dict())
-        from_disk = compare_bundle(bundle_paths(tmp), bundle.subject_id, config)
-        if canonical_json(from_disk.to_dict()) != report:
-            problems.append("report bytes differ from the in-memory bundle's")
+            if timing != want_timing:
+                problems.append(f"{key} (rate Hz, start s) {timing} != written {want_timing}")
+        return raw
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cli.write_bundle_dir(simulate_stream(config), config, tmp)
+        paths = cli.bundle_paths(tmp)
+        from_disk = compare_recordings(list(paths), load, bundle.subject_id, config)
+    # a recording the bundle holds that no file gave back
+    problems += [f"{key} samples differ" for key in want]
+    if canonical_json(from_disk.to_dict()) != canonical_json(run_compare(bundle, config).to_dict()):
+        problems.append("report bytes differ from the in-memory bundle's")
     return problems, (
-        f"{len(want)} recordings: samples, rates, start times and report bytes identical"
+        f"{n_recordings} recordings: samples, rates, start times and report bytes identical"
     )
 
 

@@ -444,8 +444,9 @@ def butterworth_bandpass(x: TimeSeries, spec: BandpassSpec = BandpassSpec()) -> 
     Raises
     ------
     ValueError
-        "invalid cutoff" if the band does not fit below Nyquist, or
-        "input too short" when fewer than ``3 * order`` samples.
+        "invalid cutoff" if the band does not fit below Nyquist,
+        "input too short" when fewer than ``3 * order`` samples, or
+        "band-pass output is not finite" when the filter overflows.
     """
     return x.with_samples(bandpass_array(x.samples, x.sample_rate_hz, spec))
 
@@ -457,10 +458,17 @@ def bandpass_array(
 
     The same design and padding rule; a flat signal maps to exact zeros.
     The result is a view of a new buffer: the filtered middle of the
-    padded row.
+    padded row. A finite row can still overflow the filter's sums
+    (samples near 1e307 do): an output that is not finite raises
+    ``ValueError``, with no numpy warning.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("values must be one-dimensional")
     padlen = _bandpass_padlen(spec, sample_rate_hz, values.size)
-    return _filtfilt_row(_bandpass_filter(spec, sample_rate_hz), values, padlen)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _filtfilt_row(_bandpass_filter(spec, sample_rate_hz), values, padlen)
+    # a NaN reaches both extremes: two reductions, no full-length mask
+    if not (math.isfinite(out.min()) and math.isfinite(out.max())):
+        raise ValueError("band-pass output is not finite: input too large or not finite")
+    return out

@@ -352,7 +352,7 @@ def slow_time_fused_whole(cube, bins):
         avg = np.mean(data[start:stop], axis=2, dtype=np.float64)
         if not np.isfinite(avg).all():
             frame = start + int(np.nonzero(~np.isfinite(avg))[0][0])
-            raise ValueError(f"radar: non-finite sample in frame {frame}")
+            raise ValueError(f"non-finite sample in frame {frame}")
         avg -= avg.mean(axis=2, keepdims=True)
         spectrum = np.fft.rfft(avg, axis=2)[:, :, bins.start : bins.stop]
         phase[:, :, start:stop] = np.angle(spectrum).transpose(1, 2, 0)

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -14,7 +15,6 @@ from pulsecmp.beats import (
     _find_peaks,
     _running_extreme,
     align_beat_events,
-    average_beats,
     detect_peaks,
     extract_ibi,
     foot_intervals_ms,
@@ -24,11 +24,12 @@ from pulsecmp.beats import (
     polarity_inverted,
     segment_beats_indexed,
 )
-from pulsecmp.metrics import auc_normalized, count_inflections
+from pulsecmp.metrics import BeatTable, auc_normalized, count_inflections
+from pulsecmp.report import AgreementReport, ModalitySummary
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import PulseModel, generate_waveform
 
-from pulsecmp import beats
+from pulsecmp import beats, cli
 
 from oracles import (
     event_train,
@@ -343,23 +344,53 @@ class TestSegmentBeats:
             segment_beats_indexed(series, train, norm_len)
         assert len(segment_beats_indexed(series, train, 7)) == max(0, n_feet - 1)
 
+    def test_resampling_overflow_is_an_input_error_without_warnings(self):
+        # finite samples near the float range: a beat's interpolation
+        # slopes overflow, which would leave non-finite shapes
+        waveform, _ = pulse_train_series(duration_s=12.0)
+        train = detect_peaks(waveform)
+        centered = waveform.samples - waveform.samples.mean()
+        huge = waveform.with_samples(centered * (8e307 / np.abs(centered).max()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^beat resampling overflowed: waveform too large$"):
+                segment_beats_indexed(huge, train)
+            # a hundredth of that resamples to the same shapes as the original
+            small = segment_beats_indexed(huge.with_samples(huge.samples / 100.0), train)
+        assert_allclose(small.shapes, segment_beats_indexed(waveform, train).shapes, atol=1e-9)
+
+
+def average_beat_file(tmp_path, shapes):
+    """The mean and SD columns of ``avg_beat_reference.csv`` as ``compare``
+    writes it for a modality whose beat table holds ``shapes``."""
+    n = len(shapes)
+    table = BeatTable(np.arange(n), shapes, np.zeros(n), np.zeros(n))
+    train = PeakTrain(np.array([], dtype=int), np.array([], dtype=int), FS)
+    summary = ModalitySummary("reference", "ok", train, extract_ibi(train), beats=table)
+    report = AgreementReport("s", "reference", {}, {"reference": summary}, {})
+    cli._write_report_files(report, str(tmp_path))
+    columns = np.loadtxt(tmp_path / "avg_beat_reference.csv", delimiter=",", skiprows=1, ndmin=2)
+    return columns[:, 1], columns[:, 2]
+
 
 class TestAverageBeats:
-    def test_single_segment(self):
+    """The averaged beat ``compare`` writes: the column mean and
+    population SD of the beat table."""
+
+    def test_single_segment(self, tmp_path):
         waveform, _ = pulse_train_series(duration_s=12.0)
         train = detect_peaks(waveform)
         shapes = segment_beats_indexed(waveform, train).shapes
-        avg = average_beats(shapes[:1])
-        assert_allclose(avg.mean, shapes[0])
-        assert_allclose(avg.sd, 0.0)
-        assert avg.n_beats == 1
+        mean, sd = average_beat_file(tmp_path, shapes[:1])
+        assert np.array_equal(mean, shapes[0])
+        assert np.array_equal(sd, np.zeros_like(sd))
 
-    def test_mirrored_pair(self):
+    def test_mirrored_pair(self, tmp_path):
         v = np.linspace(0.0, 1.0, 200)
-        avg = average_beats(np.stack([v, 1.0 - v]))
-        assert_allclose(avg.mean, 0.5, atol=1e-12)
+        mean, _ = average_beat_file(tmp_path, np.stack([v, 1.0 - v]))
+        assert_allclose(mean, 0.5, atol=1e-12)
 
-    def test_noisy_copies(self):
+    def test_noisy_copies(self, tmp_path):
         rng = np.random.default_rng(42)
         shape = three_bump_wave(np.linspace(0, 1, 200))
         template = (shape - shape.min()) / (shape.max() - shape.min())
@@ -369,26 +400,21 @@ class TestAverageBeats:
             noisy = template + sigma * rng.standard_normal(200)
             stack.append((noisy - noisy.min()) / (noisy.max() - noisy.min()))
         stack = np.array(stack)
-        avg = average_beats(stack)
+        mean, sd = average_beat_file(tmp_path, stack)
         # exact against an independent numpy reduction of the same stack
-        assert_allclose(avg.mean, stack.mean(axis=0), atol=1e-12)
-        assert_allclose(avg.sd, stack.std(axis=0), atol=1e-12)
-        assert avg.n_beats == 50
+        assert_allclose(mean, stack.mean(axis=0), atol=1e-12)
+        assert_allclose(sd, stack.std(axis=0), atol=1e-12)
         # Monte-Carlo magnitude: the per-copy min-max rescale shrinks the
         # injected sigma by the noisy range (~1.25), the mean keeps shape
-        assert 0.03 < np.median(avg.sd) < 0.06
+        assert 0.03 < np.median(sd) < 0.06
         peak_region = slice(30, 45)
-        assert abs(avg.mean[peak_region].max() - 1.0) < 0.07
+        assert abs(mean[peak_region].max() - 1.0) < 0.07
 
-    def test_identical_beats_zero_sd(self):
+    def test_identical_beats_zero_sd(self, tmp_path):
         waveform, _ = pulse_train_series(duration_s=30.0, hr_bpm=60.0)
         train = detect_peaks(waveform)
-        avg = average_beats(segment_beats_indexed(waveform, train).shapes)
-        assert np.median(avg.sd) < 0.01
-
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            average_beats(np.empty((0, 200)))
+        _, sd = average_beat_file(tmp_path, segment_beats_indexed(waveform, train).shapes)
+        assert np.median(sd) < 0.01
 
 
 class TestAlignBeatEvents:

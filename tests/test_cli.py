@@ -14,7 +14,7 @@ import pytest
 from pulsecmp import beats, cli, radar, signal_core, synth
 from pulsecmp.cli import main
 from pulsecmp.config import PipelineConfig
-from pulsecmp.formats import canonical_json, read_radar_cube, write_radar_cube
+from pulsecmp.formats import FormatError, canonical_json, read_radar_cube, write_radar_cube
 from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import RadarCube
 from pulsecmp.report import (
@@ -204,7 +204,7 @@ class TestProcess:
 
     @pytest.mark.parametrize(
         "modality, source, flags, message",
-        [("ppg", "ppg.csv", ["--channel", "nope"], "error: channel 'nope' not found"),
+        [("ppg", "ppg.csv", ["--channel", "nope"], "error: ppg: channel 'nope' not found"),
          ("radar", "missing.radc", [], "error: [Errno 2]")],
     )
     def test_failed_call_writes_nothing(
@@ -269,7 +269,7 @@ class TestCompare:
             "--reference", str(tmp_path / "reference.csv"), "-o", str(tmp_path / "out"),
         ])
         assert code == 1
-        assert capsys.readouterr().err == "error: recording too short\n"
+        assert capsys.readouterr().err == "error: reference: recording too short\n"
         assert not (tmp_path / "out").exists()
 
     def test_single_modality_is_input_error(self, bundle_dir, tmp_path):
@@ -377,7 +377,7 @@ class TestCompare:
         (subject / "ppg.csv").write_text("not a table\n")
         code = main(["compare", "--bundle", str(subject), "-o", str(tmp_path / "o")])
         assert code == 1
-        assert capsys.readouterr().err == "error: recording too short\n"
+        assert capsys.readouterr().err == "error: radar: recording too short\n"
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_radar_sample_is_input_error(self, bundle_dir, tmp_path):
@@ -409,6 +409,84 @@ class TestCompare:
         assert result.returncode == 1
         assert "non-finite" in result.stderr
         assert "green_0" in result.stderr
+
+    @staticmethod
+    def overflowing_reference(bundle_dir, subject):
+        """A bundle whose 12 s reference holds the finite samples
+        1e307 sin(2 pi 1.1 t): the band-pass's sums overflow."""
+        t = np.arange(2400) / 200.0
+        reference = TimeSeries(1e307 * np.sin(2 * np.pi * 1.1 * t), 200.0)
+        cli.write_bundle_dir(RecordingBundle(reference=reference), PipelineConfig(), str(subject))
+        (subject / "ppg.csv").write_bytes((bundle_dir / "ppg.csv").read_bytes())
+        return subject
+
+    def test_filter_overflow_is_input_error(self, bundle_dir, tmp_path):
+        subject = self.overflowing_reference(bundle_dir, tmp_path / "big")
+        out = tmp_path / "out"
+        result = run_cli(["compare", "--bundle", str(subject), "-o", str(out)])
+        assert result.returncode == 1
+        # one line, no numpy warning
+        assert result.stderr == (
+            "error: reference: band-pass output is not finite: input too large or not finite\n"
+        )
+        assert not out.exists()
+
+    def test_beat_resampling_overflow_is_input_error(self, bundle_dir, tmp_path):
+        # the reference centred and scaled to +-1e307: the band-pass
+        # output is finite, a beat's interpolation slopes are not
+        reference = cli.load_modality("reference", str(bundle_dir / "reference.csv"))
+        centered = reference.samples - reference.samples.mean()
+        huge = reference.with_samples(centered * (1e307 / np.abs(centered).max()))
+        subject = tmp_path / "big"
+        cli.write_bundle_dir(RecordingBundle(reference=huge), PipelineConfig(), str(subject))
+        (subject / "ppg.csv").write_bytes((bundle_dir / "ppg.csv").read_bytes())
+        out = tmp_path / "out"
+        result = run_cli(["compare", "--bundle", str(subject), "-o", str(out)])
+        assert result.returncode == 1
+        assert result.stderr == "error: reference: beat resampling overflowed: waveform too large\n"
+        assert not out.exists()
+
+    def test_process_filter_overflow_writes_nothing(self, bundle_dir, tmp_path):
+        subject = self.overflowing_reference(bundle_dir, tmp_path / "big")
+        out = tmp_path / "out"
+        result = run_cli(["process", "reference", str(subject / "reference.csv"), "-o", str(out)])
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: reference: band-pass output is not finite")
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cut_s, flags, message",
+        [
+            (8.0, [], "error: ppg: recording too short\n"),
+            # no modality's 100 Hz Nyquist fits it; radar's chain runs first
+            (None, ["--set", "filter.high_hz=150"], "error: radar: invalid cutoff\n"),
+        ],
+    )
+    def test_errors_name_their_modality(self, bundle_dir, tmp_path, capsys, cut_s, flags, message):
+        subject = tmp_path / "s"
+        shutil.copytree(bundle_dir, subject)
+        if cut_s is not None:
+            lines = (bundle_dir / "ppg.csv").read_text().splitlines(keepends=True)
+            (subject / "ppg.csv").write_text("".join(lines[: 1 + int(cut_s * 200)]))
+        assert main(["compare", "--bundle", str(subject), "-o", str(tmp_path / "o"), *flags]) == 1
+        assert capsys.readouterr().err == message
+        assert main(["compare", "--bundle-root", str(tmp_path), "-o", str(tmp_path / "r"), *flags]) == 1
+        assert capsys.readouterr().err == message.replace("error: ", "error: s: ")
+        if cut_s is not None:
+            out = tmp_path / "p"
+            assert main(["process", "ppg", str(subject / "ppg.csv"), "-o", str(out)]) == 1
+            assert capsys.readouterr().err == message
+            assert not out.exists()
+
+    def test_named_format_error_keeps_its_class_and_code(self, bundle_dir, tmp_path):
+        subject = tmp_path / "s"
+        shutil.copytree(bundle_dir, subject)
+        (subject / "ppg.csv").write_text("t,v\n0,1\n0.005,2\n")
+        with pytest.raises(FormatError) as err:
+            cli.compare_bundle(cli.bundle_paths(str(subject)), "s", PipelineConfig())
+        assert err.value.code == "bad header"
+        assert str(err.value) == "ppg: bad header: first column must be time_s"
 
     def test_truth_sidecar_is_not_read(self, bundle_dir, tmp_path):
         reports = []
@@ -554,6 +632,43 @@ class TestCompare:
         out = str(tmp_path / "reports")
         assert main(["compare", "--bundle-root", str(root), "--jobs", "64", "-o", out]) == 0
         assert workers == [2]
+
+
+def read_table(path) -> tuple[list[str], np.ndarray]:
+    """A CSV that ``formats.write_table`` wrote: its header and its columns."""
+    with open(path, encoding="utf-8") as fh:
+        names = fh.readline().rstrip("\n").split(",")
+    return names, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+
+
+class TestReportTables:
+    """``avg_beat_<m>.csv`` and ``ba_points_<pair>.csv`` are written from
+    the arrays the report holds."""
+
+    def test_average_beat_is_the_beat_table_mean_and_sd(self, bundle_dir, tmp_path):
+        report = cli.compare_bundle(cli.bundle_paths(str(bundle_dir)), "s", PipelineConfig())
+        cli._write_report_files(report, str(tmp_path))
+        assert {m.status for m in report.modalities.values()} == {"ok"}
+        for name, modality in report.modalities.items():
+            names, (position, mean, sd) = read_table(tmp_path / f"avg_beat_{name}.csv")
+            shapes = modality.beats.shapes
+            assert names == ["position", "mean", "sd"]
+            assert np.array_equal(position, np.linspace(0.0, 1.0, shapes.shape[1]))
+            # the population SD, bit for bit after the round-trip digits
+            assert np.array_equal(mean, shapes.mean(axis=0))
+            assert np.array_equal(sd, shapes.std(axis=0))
+
+    def test_bland_altman_points_are_the_pair_arrays(self, bundle_dir, tmp_path):
+        report = cli.compare_bundle(cli.bundle_paths(str(bundle_dir)), "s", PipelineConfig())
+        cli._write_report_files(report, str(tmp_path))
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert set(report.pairs) == {"ppg_vs_reference", "radar_vs_reference"}
+        for name, pair in report.pairs.items():
+            names, (means, diffs) = read_table(tmp_path / f"ba_points_{name}.csv")
+            assert names == ["mean_ms", "diff_ms"]
+            assert np.array_equal(means, pair.bland_altman.means)
+            assert np.array_equal(diffs, pair.bland_altman.diffs)
+            assert doc["pairs"][name]["bland_altman"]["n"] == diffs.size == pair.n_paired_ibis
 
 
 class TestOneReportInMemoryAndFromDisk:
@@ -703,7 +818,7 @@ class TestConfigPlumbing:
         code = main(["compare", "--bundle", str(bundle_dir), "-o", str(out),
                      "--set", "beats.norm_len=5"])
         assert code == 1
-        assert capsys.readouterr().err == "error: norm_len must be at least 7\n"
+        assert capsys.readouterr().err == "error: radar: norm_len must be at least 7\n"
         assert main(["compare", "--bundle", str(bundle_dir), "-o", str(out),
                      "--set", "beats.norm_len=7"]) == 0
         doc = json.loads((out / "report.json").read_text())
@@ -731,7 +846,8 @@ class TestConfigPlumbing:
         default = PipelineConfig().to_flat_dict()
         changed = {k for k, v in config.to_flat_dict().items() if v != default[k]}
         assert changed == {k for k in default if not k.startswith("synth.")}
-        bundle = cli.read_bundle_dir(str(bundle_dir))
+        paths = cli.bundle_paths(str(bundle_dir))
+        bundle = RecordingBundle(**{name: cli.load_modality(name, path) for name, path in paths.items()})
         green = bundle.ppg.channel()
         chosen = green.with_samples(green.samples)
         bundle.ppg = PpgRecording({"green_0": green, "ir_0": chosen})
@@ -817,6 +933,25 @@ class TestSelftest:
         assert failed[0].startswith("[FAIL] raises: raised ValueError: recording too short (")
         assert failed[1].startswith("[FAIL] fails: off by one (")
         assert lines[-1] == "2 of 7 checks failed"
+
+    def test_roundtrip_check_sees_a_recording_altered_as_it_loads(self, monkeypatch):
+        from pulsecmp import selftest
+
+        load = cli.load_modality
+        altered = []
+
+        def load_and_alter(name, path, *args):
+            raw = load(name, path, *args)
+            if name == "ppg":
+                channel, series = next(iter(raw.channels.items()))
+                series.samples[100] += 1.0
+                altered.append(channel)
+            return raw
+
+        monkeypatch.setattr(cli, "load_modality", load_and_alter)
+        problems, _ = selftest.check_bundle_roundtrip()
+        assert len(altered) == 1
+        assert problems[0] == f"ppg {altered[0]} samples differ"
 
 
 class TestNumpyOnlyRuntime:

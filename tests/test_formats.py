@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -544,6 +545,31 @@ class TestCsvCodec:
         with pytest.raises(ValueError, match="non-finite value in output"):
             write_table(str(tmp_path / "t.csv"), {"a": [1.0, 2.0], "b": [3.0, bad]})
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "name, detail",
+        [
+            ("a,b", "column 3 name 'a,b' does not read back"),
+            ("", "column 3 has no name"),
+            ("time_s", "duplicate column time_s"),
+            ("x\ny", "column 3 name 'x\\ny' does not read back"),
+            ("x\ry", "column 3 name 'x\\ry' does not read back"),
+            (" green_0", "column 3 name ' green_0' does not read back"),
+            ("green_1\t", "column 3 name 'green_1\\t' does not read back"),
+        ],
+    )
+    def test_write_name_the_reader_rejects_leaves_no_file(self, tmp_path, name, detail):
+        # the reader would fail on the file, or read the channel back
+        # under another name
+        with pytest.raises(FormatError, match=f"^bad header: {re.escape(detail)}$"):
+            write_series_csv(str(tmp_path / "p.csv"), {"green_0": [1.0, 2.0], name: [3.0, 4.0]}, 200.0)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("name", ["green 0", "ir-1", "Ñ", "a;b", "'q'"])
+    def test_names_the_rule_allows_read_back_as_themselves(self, tmp_path, name):
+        path = str(tmp_path / "p.csv")
+        write_series_csv(path, {"green_0": [1.0, 2.0], name: [3.0, 4.0]}, 200.0)
+        assert list(read_ppg_csv(path).channels) == ["green_0", name]
 
 
 class TestGroundTruthSidecar:

@@ -71,7 +71,10 @@ class TestBlandAltman:
         assert_allclose(ba.sd, math.sqrt(75.0), atol=1e-9)
         assert_allclose(ba.loa_low, -2.0 * math.sqrt(75.0), atol=1e-9)
         assert_allclose(ba.loa_high, 2.0 * math.sqrt(75.0), atol=1e-9)
-        assert_allclose([p[1] for p in ba.points], [-5.0, 10.0, -5.0])
+        # each pair's mean and difference, the points of the plot
+        assert ba.means.dtype == ba.diffs.dtype == np.float64
+        assert_allclose(ba.means, [1002.5, 1005.0, 992.5], atol=1e-9)
+        assert_allclose(ba.diffs, [-5.0, 10.0, -5.0], atol=1e-9)
 
     def test_monte_carlo_recovery(self):
         rng = np.random.default_rng(123)

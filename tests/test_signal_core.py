@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,21 @@ class TestButterworthBandpass:
     def test_one_row_only(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             bandpass_array(np.zeros((2, 4000)), FS)
+
+    def test_overflow_is_an_input_error_without_warnings(self):
+        x = np.sin(2 * np.pi * 1.1 * np.arange(2400) / FS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # finite samples whose filter sums overflow
+            with pytest.raises(ValueError, match="^band-pass output is not finite"):
+                bandpass_array(1e307 * x, FS)
+            assert np.isfinite(bandpass_array(1e306 * x, FS)).all()
+
+    def test_non_finite_input_is_an_input_error(self):
+        x = np.sin(2 * np.pi * 1.1 * np.arange(2400) / FS)
+        x[1000] = np.nan
+        with pytest.raises(ValueError, match="^band-pass output is not finite"):
+            bandpass_array(x, FS)
 
     def test_design_is_cached_read_only(self):
         design = _bandpass_filter(BandpassSpec(), FS)
