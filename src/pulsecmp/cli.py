@@ -37,9 +37,9 @@ try:
     from pulsecmp.beats import IbiSeries, extract_ibi
     from pulsecmp.config import PipelineConfig, load_config
     from pulsecmp.formats import (
+        DEFAULT_CHANNEL,
         REFERENCE_COLUMN,
         canonical_json,
-        read_ppg_csv,
         read_radar_cube,
         read_series_csv,
         write_ground_truth,
@@ -90,16 +90,13 @@ def write_bundle_dir(bundle: RecordingBundle, config: PipelineConfig, directory:
         recording, path = getattr(bundle, name), os.path.join(directory, MODALITIES[name])
         if name == "radar":
             write_radar_cube(recording, path)
-            continue
-        # the PPG's channels share one time base; the reference is one column
-        channels = recording.channels if name == "ppg" else {REFERENCE_COLUMN: recording}
-        first = next(iter(channels.values()))
-        write_series_csv(
-            path,
-            {column: ts.samples for column, ts in sorted(channels.items())},
-            first.sample_rate_hz,
-            first.start_time_s,
-        )
+        else:
+            write_series_csv(
+                path,
+                {csv_column(name): recording.samples},
+                recording.sample_rate_hz,
+                recording.start_time_s,
+            )
     if bundle.truth is not None:
         write_ground_truth(
             bundle.truth,
@@ -111,13 +108,20 @@ def write_bundle_dir(bundle: RecordingBundle, config: PipelineConfig, directory:
         )
 
 
-def load_modality(name: str, path: str, column: str = REFERENCE_COLUMN):
-    """Read one modality's recording; ``column`` names the reference CSV column."""
-    if name == "radar":
-        return read_radar_cube(path)
-    if name == "ppg":
-        return read_ppg_csv(path)
-    return read_series_csv(path, column)
+def csv_column(name: str, channel: str = DEFAULT_CHANNEL) -> str:
+    """The one column of a CSV modality's file that is written or read:
+    ``pressure_mmHg`` for the reference, ``channel`` for the PPG. The
+    PPG is written as ``green_0`` and read as ``ppg.channel``, whose
+    empty default picks ``green_0`` when the file has it, else the first
+    column by name (``formats.read_series_csv``)."""
+    return channel if name == "ppg" else REFERENCE_COLUMN
+
+
+def load_modality(name: str, path: str, column: str = ""):
+    """Read one modality's recording: the radar cube, or the one CSV
+    column ``column`` names (empty: the default pick of
+    ``formats.read_series_csv``)."""
+    return read_radar_cube(path) if name == "radar" else read_series_csv(path, column)
 
 
 def bundle_paths(directory: str) -> dict[str, str]:
@@ -144,9 +148,10 @@ def compare_bundle(
     Each file is read just before its modality's chain and released
     before the next is read, so the peak holds one raw recording.
     """
-    return compare_recordings(
-        list(paths), lambda name: load_modality(name, paths[name]), subject_id, config
-    )
+    def load(name: str):
+        return load_modality(name, paths[name], csv_column(name, config.ppg_channel))
+
+    return compare_recordings(list(paths), load, subject_id, config)
 
 
 def _write_ibi(path: str, ibi: IbiSeries) -> None:
@@ -155,10 +160,10 @@ def _write_ibi(path: str, ibi: IbiSeries) -> None:
 
 
 def _write_report_files(report: AgreementReport, directory: str) -> None:
+    # serialised first: a non-finite value fails before -o is created
+    text = canonical_json(report.to_dict()) + "\n"
     os.makedirs(directory, exist_ok=True)
-    write_text_atomic(
-        os.path.join(directory, "report.json"), canonical_json(report.to_dict()) + "\n"
-    )
+    write_text_atomic(os.path.join(directory, "report.json"), text)
     for name, modality in sorted(report.modalities.items()):
         _write_ibi(os.path.join(directory, f"ibi_{name}.csv"), modality.ibi)
         if modality.beats is not None:
@@ -196,11 +201,10 @@ def cmd_process(args) -> int:
         if getattr(args, flag) is not None and args.modality != modality:
             raise ValueError(f"--{flag} applies to 'process {modality}' only")
     config = _load_cli_config(args)
-    if args.channel:
-        config.ppg_channel = args.channel
+    column = args.column or csv_column(args.modality, args.channel or config.ppg_channel)
     meta: dict = {"modality": args.modality, "input": os.path.basename(args.input)}
     with modality_errors(args.modality):
-        raw = load_modality(args.modality, args.input, args.column or REFERENCE_COLUMN)
+        raw = load_modality(args.modality, args.input, column)
         waveform, train, selection = condition_modality(args.modality, raw, config)
     # only once the input has loaded and been conditioned: a bad call writes nothing
     os.makedirs(args.out, exist_ok=True)

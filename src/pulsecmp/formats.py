@@ -26,21 +26,23 @@ Every CSV is written by ``write_table`` (header row of column names,
 values in their shortest round-trip digits, so ``0.005`` and not
 ``0.0050000000000000001``) and read by ``_parse_time_table``, which
 skips blank and whitespace-only lines, reads CRLF line ends as LF,
-drops a leading UTF-8 byte-order mark, and rejects bad headers (an
-empty or repeated column name included) and rows, fewer
-than two rows and non-finite samples with a ``FormatError``. Writer
-and reader share one column-name rule (``_check_column_names``), so a
-name the writer accepts reads back as itself. Values
-read back bit for bit. The header is read from an open handle; the
-body is parsed from the path, which lets numpy's C parser read the
-file in chunks rather than one Python string per line. The two opens
-are checked to be the same file, and the read starts again if a writer
-renamed another file into place between them. Time-series CSVs start
-with a ``time_s`` column; sampling must be uniform to within 1 % jitter
-of the median step, and what ``write_series_csv`` wrote reads back at
-the rate it was written. That last check compares the time column with
-the writer's ``t0 + k / rate`` in blocks of ``RATE_CHECK_ROWS``, so it
-holds no second full-length column.
+drops a leading UTF-8 byte-order mark, and rejects bytes that are
+not UTF-8, bad headers (an empty or repeated column name included) and
+rows, fewer than two rows and non-finite samples with a
+``FormatError``. Writer and reader share one column-name rule
+(``_check_column_names``), so a name the writer accepts reads back as
+itself. Values read back bit for bit. The header is read from an open
+handle; the body is parsed from the path, which lets numpy's C parser
+read the file in chunks rather than one Python string per line. The
+two opens are checked to be the same file, and the read starts again
+if a writer renamed another file into place between them. Time-series
+CSVs start with a ``time_s`` column; sampling must be uniform to within
+1 % jitter of the median step, and what ``write_series_csv`` wrote
+reads back at the rate it was written. That last check compares the
+time column with the writer's ``t0 + k / rate`` in blocks of
+``RATE_CHECK_ROWS``, so it holds no second full-length column.
+``read_series_csv`` is the reader of the PPG and the reference alike:
+each is the one column of its file that the load picks.
 
 Every JSON file (``report.json``, ``meta.json``, ``truth.json``) is
 written by ``canonical_json``, whose floats follow the same rule.
@@ -60,7 +62,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import RadarCube, frame_blocks
 from pulsecmp.signal_core import TimeSeries, median
 
@@ -72,7 +73,10 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIIIIIdddI")
 MAX_CUBE_ELEMENTS = 2**34  # 16 Gi float32 values (64 GiB); beyond is corrupt
 
+# The column a bundle's reference.csv holds, and the PPG channel read
+# from ppg.csv when none is named and the file has it
 REFERENCE_COLUMN = "pressure_mmHg"
+DEFAULT_CHANNEL = "green_0"
 
 # Rows formatted per chunk by write_table: formatting a whole table at
 # once holds its text in memory, which grows with the recording.
@@ -241,8 +245,13 @@ def _parse_time_table(path: str) -> tuple[list[str], np.ndarray]:
         # utf-8-sig drops the byte-order mark a spreadsheet export may
         # start with; the body parse skips the header line it sits on
         with open(path, "r", encoding="utf-8-sig") as fh:
-            names = _read_header(fh)
-            table = _parse_body(path, fh)
+            try:
+                names = _read_header(fh)
+                table = _parse_body(path, fh)
+            except UnicodeDecodeError as exc:
+                # wherever the byte sits: in the header's first chunk
+                # or in a body line either parser decodes
+                raise FormatError("bad encoding", str(exc)) from exc
             opened = os.fstat(fh.fileno())
         # the body was parsed from a second open of ``path``: a writer's
         # rename in between pairs this header with another file's rows
@@ -320,6 +329,8 @@ def _parse_body(path: str, fh) -> np.ndarray:
             lines = (line for line in fh if line.strip())
             try:
                 return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except UnicodeDecodeError:
+                raise  # a ValueError too, but the caller's "bad encoding"
             except ValueError as exc:
                 raise FormatError("bad row", str(exc)) from exc
 
@@ -369,22 +380,19 @@ def _is_written_column(times: np.ndarray, t0: float, rate: float) -> bool:
     return True
 
 
-def _read_channels(path: str) -> dict[str, TimeSeries]:
-    """Every non-time column of a time-series CSV, by column name, each
-    copied out as its own array, so the table and its time column are
-    freed once the rate is known."""
+def read_series_csv(path: str, column: str = "") -> TimeSeries:
+    """Read one column of a time-series CSV as a TimeSeries, copied out
+    of the parsed table, so the table and its time column are freed on
+    return. An empty ``column`` picks ``green_0`` when the file has it,
+    else the first column by name; a name the file lacks is
+    ``FormatError`` "missing column", listing the file's columns."""
     names, table = _parse_time_table(path)
     rate = _uniform_rate(table[:, 0])
-    start = float(table[0, 0])
-    return {name: TimeSeries(table[:, i].copy(), rate, start) for i, name in enumerate(names) if i}
-
-
-def read_series_csv(path: str, column: str) -> TimeSeries:
-    """Read one named column of a time-series CSV as a TimeSeries."""
-    channels = _read_channels(path)
-    if column not in channels:
-        raise FormatError("missing column", f"{column!r} not in columns: {', '.join(channels)}")
-    return channels[column]
+    columns = names[1:]
+    column = column or (DEFAULT_CHANNEL if DEFAULT_CHANNEL in columns else min(columns))
+    if column not in columns:
+        raise FormatError("missing column", f"{column!r} not in columns: {', '.join(columns)}")
+    return TimeSeries(table[:, names.index(column)].copy(), rate, float(table[0, 0]))
 
 
 def write_table(path: str, columns: dict[str, np.ndarray]) -> None:
@@ -418,11 +426,6 @@ def write_series_csv(path: str, columns: dict[str, np.ndarray], sample_rate_hz: 
     n = max((np.size(values) for values in columns.values()), default=0)
     times = start_time_s + np.arange(n) / sample_rate_hz
     write_table(path, {"time_s": times, **columns})
-
-
-def read_ppg_csv(path: str) -> PpgRecording:
-    """Read every non-time column of a CSV as one PPG channel."""
-    return PpgRecording(channels=_read_channels(path))
 
 
 def write_ground_truth(

@@ -7,7 +7,9 @@ ground-truth waveform, its radar cube drawn as it is written
 recording just before its chain (``run_compare`` on an in-memory
 bundle, ``cli.compare_bundle`` on files), aligns beats pairwise
 against the reference (or against radar when no reference is present),
-and assembles interval and morphology agreement statistics. Each
+and assembles interval and morphology agreement statistics. The PPG
+and the reference are each one series, the CSV column their load
+picks, and run one series chain; the radar cube has its own. Each
 modality's chain ends at the shared band-pass; orienting the waveform
 and detecting its beats is one shared last step
 (``beats.orient_and_detect``) whose train is reused. Each modality's
@@ -17,6 +19,7 @@ beats are cut, normalized and measured in one pass into one
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -47,7 +50,6 @@ from pulsecmp.metrics import (
     map_from_bp,
     morphology_metrics,
 )
-from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import BinSelection, RadarCube, process_radar
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass, require_min_record
 
@@ -71,11 +73,12 @@ class RecordingBundle:
     """All simultaneously recorded modalities for one subject.
 
     ``radar`` is a ``RadarStream`` only in a bundle from
-    ``simulate_stream``, which is written, not compared.
+    ``simulate_stream``, which is written, not compared. The PPG and the
+    reference are one series each: a load picks one column of a CSV.
     """
 
     radar: RadarCube | RadarStream | None = None
-    ppg: PpgRecording | None = None
+    ppg: TimeSeries | None = None
     reference: TimeSeries | None = None
     truth: SynthGroundTruth | None = None
     subject_id: str = "subject"
@@ -266,11 +269,10 @@ def condition_modality(
     """Run one modality's conditioning chain on its raw recording.
 
     ``name`` is a key of :data:`MODALITIES` and ``raw`` the bundle field
-    of that name: a ``RadarCube`` for radar, a ``PpgRecording`` for PPG,
-    a ``TimeSeries`` for the reference. Radar has its own chain; PPG and
-    the reference share one series chain, PPG entering it as its
-    ``ppg.channel``. The band-passed waveform is then oriented and its
-    beats detected by the shared last step.
+    of that name: a ``RadarCube`` for radar, a ``TimeSeries`` for the
+    PPG and the reference, which share one series chain. The band-passed
+    waveform is then oriented and its beats detected by the shared last
+    step.
     Returns the oriented waveform, its beat train and, for radar only,
     the chosen (antenna, range bin) with its ``inverted`` polarity
     decision (``None`` when undecided). Any record under ``MIN_RECORD_S``
@@ -281,9 +283,8 @@ def condition_modality(
     if name == "radar":
         waveform, selection = process_radar(raw, spec, config.radar_max_bins)
     else:
-        series = raw.channel(config.ppg_channel) if name == "ppg" else raw
-        require_min_record(series.duration_s)
-        waveform = butterworth_bandpass(series, spec)
+        require_min_record(raw.duration_s)
+        waveform = butterworth_bandpass(raw, spec)
     waveform, train, inverted = orient_and_detect(
         waveform, config.beats_min_separation_s, config.beats_prominence_rel
     )
@@ -310,8 +311,12 @@ def _summarize_modality(
     summary.beats = table
     summary.morphology = morphology_metrics(table)
     if raw_for_bp is not None and train.systolic_indices.size:
-        sbp = float(np.mean(raw_for_bp.samples[train.systolic_indices]))
-        dbp = float(np.mean(raw_for_bp.samples[train.diastolic_indices]))
+        # finite samples near the float range can overflow a mean's sum
+        with np.errstate(over="ignore", invalid="ignore"):
+            sbp = float(np.mean(raw_for_bp.samples[train.systolic_indices]))
+            dbp = float(np.mean(raw_for_bp.samples[train.diastolic_indices]))
+        if not (math.isfinite(sbp) and math.isfinite(dbp)):
+            raise ValueError("pressure mean is not finite: input too large")
         if sbp > dbp > 0:
             summary.bp = BpSummary(sbp, dbp, map_from_bp(sbp, dbp))
     return summary

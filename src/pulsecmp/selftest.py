@@ -325,16 +325,11 @@ def check_filter_contract() -> tuple[list[str], str]:
     )
 
 
-def _recordings(name: str, raw) -> dict[str, tuple[np.ndarray, float, float]]:
-    """Every array one modality's recording holds, with its rate and start time, by name."""
+def _recording(name: str, raw) -> tuple[np.ndarray, float, float]:
+    """The array one modality's recording holds, with its rate and start time."""
     if name == "radar":
-        return {name: (raw.data, raw.frame_rate_hz, 0.0)}
-    if name == "ppg":
-        return {
-            f"ppg {channel}": (ts.samples, ts.sample_rate_hz, ts.start_time_s)
-            for channel, ts in raw.channels.items()
-        }
-    return {name: (raw.samples, raw.sample_rate_hz, raw.start_time_s)}
+        return raw.data, raw.frame_rate_hz, 0.0
+    return raw.samples, raw.sample_rate_hz, raw.start_time_s
 
 
 def check_bundle_roundtrip() -> tuple[list[str], str]:
@@ -351,20 +346,18 @@ def check_bundle_roundtrip() -> tuple[list[str], str]:
 
     config = PipelineConfig(synth_seed=3, synth_duration_s=12.0)
     bundle = simulate_bundle(config)
-    want = {}
-    for name in bundle.present_modalities():
-        want.update(_recordings(name, getattr(bundle, name)))
+    want = {name: _recording(name, getattr(bundle, name)) for name in bundle.present_modalities()}
     n_recordings = len(want)
     problems = []
 
     def load(name: str):
-        raw = cli.load_modality(name, paths[name])
-        for key, (samples, *timing) in _recordings(name, raw).items():
-            want_samples, *want_timing = want.pop(key, (None, None, None))
-            if not np.array_equal(samples, want_samples):
-                problems.append(f"{key} samples differ")
-            if timing != want_timing:
-                problems.append(f"{key} (rate Hz, start s) {timing} != written {want_timing}")
+        raw = cli.load_modality(name, paths[name], cli.csv_column(name, config.ppg_channel))
+        samples, *timing = _recording(name, raw)
+        want_samples, *want_timing = want.pop(name)
+        if not np.array_equal(samples, want_samples):
+            problems.append(f"{name} samples differ")
+        if timing != want_timing:
+            problems.append(f"{name} (rate Hz, start s) {timing} != written {want_timing}")
         return raw
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -2,11 +2,12 @@
 
 One shared arterial waveform drives all three modalities: the radar
 cube encodes it as phase modulation of an IF tone at the target range
-bin, the PPG channel sees it through a slow causal decay kernel, and
-the pressure reference is an amplitude-calibrated copy. The generator
-is fully deterministic given a seed (PCG64), so recordings regenerate
-bit-identically and acceptance tests can compare pipeline output
-against exact truth.
+bin, the PPG sees it through a slow causal decay kernel, and the
+pressure reference is an amplitude-calibrated copy. The PPG and the
+reference are each one ``TimeSeries``, as a load reads them back. The
+generator is fully deterministic given a seed (PCG64), so recordings
+regenerate bit-identically and acceptance tests can compare pipeline
+output against exact truth.
 
 The per-beat shape is a sum of three Gaussian bumps (systolic peak,
 late-systolic augmentation wave, dicrotic wave). Widths are 1/e
@@ -25,7 +26,6 @@ import numpy as np
 
 from pulsecmp.beats import IBI_MAX_MS, IBI_MIN_MS
 from pulsecmp.config import PipelineConfig
-from pulsecmp.ppg import DEFAULT_CHANNEL, PpgRecording
 from pulsecmp.radar import SPEED_OF_LIGHT, RadarCube, frame_blocks, searchable_bins
 from pulsecmp.signal_core import MIN_RECORD_S, TimeSeries
 
@@ -327,14 +327,14 @@ def synth_ppg(
     noise_sd: float = 0.0,
     seed: int = 0,
     drift_amp_counts: float = 100.0,
-) -> PpgRecording:
+) -> TimeSeries:
     """Reflective-PPG model: slow decay, offset, drift, and noise.
 
     The waveform is convolved with a causal exponential kernel
     ``exp(-t / tau)`` normalized to unit area (PPG decays more slowly
     than tissue displacement because blood drains through the capillary
     bed), then a DC offset, a slow sinusoidal baseline drift, and white
-    noise are added. Emitted as the default channel, ``green_0``.
+    noise are added. One channel: a bundle writes it as ``green_0``.
     """
     if decay_tau_s <= 0:
         raise ValueError("decay_tau_s must be positive")
@@ -347,8 +347,7 @@ def synth_ppg(
     out = smeared + PPG_OFFSET_COUNTS + drift_amp_counts * np.sin(2.0 * np.pi * PPG_DRIFT_HZ * t)
     if noise_sd > 0:
         out = out + noise_sd * np.random.default_rng(seed).standard_normal(out.size)
-    channel = TimeSeries(out, fs, waveform.start_time_s)
-    return PpgRecording(channels={DEFAULT_CHANNEL: channel})
+    return TimeSeries(out, fs, waveform.start_time_s)
 
 
 def synth_reference(

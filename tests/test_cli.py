@@ -11,11 +11,17 @@ import weakref
 import numpy as np
 import pytest
 
-from pulsecmp import beats, cli, radar, signal_core, synth
+from pulsecmp import beats, cli, formats, radar, signal_core, synth
 from pulsecmp.cli import main
 from pulsecmp.config import PipelineConfig
-from pulsecmp.formats import FormatError, canonical_json, read_radar_cube, write_radar_cube
-from pulsecmp.ppg import PpgRecording
+from pulsecmp.formats import (
+    FormatError,
+    canonical_json,
+    read_radar_cube,
+    read_series_csv,
+    write_radar_cube,
+    write_series_csv,
+)
 from pulsecmp.radar import RadarCube
 from pulsecmp.report import (
     RecordingBundle,
@@ -177,6 +183,29 @@ class TestProcess:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["n_systolic"] > 5
 
+    def test_ppg_channel_is_the_column_read(self, bundle_dir, tmp_path):
+        # a flat green_0 beside the recorded pulse as ir_0: the default
+        # pick finds no beats, ir_0 reads as the one-channel file does
+        ppg = read_series_csv(str(bundle_dir / "ppg.csv"))
+        path = str(tmp_path / "ppg.csv")
+        write_series_csv(path, {"green_0": np.full(len(ppg), 1e4), "ir_0": ppg.samples},
+                         ppg.sample_rate_hz, ppg.start_time_s)
+        for source, flags, name in ((bundle_dir / "ppg.csv", [], "one"),
+                                    (path, ["--channel", "ir_0"], "ir"), (path, [], "green")):
+            assert main(["process", "ppg", str(source), "-o", str(tmp_path / name), *flags]) == 0
+        for table in ("waveform.csv", "peaks.csv", "ibi.csv"):
+            assert (tmp_path / "ir" / table).read_bytes() == (tmp_path / "one" / table).read_bytes()
+        assert json.loads((tmp_path / "green" / "meta.json").read_text())["n_systolic"] == 0
+        reference = str(bundle_dir / "reference.csv")
+        statuses = {}
+        for flags in ([], ["--set", "ppg.channel=ir_0"]):
+            out = tmp_path / f"c{len(flags)}"
+            assert main(["compare", "--ppg", path, "--reference", reference, "-o", str(out),
+                         *flags]) == 0
+            statuses[tuple(flags)] = json.loads((out / "report.json").read_text())["modalities"]
+        assert statuses[()]["ppg"]["status"] == "insufficient beats"
+        assert statuses[("--set", "ppg.channel=ir_0")]["ppg"]["status"] == "ok"
+
     def test_ppg_detects_peaks_once(self, bundle_dir, tmp_path, call_log):
         detect_peaks_calls = call_log(beats.detect_peaks)
         out = tmp_path / "ppg_once"
@@ -204,7 +233,8 @@ class TestProcess:
 
     @pytest.mark.parametrize(
         "modality, source, flags, message",
-        [("ppg", "ppg.csv", ["--channel", "nope"], "error: ppg: channel 'nope' not found"),
+        [("ppg", "ppg.csv", ["--channel", "nope"],
+          "error: ppg: missing column: 'nope' not in columns: green_0"),
          ("radar", "missing.radc", [], "error: [Errno 2]")],
     )
     def test_failed_call_writes_nothing(
@@ -261,7 +291,7 @@ class TestCompare:
         assert set(doc["modalities"]) == {"ppg", "reference"}
 
     def test_short_reference_is_input_error(self, bundle_dir, tmp_path, capsys):
-        reference = cli.load_modality("reference", str(bundle_dir / "reference.csv"))
+        reference = read_series_csv(str(bundle_dir / "reference.csv"), cli.csv_column("reference"))
         short = reference.with_samples(reference.samples[: int(6 * reference.sample_rate_hz)])
         cli.write_bundle_dir(RecordingBundle(reference=short), PipelineConfig(), str(tmp_path))
         code = main([
@@ -434,7 +464,7 @@ class TestCompare:
     def test_beat_resampling_overflow_is_input_error(self, bundle_dir, tmp_path):
         # the reference centred and scaled to +-1e307: the band-pass
         # output is finite, a beat's interpolation slopes are not
-        reference = cli.load_modality("reference", str(bundle_dir / "reference.csv"))
+        reference = read_series_csv(str(bundle_dir / "reference.csv"), cli.csv_column("reference"))
         centered = reference.samples - reference.samples.mean()
         huge = reference.with_samples(centered * (1e307 / np.abs(centered).max()))
         subject = tmp_path / "big"
@@ -445,6 +475,54 @@ class TestCompare:
         assert result.returncode == 1
         assert result.stderr == "error: reference: beat resampling overflowed: waveform too large\n"
         assert not out.exists()
+
+    def test_pressure_mean_overflow_is_input_error(self, bundle_dir, tmp_path):
+        # a 60 s reference scaled to peak at 1e307: its chain's output is
+        # finite, the sum of its ~60 systolic pressures is not
+        config = PipelineConfig(synth_seed=1, synth_duration_s=60.0)
+        waveform, truth = generate_waveform(
+            model_from_config(config), config.synth_duration_s, config.synth_fs_hz, 1
+        )
+        ppg = synth_ppg(waveform, config.synth_ppg_tau_s, config.synth_ppg_noise_sd, 1)
+        reference = synth_reference(
+            waveform, config.synth_sbp_mmhg, config.synth_dbp_mmhg, truth.beat_times_s
+        )
+        huge = reference.with_samples(reference.samples * (1e307 / reference.samples.max()))
+        subject = tmp_path / "big"
+        cli.write_bundle_dir(RecordingBundle(ppg=ppg, reference=huge), config, str(subject))
+        out = tmp_path / "out"
+        result = run_cli(["compare", "--bundle", str(subject), "-o", str(out)])
+        assert result.returncode == 1
+        # one line, no numpy warning
+        assert result.stderr == "error: reference: pressure mean is not finite: input too large\n"
+        assert not out.exists()
+
+    def test_non_finite_report_value_leaves_no_output(self, bundle_dir, tmp_path, monkeypatch,
+                                                       capsys):
+        # the report is serialised before -o is created
+        monkeypatch.setattr("pulsecmp.report.map_from_bp", lambda sbp, dbp: float("nan"))
+        out = tmp_path / "out"
+        assert main(["compare", "--bundle", str(bundle_dir), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: non-finite value in output\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["header", "first", "deep"])
+    def test_non_utf8_csv_is_a_coded_input_error(self, bundle_dir, tmp_path, capsys, row):
+        # the byte in the header, in the first data row (both in the
+        # header read's first chunk) or far past that chunk
+        lines = (bundle_dir / "ppg.csv").read_bytes().splitlines(keepends=True)
+        index = {"header": 0, "first": 1, "deep": len(lines) - 2}[row]
+        lines[index] = lines[index].replace(b",", b",\xff", 1)
+        path = tmp_path / "ppg.csv"
+        path.write_bytes(b"".join(lines))
+        for argv in (["compare", "--ppg", str(path), "--reference", str(bundle_dir / "reference.csv")],
+                     ["process", "ppg", str(path)]):
+            out = tmp_path / "out"
+            assert main([*argv, "-o", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ppg: bad encoding: 'utf-8' codec can't decode byte 0xff")
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     def test_process_filter_overflow_writes_nothing(self, bundle_dir, tmp_path):
         subject = self.overflowing_reference(bundle_dir, tmp_path / "big")
@@ -835,7 +913,7 @@ class TestConfigPlumbing:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "['pulsecmp.config']"
 
-    def test_every_key_reaches_its_stage(self, bundle_dir, call_log):
+    def test_every_key_reaches_its_stage(self, bundle_dir, tmp_path, call_log):
         # each key off its default: a stage that fell back on the default
         # its own signature states would show here
         config = PipelineConfig(
@@ -846,12 +924,14 @@ class TestConfigPlumbing:
         default = PipelineConfig().to_flat_dict()
         changed = {k for k, v in config.to_flat_dict().items() if v != default[k]}
         assert changed == {k for k in default if not k.startswith("synth.")}
+        # a PPG file with a second channel, which only the key picks
         paths = cli.bundle_paths(str(bundle_dir))
-        bundle = RecordingBundle(**{name: cli.load_modality(name, path) for name, path in paths.items()})
-        green = bundle.ppg.channel()
-        chosen = green.with_samples(green.samples)
-        bundle.ppg = PpgRecording({"green_0": green, "ir_0": chosen})
+        green = read_series_csv(paths["ppg"])
+        paths["ppg"] = str(tmp_path / "ppg.csv")
+        write_series_csv(paths["ppg"], {"green_0": green.samples, "ir_0": 2.0 * green.samples},
+                         green.sample_rate_hz, green.start_time_s)
         stages = (
+            formats.read_series_csv,
             radar.process_radar,
             signal_core.butterworth_bandpass,
             beats.orient_and_detect,
@@ -859,11 +939,14 @@ class TestConfigPlumbing:
             beats.align_beat_events,
         )
         calls = {fn.__name__: call_log(fn) for fn in stages}
-        run_compare(bundle, config)
+        cli.compare_bundle(paths, "s", config)
         spec = BandpassSpec(3, 0.6, 7.0)
+        assert calls["read_series_csv"] == [
+            (paths["ppg"], "ir_0"), (paths["reference"], "pressure_mmHg")
+        ]
         assert [args[1:] for args in calls["process_radar"]] == [(spec, 12)]
         assert [args[1:] for args in calls["butterworth_bandpass"]] == [(spec,)] * 2
-        assert calls["butterworth_bandpass"][0][0] is chosen
+        assert np.array_equal(calls["butterworth_bandpass"][0][0].samples, 2.0 * green.samples)
         assert [args[1:] for args in calls["orient_and_detect"]] == [(0.3, 0.25)] * 3
         assert [args[2:] for args in calls["segment_beats_indexed"]] == [(150,)] * 3
         assert [args[2:] for args in calls["align_beat_events"]] == [(4.0, 0.2)] * 2
@@ -943,15 +1026,14 @@ class TestSelftest:
         def load_and_alter(name, path, *args):
             raw = load(name, path, *args)
             if name == "ppg":
-                channel, series = next(iter(raw.channels.items()))
-                series.samples[100] += 1.0
-                altered.append(channel)
+                raw.samples[100] += 1.0
+                altered.append(name)
             return raw
 
         monkeypatch.setattr(cli, "load_modality", load_and_alter)
         problems, _ = selftest.check_bundle_roundtrip()
-        assert len(altered) == 1
-        assert problems[0] == f"ppg {altered[0]} samples differ"
+        assert altered == ["ppg"]
+        assert problems[0] == "ppg samples differ"
 
 
 class TestNumpyOnlyRuntime:

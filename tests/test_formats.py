@@ -14,7 +14,6 @@ from pulsecmp import formats
 from pulsecmp.formats import (
     FormatError,
     canonical_json,
-    read_ppg_csv,
     read_radar_cube,
     read_series_csv,
     write_ground_truth,
@@ -22,7 +21,6 @@ from pulsecmp.formats import (
     write_series_csv,
     write_table,
 )
-from pulsecmp.ppg import PpgRecording
 from pulsecmp.radar import RadarCube, process_radar
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import (
@@ -234,7 +232,7 @@ class TestSeriesCsv:
     )
     def test_non_monotonic_message(self, tmp_path, times):
         path = _write(tmp_path / "s.csv", "time_s,v\n" + "".join(f"{t},1\n" for t in times.split(",")))
-        for read in (lambda: read_series_csv(path, "v"), lambda: read_ppg_csv(path)):
+        for read in (lambda: read_series_csv(path, "v"), lambda: read_series_csv(path)):
             with pytest.raises(FormatError) as info:
                 read()
             assert info.value.code == "non-monotonic"
@@ -247,7 +245,7 @@ class TestSeriesCsv:
         steps[7] *= factor
         times = np.concatenate(([0.0], np.cumsum(steps)))
         path = _write(tmp_path / "s.csv", "time_s,v\n" + "".join(f"{t!r},1\n" for t in times.tolist()))
-        for read in (lambda: read_series_csv(path, "v"), lambda: read_ppg_csv(path)):
+        for read in (lambda: read_series_csv(path, "v"), lambda: read_series_csv(path)):
             if not rejected:
                 read()
                 continue
@@ -257,15 +255,15 @@ class TestSeriesCsv:
             assert str(info.value) == "non-uniform sampling: time step jitter exceeds 1%"
 
     def test_channels_are_their_own_arrays(self, tmp_path):
-        # each channel is copied out of the parsed table, so the table
-        # and its time column are not kept alive by any channel
-        path = _write(tmp_path / "s.csv", "time_s,a,b\n0,1,2\n0.005,3,4\n0.01,5,6\n")
-        rec = read_ppg_csv(path)
-        channels = [read_series_csv(path, "a"), read_series_csv(path, "b"), *rec.channels.values()]
+        # the column read is copied out of the parsed table, so the table
+        # and its time column are not kept alive by it
+        path = _write(tmp_path / "s.csv", "time_s,b,a\n0,1,2\n0.005,3,4\n0.01,5,6\n")
+        channels = [read_series_csv(path, "a"), read_series_csv(path, "b"), read_series_csv(path)]
         for series in channels:
             assert series.samples.flags.c_contiguous
             assert series.samples.flags.owndata and series.samples.base is None
-        assert [c.samples.tolist() for c in channels] == [[1, 3, 5], [2, 4, 6], [1, 3, 5], [2, 4, 6]]
+        # no name given and no green_0: the first column by name
+        assert [c.samples.tolist() for c in channels] == [[2, 4, 6], [1, 3, 5], [2, 4, 6]]
 
     def test_missing_column_lists_names(self, tmp_path):
         path = str(tmp_path / "s.csv")
@@ -285,19 +283,16 @@ class TestSeriesCsv:
         assert series.start_time_s == 1.5
 
     def test_ppg_round_trip(self, tmp_path):
+        # a two-channel PPG file: each channel reads back as written, and
+        # the default pick is green_0
         rng = np.random.default_rng(2)
-        rec = PpgRecording(
-            channels={
-                "green_0": TimeSeries(rng.standard_normal(50), 200.0),
-                "green_1": TimeSeries(rng.standard_normal(50), 200.0),
-            }
-        )
+        channels = {"green_1": rng.standard_normal(50), "green_0": rng.standard_normal(50)}
         path = str(tmp_path / "ppg.csv")
-        write_series_csv(path, {name: ts.samples for name, ts in rec.channels.items()}, 200.0)
-        back = read_ppg_csv(path)
-        assert set(back.channels) == {"green_0", "green_1"}
-        for name in rec.channels:
-            assert np.array_equal(back.channels[name].samples, rec.channels[name].samples)
+        write_series_csv(path, channels, 200.0)
+        for name, column in (("green_0", ""), *((name, name) for name in channels)):
+            back = read_series_csv(path, column)
+            assert np.array_equal(back.samples, channels[name])
+            assert (back.sample_rate_hz, back.start_time_s) == (200.0, 0.0)
 
 
 def _write(path, text):
@@ -320,6 +315,21 @@ def _log_loadtxt_sources(monkeypatch):
 
 
 class TestCsvCodec:
+    @pytest.mark.parametrize("suffix", [".csv", ".gz"])
+    @pytest.mark.parametrize("row", [0, 1, 3000])
+    def test_non_utf8_byte_is_bad_encoding(self, tmp_path, row, suffix):
+        # the header, the first data row (both in the header read's first
+        # chunk) and a row far past it; a .gz name is parsed from the handle
+        lines = ["time_s,green_0\n"] + [f"{i / 200!r},{i % 7}.5\n" for i in range(4000)]
+        data = [line.encode() for line in lines]
+        data[row] = data[row].replace(b",", b",\xff", 1)
+        path = tmp_path / f"p{suffix}"
+        path.write_bytes(b"".join(data))
+        with pytest.raises(FormatError) as err:
+            read_series_csv(str(path))
+        assert err.value.code == "bad encoding"
+        assert str(err.value).startswith("bad encoding: 'utf-8' codec can't decode byte 0xff")
+
     @pytest.mark.parametrize(
         "text, code",
         [
@@ -354,12 +364,12 @@ class TestCsvCodec:
     def test_duplicate_column_named(self, tmp_path):
         path = _write(tmp_path / "d.csv", "time_s,green_0,green_0\n0,1,2\n0.005,3,4\n0.010,5,6\n")
         with pytest.raises(FormatError, match="^bad header: duplicate column green_0$"):
-            read_ppg_csv(path)
+            read_series_csv(path)
 
     def test_non_finite_names_row_and_column(self, tmp_path):
         path = _write(tmp_path / "p.csv", "time_s,green_0,green_1\n0,1,2\n0.005,3,inf\n0.010,5,6\n")
         with pytest.raises(FormatError, match="data row 2, column green_1"):
-            read_ppg_csv(path)
+            read_series_csv(path)
 
     def test_blank_and_whitespace_lines_skipped(self, tmp_path):
         plain = _write(tmp_path / "plain.csv", "time_s,v\n0,1\n0.005,2\n0.010,3\n")
@@ -504,7 +514,7 @@ class TestCsvCodec:
             ",".join(r) + "\n" for r in cells))
         name = ["time_s", "green_0", "green_1"][column]
         with pytest.raises(FormatError) as err:
-            read_ppg_csv(path)
+            read_series_csv(path)
         assert str(err.value) == f"non-finite: data row {row + 1}, column {name}: {float(value)}"
 
     def test_file_replaced_during_the_read_reads_as_one_version(self, tmp_path, monkeypatch):
@@ -569,7 +579,9 @@ class TestCsvCodec:
     def test_names_the_rule_allows_read_back_as_themselves(self, tmp_path, name):
         path = str(tmp_path / "p.csv")
         write_series_csv(path, {"green_0": [1.0, 2.0], name: [3.0, 4.0]}, 200.0)
-        assert list(read_ppg_csv(path).channels) == ["green_0", name]
+        assert read_series_csv(path, name).samples.tolist() == [3.0, 4.0]
+        with pytest.raises(FormatError, match=f"^missing column: 'nope' not in columns: green_0, {re.escape(name)}$"):
+            read_series_csv(path, "nope")
 
 
 class TestGroundTruthSidecar:

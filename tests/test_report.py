@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from pulsecmp import beats, metrics
 from pulsecmp.config import PipelineConfig
 from pulsecmp.formats import canonical_json
-from pulsecmp.ppg import PpgRecording
 from pulsecmp.report import (
     RecordingBundle,
     condition_modality,
@@ -79,7 +78,7 @@ class TestRunCompare:
         ref = synth_reference(waveform, 120, 80, truth.beat_times_s)
         bundle = RecordingBundle(
             reference=ref,
-            ppg=PpgRecording(channels={"green_0": ref}),
+            ppg=ref,
             subject_id="dup",
         )
         report = run_compare(bundle)
@@ -97,7 +96,7 @@ class TestRunCompare:
         flat = TimeSeries(np.full(int(30 * FS), 5000.0), FS)
         bundle = RecordingBundle(
             reference=ref,
-            ppg=PpgRecording(channels={"green_0": flat}),
+            ppg=flat,
         )
         report = run_compare(bundle)
         assert report.modalities["ppg"].status == "insufficient beats"
@@ -174,11 +173,7 @@ class TestSharedLastStep:
 
     def test_negated_ppg_gives_identical_report(self, default_bundle):
         config, bundle = default_bundle
-        negated = PpgRecording(
-            channels={
-                name: ts.with_samples(-ts.samples) for name, ts in bundle.ppg.channels.items()
-            }
-        )
+        negated = bundle.ppg.with_samples(-bundle.ppg.samples)
         flipped = RecordingBundle(
             radar=bundle.radar, ppg=negated, reference=bundle.reference,
             subject_id=bundle.subject_id,
@@ -211,9 +206,12 @@ class TestSharedLastStep:
         assert train.systolic_indices.size < 3
         assert selection.inverted is None
 
-    @pytest.mark.parametrize("module", ["radar", "ppg"])
-    def test_modality_chains_import_neither_beats_nor_report(self, module):
-        assert not imported_modules(module) & {"pulsecmp.beats", "pulsecmp.report"}
+    @pytest.mark.parametrize("modality", ["radar", "ppg"])
+    def test_modality_chains_import_neither_beats_nor_report(self, modality):
+        # the modules a modality's load and chain run in, before the shared last step
+        modules = {"radar": ("formats", "radar"), "ppg": ("formats", "signal_core")}[modality]
+        for module in modules:
+            assert not imported_modules(module) & {"pulsecmp.beats", "pulsecmp.report"}
 
     def test_metrics_imports_no_pulsecmp_module(self):
         # beats measures its table with metrics: the dependency runs one way

@@ -250,9 +250,8 @@ class TestSynthRadarCube:
 class TestSynthPpg:
     def test_delta_kernel_limit(self):
         waveform, _ = generate_waveform(PulseModel(), 15.0, FS, 6)
-        rec = synth_ppg(waveform, decay_tau_s=1e-4, noise_sd=0.0, drift_amp_counts=0.0)
-        chan = rec.channels["green_0"]
-        assert_allclose(chan.samples, waveform.samples + 10000.0, atol=1e-9)
+        ppg = synth_ppg(waveform, decay_tau_s=1e-4, noise_sd=0.0, drift_amp_counts=0.0)
+        assert_allclose(ppg.samples, waveform.samples + 10000.0, atol=1e-9)
 
     def test_slow_decay_inflates_auc(self):
         waveform, truth = generate_waveform(PulseModel(), 60.0, FS, 7)
@@ -271,7 +270,7 @@ class TestSynthPpg:
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, 8)
         a = synth_ppg(waveform, noise_sd=2.0, seed=8)
         b = synth_ppg(waveform, noise_sd=2.0, seed=8)
-        assert np.array_equal(a.channels["green_0"].samples, b.channels["green_0"].samples)
+        assert np.array_equal(a.samples, b.samples)
 
     def test_bad_tau(self):
         waveform, _ = generate_waveform(PulseModel(), 12.0, FS, 9)
