@@ -1,4 +1,4 @@
-"""Beat detection, inter-beat intervals, segmentation, and averaging.
+"""Beat detection, inter-beat intervals and segmentation.
 
 "Diastolic peak" throughout means the waveform foot: the minimum between
 consecutive systolic maxima, which marks the start of the upstroke. Feet
@@ -73,25 +73,6 @@ class PeakTrain:
 
     def diastolic_times(self) -> np.ndarray:
         return self.start_time_s + self.diastolic_indices / self.sample_rate_hz
-
-
-@dataclass
-class IbiSeries:
-    """Inter-beat intervals with the time of each interval's leading foot."""
-
-    intervals_ms: np.ndarray
-    anchor_times_s: np.ndarray
-
-    def __post_init__(self):
-        self.intervals_ms = np.asarray(self.intervals_ms, dtype=np.float64)
-        self.anchor_times_s = np.asarray(self.anchor_times_s, dtype=np.float64)
-        if self.intervals_ms.size != self.anchor_times_s.size:
-            raise ValueError("intervals and anchors must have equal length")
-        if not np.all(in_ibi_gate(self.intervals_ms)):
-            raise ValueError("intervals outside the plausibility gate")
-
-    def __len__(self) -> int:
-        return self.intervals_ms.size
 
 
 def _running_extreme(x: np.ndarray, window: int, op: np.ufunc) -> np.ndarray:
@@ -340,17 +321,18 @@ def foot_intervals_ms(train: PeakTrain) -> np.ndarray:
     return np.diff(train.diastolic_indices) / train.sample_rate_hz * 1000.0
 
 
-def extract_ibi(train: PeakTrain) -> IbiSeries:
-    """Intervals between successive diastolic feet, in milliseconds.
+def extract_ibi(train: PeakTrain) -> tuple[np.ndarray, np.ndarray]:
+    """Intervals between successive diastolic feet: ``(anchor_times_s,
+    intervals_ms)``, each interval with the time of its leading foot.
 
     Intervals outside the (250, 3000) ms plausibility gate are dropped
-    together with their anchors. Fewer than two feet yield an empty
-    series.
+    together with their anchors. Fewer than two feet yield two empty
+    arrays.
     """
     intervals = foot_intervals_ms(train)
     anchors = train.start_time_s + train.diastolic_indices[:-1] / train.sample_rate_hz
     keep = in_ibi_gate(intervals)
-    return IbiSeries(intervals[keep], anchors[keep])
+    return anchors[keep], intervals[keep]
 
 
 def segment_beats_indexed(

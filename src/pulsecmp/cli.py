@@ -34,7 +34,7 @@ gc.disable()
 try:
     import numpy as np
 
-    from pulsecmp.beats import IbiSeries, extract_ibi
+    from pulsecmp.beats import PeakTrain, extract_ibi
     from pulsecmp.config import PipelineConfig, load_config
     from pulsecmp.formats import (
         DEFAULT_CHANNEL,
@@ -108,20 +108,22 @@ def write_bundle_dir(bundle: RecordingBundle, config: PipelineConfig, directory:
         )
 
 
-def csv_column(name: str, channel: str = DEFAULT_CHANNEL) -> str:
-    """The one column of a CSV modality's file that is written or read:
-    ``pressure_mmHg`` for the reference, ``channel`` for the PPG. The
-    PPG is written as ``green_0`` and read as ``ppg.channel``, whose
-    empty default picks ``green_0`` when the file has it, else the first
-    column by name (``formats.read_series_csv``)."""
-    return channel if name == "ppg" else REFERENCE_COLUMN
+def csv_column(name: str) -> str:
+    """The column a CSV modality's file is written as, and the one its
+    read picks when none is named and the file has it: ``green_0`` for
+    the PPG, ``pressure_mmHg`` for the reference."""
+    return DEFAULT_CHANNEL if name == "ppg" else REFERENCE_COLUMN
 
 
-def load_modality(name: str, path: str, column: str = ""):
-    """Read one modality's recording: the radar cube, or the one CSV
-    column ``column`` names (empty: the default pick of
-    ``formats.read_series_csv``)."""
-    return read_radar_cube(path) if name == "radar" else read_series_csv(path, column)
+def load_modality(name: str, path: str, config: PipelineConfig, column: str = ""):
+    """Read one modality's recording: the radar cube, or one CSV column.
+    That is ``column`` when named, else the PPG's ``ppg.channel``; with
+    neither, :func:`csv_column` when the file has it, else the file's
+    first column by name."""
+    if name == "radar":
+        return read_radar_cube(path)
+    column = column or (config.ppg_channel if name == "ppg" else "")
+    return read_series_csv(path, column, csv_column(name))
 
 
 def bundle_paths(directory: str) -> dict[str, str]:
@@ -149,14 +151,17 @@ def compare_bundle(
     before the next is read, so the peak holds one raw recording.
     """
     def load(name: str):
-        return load_modality(name, paths[name], csv_column(name, config.ppg_channel))
+        return load_modality(name, paths[name], config)
 
     return compare_recordings(list(paths), load, subject_id, config)
 
 
-def _write_ibi(path: str, ibi: IbiSeries) -> None:
-    """Write ``process``'s ``ibi.csv`` or one of ``compare``'s ``ibi_<modality>.csv``."""
-    write_table(path, {"anchor_time_s": ibi.anchor_times_s, "interval_ms": ibi.intervals_ms})
+def _write_ibi(path: str, train: PeakTrain) -> int:
+    """Write ``process``'s ``ibi.csv`` or one of ``compare``'s
+    ``ibi_<modality>.csv`` from a beat train; returns the interval count."""
+    anchors, intervals = extract_ibi(train)
+    write_table(path, {"anchor_time_s": anchors, "interval_ms": intervals})
+    return intervals.size
 
 
 def _write_report_files(report: AgreementReport, directory: str) -> None:
@@ -165,7 +170,7 @@ def _write_report_files(report: AgreementReport, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     write_text_atomic(os.path.join(directory, "report.json"), text)
     for name, modality in sorted(report.modalities.items()):
-        _write_ibi(os.path.join(directory, f"ibi_{name}.csv"), modality.ibi)
+        _write_ibi(os.path.join(directory, f"ibi_{name}.csv"), modality.train)
         if modality.beats is not None:
             # the averaged beat: the beat table's column mean and population SD
             shapes = modality.beats.shapes
@@ -201,16 +206,14 @@ def cmd_process(args) -> int:
         if getattr(args, flag) is not None and args.modality != modality:
             raise ValueError(f"--{flag} applies to 'process {modality}' only")
     config = _load_cli_config(args)
-    column = args.column or csv_column(args.modality, args.channel or config.ppg_channel)
     meta: dict = {"modality": args.modality, "input": os.path.basename(args.input)}
     with modality_errors(args.modality):
-        raw = load_modality(args.modality, args.input, column)
+        raw = load_modality(args.modality, args.input, config, args.column or args.channel or "")
         waveform, train, selection = condition_modality(args.modality, raw, config)
     # only once the input has loaded and been conditioned: a bad call writes nothing
     os.makedirs(args.out, exist_ok=True)
     if selection is not None:
         meta["selection"] = dataclasses.asdict(selection)
-    ibi = extract_ibi(train)
     write_series_csv(
         os.path.join(args.out, "waveform.csv"),
         {"value": waveform.samples},
@@ -230,12 +233,12 @@ def cmd_process(args) -> int:
             "value": waveform.samples[indices],
         },
     )
-    _write_ibi(os.path.join(args.out, "ibi.csv"), ibi)
+    n_ibi = _write_ibi(os.path.join(args.out, "ibi.csv"), train)
     meta["n_systolic"] = int(train.systolic_indices.size)
     meta["n_diastolic"] = int(train.diastolic_indices.size)
-    meta["n_ibi"] = len(ibi)
+    meta["n_ibi"] = n_ibi
     write_text_atomic(os.path.join(args.out, "meta.json"), canonical_json(meta) + "\n")
-    print(f"processed {args.modality}: {meta['n_systolic']} systolic peaks, {len(ibi)} intervals")
+    print(f"processed {args.modality}: {meta['n_systolic']} systolic peaks, {n_ibi} intervals")
     return 0
 
 

@@ -73,8 +73,8 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIIIIIdddI")
 MAX_CUBE_ELEMENTS = 2**34  # 16 Gi float32 values (64 GiB); beyond is corrupt
 
-# The column a bundle's reference.csv holds, and the PPG channel read
-# from ppg.csv when none is named and the file has it
+# The column a bundle's reference.csv and ppg.csv are written as, and
+# the one each read picks when none is named and the file has it
 REFERENCE_COLUMN = "pressure_mmHg"
 DEFAULT_CHANNEL = "green_0"
 
@@ -380,16 +380,16 @@ def _is_written_column(times: np.ndarray, t0: float, rate: float) -> bool:
     return True
 
 
-def read_series_csv(path: str, column: str = "") -> TimeSeries:
+def read_series_csv(path: str, column: str = "", prefer: str = DEFAULT_CHANNEL) -> TimeSeries:
     """Read one column of a time-series CSV as a TimeSeries, copied out
     of the parsed table, so the table and its time column are freed on
-    return. An empty ``column`` picks ``green_0`` when the file has it,
+    return. An empty ``column`` picks ``prefer`` when the file has it,
     else the first column by name; a name the file lacks is
     ``FormatError`` "missing column", listing the file's columns."""
     names, table = _parse_time_table(path)
     rate = _uniform_rate(table[:, 0])
     columns = names[1:]
-    column = column or (DEFAULT_CHANNEL if DEFAULT_CHANNEL in columns else min(columns))
+    column = column or (prefer if prefer in columns else min(columns))
     if column not in columns:
         raise FormatError("missing column", f"{column!r} not in columns: {', '.join(columns)}")
     return TimeSeries(table[:, names.index(column)].copy(), rate, float(table[0, 0]))

@@ -61,16 +61,6 @@ class BlandAltman:
 
 
 @dataclass
-class MorphologyMetrics:
-    """Per-modality beat-shape summary (means over detected beats)."""
-
-    inflection_count_mean: float
-    inflection_count_sd: float
-    auc_mean: float
-    auc_sd: float
-
-
-@dataclass
 class PairwiseComparison:
     """Shape-metric comparison between a reference and a test modality.
 
@@ -297,17 +287,4 @@ def compare_modalities(
         p_auc=paired_t_test(diff_auc)[1],
         cosine_mean=float(cos.mean()),
         cosine_sd=float(cos.std(ddof=1)),
-    )
-
-
-def morphology_metrics(beats: BeatTable) -> MorphologyMetrics:
-    """Mean and sample SD of extrema count and AUC over a modality's beats."""
-    if len(beats) == 0:
-        raise ValueError("no beats")
-    ddof = 1 if len(beats) > 1 else 0
-    return MorphologyMetrics(
-        inflection_count_mean=float(beats.extrema.mean()),
-        inflection_count_sd=float(beats.extrema.std(ddof=ddof)),
-        auc_mean=float(beats.auc.mean()),
-        auc_sd=float(beats.auc.std(ddof=ddof)),
     )

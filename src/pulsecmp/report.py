@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from pulsecmp.beats import (
-    IbiSeries,
     PeakTrain,
     align_beat_events,
     extract_ibi,
@@ -43,12 +42,10 @@ from pulsecmp.metrics import (
     BeatTable,
     BlandAltman,
     BpSummary,
-    MorphologyMetrics,
     PairwiseComparison,
     bland_altman,
     compare_modalities,
     map_from_bp,
-    morphology_metrics,
 )
 from pulsecmp.radar import BinSelection, RadarCube, process_radar
 from pulsecmp.signal_core import BandpassSpec, TimeSeries, butterworth_bandpass, require_min_record
@@ -93,16 +90,18 @@ class RecordingBundle:
 
 @dataclass
 class ModalitySummary:
-    """One modality's beat train and per-modality statistics."""
+    """One modality's beat train and, from ``MIN_BEATS`` beats on, its beat
+    table; its intervals and morphology are read from them where written."""
 
     name: str
-    status: str
     train: PeakTrain
-    ibi: IbiSeries
     beats: BeatTable | None = None
-    morphology: MorphologyMetrics | None = None
     selection: BinSelection | None = None
     bp: BpSummary | None = None
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.beats is not None else "insufficient beats"
 
     @property
     def n_beats(self) -> int:
@@ -149,10 +148,16 @@ class AgreementReport:
                 "n_systolic": int(m.train.systolic_indices.size),
                 "n_diastolic": int(m.train.diastolic_indices.size),
                 "n_beats": m.n_beats,
-                "n_ibi": len(m.ibi),
+                "n_ibi": extract_ibi(m.train)[1].size,
             }
-            if m.morphology is not None:
-                entry["morphology"] = asdict(m.morphology)
+            if m.beats is not None:
+                extrema, auc = m.beats.extrema, m.beats.auc
+                entry["morphology"] = {
+                    "inflection_count_mean": float(extrema.mean()),
+                    "inflection_count_sd": float(extrema.std(ddof=1)),
+                    "auc_mean": float(auc.mean()),
+                    "auc_sd": float(auc.std(ddof=1)),
+                }
             if m.selection is not None:
                 entry["selection"] = asdict(m.selection)
             if m.bp is not None:
@@ -301,15 +306,11 @@ def _summarize_modality(
     config: PipelineConfig,
     raw_for_bp: TimeSeries | None = None,
 ) -> ModalitySummary:
-    summary = ModalitySummary(
-        name, "insufficient beats", train=train, ibi=extract_ibi(train), selection=selection
-    )
+    summary = ModalitySummary(name, train, selection=selection)
     table = segment_beats_indexed(waveform, train, config.beats_norm_len)
     if len(table) < MIN_BEATS:
         return summary
-    summary.status = "ok"
     summary.beats = table
-    summary.morphology = morphology_metrics(table)
     if raw_for_bp is not None and train.systolic_indices.size:
         # finite samples near the float range can overflow a mean's sum
         with np.errstate(over="ignore", invalid="ignore"):

@@ -267,10 +267,10 @@ def check_morphology_ordering() -> tuple[list[str], str]:
     for seed in seeds:
         config = PipelineConfig(synth_seed=seed, synth_duration_s=60.0, synth_snr_db=20.0)
         report = run_compare(simulate_bundle(config), config)
-        morph = {name: m.morphology for name, m in report.modalities.items()}
-        if not morph["ppg"].auc_mean > morph["reference"].auc_mean:
+        beats = {name: m.beats for name, m in report.modalities.items()}
+        if not beats["ppg"].auc.mean() > beats["reference"].auc.mean():
             problems.append(f"seed {seed}: PPG AUC not above reference AUC")
-        if not morph["radar"].inflection_count_mean >= morph["ppg"].inflection_count_mean:
+        if not beats["radar"].extrema.mean() >= beats["ppg"].extrema.mean():
             problems.append(f"seed {seed}: radar extrema count below PPG")
         cos_radar = report.pairs["radar_vs_reference"].comparison.cosine_mean
         cos_ppg = report.pairs["ppg_vs_reference"].comparison.cosine_mean
@@ -351,7 +351,7 @@ def check_bundle_roundtrip() -> tuple[list[str], str]:
     problems = []
 
     def load(name: str):
-        raw = cli.load_modality(name, paths[name], cli.csv_column(name, config.ppg_channel))
+        raw = cli.load_modality(name, paths[name], config)
         samples, *timing = _recording(name, raw)
         want_samples, *want_timing = want.pop(name)
         if not np.array_equal(samples, want_samples):

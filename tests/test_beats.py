@@ -10,7 +10,6 @@ from scipy.ndimage import maximum_filter1d, minimum_filter1d
 from scipy.signal import find_peaks
 
 from pulsecmp.beats import (
-    IbiSeries,
     PeakTrain,
     _find_peaks,
     _running_extreme,
@@ -25,7 +24,7 @@ from pulsecmp.beats import (
     segment_beats_indexed,
 )
 from pulsecmp.metrics import BeatTable, auc_normalized, count_inflections
-from pulsecmp.report import AgreementReport, ModalitySummary
+from pulsecmp.report import MIN_BEATS, AgreementReport, ModalitySummary
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import PulseModel, generate_waveform
 
@@ -189,44 +188,45 @@ class TestOrientAndDetect:
 class TestExtractIbi:
     def test_direct_arithmetic(self):
         train = PeakTrain(np.array([100, 300]), np.array([0, 200, 402]), FS)
-        ibi = extract_ibi(train)
-        assert_allclose(ibi.intervals_ms, [1000.0, 1010.0])
-        assert_allclose(ibi.anchor_times_s, [0.0, 1.0])
+        anchors, intervals = extract_ibi(train)
+        assert_allclose(intervals, [1000.0, 1010.0])
+        assert_allclose(anchors, [0.0, 1.0])
 
     def test_plausibility_gate(self):
         train = PeakTrain(np.array([20]), np.array([0, 40]), FS)
-        ibi = extract_ibi(train)
-        assert len(ibi) == 0
+        anchors, intervals = extract_ibi(train)
+        assert foot_intervals_ms(train).size == 1
+        assert intervals.size == 0 and anchors.size == 0
 
     def test_gate_bounds_are_exclusive(self):
         intervals = np.array([250.0, np.nextafter(250.0, 300.0), 2999.0, 3000.0])
         assert in_ibi_gate(intervals).tolist() == [False, True, True, False]
-        with pytest.raises(ValueError, match="plausibility gate"):
-            IbiSeries(np.array([3000.0]), np.array([0.0]))
         train = PeakTrain(np.array([20, 300]), np.array([0, 50, 650]), FS)
         assert_allclose(foot_intervals_ms(train), [250.0, 3000.0])
-        assert len(extract_ibi(train)) == 0
+        anchors, intervals = extract_ibi(train)
+        assert intervals.size == 0 and anchors.size == 0
 
     def test_fewer_than_two_feet(self):
         train = PeakTrain(np.array([], dtype=int), np.array([10]), FS)
-        assert len(extract_ibi(train)) == 0
+        anchors, intervals = extract_ibi(train)
+        assert intervals.size == 0 and anchors.size == 0
 
     def test_synthetic_truth_recovery(self):
         _, truth = pulse_train_series(duration_s=120.0, hr_bpm=62.0, seed=7, ibi_sd_ms=30.0)
         train = event_train(truth.beat_times_s, FS)
-        ibi = extract_ibi(train)
+        _, intervals = extract_ibi(train)
         true_intervals = np.diff(truth.beat_times_s) * 1000.0
         # on-grid quantization only: half a sample each end
-        assert np.abs(ibi.intervals_ms - true_intervals).mean() <= 5.0
+        assert np.abs(intervals - true_intervals).mean() <= 5.0
 
     def test_sum_property(self):
         _, truth = pulse_train_series(duration_s=60.0, seed=3, ibi_sd_ms=30.0)
         train = event_train(truth.beat_times_s, FS)
-        ibi = extract_ibi(train)
-        if len(ibi) == truth.beat_times_s.size - 1:
+        _, intervals = extract_ibi(train)
+        if intervals.size == truth.beat_times_s.size - 1:
             d = train.diastolic_indices
             total = (d[-1] - d[0]) / FS * 1000.0
-            assert_allclose(ibi.intervals_ms.sum(), total, rtol=1e-12)
+            assert_allclose(intervals.sum(), total, rtol=1e-12)
 
 
 class TestSegmentBeats:
@@ -366,7 +366,7 @@ def average_beat_file(tmp_path, shapes):
     n = len(shapes)
     table = BeatTable(np.arange(n), shapes, np.zeros(n), np.zeros(n))
     train = PeakTrain(np.array([], dtype=int), np.array([], dtype=int), FS)
-    summary = ModalitySummary("reference", "ok", train, extract_ibi(train), beats=table)
+    summary = ModalitySummary("reference", train, beats=table)
     report = AgreementReport("s", "reference", {}, {"reference": summary}, {})
     cli._write_report_files(report, str(tmp_path))
     columns = np.loadtxt(tmp_path / "avg_beat_reference.csv", delimiter=",", skiprows=1, ndmin=2)
@@ -381,7 +381,8 @@ class TestAverageBeats:
         waveform, _ = pulse_train_series(duration_s=12.0)
         train = detect_peaks(waveform)
         shapes = segment_beats_indexed(waveform, train).shapes
-        mean, sd = average_beat_file(tmp_path, shapes[:1])
+        # one segment, held MIN_BEATS times: a report keeps no smaller table
+        mean, sd = average_beat_file(tmp_path, np.repeat(shapes[:1], MIN_BEATS, axis=0))
         assert np.array_equal(mean, shapes[0])
         assert np.array_equal(sd, np.zeros_like(sd))
 

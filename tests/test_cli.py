@@ -24,6 +24,7 @@ from pulsecmp.formats import (
 )
 from pulsecmp.radar import RadarCube
 from pulsecmp.report import (
+    MIN_BEATS,
     RecordingBundle,
     model_from_config,
     run_compare,
@@ -206,6 +207,30 @@ class TestProcess:
         assert statuses[()]["ppg"]["status"] == "insufficient beats"
         assert statuses[("--set", "ppg.channel=ir_0")]["ppg"]["status"] == "ok"
 
+    def test_reference_column_is_picked_as_the_ppg_channel_is(self, bundle_dir, tmp_path):
+        # no column named: pressure_mmHg when the file has it, else the
+        # first column by name; each file holds the bundle's pressure there
+        reference = read_series_csv(str(bundle_dir / "reference.csv"), "pressure_mmHg")
+        flat = np.full(len(reference), 80.0)
+        files = {
+            "renamed": {"abp": reference.samples},
+            "first": {"abp": reference.samples, "zz": flat},
+            "preferred": {"abp": flat, "pressure_mmHg": reference.samples},
+        }
+        assert main(["process", "reference", str(bundle_dir / "reference.csv"),
+                     "-o", str(tmp_path / "one")]) == 0
+        for name, columns in files.items():
+            path = str(tmp_path / f"{name}.csv")
+            write_series_csv(path, columns, reference.sample_rate_hz, reference.start_time_s)
+            assert main(["process", "reference", path, "-o", str(tmp_path / name)]) == 0
+            for table in ("waveform.csv", "peaks.csv", "ibi.csv"):
+                assert (tmp_path / name / table).read_bytes() == \
+                    (tmp_path / "one" / table).read_bytes()
+        # --column still names the column read
+        assert main(["process", "reference", str(tmp_path / "first.csv"), "--column", "zz",
+                     "-o", str(tmp_path / "zz")]) == 0
+        assert json.loads((tmp_path / "zz" / "meta.json").read_text())["n_systolic"] == 0
+
     def test_ppg_detects_peaks_once(self, bundle_dir, tmp_path, call_log):
         detect_peaks_calls = call_log(beats.detect_peaks)
         out = tmp_path / "ppg_once"
@@ -258,6 +283,22 @@ class TestProcess:
 
 
 class TestCompare:
+    def test_reference_of_another_column_name(self, bundle_dir, tmp_path):
+        # a reference.csv whose one column is not pressure_mmHg reads as
+        # the bundle's: the same files, byte for byte
+        renamed = tmp_path / bundle_dir.name
+        shutil.copytree(bundle_dir, renamed)
+        text = (bundle_dir / "reference.csv").read_bytes()
+        assert text.startswith(b"time_s,pressure_mmHg\n")
+        (renamed / "reference.csv").write_bytes(b"time_s,abp" + text[len(b"time_s,pressure_mmHg"):])
+        for source, name in ((bundle_dir, "want"), (renamed, "got")):
+            assert main(["compare", "--bundle", str(source), "-o", str(tmp_path / name)]) == 0
+        written = sorted(os.listdir(tmp_path / "want"))
+        assert sorted(os.listdir(tmp_path / "got")) == written
+        for filename in written:
+            assert (tmp_path / "got" / filename).read_bytes() == \
+                (tmp_path / "want" / filename).read_bytes()
+
     def test_bundle_report(self, bundle_dir, tmp_path):
         out = tmp_path / "cmp"
         assert main(["compare", "--bundle", str(bundle_dir), "-o", str(out)]) == 0
@@ -720,8 +761,34 @@ def read_table(path) -> tuple[list[str], np.ndarray]:
 
 
 class TestReportTables:
-    """``avg_beat_<m>.csv`` and ``ba_points_<pair>.csv`` are written from
-    the arrays the report holds."""
+    """``avg_beat_<m>.csv``, ``ba_points_<pair>.csv``, ``ibi_<m>.csv`` and
+    the report's ``n_ibi`` and ``morphology`` are written from the arrays
+    the report holds."""
+
+    def test_intervals_and_morphology_are_read_from_train_and_table(self, bundle_dir, tmp_path):
+        # n_ibi is the row count of ibi_<m>.csv and process's n_ibi; the
+        # morphology block is the beat table's mean and sample SD, bit for bit
+        paths = cli.bundle_paths(str(bundle_dir))
+        report = cli.compare_bundle(paths, "s", PipelineConfig())
+        cli._write_report_files(report, str(tmp_path))
+        doc = json.loads((tmp_path / "report.json").read_text())["modalities"]
+        assert set(doc) == set(report.modalities) == set(cli.MODALITIES)
+        for name, modality in report.modalities.items():
+            names, (_, intervals) = read_table(tmp_path / f"ibi_{name}.csv")
+            assert names == ["anchor_time_s", "interval_ms"]
+            out = tmp_path / f"p_{name}"
+            assert main(["process", name, paths[name], "-o", str(out)]) == 0
+            meta = json.loads((out / "meta.json").read_text())
+            assert list(meta)[-3:] == ["n_systolic", "n_diastolic", "n_ibi"]
+            assert doc[name]["n_ibi"] == intervals.size == meta["n_ibi"] > 0
+            table = modality.beats
+            assert len(table) >= MIN_BEATS
+            assert list(doc[name]["morphology"].items()) == [
+                ("inflection_count_mean", float(table.extrema.mean())),
+                ("inflection_count_sd", float(table.extrema.std(ddof=1))),
+                ("auc_mean", float(table.auc.mean())),
+                ("auc_sd", float(table.auc.std(ddof=1))),
+            ]
 
     def test_average_beat_is_the_beat_table_mean_and_sd(self, bundle_dir, tmp_path):
         report = cli.compare_bundle(cli.bundle_paths(str(bundle_dir)), "s", PipelineConfig())
@@ -941,8 +1008,10 @@ class TestConfigPlumbing:
         calls = {fn.__name__: call_log(fn) for fn in stages}
         cli.compare_bundle(paths, "s", config)
         spec = BandpassSpec(3, 0.6, 7.0)
+        # ppg.channel names the PPG's column; the reference's is picked,
+        # pressure_mmHg first
         assert calls["read_series_csv"] == [
-            (paths["ppg"], "ir_0"), (paths["reference"], "pressure_mmHg")
+            (paths["ppg"], "ir_0", "green_0"), (paths["reference"], "", "pressure_mmHg")
         ]
         assert [args[1:] for args in calls["process_radar"]] == [(spec, 12)]
         assert [args[1:] for args in calls["butterworth_bandpass"]] == [(spec,)] * 2

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from pulsecmp.beats import PeakTrain
 from pulsecmp.metrics import (
     BeatTable,
     auc_normalized,
@@ -14,10 +15,10 @@ from pulsecmp.metrics import (
     cosine_similarity,
     count_inflections,
     map_from_bp,
-    morphology_metrics,
     paired_t_test,
     regularized_incomplete_beta,
 )
+from pulsecmp.report import AgreementReport, ModalitySummary
 
 from oracles import (
     compare_copied_tables,
@@ -312,13 +313,18 @@ class TestCompareModalities:
         assert abs(cmp.mean_diff_auc) <= 0.05
 
     def test_morphology_metrics_summary(self):
+        # the report's morphology block, read from the beat table's columns
         u = np.linspace(0, 1, 200)
         shape = three_bump_wave(u)
         normalized = (shape - shape.min()) / (shape.max() - shape.min())
-        metrics = morphology_metrics(make_table([normalized] * 4))
-        assert metrics.inflection_count_mean == 5.0
-        assert metrics.inflection_count_sd == 0.0
-        assert 0.0 <= metrics.auc_mean <= 1.0
+        train = PeakTrain(np.array([], dtype=int), np.array([], dtype=int), 200.0)
+        summary = ModalitySummary("reference", train, beats=make_table([normalized] * 4))
+        report = AgreementReport("s", "reference", {}, {"reference": summary}, {})
+        block = report.to_dict()["modalities"]["reference"]["morphology"]
+        assert block["inflection_count_mean"] == 5.0
+        assert block["inflection_count_sd"] == 0.0
+        assert 0.0 <= block["auc_mean"] <= 1.0
+        assert block["auc_sd"] < 1e-12
 
     def test_table_measures_each_row_once(self):
         rng = np.random.default_rng(3)

@@ -331,14 +331,16 @@ class TestProcessRadar:
         waveform, _ = process_radar(cube)
         train = detect_peaks(waveform)
         assert train.systolic_indices.size == 0
-        assert len(extract_ibi(train)) == 0
+        anchors, intervals = extract_ibi(train)
+        assert intervals.size == 0 and anchors.size == 0
 
     def test_noise_only_cube_completes(self):
         rng = np.random.default_rng(7)
         cube = RadarCube(rng.standard_normal((int(12 * FS), 2, 2, 16)))
         waveform, _ = process_radar(cube)
         train = detect_peaks(waveform)
-        extract_ibi(train)  # must not raise
+        anchors, intervals = extract_ibi(train)  # must not raise
+        assert anchors.size == intervals.size
 
     def test_phase_scale_lambda_8(self):
         t = np.arange(int(30 * FS)) / FS
