@@ -33,8 +33,8 @@ IBI_MAX_MS = 3000.0
 
 EVENT_GRID_HZ = 200.0
 
-# Beats cut, resampled and measured per block of rows: a whole table's
-# index and interpolation temporaries would grow with the recording.
+# Beat table rows measured per block: count_inflections' temporaries
+# over a whole table would grow with the recording.
 BEAT_BLOCK_ROWS = 128
 
 
@@ -340,73 +340,47 @@ def segment_beats_indexed(
 ) -> BeatTable:
     """Cut the waveform into beats between consecutive diastolic feet, as one table.
 
-    Each beat is resampled to ``norm_len`` points and min-max scaled to
-    span exactly [0, 1]; flat beats (peak-to-peak below 1e-12) are
-    discarded. Each kept beat is measured as it is cut: its row holds
-    the increasing index in ``train`` of its leading diastolic foot, for
-    matching beats across modalities after event alignment, its shape,
-    its extrema count and its area. ``norm_len`` below ``MIN_BEAT_SAMPLES``,
-    the shortest beat ``count_inflections`` measures, fails before any cut,
-    and a waveform so large that a beat's resampling overflows fails too.
+    Each beat is resampled by ``np.interp`` to ``norm_len`` points
+    straight into its row, and the table is then min-max scaled once, so
+    each row spans exactly [0, 1]; flat beats (peak-to-peak below 1e-12)
+    are discarded. A kept row holds the increasing index in ``train`` of
+    its leading diastolic foot, for matching beats across modalities
+    after event alignment, its shape, its extrema count and its area,
+    measured ``BEAT_BLOCK_ROWS`` rows at a time. ``norm_len`` below
+    ``MIN_BEAT_SAMPLES``, the shortest beat ``count_inflections``
+    measures, fails before any cut, and a waveform so large that a beat's
+    resampling overflows fails too.
     """
     if norm_len < MIN_BEAT_SAMPLES:
         raise ValueError(f"norm_len must be at least {MIN_BEAT_SAMPLES}")
     d = train.diastolic_indices
     grid = np.linspace(0.0, 1.0, int(norm_len))
-    n = max(0, d.size - 1)
-    table = BeatTable(np.empty(n, np.int64), np.empty((n, grid.size)), np.empty(n), np.empty(n))
-    filled = 0
-    for k in range(0, n, BEAT_BLOCK_ROWS):
-        lead = d[k : k + BEAT_BLOCK_ROWS + 1]
-        # a finite waveform near the float range can overflow the
-        # interpolation's slopes: the spans show it, with no numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            resampled = _resample_beats(x.samples, lead[:-1], np.diff(lead) + 1, grid)
-            low = resampled.min(axis=1, keepdims=True)
-            span = resampled.max(axis=1, keepdims=True) - low
+    shapes = np.empty((max(0, d.size - 1), grid.size))
+    # np.linspace(0, 1, L) once per beat length L: a record has few lengths
+    positions: dict[int, np.ndarray] = {}
+    for row, a, b in zip(shapes, d[:-1].tolist(), d[1:].tolist()):
+        length = b - a + 1
+        if length not in positions:
+            positions[length] = np.linspace(0.0, 1.0, length)
+        row[:] = np.interp(grid, positions[length], x.samples[a : b + 1])
+    # a finite waveform near the float range can overflow the
+    # interpolation's slopes: the spans show it, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = shapes.min(axis=1, keepdims=True)
+        span = shapes.max(axis=1, keepdims=True) - low
         if not np.isfinite(span).all():
             raise ValueError("beat resampling overflowed: waveform too large")
-        kept = span[:, 0] >= 1e-12
-        shapes = (resampled[kept] - low[kept]) / span[kept]
-        rows = slice(filled, filled + len(shapes))
-        table.feet[rows] = k + np.flatnonzero(kept)
-        table.shapes[rows] = shapes
-        table.extrema[rows] = count_inflections(shapes)
-        table.auc[rows] = auc_normalized(shapes)
-        filled = rows.stop
-    # flat beats leave the last rows unfilled
-    return table.rows(slice(0, filled))
-
-
-def _resample_beats(
-    samples: np.ndarray, starts: np.ndarray, lengths: np.ndarray, grid: np.ndarray
-) -> np.ndarray:
-    """Row ``k`` is ``np.interp(grid, np.linspace(0, 1, L), beat)`` for
-    the beat ``samples[starts[k]:][:L]``, ``L = lengths[k]``, bit for bit.
-
-    ``grid`` runs from 0 to 1 inclusive. The beat's sample ``j`` sits at
-    ``j * (1 / (L - 1))``, its last at 1, as ``np.linspace`` places
-    them; each grid point below 1 is bracketed from ``floor`` with a
-    one-step fix-up and interpolated with ``np.interp``'s arithmetic,
-    and the grid's 1 takes the beat's last sample.
-    """
-    starts, last = starts[:, None], lengths[:, None] - 1
-    step = 1.0 / last
-
-    def at(i):  # the position of each beat's sample i
-        return np.where(i == last, 1.0, i * step)
-
-    g = grid[:-1]
-    j = np.minimum(np.floor(g * last).astype(np.int64), last - 1)
-    j -= at(j) > g
-    j += at(j + 1) <= g
-    xj = at(j)
-    fj = samples[starts + j]
-    slope = (samples[starts + j + 1] - fj) / (at(j + 1) - xj)
-    out = np.empty((starts.shape[0], grid.size))
-    out[:, :-1] = np.where(xj == g, fj, slope * (g - xj) + fj)
-    out[:, -1] = samples[starts[:, 0] + last[:, 0]]
-    return out
+        shapes -= low
+        shapes /= span
+    feet = np.flatnonzero(span[:, 0] >= 1e-12)
+    if feet.size < len(shapes):
+        shapes = shapes[feet]
+    extrema, auc = np.empty(feet.size), np.empty(feet.size)
+    for k in range(0, feet.size, BEAT_BLOCK_ROWS):
+        block = slice(k, k + BEAT_BLOCK_ROWS)
+        extrema[block] = count_inflections(shapes[block])
+        auc[block] = auc_normalized(shapes[block])
+    return BeatTable(feet, shapes, extrema, auc)
 
 
 def align_beat_events(

@@ -171,7 +171,7 @@ def _write_report_files(report: AgreementReport, directory: str) -> None:
     write_text_atomic(os.path.join(directory, "report.json"), text)
     for name, modality in sorted(report.modalities.items()):
         _write_ibi(os.path.join(directory, f"ibi_{name}.csv"), modality.train)
-        if modality.beats is not None:
+        if modality.status == "ok":
             # the averaged beat: the beat table's column mean and population SD
             shapes = modality.beats.shapes
             write_table(

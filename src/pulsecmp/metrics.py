@@ -43,10 +43,6 @@ class BeatTable:
     def __len__(self) -> int:
         return self.feet.size
 
-    def rows(self, index: np.ndarray | slice) -> BeatTable:
-        """The table of the rows at ``index``, in that order; a slice gives views."""
-        return BeatTable(self.feet[index], self.shapes[index], self.extrema[index], self.auc[index])
-
 
 @dataclass
 class BlandAltman:
@@ -73,11 +69,6 @@ class PairwiseComparison:
     p_auc: float
     cosine_mean: float
     cosine_sd: float
-
-    def __post_init__(self):
-        for p in (self.p_inflections, self.p_auc):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("p-values must lie in [0, 1]")
 
 
 @dataclass

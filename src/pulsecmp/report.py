@@ -90,22 +90,23 @@ class RecordingBundle:
 
 @dataclass
 class ModalitySummary:
-    """One modality's beat train and, from ``MIN_BEATS`` beats on, its beat
-    table; its intervals and morphology are read from them where written."""
+    """One modality's beat train and beat table; its intervals and
+    morphology are read from them where written. Its status reads "ok"
+    from ``MIN_BEATS`` table rows on; below that it reports no beats."""
 
     name: str
     train: PeakTrain
-    beats: BeatTable | None = None
+    beats: BeatTable
     selection: BinSelection | None = None
     bp: BpSummary | None = None
 
     @property
     def status(self) -> str:
-        return "ok" if self.beats is not None else "insufficient beats"
+        return "ok" if len(self.beats) >= MIN_BEATS else "insufficient beats"
 
     @property
     def n_beats(self) -> int:
-        return len(self.beats) if self.beats is not None else 0
+        return len(self.beats) if self.status == "ok" else 0
 
 
 @dataclass
@@ -150,7 +151,7 @@ class AgreementReport:
                 "n_beats": m.n_beats,
                 "n_ibi": extract_ibi(m.train)[1].size,
             }
-            if m.beats is not None:
+            if m.status == "ok":
                 extrema, auc = m.beats.extrema, m.beats.auc
                 entry["morphology"] = {
                     "inflection_count_mean": float(extrema.mean()),
@@ -306,12 +307,9 @@ def _summarize_modality(
     config: PipelineConfig,
     raw_for_bp: TimeSeries | None = None,
 ) -> ModalitySummary:
-    summary = ModalitySummary(name, train, selection=selection)
     table = segment_beats_indexed(waveform, train, config.beats_norm_len)
-    if len(table) < MIN_BEATS:
-        return summary
-    summary.beats = table
-    if raw_for_bp is not None and train.systolic_indices.size:
+    summary = ModalitySummary(name, train, table, selection)
+    if raw_for_bp is not None and summary.status == "ok" and train.systolic_indices.size:
         # finite samples near the float range can overflow a mean's sum
         with np.errstate(over="ignore", invalid="ignore"):
             sbp = float(np.mean(raw_for_bp.samples[train.systolic_indices]))

@@ -22,7 +22,7 @@ from pulsecmp.beats import (
     polarity_inverted,
 )
 from pulsecmp.formats import FormatError
-from pulsecmp.metrics import PairwiseComparison, cosine_similarity, paired_t_test
+from pulsecmp.metrics import BeatTable, PairwiseComparison, cosine_similarity, paired_t_test
 from pulsecmp.radar import (
     EDGE_FRACTION,
     SPEED_OF_LIGHT,
@@ -435,6 +435,12 @@ def greedy_pairs_by_loop(ta_s, shifted_s, pair_tol_s):
 # Test-only views of production code. Each calls what the pipeline
 # itself runs (`polarity_inverted`, `generate_waveform`,
 # `synth_radar_stream`), so tests written against it exercise that code.
+
+
+def table_rows(table, index):
+    """The ``BeatTable`` of ``table``'s rows at ``index``, in that order;
+    a slice gives views."""
+    return BeatTable(table.feet[index], table.shapes[index], table.extrema[index], table.auc[index])
 
 
 def event_train(times_s, sample_rate_hz):

@@ -1,3 +1,4 @@
+import json
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -23,8 +24,15 @@ from pulsecmp.beats import (
     polarity_inverted,
     segment_beats_indexed,
 )
+from pulsecmp.config import PipelineConfig
 from pulsecmp.metrics import BeatTable, auc_normalized, count_inflections
-from pulsecmp.report import MIN_BEATS, AgreementReport, ModalitySummary
+from pulsecmp.report import (
+    MIN_BEATS,
+    AgreementReport,
+    ModalitySummary,
+    condition_modality,
+    simulate_bundle,
+)
 from pulsecmp.signal_core import TimeSeries
 from pulsecmp.synth import PulseModel, generate_waveform
 
@@ -303,18 +311,41 @@ class TestSegmentBeats:
         assert np.all(shapes.min(axis=1) == 0.0)
         assert np.all(shapes.max(axis=1) == 1.0)
 
-    @pytest.mark.parametrize("norm_len", [97, 200])
+    @pytest.mark.parametrize("norm_len", [7, 97, 200, 513])
     def test_rows_equal_oracle_resampling_bit_for_bit(self, norm_len):
-        waveform, _ = pulse_train_series(duration_s=30.0, seed=4, ibi_sd_ms=30.0)
-        train = detect_peaks(waveform)
-        table = segment_beats_indexed(waveform, train, norm_len)
-        d = train.diastolic_indices
-        assert len(table) == d.size - 1
-        for foot, row in zip(table.feet, table.shapes):
-            beat = TimeSeries(waveform.samples[d[foot] : d[foot + 1] + 1], FS)
-            expected = resample_linear(beat, norm_len)
-            expected = (expected - expected.min()) / (expected.max() - expected.min())
-            assert np.array_equal(row, expected)
+        pulse, _ = pulse_train_series(duration_s=30.0, seed=4, ibi_sd_ms=30.0)
+        # the 20 dB radar chain's waveform, whose rows carry its noise
+        config = PipelineConfig(
+            synth_duration_s=30.0, synth_antennas=1, synth_chirps=1, synth_samples=8,
+            synth_target_antenna=0, synth_target_bin=3,
+        )
+        radar, radar_train, _ = condition_modality("radar", simulate_bundle(config).radar, config)
+        # beats of 2, 3 and 401 samples between a flat beat at each end
+        hand = np.random.default_rng(5).standard_normal(800)
+        hand[:60], hand[-60:] = 1.5, -0.5
+        hand_feet = np.array([0, 50, 60, 61, 63, 463, 500, 745, 795])
+        hand_train = PeakTrain(np.array([], dtype=int), hand_feet, FS)
+        # each input with the beats it holds flat
+        inputs = [
+            (pulse, detect_peaks(pulse), []),
+            (radar, radar_train, []),
+            (TimeSeries(hand, FS), hand_train, [0, hand_feet.size - 2]),
+        ]
+        for waveform, train, flat in inputs:
+            table = segment_beats_indexed(waveform, train, norm_len)
+            d = train.diastolic_indices
+            expected_feet, expected_rows = [], []
+            for foot in range(d.size - 1):
+                beat = TimeSeries(waveform.samples[d[foot] : d[foot + 1] + 1], FS)
+                expected = resample_linear(beat, norm_len)
+                if np.ptp(expected) >= 1e-12:
+                    expected_feet.append(foot)
+                    expected_rows.append((expected - expected.min()) / np.ptp(expected))
+            assert table.feet.tolist() == expected_feet
+            assert expected_feet == [k for k in range(d.size - 1) if k not in flat]
+            assert table.shapes.shape == (len(expected_feet), norm_len)
+            for row, expected in zip(table.shapes, expected_rows):
+                assert np.array_equal(row, expected)
 
     def test_block_size_does_not_change_the_table(self, monkeypatch):
         waveform, _ = pulse_train_series(duration_s=30.0, seed=4, ibi_sd_ms=30.0)
@@ -385,6 +416,24 @@ class TestAverageBeats:
         mean, sd = average_beat_file(tmp_path, np.repeat(shapes[:1], MIN_BEATS, axis=0))
         assert np.array_equal(mean, shapes[0])
         assert np.array_equal(sd, np.zeros_like(sd))
+
+    @pytest.mark.parametrize("n_rows", [0, MIN_BEATS - 1])
+    def test_table_below_min_beats_reports_insufficient_beats(self, tmp_path, n_rows):
+        # status gates the count, the morphology block and the averaged
+        # beat: a one-row table has no sample SD to report
+        shapes = np.tile(np.linspace(0.0, 1.0, 200), (n_rows, 1))
+        table = BeatTable(np.arange(n_rows), shapes, np.zeros(n_rows), np.zeros(n_rows))
+        train = PeakTrain(np.array([], dtype=int), np.array([], dtype=int), FS)
+        summary = ModalitySummary("reference", train, beats=table)
+        report = AgreementReport("s", "reference", {}, {"reference": summary}, {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli._write_report_files(report, str(tmp_path))
+        entry = json.loads((tmp_path / "report.json").read_text())["modalities"]["reference"]
+        assert entry["status"] == summary.status == "insufficient beats"
+        assert entry["n_beats"] == summary.n_beats == 0
+        assert "morphology" not in entry
+        assert not (tmp_path / "avg_beat_reference.csv").exists()
 
     def test_mirrored_pair(self, tmp_path):
         v = np.linspace(0.0, 1.0, 200)

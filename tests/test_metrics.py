@@ -25,6 +25,7 @@ from oracles import (
     count_extrema_dense,
     count_inflections_convolved,
     t_two_sided_p_quadrature,
+    table_rows,
     three_bump_wave,
 )
 
@@ -332,7 +333,7 @@ class TestCompareModalities:
         table = make_table(rows)
         assert table.extrema.tolist() == [count_inflections(r) for r in rows]
         assert table.auc.tolist() == [auc_normalized(r) for r in rows]
-        picked = table.rows(np.array([4, 1]))
+        picked = table_rows(table, np.array([4, 1]))
         assert picked.feet.tolist() == [4, 1]
         assert np.array_equal(picked.shapes, rows[[4, 1]])
         assert picked.auc.tolist() == [table.auc[4], table.auc[1]]
@@ -375,4 +376,5 @@ class TestCompareModalities:
         test = make_table(rng.uniform(0.0, 1.0, (350, 40)))
         i = np.sort(rng.choice(400, n_pairs, replace=False))
         j = np.sort(rng.choice(350, n_pairs, replace=False))
-        assert compare_modalities(ref, test, i, j) == compare_copied_tables(ref.rows(i), test.rows(j))
+        copied = compare_copied_tables(table_rows(ref, i), table_rows(test, j))
+        assert compare_modalities(ref, test, i, j) == copied
